@@ -349,7 +349,7 @@ class PermeabilityCampaign:
                 index, lambda ff: self._one_run(*task, ff=ff)
             )
 
-        # batch_width > 0: answer contiguous same-module task spans
+        # batch_width > 0: answer contiguous task spans of any modules
         # from the vectorized core (bit-identical; see repro.fi.vector)
         runner = wrap_runner(
             "permeability", runner, tasks, self.config, self.factory,

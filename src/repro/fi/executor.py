@@ -354,10 +354,10 @@ class VectorPolicy:
 
     ``batch_width`` > 0 lets campaigns that publish a batch planner
     advance up to that many injected runs per numpy tick inside one
-    worker; rows follow their own — possibly corrupted — dispatch
-    schedule via masked invocations where the kernel supports it, and
-    otherwise retire to the scalar path, so results stay
-    bit-identical to scalar execution.  ``0`` (the default) keeps the
+    worker; detection, memory and recovery rows follow their own —
+    possibly corrupted — dispatch schedule via masked invocations, and
+    permeability rows whose dispatch diverges retire to the scalar
+    path, so results stay bit-identical to scalar execution.  ``0`` (the default) keeps the
     scalar path for everything.  Campaigns without a planner ignore
     the policy.
     """

@@ -14,25 +14,32 @@ test cases; each row is seeded from its own case's tick-0 snapshot
 and diffed against its own golden stream via per-row indirection),
 and a target-specific kernel (``repro.watertank.vectorize`` /
 ``repro.target.vectorize``) advances *all* rows of a batch through
-each tick at once.  Memory/recovery rows vectorize the periodic
-single-bit flips of :class:`repro.fi.injector.PeriodicMemoryFlip`
-(:class:`MemoryFlipPlan`), and recovery groups run twice — a plain
-detection pass and a containment pass with a
-:class:`RecoveringBankArrays` poking substitutions into the store.
+each tick at once.  Groups are contiguous runs of a campaign's tasks
+capped only by the batch width: permeability rows of different
+modules share a batch, each row flipping and recording its own module
+(:class:`InvocationRecorder`).  Memory/recovery rows vectorize the
+periodic single-bit flips of
+:class:`repro.fi.injector.PeriodicMemoryFlip` (:class:`MemoryFlipPlan`),
+and recovery groups run twice — a plain detection pass and a
+containment pass with a :class:`RecoveringBankArrays` poking
+substitutions into the store.
 
 Correctness contract
 --------------------
 Batching is a pure execution strategy: outcomes are **bit-identical**
-to the scalar path.  Three mechanisms keep that true:
+to the scalar path.  Four mechanisms keep that true:
 
 * every kernel is a transcription of the scalar simulator's per-tick
   arithmetic onto int64/float64 arrays (same operation order, same
   quantization points), seeded from the same tick-0
   ``capture_state()`` snapshots;
-* dispatch-divergent rows are *retired*: the golden slot schedule is
-  asserted after every CLOCK/TIMER invocation, and a row whose control
-  flow departs it (a flipped slot number) leaves the batch and is
-  recomputed wholesale by the scalar path;
+* detection, memory and recovery rows dispatch per row: like the
+  scalar loop, each row runs the modules of its own — possibly
+  corrupted — slot number, through masked invocations;
+* dispatch-divergent *permeability* rows are *retired*, because their
+  recorded invocation streams assume the golden schedule: the golden
+  slot is asserted after every CLOCK/TIMER invocation, and a row whose
+  control flow departs it is recomputed wholesale by the scalar path;
 * rows selected for an integrity audit, or running under chaos-test
   instrumentation, never enter a batch at all.
 
@@ -40,8 +47,8 @@ Golden invocation streams — the reference side of the permeability
 comparison — are packed once into shared memory
 (:class:`repro.fi.shm.ShmArrayPack`) before the worker pool forks.
 
-Enabled with ``CampaignConfig(batch_width=N)`` / ``--batch-width N``
-(default 0 = scalar path).
+Enabled with ``CampaignConfig(vector=VectorPolicy(batch_width=N))`` /
+``--batch-width N`` (default 0 = scalar path).
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ __all__ = [
     "BankArrays",
     "RecoveringBankArrays",
     "MemoryFlipPlan",
+    "InvocationRecorder",
     "flip_cells",
     "BatchRunner",
     "wrap_runner",
@@ -119,10 +127,10 @@ vector_stats = VectorStats()
 @dataclass(frozen=True)
 class RowInjection:
     """One row's injection: an ``"input"`` (system-input register
-    flip at tick ``tick``), an ``"arg"`` (module-input flip at the
-    first invocation at or after ``tick``), or a ``"memory"``
-    (periodic single-bit flip of one memory cell, phase ``tick``,
-    every ``period`` ticks — see
+    flip at tick ``tick``), an ``"arg"`` (flip of input ``port`` of
+    ``module`` at its first invocation at or after ``tick``), or a
+    ``"memory"`` (periodic single-bit flip of one memory cell, phase
+    ``tick``, every ``period`` ticks — see
     :class:`repro.fi.injector.PeriodicMemoryFlip`)."""
 
     kind: str
@@ -132,7 +140,9 @@ class RowInjection:
     port: Optional[str] = None  #: arg kind: the module input port
     #: memory kind: cell class ("state" | "signal" | "arg" | "local")
     memory_kind: Optional[str] = None
-    module: Optional[str] = None  #: memory kind: owning module
+    #: arg kind: the flipped and recorded module; memory kind: the
+    #: owning module
+    module: Optional[str] = None
     cell: Optional[str] = None  #: memory kind: cell/signal/port name
     period: int = 0  #: memory kind: flip period in ticks
 
@@ -150,7 +160,6 @@ class GroupJob:
     """One batch handed to a target kernel."""
 
     kind: str  #: "permeability" | "detection" | "memory" | "recovery"
-    module: Optional[str]  #: permeability: flipped/recorded module
     rows: List[VectorRow]
     cases: Dict[int, Any]  #: case_id -> test case
     templates: Dict[int, Any]  #: case_id -> tick-0 SimulatorState
@@ -167,11 +176,8 @@ class GroupResult:
     injected: List[bool]
     first_injection_tick: List[Optional[int]]
     completion_tick: List[Optional[int]]
-    #: permeability: recorded invocation streams of the target module —
-    #: (rows, n_inv, n_in/n_out) int64 arrays plus per-row lengths
-    rec_len: Optional[List[int]] = None
-    rec_ins: Optional[Any] = None
-    rec_outs: Optional[Any] = None
+    #: permeability: each row's recorded stream of its own module
+    streams: Optional["InvocationRecorder"] = None
     #: detection: per-row {ea name -> (fire_count, first_fire_tick)}
     bank: Optional[List[Dict[str, Tuple[int, Optional[int]]]]] = None
     #: memory/recovery: per-row mission verdict (safety failure)
@@ -606,48 +612,136 @@ class MemoryFlipPlan:
 
 
 # ======================================================================
+# Vectorized module-input flips and invocation logs (permeability).
+# ======================================================================
+class InvocationRecorder:
+    """The module-input flips and invocation logs of one permeability
+    batch: per row, a transcription of the scalar run's
+    :class:`repro.fi.injector.ModuleInputFlip` and
+    :class:`repro.fi.comparison.InvocationLog`.  Each row flips one
+    input bit of *its own* module at that module's first invocation at
+    or after the row's tick and records that module's (post-marshal
+    inputs, store read-back outputs) stream, so rows of every module
+    share one batch.  The kernel sets :attr:`tick` and :attr:`live`
+    (the rows still in the run loop; ``None``: every row) each tick.
+    """
+
+    def __init__(self, kernel, rows: Sequence[VectorRow], bitmask,
+                 first_inj, ticks: int):
+        n = len(rows)
+        self._bitmask = bitmask
+        self._first_inj = first_inj
+        self._from = np.array(
+            [row.injection.tick for row in rows], dtype=np.int64
+        )
+        self._pending = np.ones(n, dtype=bool)
+        self._port = np.zeros(n, dtype=np.int64)
+        self.tick = 0
+        self.live = None
+        #: per row: recorded invocations and (n_inv, n_in/n_out) views
+        self.rec_len = np.zeros(n, dtype=np.int64)
+        self.rec_ins: List[Any] = [None] * n
+        self.rec_outs: List[Any] = [None] * n
+        #: module -> (its rows, inputs buffer, outputs buffer)
+        self._streams: Dict[str, Tuple[Any, Any, Any]] = {}
+        for module in sorted({row.injection.module for row in rows}):
+            idx = np.array(
+                [r for r, row in enumerate(rows)
+                 if row.injection.module == module],
+                dtype=np.int64,
+            )
+            in_ports, out_ports = kernel.module_ports(module)
+            self._port[idx] = [
+                in_ports.index(rows[r].injection.port) for r in idx
+            ]
+            slots = [
+                s for s, mods in kernel.slot_modules.items() if module in mods
+            ]
+            cap = ticks  # a module without a slot runs every tick
+            if slots:
+                first = (slots[0] - 1) % kernel.n_slots
+                cap = max(0, (ticks - first + kernel.n_slots - 1)
+                          // kernel.n_slots)
+            ins = np.zeros((len(idx), cap, len(in_ports)), np.int64)
+            outs = np.zeros((len(idx), cap, len(out_ports)), np.int64)
+            for p, r in enumerate(idx):
+                self.rec_ins[r], self.rec_outs[r] = ins[p], outs[p]
+            self._streams[module] = (idx, ins, outs)
+        self._count = dict.fromkeys(self._streams, 0)
+
+    def marshal(self, module: str, args: List[Any]) -> None:
+        """Strike the flips due at this invocation of *module*, in
+        place on the freshly copied arg arrays."""
+        stream = self._streams.get(module)
+        if stream is None:
+            return
+        idx = stream[0]
+        due = self._pending[idx] & (self._from[idx] <= self.tick)
+        if self.live is not None:
+            due &= self.live[idx]
+        if not due.any():
+            return
+        hit = idx[due]
+        for j, arg in enumerate(args):
+            m = hit[self._port[hit] == j]
+            # xor of a bit < width on an in-range quantized value stays
+            # in range for every signal type
+            arg[m] ^= self._bitmask[m]
+        self._pending[hit] = False
+        self._first_inj[hit] = self.tick
+
+    def record(self, module: str, args: Sequence[Any],
+               outs: Sequence[Any]) -> None:
+        """Append this invocation of *module* to its live rows'
+        streams."""
+        stream = self._streams.get(module)
+        if stream is None:
+            return
+        idx, ins, outs_buf = stream
+        pos = (
+            slice(None) if self.live is None
+            else np.nonzero(self.live[idx])[0]
+        )
+        rows = idx[pos]
+        k = self._count[module]
+        for j, values in enumerate(args):
+            ins[pos, k, j] = values[rows]
+        for j, values in enumerate(outs):
+            outs_buf[pos, k, j] = values[rows]
+        self.rec_len[rows] = k + 1
+        self._count[module] = k + 1
+
+
+# ======================================================================
 # Group planning.
 # ======================================================================
 @dataclass
 class _Group:
     gid: int
-    module: Optional[str]
     indices: List[int] = field(default_factory=list)
 
 
 def _task_shape(kind: str, task: tuple, period_ticks: int = 0):
-    """(group key, case, injection) of one campaign task tuple."""
+    """(case, injection) of one campaign task tuple."""
     if kind == "permeability":
         module, in_port, case, from_tick, bit = task
-        return (
-            module,
-            case,
-            RowInjection(
-                kind="arg", tick=from_tick, bit=bit, port=in_port
-            ),
+        return case, RowInjection(
+            kind="arg", tick=from_tick, bit=bit, port=in_port, module=module
         )
     if kind in ("memory", "recovery"):
         location, case, bit, phase = task
         memory_kind, module, cell, cell_bit = location.vector_descriptor(bit)
-        return (
-            None,
-            case,
-            RowInjection(
-                kind="memory",
-                tick=phase,
-                bit=cell_bit,
-                memory_kind=memory_kind,
-                module=module,
-                cell=cell,
-                period=period_ticks,
-            ),
+        return case, RowInjection(
+            kind="memory",
+            tick=phase,
+            bit=cell_bit,
+            memory_kind=memory_kind,
+            module=module,
+            cell=cell,
+            period=period_ticks,
         )
     target, case, tick, bit = task
-    return (
-        None,
-        case,
-        RowInjection(kind="input", tick=tick, bit=bit, signal=target),
-    )
+    return case, RowInjection(kind="input", tick=tick, bit=bit, signal=target)
 
 
 def _plan_groups(
@@ -657,7 +751,7 @@ def _plan_groups(
     period_ticks: int = 0,
     supported: Optional[Callable[[RowInjection], bool]] = None,
 ) -> Tuple[Dict[int, _Group], List[_Group]]:
-    """Contiguous runs of same-key tasks, capped at *batch_width*.
+    """Contiguous runs of tasks, capped at *batch_width*.
 
     Singleton groups are dropped — a batch of one is strictly worse
     than the scalar path.  Injections the kernel cannot strike inside
@@ -666,20 +760,13 @@ def _plan_groups(
     """
     groups: List[_Group] = []
     current: Optional[_Group] = None
-    current_key: Any = object()
     for index, task in enumerate(tasks):
-        key, _, injection = _task_shape(kind, task, period_ticks)
+        _, injection = _task_shape(kind, task, period_ticks)
         if supported is not None and not supported(injection):
             current = None
-            current_key = object()
             continue
-        if (
-            current is None
-            or key != current_key
-            or len(current.indices) >= batch_width
-        ):
-            current = _Group(gid=len(groups), module=key)
-            current_key = key
+        if current is None or len(current.indices) >= batch_width:
+            current = _Group(gid=len(groups))
             groups.append(current)
         current.indices.append(index)
     kept = [g for g in groups if len(g.indices) >= 2]
@@ -788,7 +875,7 @@ class BatchRunner:
     # ------------------------------------------------------------------
     def _prepare(self, batch_width: int) -> None:
         for task in self._tasks:
-            _, case, _ = _task_shape(self._kind, task, self._period)
+            case, _ = _task_shape(self._kind, task, self._period)
             self._cases.setdefault(case.case_id, case)
         first_case = next(iter(self._cases.values()))
         probe = self._factory(first_case)
@@ -822,8 +909,8 @@ class BatchRunner:
         needed = set()
         for group in self._groups:
             for index in group.indices:
-                _, case, _ = _task_shape(self._kind, self._tasks[index])
-                needed.add((case.case_id, group.module))
+                case, injection = _task_shape(self._kind, self._tasks[index])
+                needed.add((case.case_id, injection.module))
         for case_id, module in sorted(needed):
             golden = self._goldens.get(self._cases[case_id])
             stream = golden.invocations.stream(module)
@@ -923,7 +1010,7 @@ class BatchRunner:
 
         rows = []
         for index in group.indices:
-            _, case, injection = _task_shape(
+            case, injection = _task_shape(
                 self._kind, self._tasks[index], self._period
             )
             rows.append(
@@ -931,7 +1018,6 @@ class BatchRunner:
             )
         job = GroupJob(
             kind=self._kind,
-            module=group.module,
             rows=rows,
             cases=self._cases,
             templates=self._templates,
@@ -965,7 +1051,7 @@ class BatchRunner:
                 continue
             if self._kind == "permeability":
                 outcomes[index] = self._permeability_outcome(
-                    group, rows[row], result, row
+                    rows[row], result, row
                 )
             elif self._kind == "memory":
                 outcomes[index] = self._memory_outcome(result, row)
@@ -980,7 +1066,7 @@ class BatchRunner:
         return outcomes
 
     def _permeability_outcome(
-        self, group: _Group, row: VectorRow, result: GroupResult, r: int
+        self, row: VectorRow, result: GroupResult, r: int
     ) -> Optional[List[str]]:
         if not result.injected[r]:
             return None
@@ -988,17 +1074,17 @@ class BatchRunner:
         first = result.first_injection_tick[r]
         if completed is not None and first is not None and first > completed:
             return None
-        meta = self._golden_meta[(row.case_id, group.module)]
-        n_golden, n_in, _ = meta
-        key = f"g{row.case_id}:{group.module}"
+        module = row.injection.module
+        n_golden, n_in, _ = self._golden_meta[(row.case_id, module)]
+        key = f"g{row.case_id}:{module}"
         g_ins = self._pack.get(key + ":ins")
         g_outs = self._pack.get(key + ":outs")
-        mod = self._kernel.module_ports(group.module)
-        in_ports, out_ports = mod
+        in_ports, out_ports = self._kernel.module_ports(module)
         injected_idx = in_ports.index(row.injection.port)
-        length = min(n_golden, result.rec_len[r])
-        r_ins = result.rec_ins[r]
-        r_outs = result.rec_outs[r]
+        streams = result.streams
+        length = min(n_golden, int(streams.rec_len[r]))
+        r_ins = streams.rec_ins[r]
+        r_outs = streams.rec_outs[r]
         # first differing invocation per output port, then the ports
         # ordered by (invocation index, port order) — exactly the
         # discovery order of first_output_differences

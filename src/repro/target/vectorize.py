@@ -10,8 +10,9 @@ stop recording invocations, and freeze their completion latches, while
 the batch advances the remaining rows.  Outcomes are bit-identical to
 the scalar path; memory/recovery/detection rows dispatch per row
 (masked invocations follow each row's own — possibly corrupted —
-schedule), and only permeability rows retire on dispatch divergence,
-because their recorded invocation streams assume the golden schedule.
+schedule, decided over the rows still in the loop), and only
+permeability rows retire on dispatch divergence, because their
+recorded invocation streams assume the golden schedule.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.fi.vector import (
     BankArrays,
     GroupJob,
     GroupResult,
+    InvocationRecorder,
     MemoryFlipPlan,
     RecoveringBankArrays,
     RowInjection,
@@ -96,6 +98,7 @@ class ArrestmentVectorKernel:
             ("CLOCK", f"slot_succ{j}") for j in range(self.n_slots)
         )
         self._mem = None
+        self._rec = None
         self._scale = None  #: per-row CALC pressure scale, set per group
 
     def module_ports(self, module: str):
@@ -196,18 +199,10 @@ class ArrestmentVectorKernel:
         inj = [row.injection for row in rows]
         bitmask = np.array([1 << i.bit for i in inj], dtype=np.int64)
         first_inj = np.full(n, -1, dtype=np.int64)
-        mem = None
+        mem = rec = None
         inj_tick = inj_sig = None
-        port_idx = from_tick = pending = None
-        target = None
         if job.kind == "permeability":
-            in_ports = self.ports[job.module][0]
-            port_idx = np.array(
-                [in_ports.index(i.port) for i in inj], dtype=np.int64
-            )
-            from_tick = np.array([i.tick for i in inj], dtype=np.int64)
-            pending = np.ones(n, dtype=bool)
-            target = job.module
+            rec = InvocationRecorder(self, rows, bitmask, first_inj, max_ticks)
         elif job.kind in ("memory", "recovery"):
             mem = MemoryFlipPlan(self, rows, first_inj)
         else:
@@ -218,24 +213,6 @@ class ArrestmentVectorKernel:
                 )
                 for signal in regs
             }
-
-        rec_ins = rec_outs = None
-        rec_k = 0
-        rec_len = np.zeros(n, dtype=np.int64)
-        if target is not None:
-            ins, outs, _, _ = self.ports[target]
-            if target == "CLOCK":
-                cap = max_ticks
-            else:
-                slot = next(
-                    s for s, mods in self.slot_modules.items()
-                    if target in mods
-                )
-                first = (slot - 1) % self.n_slots
-                cap = max(0, (max_ticks - first + self.n_slots - 1)
-                          // self.n_slots)
-            rec_ins = np.zeros((n, cap, len(ins)), dtype=np.int64)
-            rec_outs = np.zeros((n, cap, len(outs)), dtype=np.int64)
 
         bank = None
         if job.specs:
@@ -263,6 +240,7 @@ class ArrestmentVectorKernel:
         else:
             kinds = force_limit = None
         self._mem = mem
+        self._rec = rec
 
         succ = np.stack(
             [M["CLOCK"][f"slot_succ{j}"] for j in range(self.n_slots)],
@@ -282,6 +260,8 @@ class ArrestmentVectorKernel:
         while t < max_ticks and running.any():
             entered = running.copy()
             batched += int(entered.sum())
+            if rec is not None:
+                rec.tick, rec.live = t, entered
 
             # --- SensorSuite.advance (state evolution is not gated:
             # rows past their engagement compute harmless garbage)
@@ -316,7 +296,7 @@ class ArrestmentVectorKernel:
                         if m.any():
                             regs[signal][m] ^= bitmask[m]
                             S[signal][m] ^= bitmask[m]
-                    first_inj = np.where(fire, t, first_inj)
+                    first_inj[fire] = t
 
             # --- pre-tick periodic memory flips (live rows)
             if mem is not None and mem.pre_tick(t, S, M, entered):
@@ -330,12 +310,8 @@ class ArrestmentVectorKernel:
 
             # --- CLOCK (every tick)
             arg = S["ms_slot_nbr"].copy()
-            if target == "CLOCK":
-                sel = pending & (t >= from_tick) & entered
-                if sel.any():
-                    arg[sel] ^= bitmask[sel]
-                    pending &= ~sel
-                    first_inj = np.where(sel, t, first_inj)
+            if rec is not None:
+                rec.marshal("CLOCK", [arg])
             if mem is not None:
                 mem.marshal("CLOCK", [arg])
             in_range = (arg >= 0) & (arg < self.n_slots)
@@ -348,59 +324,39 @@ class ArrestmentVectorKernel:
             clock["mscnt"] = (clock["mscnt"] + 1) & _U16
             S["ms_slot_nbr"] = self._q_store("ms_slot_nbr", nxt)
             S["mscnt"] = self._q_store("mscnt", clock["mscnt"])
-            if target == "CLOCK":
-                live = np.nonzero(entered)[0]
-                rec_ins[live, rec_k, 0] = arg[live]
-                rec_outs[live, rec_k, 0] = S["ms_slot_nbr"][live]
-                rec_outs[live, rec_k, 1] = S["mscnt"][live]
-                rec_len[live] = rec_k + 1
-                rec_k += 1
+            if rec is not None:
+                rec.record("CLOCK", [arg], [S["ms_slot_nbr"], S["mscnt"]])
 
             # --- the slot's module(s)
             slot = (t + 1) % self.n_slots
             cur = S["ms_slot_nbr"]
-            if target is None:
+            if rec is None:
                 # per-row dispatch (memory/recovery/detection rows):
                 # exactly like the scalar engagement loop, each row
                 # runs the modules of its own — possibly corrupted —
                 # ms_slot_nbr slot, so dispatch-divergent rows stay
-                # in the batch instead of retiring to the scalar path
-                if (cur == slot).all():
+                # in the batch instead of retiring to the scalar path.
+                # Rows that left the loop only compute discarded
+                # values, so the live rows alone decide the dispatch.
+                live_cur = cur[entered]
+                if (live_cur == slot).all():
                     for module in self.slot_modules.get(slot, ()):
-                        self._invoke(module, S, M, None)
+                        self._invoke(module, S, M)
                 else:
-                    for value in np.unique(cur):
+                    for value in np.unique(live_cur):
                         modules = self.slot_modules.get(int(value), ())
                         if not modules:
                             continue
                         row_mask = cur == value
                         for module in modules:
-                            self._invoke(module, S, M, None, mask=row_mask)
+                            self._invoke(module, S, M, mask=row_mask)
             else:
-                # permeability rows: the recorded invocation stream
-                # assumes the golden schedule — retire live rows whose
+                # permeability rows: the recorded invocation streams
+                # assume the golden schedule — retire live rows whose
                 # dispatch diverged from it
-                diverged = entered & (~retired) & (cur != slot)
-                if diverged.any():
-                    retired |= diverged
+                retired |= entered & (cur != slot)
                 for module in self.slot_modules.get(slot, ()):
-                    flip = None
-                    if module == target:
-                        sel = pending & (t >= from_tick) & entered
-                        flip = (sel, port_idx, bitmask)
-                    args, outs_arrays = self._invoke(module, S, M, flip)
-                    if flip is not None and flip[0].any():
-                        sel = flip[0]
-                        pending &= ~sel
-                        first_inj = np.where(sel, t, first_inj)
-                    if module == target:
-                        live = np.nonzero(entered)[0]
-                        for j, a in enumerate(args):
-                            rec_ins[live, rec_k, j] = a[live]
-                        for k, o in enumerate(outs_arrays):
-                            rec_outs[live, rec_k, k] = o[live]
-                        rec_len[live] = rec_k + 1
-                        rec_k += 1
+                    self._invoke(module, S, M)
 
             # --- monitor bank (end of each dispatch cycle, live rows)
             if bank is not None and t % self.n_slots == self.n_slots - 1:
@@ -456,7 +412,7 @@ class ArrestmentVectorKernel:
             running &= ~leave
             t += 1
 
-        self._mem = None
+        self._mem = self._rec = None
         vector_stats.batched_ticks += batched
 
         injected = first_inj >= 0
@@ -470,9 +426,7 @@ class ArrestmentVectorKernel:
             completion_tick=[
                 int(v) if v >= 0 else None for v in completion
             ],
-            rec_len=rec_len.tolist() if rec_ins is not None else None,
-            rec_ins=rec_ins,
-            rec_outs=rec_outs,
+            streams=rec,
             bank=[bank.row_records(r) for r in range(n)] if bank else None,
             failed=failed.tolist() if failed is not None else None,
             actions=(
@@ -483,24 +437,19 @@ class ArrestmentVectorKernel:
         )
 
     # ------------------------------------------------------------------
-    def _invoke(self, module, S, M, flip, mask=None):
+    def _invoke(self, module, S, M, mask=None):
         """Args from the store, marshal flips, module body, quantized
-        store write-back — returning the recorded (inputs, outputs).
+        store write-back, invocation recording.
 
         With *mask*, only the masked rows take the invocation: the
         body runs at full width, but outputs and state cells of rows
         outside the mask are merged back unchanged — those rows'
         (possibly corrupted) schedules did not dispatch *module* this
         tick — and armed memory strikes are confined to the mask."""
-        ins, outs, in_sigs, out_sigs = self.ports[module]
+        _, _, in_sigs, out_sigs = self.ports[module]
         args = [S[sig].copy() for sig in in_sigs]
-        if flip is not None:
-            sel, port_idx, bitmask = flip
-            if sel.any():
-                for j in range(len(args)):
-                    m = sel & (port_idx == j)
-                    if m.any():
-                        args[j][m] ^= bitmask[m]
+        if self._rec is not None:
+            self._rec.marshal(module, args)
         prev_live = None
         if self._mem is not None:
             if mask is not None:
@@ -533,7 +482,8 @@ class ArrestmentVectorKernel:
                     st[cell] = np.where(mask, new, old)
             if self._mem is not None:
                 self._mem.restore_live(prev_live)
-        return args, out_arrays
+        if self._rec is not None:
+            self._rec.record(module, args, out_arrays)
 
     # ------------------------------------------------------------------
     # Module bodies (exact transcriptions of repro.target.modules).

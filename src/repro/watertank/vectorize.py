@@ -27,6 +27,7 @@ from repro.fi.vector import (
     BankArrays,
     GroupJob,
     GroupResult,
+    InvocationRecorder,
     MemoryFlipPlan,
     RecoveringBankArrays,
     RowInjection,
@@ -101,6 +102,7 @@ class WatertankVectorKernel:
             ("TIMER", f"succ{j}") for j in range(self.n_slots)
         )
         self._mem: MemoryFlipPlan | None = None
+        self._rec: InvocationRecorder | None = None
 
     def module_ports(self, module: str):
         ins, outs, _, _ = self.ports[module]
@@ -204,16 +206,10 @@ class WatertankVectorKernel:
         inj = [row.injection for row in rows]
         bitmask = np.array([1 << i.bit for i in inj], dtype=np.int64)
         first_inj = np.full(n, -1, dtype=np.int64)
-        mem = None
+        mem = rec = None
         inj_tick = inj_sig = None
-        port_idx = from_tick = pending = None
         if job.kind == "permeability":
-            in_ports = self.ports[job.module][0]
-            port_idx = np.array(
-                [in_ports.index(i.port) for i in inj], dtype=np.int64
-            )
-            from_tick = np.array([i.tick for i in inj], dtype=np.int64)
-            pending = np.ones(n, dtype=bool)
+            rec = InvocationRecorder(self, rows, bitmask, first_inj, mission)
         elif job.kind in ("memory", "recovery"):
             mem = MemoryFlipPlan(self, rows, first_inj)
         else:
@@ -224,27 +220,6 @@ class WatertankVectorKernel:
                 )
                 for signal in regs
             }
-
-        # ---- recording buffers for the compared module (permeability)
-        rec_ins = rec_outs = None
-        rec_k = 0
-        if job.kind == "permeability":
-            target = job.module
-            ins, outs, _, _ = self.ports[target]
-            if target == "TIMER":
-                cap = mission
-            else:
-                slot = next(
-                    s for s, mods in self.slot_modules.items()
-                    if target in mods
-                )
-                first = (slot - 1) % self.n_slots
-                cap = max(0, (mission - first + self.n_slots - 1)
-                          // self.n_slots)
-            rec_ins = np.zeros((n, cap, len(ins)), dtype=np.int64)
-            rec_outs = np.zeros((n, cap, len(outs)), dtype=np.int64)
-        else:
-            target = None
 
         bank = None
         if job.specs:
@@ -263,6 +238,7 @@ class WatertankVectorKernel:
         else:
             missed = failed = None
         self._mem = mem
+        self._rec = rec
 
         # ---- the mission loop
         succ = np.stack(
@@ -275,6 +251,9 @@ class WatertankVectorKernel:
         valve_full = (1 << C.VALVE_POS_BITS) - 1
 
         for t in range(mission):
+            if rec is not None:
+                rec.tick = t
+
             # --- TankSensorSuite.advance
             ratio = np.maximum(
                 0.0, np.minimum(1.0, P["level_m"] / C.TANK_HEIGHT_M)
@@ -304,7 +283,7 @@ class WatertankVectorKernel:
                         if m.any():
                             regs[signal][m] ^= bitmask[m]
                             S[signal][m] ^= bitmask[m]
-                    first_inj = np.where(fire, t, first_inj)
+                    first_inj[fire] = t
 
             # --- pre-tick periodic memory flips (memory/recovery rows)
             if mem is not None and mem.pre_tick(t, S, M):
@@ -315,12 +294,8 @@ class WatertankVectorKernel:
 
             # --- TIMER (every tick)
             arg = S["tick_nbr"].copy()
-            if target == "TIMER":
-                sel = pending & (t >= from_tick)
-                if sel.any():
-                    arg[sel] ^= bitmask[sel]
-                    pending &= ~sel
-                    first_inj = np.where(sel, t, first_inj)
+            if rec is not None:
+                rec.marshal("TIMER", [arg])
             if mem is not None:
                 mem.marshal("TIMER", [arg])
             in_range = arg < self.n_slots
@@ -332,16 +307,13 @@ class WatertankVectorKernel:
             timer["ticks"] = (timer["ticks"] + 1) & _U16
             S["tick_nbr"] = self._q_store("tick_nbr", nxt)
             S["ticks"] = self._q_store("ticks", timer["ticks"])
-            if target == "TIMER":
-                rec_ins[:, rec_k, 0] = arg
-                rec_outs[:, rec_k, 0] = S["tick_nbr"]
-                rec_outs[:, rec_k, 1] = S["ticks"]
-                rec_k += 1
+            if rec is not None:
+                rec.record("TIMER", [arg], [S["tick_nbr"], S["ticks"]])
 
             # --- the slot's module(s)
             slot = (t + 1) % self.n_slots
             cur = S["tick_nbr"]
-            if target is None:
+            if rec is None:
                 # per-row dispatch (memory/recovery/detection rows):
                 # exactly like the scalar mission loop, each row runs
                 # the modules of its own — possibly corrupted —
@@ -349,7 +321,7 @@ class WatertankVectorKernel:
                 # the batch instead of retiring to the scalar path
                 if (cur == slot).all():
                     for module in self.slot_modules.get(slot, ()):
-                        self._invoke(module, S, M, None)
+                        self._invoke(module, S, M)
                 else:
                     for value in np.unique(cur):
                         modules = self.slot_modules.get(int(value), ())
@@ -357,30 +329,14 @@ class WatertankVectorKernel:
                             continue
                         row_mask = cur == value
                         for module in modules:
-                            self._invoke(module, S, M, None, mask=row_mask)
+                            self._invoke(module, S, M, mask=row_mask)
             else:
-                # permeability rows: the recorded invocation stream
-                # assumes the golden schedule — retire rows whose
+                # permeability rows: the recorded invocation streams
+                # assume the golden schedule — retire rows whose
                 # dispatch diverged from it
-                diverged = (~retired) & (cur != slot)
-                if diverged.any():
-                    retired |= diverged
+                retired |= cur != slot
                 for module in self.slot_modules.get(slot, ()):
-                    flip = None
-                    if module == target:
-                        sel = pending & (t >= from_tick)
-                        flip = (sel, port_idx, bitmask)
-                    args, outs_arrays = self._invoke(module, S, M, flip)
-                    if flip is not None and flip[0].any():
-                        sel = flip[0]
-                        pending &= ~sel
-                        first_inj = np.where(sel, t, first_inj)
-                    if module == target:
-                        for j, a in enumerate(args):
-                            rec_ins[:, rec_k, j] = a
-                        for k, o in enumerate(outs_arrays):
-                            rec_outs[:, rec_k, k] = o
-                        rec_k += 1
+                    self._invoke(module, S, M)
 
             # --- monitor bank (end of each dispatch cycle)
             if bank is not None and t % self.n_slots == self.n_slots - 1:
@@ -417,7 +373,7 @@ class WatertankVectorKernel:
                     | (missed > C.ALARM_GRACE_TICKS)
                 )
 
-        self._mem = None
+        self._mem = self._rec = None
         vector_stats.batched_ticks += n * mission
 
         injected = first_inj >= 0
@@ -428,9 +384,7 @@ class WatertankVectorKernel:
                 int(v) if v >= 0 else None for v in first_inj
             ],
             completion_tick=[mission - 1] * n,
-            rec_len=[rec_k] * n if rec_ins is not None else None,
-            rec_ins=rec_ins,
-            rec_outs=rec_outs,
+            streams=rec,
             bank=[bank.row_records(r) for r in range(n)] if bank else None,
             failed=failed.tolist() if failed is not None else None,
             actions=(
@@ -443,28 +397,21 @@ class WatertankVectorKernel:
     # ------------------------------------------------------------------
     # One module invocation on the whole batch.
     # ------------------------------------------------------------------
-    def _invoke(self, module, S, M, flip, mask=None):
+    def _invoke(self, module, S, M, mask=None):
         """Gather args from the store, apply marshal flips, run the
-        module body, write outputs back through store quantization.
-        Returns (post-marshal args, store read-back outputs) — the two
-        tuples an :class:`InvocationRecord` captures.
+        module body, write outputs back through store quantization,
+        and record (post-marshal args, store read-back outputs) — the
+        two tuples an :class:`InvocationRecord` captures.
 
         With *mask*, only the masked rows take the invocation: the
         body runs at full width, but outputs and state cells of rows
         outside the mask are merged back unchanged — those rows'
         (possibly corrupted) schedules did not dispatch *module* this
         tick — and armed memory strikes are confined to the mask."""
-        ins, outs, in_sigs, out_sigs = self.ports[module]
+        _, _, in_sigs, out_sigs = self.ports[module]
         args = [S[sig].copy() for sig in in_sigs]
-        if flip is not None:
-            sel, port_idx, bitmask = flip
-            if sel.any():
-                for j in range(len(args)):
-                    m = sel & (port_idx == j)
-                    if m.any():
-                        # xor of a bit < width on an in-range quantized
-                        # value stays in range for every signal type
-                        args[j][m] ^= bitmask[m]
+        if self._rec is not None:
+            self._rec.marshal(module, args)
         prev_live = None
         if self._mem is not None:
             if mask is not None:
@@ -497,7 +444,8 @@ class WatertankVectorKernel:
                     st[cell] = np.where(mask, new, old)
             if self._mem is not None:
                 self._mem.restore_live(prev_live)
-        return args, out_arrays
+        if self._rec is not None:
+            self._rec.record(module, args, out_arrays)
 
     # ------------------------------------------------------------------
     # Module bodies (exact transcriptions of repro.watertank.modules).

@@ -20,10 +20,14 @@ from repro.errors import CampaignError
 from repro.fi import (
     SKIPPED,
     AdaptiveSampler,
+    AdaptivePolicy,
     AdaptiveStratum,
     CampaignConfig,
     CampaignExecutor,
+    CheckpointPolicy,
     DetectionCampaign,
+    FaultTolerancePolicy,
+    IntegrityPolicy,
     PermeabilityCampaign,
     StoppingRule,
     canonical_digest,
@@ -47,9 +51,20 @@ def two_cases(test_cases):
     return [test_cases[4], test_cases[20]]
 
 
-def _config(**kwargs):
-    kwargs.setdefault("retry_backoff_s", 0.0)
-    return CampaignConfig(**kwargs)
+def _config(jobs=1, checkpoint=None, integrity=None, adaptive=False,
+            retries=1, pool_watchdog_s=None, **sampling):
+    """No retry back-off; *adaptive* and *sampling* fill the
+    :class:`AdaptivePolicy`."""
+    return CampaignConfig(
+        jobs=jobs,
+        checkpoint=checkpoint,
+        integrity=integrity,
+        fault_tolerance=FaultTolerancePolicy(
+            retry_backoff_s=0.0, retries=retries,
+            pool_watchdog_s=pool_watchdog_s,
+        ),
+        sampling=AdaptivePolicy(enabled=adaptive, **sampling),
+    )
 
 
 # ======================================================================
@@ -316,7 +331,7 @@ class TestAdaptiveResume:
         path = str(tmp_path / "perm.json")
         crashed_campaign = campaign(_config(
             adaptive=True, jobs=2, retries=2, pool_watchdog_s=2.0,
-            checkpoint_path=path, checkpoint_every=1,
+            checkpoint=CheckpointPolicy(path=path, every=1),
         ))
         crashed = crashed_campaign.run()
         assert crashed_campaign.telemetry.pool_respawns >= 1
@@ -329,7 +344,7 @@ class TestAdaptiveResume:
         # reaches the identical estimates and decisions
         monkeypatch.delenv("REPRO_CHAOS_KILL_INDEX")
         resumed_campaign = campaign(_config(
-            adaptive=True, checkpoint_path=path,
+            adaptive=True, checkpoint=CheckpointPolicy(path=path),
         ))
         resumed = resumed_campaign.run()
         assert resumed.values == clean.values
@@ -350,7 +365,7 @@ class TestAdaptiveResume:
         full_campaign = PermeabilityCampaign(
             factory, two_cases, runs_per_input=8, seed=7,
             config=_config(
-                adaptive=True, checkpoint_path=path, checkpoint_every=1,
+                adaptive=True, checkpoint=CheckpointPolicy(path=path, every=1),
             ),
         )
         full = full_campaign.run()
@@ -370,8 +385,8 @@ class TestAdaptiveResume:
         resumed_campaign = PermeabilityCampaign(
             factory, two_cases, runs_per_input=8, seed=7,
             config=_config(
-                adaptive=True, checkpoint_path=path, checkpoint_every=1,
-                integrity_policy="strict", audit_fraction=0.25,
+                adaptive=True, checkpoint=CheckpointPolicy(path=path, every=1),
+                integrity=IntegrityPolicy(policy="strict", audit_fraction=0.25),
             ),
         )
         resumed = resumed_campaign.run()

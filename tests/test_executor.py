@@ -16,7 +16,9 @@ from repro.errors import CampaignError
 from repro.fi import (
     CampaignConfig,
     CampaignExecutor,
+    CheckpointPolicy,
     DetectionCampaign,
+    FaultTolerancePolicy,
     GoldenRunCache,
     MemoryCampaign,
     MemoryMap,
@@ -52,7 +54,7 @@ class TestCampaignConfig:
         with pytest.raises(CampaignError):
             CampaignConfig(backend="threads")
         with pytest.raises(CampaignError):
-            CampaignConfig(checkpoint_every=0)
+            CampaignConfig(checkpoint=CheckpointPolicy(every=0))
 
 
 class TestExecutorMechanics:
@@ -78,7 +80,9 @@ class TestExecutorMechanics:
 
     def test_checkpoint_written_and_resumed(self, tmp_path):
         path = str(tmp_path / "cp.json")
-        config = CampaignConfig(checkpoint_path=path, checkpoint_every=1)
+        config = CampaignConfig(
+            checkpoint=CheckpointPolicy(path=path, every=1)
+        )
         CampaignExecutor(config, campaign="unit").run_tasks(
             lambda i: i * 2, 6, "fp"
         )
@@ -106,7 +110,7 @@ class TestExecutorMechanics:
 
     def test_fingerprint_mismatch_discards_checkpoint(self, tmp_path):
         path = str(tmp_path / "cp.json")
-        config = CampaignConfig(checkpoint_path=path)
+        config = CampaignConfig(checkpoint=CheckpointPolicy(path=path))
         CampaignExecutor(config, campaign="unit").run_tasks(
             lambda i: i, 4, "fp-a"
         )
@@ -162,7 +166,7 @@ class TestCampaignCheckpointing:
 
         fresh = campaign().run()
         campaign(
-            CampaignConfig(checkpoint_path=path, checkpoint_every=1)
+            CampaignConfig(checkpoint=CheckpointPolicy(path=path, every=1))
         ).run()
 
         # kill: keep only the first two completed tasks
@@ -174,7 +178,9 @@ class TestCampaignCheckpointing:
         with open(path, "w") as handle:
             json.dump(payload, handle)
 
-        resumed_campaign = campaign(CampaignConfig(checkpoint_path=path))
+        resumed_campaign = campaign(
+            CampaignConfig(checkpoint=CheckpointPolicy(path=path))
+        )
         resumed = resumed_campaign.run()
         assert resumed.records == fresh.records
         assert resumed_campaign.telemetry.resumed_runs == 2
@@ -221,15 +227,26 @@ class TestCampaignCheckpointing:
 # ======================================================================
 # Fault tolerance: retries, quarantine, timeouts, broken pools.
 # ======================================================================
-def _fast_config(**kwargs):
-    kwargs.setdefault("retry_backoff_s", 0.0)
-    return CampaignConfig(**kwargs)
+def _fast_config(jobs=1, checkpoint=None, event_log_path=None,
+                 **fault_tolerance):
+    """No retry back-off; *fault_tolerance* sets the other
+    :class:`FaultTolerancePolicy` fields."""
+    return CampaignConfig(
+        jobs=jobs,
+        checkpoint=checkpoint,
+        event_log_path=event_log_path,
+        fault_tolerance=FaultTolerancePolicy(
+            retry_backoff_s=0.0, **fault_tolerance
+        ),
+    )
 
 
 class TestCorruptedCheckpoints:
     def _executor(self, path, **kwargs):
         return CampaignExecutor(
-            _fast_config(checkpoint_path=str(path), **kwargs),
+            _fast_config(
+                checkpoint=CheckpointPolicy(path=str(path)), **kwargs
+            ),
             campaign="unit",
         )
 
@@ -373,7 +390,9 @@ class TestQuarantine:
                 raise ValueError("poison")
             return index
 
-        config = _fast_config(checkpoint_path=path, retries=0)
+        config = _fast_config(
+            checkpoint=CheckpointPolicy(path=path), retries=0
+        )
         CampaignExecutor(config, campaign="unit").run_tasks(runner, 4, "fp")
 
         executed = []
@@ -390,7 +409,9 @@ class TestQuarantine:
 
     def test_interrupt_flushes_checkpoint(self, tmp_path):
         path = str(tmp_path / "cp.json")
-        config = _fast_config(checkpoint_path=path, checkpoint_every=100)
+        config = _fast_config(
+            checkpoint=CheckpointPolicy(path=path, every=100)
+        )
 
         def runner(index):
             if index == 3:
@@ -414,12 +435,13 @@ class TestBackendReporting:
 
     def test_resumed_workload_reports_serial(self, tmp_path):
         path = str(tmp_path / "cp.json")
-        config = CampaignConfig(checkpoint_path=path)
+        config = CampaignConfig(checkpoint=CheckpointPolicy(path=path))
         CampaignExecutor(config, campaign="unit").run_tasks(
             lambda i: i, 4, "fp"
         )
         resumed = CampaignExecutor(
-            CampaignConfig(jobs=4, checkpoint_path=path), campaign="unit"
+            CampaignConfig(jobs=4, checkpoint=CheckpointPolicy(path=path)),
+            campaign="unit",
         )
         resumed.run_tasks(lambda i: i, 4, "fp")
         assert resumed.telemetry.backend == "serial"
@@ -453,7 +475,7 @@ class TestWorkerCrash:
         path = str(tmp_path / "cp.json")
         config = _fast_config(
             jobs=2, retries=2, pool_watchdog_s=1.5,
-            checkpoint_path=path, checkpoint_every=1,
+            checkpoint=CheckpointPolicy(path=path, every=1),
         )
         executor = CampaignExecutor(config, campaign="unit")
         results = executor.run_tasks(lambda i: i * 2, 8, "fp")
@@ -497,7 +519,7 @@ class TestWorkerCrash:
         path = str(tmp_path / "memory.json")
         crashed = campaign(_fast_config(
             jobs=2, retries=2, pool_watchdog_s=2.0,
-            checkpoint_path=path, checkpoint_every=1,
+            checkpoint=CheckpointPolicy(path=path, every=1),
         ))
         first = crashed.run()
         assert crashed.telemetry.pool_respawns >= 1
@@ -505,7 +527,9 @@ class TestWorkerCrash:
         assert first.task_failures == []
 
         monkeypatch.delenv("REPRO_CHAOS_KILL_INDEX")
-        resumed_campaign = campaign(_fast_config(checkpoint_path=path))
+        resumed_campaign = campaign(
+            _fast_config(checkpoint=CheckpointPolicy(path=path))
+        )
         resumed = resumed_campaign.run()
         assert resumed.records == clean.records
         assert resumed_campaign.telemetry.executed_runs == 0
@@ -552,7 +576,9 @@ class TestEventLog:
 
         config = _fast_config(
             retries=1, event_log_path=log,
-            checkpoint_path=str(tmp_path / "cp.json"), checkpoint_every=1,
+            checkpoint=CheckpointPolicy(
+                path=str(tmp_path / "cp.json"), every=1
+            ),
         )
         CampaignExecutor(config, campaign="unit").run_tasks(runner, 3, "fp")
         with open(log) as handle:
@@ -586,7 +612,7 @@ class TestConfigValidation:
     ])
     def test_rejects_bad_fault_tolerance_knobs(self, kwargs):
         with pytest.raises(CampaignError):
-            CampaignConfig(**kwargs)
+            CampaignConfig(fault_tolerance=FaultTolerancePolicy(**kwargs))
 
 
 class TestGoldenCacheEviction:

@@ -19,15 +19,18 @@ from repro.errors import CampaignError, IntegrityError
 from repro.fi import (
     CampaignConfig,
     CampaignExecutor,
+    CheckpointPolicy,
     DetectionCampaign,
+    FastForwardPolicy,
+    FaultTolerancePolicy,
+    IntegrityPolicy,
     IntegrityViolation,
+    JsonCheckpointStore,
     RunAuditor,
     canonical_digest,
     field_diff,
     fingerprint_of,
     run_digest,
-    save_json,
-    load_json,
 )
 from repro.fi.snapshot import checkpoint_cache
 from repro.target.simulation import ArrestmentSimulator
@@ -42,9 +45,14 @@ def two_cases(test_cases):
     return [test_cases[4], test_cases[20]]
 
 
-def _fast_config(**kwargs):
-    kwargs.setdefault("retry_backoff_s", 0.0)
-    return CampaignConfig(**kwargs)
+def _fast_config(max_pool_respawns=2, **kwargs):
+    """No retry back-off; *kwargs* are ``CampaignConfig`` arguments."""
+    return CampaignConfig(
+        fault_tolerance=FaultTolerancePolicy(
+            retry_backoff_s=0.0, max_pool_respawns=max_pool_respawns
+        ),
+        **kwargs,
+    )
 
 
 def detection(two_cases, **kwargs):
@@ -148,29 +156,31 @@ class TestIntegrityConfig:
 
     def test_validation(self):
         with pytest.raises(CampaignError):
-            CampaignConfig(audit_fraction=-0.1)
+            CampaignConfig(integrity=IntegrityPolicy(audit_fraction=-0.1))
         with pytest.raises(CampaignError):
-            CampaignConfig(audit_fraction=1.5)
+            CampaignConfig(integrity=IntegrityPolicy(audit_fraction=1.5))
         with pytest.raises(CampaignError):
-            CampaignConfig(integrity_policy="paranoid")
+            CampaignConfig(integrity=IntegrityPolicy(policy="paranoid"))
 
     class _StubFF:
         enabled = True
 
+    @staticmethod
+    def _audit_config(fraction, seed=None):
+        return CampaignConfig(
+            integrity=IntegrityPolicy(audit_fraction=fraction, audit_seed=seed)
+        )
+
     def test_sampling_deterministic(self):
-        auditor = RunAuditor(
-            self._StubFF(), CampaignConfig(audit_fraction=0.5, audit_seed=11)
-        )
-        again = RunAuditor(
-            self._StubFF(), CampaignConfig(audit_fraction=0.5, audit_seed=11)
-        )
+        auditor = RunAuditor(self._StubFF(), self._audit_config(0.5, 11))
+        again = RunAuditor(self._StubFF(), self._audit_config(0.5, 11))
         picks = [auditor.should_audit(i) for i in range(200)]
         assert picks == [again.should_audit(i) for i in range(200)]
         assert 40 < sum(picks) < 160  # roughly half, deterministic
 
     def test_sampling_extremes(self):
-        none = RunAuditor(self._StubFF(), CampaignConfig(audit_fraction=0.0))
-        every = RunAuditor(self._StubFF(), CampaignConfig(audit_fraction=1.0))
+        none = RunAuditor(self._StubFF(), self._audit_config(0.0))
+        every = RunAuditor(self._StubFF(), self._audit_config(1.0))
         assert not any(none.should_audit(i) for i in range(50))
         assert all(every.should_audit(i) for i in range(50))
 
@@ -179,9 +189,10 @@ class TestIntegrityConfig:
 # Checkpoint record digests.
 # ======================================================================
 class TestCheckpointDigests:
-    def _run(self, path, **kwargs):
+    def _run(self, path, policy="repair"):
         config = _fast_config(
-            checkpoint_path=str(path), checkpoint_every=1, **kwargs
+            checkpoint=CheckpointPolicy(path=str(path), every=1),
+            integrity=IntegrityPolicy(policy=policy),
         )
         executor = CampaignExecutor(config, campaign="unit")
         results = executor.run_tasks(lambda i: {"v": i * 2}, 4, "fp")
@@ -204,7 +215,7 @@ class TestCheckpointDigests:
         path = tmp_path / "cp.json"
         self._run(path)
         self._tamper(path)
-        executor, results = self._run(path, integrity_policy="repair")
+        executor, results = self._run(path, policy="repair")
         assert results == [{"v": 0}, {"v": 2}, {"v": 4}, {"v": 6}]
         assert executor.telemetry.checkpoint_rejects == 1
         assert executor.telemetry.resumed_runs == 3
@@ -216,7 +227,8 @@ class TestCheckpointDigests:
         self._tamper(path)
         executor = CampaignExecutor(
             _fast_config(
-                checkpoint_path=str(path), integrity_policy="strict"
+                checkpoint=CheckpointPolicy(path=str(path)),
+                integrity=IntegrityPolicy(policy="strict"),
             ),
             campaign="unit",
         )
@@ -227,7 +239,7 @@ class TestCheckpointDigests:
         path = tmp_path / "cp.json"
         self._run(path)
         self._tamper(path)
-        _, results = self._run(path, integrity_policy="off")
+        _, results = self._run(path, policy="off")
         assert results[2] == {"v": 99}  # corruption silently accepted
 
     def test_pre_digest_checkpoint_resumes(self, tmp_path):
@@ -249,26 +261,36 @@ class TestSaveLoadDigest:
     def result(self, two_cases):
         return detection(two_cases).run()
 
+    @staticmethod
+    def _save(result, tmp_path):
+        path = tmp_path / "detection.json"
+        JsonCheckpointStore(str(path)).save_result(result)
+        return path
+
+    @staticmethod
+    def _load(path):
+        return JsonCheckpointStore(str(path)).load_result()
+
     def test_round_trip_verified(self, result, tmp_path):
-        path = save_json(result, tmp_path / "detection.json")
+        path = self._save(result, tmp_path)
         data = json.loads(path.read_text())
         assert "digest" in data
-        assert load_json(path) == result
+        assert self._load(path) == result
 
     def test_tampered_file_raises(self, result, tmp_path):
-        path = save_json(result, tmp_path / "detection.json")
+        path = self._save(result, tmp_path)
         data = json.loads(path.read_text())
         data["n_err"] = {k: v + 1 for k, v in data["n_err"].items()}
         path.write_text(json.dumps(data))
         with pytest.raises(IntegrityError):
-            load_json(path)
+            self._load(path)
 
     def test_pre_digest_file_loads(self, result, tmp_path):
-        path = save_json(result, tmp_path / "detection.json")
+        path = self._save(result, tmp_path)
         data = json.loads(path.read_text())
         del data["digest"]
         path.write_text(json.dumps(data))
-        assert load_json(path) == result
+        assert self._load(path) == result
 
 
 # ======================================================================
@@ -286,7 +308,7 @@ class TestAuditReplay:
         campaign = detection(
             two_cases,
             config=_fast_config(
-                audit_fraction=1.0, integrity_policy="strict"
+                integrity=IntegrityPolicy(audit_fraction=1.0, policy="strict")
             ),
         )
         assert campaign.run() == plain
@@ -301,7 +323,7 @@ class TestAuditReplay:
         campaign = detection(
             two_cases,
             config=_fast_config(
-                audit_fraction=1.0, integrity_policy="strict"
+                integrity=IntegrityPolicy(audit_fraction=1.0, policy="strict")
             ),
         )
         with pytest.raises(IntegrityError):
@@ -309,13 +331,14 @@ class TestAuditReplay:
 
     def test_repair_converges_to_full_replay(self, monkeypatch, two_cases):
         trusted = detection(
-            two_cases, config=_fast_config(fast_forward=False)
+            two_cases,
+            config=_fast_config(fastforward=FastForwardPolicy(enabled=False)),
         ).run()
         monkeypatch.setenv("REPRO_CHAOS_CORRUPT_FF_RESTORE", "all")
         campaign = detection(
             two_cases,
             config=_fast_config(
-                audit_fraction=1.0, integrity_policy="repair"
+                integrity=IntegrityPolicy(audit_fraction=1.0, policy="repair")
             ),
         )
         repaired = campaign.run()
@@ -339,7 +362,7 @@ class TestAuditReplay:
         detection(
             two_cases,
             config=_fast_config(
-                audit_fraction=1.0, integrity_policy="repair",
+                integrity=IntegrityPolicy(audit_fraction=1.0, policy="repair"),
                 event_log_path=str(log),
             ),
         ).run()
@@ -388,7 +411,8 @@ class TestDriftSentinel:
         campaign = detection(
             two_cases,
             config=_fast_config(
-                jobs=2, max_pool_respawns=0, integrity_policy="off"
+                jobs=2, max_pool_respawns=0,
+                integrity=IntegrityPolicy(policy="off"),
             ),
         )
         campaign.run()

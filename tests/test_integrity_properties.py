@@ -9,8 +9,9 @@ Invariants exercised:
   collapses to one digest, ``-0.0`` stays distinct from ``0.0``,
   the infinities are distinct from everything finite;
 * campaign-result serialization round-trips bit-identically through
-  dicts and through :func:`save_json` / :func:`load_json` (digest
-  verification included) for all three result types.
+  dicts and through the JSON result store
+  (:class:`~repro.fi.store.JsonCheckpointStore`, digest verification
+  included) for all three result types.
 """
 
 import copy
@@ -22,7 +23,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fi import canonical_digest, field_diff, load_json, save_json
+from repro.fi import JsonCheckpointStore, canonical_digest, field_diff
 from repro.fi.campaign import (
     DetectionResult,
     MemoryCampaignResult,
@@ -204,5 +205,5 @@ def test_memory_dict_round_trip(result):
 def test_file_round_trip_with_digest(result):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "result.json")
-        save_json(result, path)
-        assert load_json(path) == result
+        JsonCheckpointStore(path).save_result(result)
+        assert JsonCheckpointStore(path).load_result() == result

@@ -15,8 +15,10 @@ from repro.edm.catalogue import EA_BY_NAME
 from repro.errors import CampaignError
 from repro.fi import (
     CampaignConfig,
+    CheckpointPolicy,
     CheckpointStore,
     DetectionCampaign,
+    FastForwardPolicy,
     FaultInjector,
     InputSignalFlip,
     InvocationLog,
@@ -320,8 +322,11 @@ class TestCheckpointStore:
 # Campaign-level A/B: fast-forward on vs off (the tentpole contract).
 # ======================================================================
 class TestCampaignFastForwardAB:
-    def config(self, ff, **kwargs):
-        return CampaignConfig(seed=7, fast_forward=ff, **kwargs)
+    def config(self, ff, jobs=1, checkpoint=None, **fastforward):
+        return CampaignConfig(
+            seed=7, jobs=jobs, checkpoint=checkpoint,
+            fastforward=FastForwardPolicy(enabled=ff, **fastforward),
+        )
 
     def test_detection_bit_identical(self, two_cases):
         specs = list(EA_BY_NAME.values())
@@ -450,9 +455,7 @@ class TestCampaignFastForwardAB:
             )
 
         fresh = campaign(True).run()
-        campaign(
-            False, checkpoint_path=path, checkpoint_every=1
-        ).run()
+        campaign(False, checkpoint=CheckpointPolicy(path=path, every=1)).run()
 
         # kill: keep only the first four completed tasks
         with open(path) as handle:
@@ -464,7 +467,7 @@ class TestCampaignFastForwardAB:
             json.dump(payload, handle)
 
         resumed_campaign = campaign(
-            True, checkpoint_path=path, jobs=2
+            True, checkpoint=CheckpointPolicy(path=path), jobs=2
         )
         resumed = resumed_campaign.run()
         assert resumed.detections == fresh.detections
@@ -588,7 +591,9 @@ class TestTrackPool:
 class TestConfigKnobs:
     def test_stride_validation(self):
         with pytest.raises(CampaignError):
-            CampaignConfig(checkpoint_stride=0)
+            CampaignConfig(
+                fastforward=FastForwardPolicy(checkpoint_stride=0)
+            )
 
     def test_context_threads_the_knobs(self):
         from repro.experiments.context import ExperimentContext

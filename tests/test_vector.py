@@ -19,9 +19,15 @@ from repro.fi.campaign import (
 )
 from repro.fi.executor import CampaignConfig
 from repro.fi.memory import MemoryMap
-from repro.fi.vector import BatchRunner, vector_stats, wrap_runner
+from repro.fi.vector import (
+    BatchRunner,
+    MemoryFlipPlan,
+    vector_stats,
+    wrap_runner,
+)
 from repro.edm.catalogue import EA_BY_NAME
 from repro.target.simulation import ArrestmentSimulator
+from repro.target.vectorize import ArrestmentVectorKernel
 from repro.target.testcases import standard_test_cases
 from repro.watertank.catalogue import tank_assertions
 from repro.watertank.simulation import WaterTankSimulator
@@ -90,6 +96,9 @@ def memory_tasks(campaign, cases, count, seed):
 
 class TestWatertankKernel:
     def test_permeability_rows_match_scalar(self, tank_cases):
+        """Rows of every module share one batch, each flipping and
+        recording its own module; the TIMER row's flipped slot number
+        diverges from the golden schedule and retires alone."""
         campaign = PermeabilityCampaign(
             tank_factory, tank_cases, runs_per_input=1, seed=3
         )
@@ -97,6 +106,7 @@ class TestWatertankKernel:
             ("LEVEL_S", "LVL_ADC", tank_cases[0], 40, 2),
             ("LEVEL_S", "LVL_ADC", tank_cases[1], 120, 9),
             ("LEVEL_S", "LVL_ADC", tank_cases[0], 299, 0),
+            ("TIMER", "tick_nbr", tank_cases[1], 150, 2),
             ("CTRL", "level_f", tank_cases[0], 7, 14),
             ("CTRL", "inflow_rate", tank_cases[1], 55, 3),
             ("CTRL", "ticks", tank_cases[0], 90, 1),
@@ -107,7 +117,9 @@ class TestWatertankKernel:
             "permeability", campaign, tasks, goldens=campaign.goldens
         )
         assert batched == reference
-        assert delta[3] == len(tasks)  # every row answered by a batch
+        assert delta[2] == 1  # one batch across modules
+        assert delta[1] == 1  # the TIMER row retired
+        assert delta[3] == len(tasks) - 1  # the rest answered by it
 
     def test_timer_divergence_retires_to_scalar(self, tank_cases):
         """A tick-0 flip of the dispatch slot leaves the golden
@@ -197,6 +209,8 @@ class TestWatertankKernel:
 
 class TestArrestmentKernel:
     def test_permeability_rows_match_scalar(self, arrestment_cases):
+        """One batch across modules; the CLOCK row's flipped slot
+        number diverges from the golden schedule and retires alone."""
         campaign = PermeabilityCampaign(
             arrestment_factory, arrestment_cases, runs_per_input=1, seed=3
         )
@@ -204,6 +218,7 @@ class TestArrestmentKernel:
             ("DIST_S", "PACNT", arrestment_cases[0], 500, 3),
             ("DIST_S", "TIC1", arrestment_cases[1], 1200, 11),
             ("DIST_S", "TCNT", arrestment_cases[0], 40, 0),
+            ("CLOCK", "ms_slot_nbr", arrestment_cases[1], 800, 1),
             ("CALC", "pulscnt", arrestment_cases[1], 2500, 8),
             ("CALC", "i", arrestment_cases[0], 700, 1),
             ("CALC", "stopped", arrestment_cases[1], 900, 0),
@@ -214,7 +229,9 @@ class TestArrestmentKernel:
             "permeability", campaign, tasks, goldens=campaign.goldens
         )
         assert batched == reference
-        assert delta[3] == len(tasks)
+        assert delta[2] == 1  # one batch across modules
+        assert delta[1] == 1  # the CLOCK row retired
+        assert delta[3] == len(tasks) - 1  # the rest answered by it
 
     def test_clock_divergence_retires_to_scalar(self, arrestment_cases):
         campaign = PermeabilityCampaign(
@@ -295,6 +312,62 @@ class TestArrestmentKernel:
         assert batched == reference
         assert delta[1] == 0  # no dispatch-divergence retirements
         assert delta[3] == len(tasks)  # every row answered by the batch
+
+    def test_left_rows_do_not_hold_masked_dispatch(
+        self, arrestment_cases, monkeypatch
+    ):
+        """Dispatch-chain rows on the shorter engagement leave the loop
+        on a corrupted slot while rows of the longer engagement keep
+        running: only rows still in the loop decide the dispatch, so
+        masked invocations stop once the last diverged row has left,
+        and outcomes still match the scalar path bit for bit."""
+        specs = list(EA_BY_NAME.values())
+        campaign = MemoryCampaign(
+            arrestment_factory, arrestment_cases, specs, seed=5
+        )
+        # arrestment_cases[1] stops well before arrestment_cases[0]
+        short, long = arrestment_cases[1], arrestment_cases[0]
+        locations = MemoryMap(campaign.factory(short).system).locations()
+        chain = [
+            loc for loc in locations
+            if loc.module == "CLOCK"
+            and (loc.cell.startswith("slot_succ") or loc.cell == "ms_slot_nbr")
+        ]
+        steady = [loc for loc in locations if loc.module == "V_REG"]
+        tasks = [(loc, short, 0, 7) for loc in chain[::4]]
+        tasks += [(loc, long, 0, 7) for loc in steady[:3]]
+        chain_rows = len(tasks) - 3
+
+        tick_live = []
+        masked_ticks = []
+        pre_tick = MemoryFlipPlan.pre_tick
+        invoke = ArrestmentVectorKernel._invoke
+
+        def spy_pre_tick(self, tick, S, M, live=None):
+            tick_live.append((tick, live.copy()))
+            return pre_tick(self, tick, S, M, live)
+
+        def spy_invoke(self, *args, mask=None):
+            if mask is not None:
+                masked_ticks.append(tick_live[-1][0])
+            return invoke(self, *args, mask=mask)
+
+        monkeypatch.setattr(MemoryFlipPlan, "pre_tick", spy_pre_tick)
+        monkeypatch.setattr(ArrestmentVectorKernel, "_invoke", spy_invoke)
+        batched, reference, delta = batch_vs_scalar(
+            "memory", campaign, tasks, specs=specs,
+            period_ticks=campaign.period_ticks,
+        )
+        assert batched == reference
+        assert delta[2] == 1 and delta[3] == len(tasks)
+        chain_left = max(
+            tick for tick, live in tick_live if live[:chain_rows].any()
+        )
+        # the steady rows outlive the chain rows ...
+        assert tick_live[-1][0] > chain_left
+        # ... and the chain rows diverged while they ran
+        assert masked_ticks
+        assert max(masked_ticks) <= chain_left
 
     def test_recovery_rows_match_scalar(self, arrestment_cases):
         specs = list(EA_BY_NAME.values())

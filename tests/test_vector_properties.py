@@ -3,9 +3,10 @@
 Hypothesis drives random modules/ports/signals, injection ticks, bits
 and batch widths through :class:`~repro.fi.vector.BatchRunner` on both
 targets and requires bit-identical outcomes against the campaigns'
-scalar ``_one_run``.  Explicit examples pin the two structural edge
-cases: tick-0 dispatch divergence (the whole batch retires) and rows
-whose flip lands on the very last tick.
+scalar ``_one_run``.  Permeability batches always mix modules.
+Explicit examples pin the two structural edge cases: tick-0 dispatch
+divergence (the diverged rows retire) and rows whose flip lands on
+the very last tick.
 """
 
 import pytest
@@ -114,12 +115,13 @@ def check_batch(kind, campaign, tasks, width, **kwargs):
 
 
 def perm_rows(ports, max_tick):
-    """(module, rows of (port_i, case_i, tick, bit_i), width)."""
-    modules = sorted(ports)
+    """(rows of (module, port_i, case_i, tick, bit_i), width); the
+    first two rows — batched together at any width — differ in module,
+    so every example runs a mixed-module batch."""
     return st.tuples(
-        st.sampled_from(modules),
         st.lists(
             st.tuples(
+                st.sampled_from(sorted(ports)),
                 st.integers(0, 7),  # port index (mod len(ports))
                 st.integers(0, 1),  # test-case index
                 st.integers(0, max_tick - 1),
@@ -127,15 +129,15 @@ def perm_rows(ports, max_tick):
             ),
             min_size=2,
             max_size=5,
-        ),
+        ).filter(lambda rows: rows[0][0] != rows[1][0]),
         st.integers(2, 6),  # batch width
     )
 
 
-def build_perm_tasks(campaign, ports, module, rows):
+def build_perm_tasks(campaign, ports, rows):
     system = campaign.factory(campaign.test_cases[0]).system
     tasks = []
-    for port_i, case_i, tick, bit in rows:
+    for module, port_i, case_i, tick, bit in rows:
         port = ports[module][port_i % len(ports[module])]
         signal = system.signal_of_input(module, port)
         width = system.signal(signal).width
@@ -215,17 +217,23 @@ class TestWatertankProperties:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(drawn=perm_rows(TANK_PORTS, TANK_TICKS))
-    @example(drawn=("TIMER", [(0, 0, 0, 0), (0, 1, 0, 1)], 4))
     @example(
         drawn=(
-            "CTRL",
-            [(0, 0, TANK_TICKS - 1, 2), (1, 1, 0, 0), (2, 0, 77, 5)],
+            [("TIMER", 0, 0, 0, 0), ("TIMER", 0, 1, 0, 1),
+             ("LEVEL_S", 0, 1, 0, 3)],
+            4,
+        )
+    )
+    @example(
+        drawn=(
+            [("CTRL", 0, 0, TANK_TICKS - 1, 2), ("FLOW_S", 0, 1, 0, 0),
+             ("CTRL", 2, 0, 77, 5)],
             2,
         )
     )
     def test_permeability_batch_equals_scalar(self, tank_perm, drawn):
-        module, rows, width = drawn
-        tasks = build_perm_tasks(tank_perm, TANK_PORTS, module, rows)
+        rows, width = drawn
+        tasks = build_perm_tasks(tank_perm, TANK_PORTS, rows)
         check_batch(
             "permeability", tank_perm, tasks, width,
             goldens=tank_perm.goldens,
@@ -267,17 +275,22 @@ class TestArrestmentProperties:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(drawn=perm_rows(ARREST_PORTS, ARREST_TICKS))
-    @example(drawn=("CLOCK", [(0, 0, 0, 0), (0, 1, 0, 3)], 4))
     @example(
         drawn=(
-            "DIST_S",
-            [(0, 0, ARREST_TICKS - 1, 1), (1, 1, 10, 0)],
+            [("CLOCK", 0, 0, 0, 0), ("CLOCK", 0, 1, 0, 3),
+             ("V_REG", 1, 0, 0, 4)],
+            4,
+        )
+    )
+    @example(
+        drawn=(
+            [("DIST_S", 0, 0, ARREST_TICKS - 1, 1), ("CALC", 1, 1, 10, 0)],
             2,
         )
     )
     def test_permeability_batch_equals_scalar(self, arrest_perm, drawn):
-        module, rows, width = drawn
-        tasks = build_perm_tasks(arrest_perm, ARREST_PORTS, module, rows)
+        rows, width = drawn
+        tasks = build_perm_tasks(arrest_perm, ARREST_PORTS, rows)
         check_batch(
             "permeability", arrest_perm, tasks, width,
             goldens=arrest_perm.goldens,
