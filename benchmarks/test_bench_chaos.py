@@ -16,7 +16,7 @@ import time
 from conftest import run_once
 
 from repro.fi.campaign import PermeabilityCampaign
-from repro.fi.executor import CampaignConfig
+from repro.fi.executor import CampaignConfig, FaultTolerancePolicy
 
 
 def _campaign(ctx, config=None):
@@ -39,8 +39,11 @@ def test_bench_chaos_recovery(benchmark, ctx):
 
     def run_chaos():
         campaign = _campaign(ctx, CampaignConfig(
-            jobs=2, retries=2, task_timeout=30.0,
-            retry_backoff_s=0.05, pool_watchdog_s=2.0,
+            jobs=2,
+            fault_tolerance=FaultTolerancePolicy(
+                retries=2, task_timeout=30.0,
+                retry_backoff_s=0.05, pool_watchdog_s=2.0,
+            ),
         ))
         saved = {k: os.environ.get(k) for k in chaos}
         os.environ.update(chaos)

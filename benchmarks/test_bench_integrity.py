@@ -16,7 +16,11 @@ import time
 from conftest import run_once, strict
 
 from repro.fi.campaign import DetectionCampaign
-from repro.fi.executor import CampaignConfig
+from repro.fi.executor import (
+    CampaignConfig,
+    FastForwardPolicy,
+    IntegrityPolicy,
+)
 from repro.fi.snapshot import checkpoint_cache
 
 AUDIT_FRACTION = 0.1
@@ -31,9 +35,10 @@ def _campaign(ctx, fast_forward, audit_fraction=0.0):
         seed=ctx.seed,
         config=CampaignConfig(
             seed=ctx.seed,
-            fast_forward=fast_forward,
-            audit_fraction=audit_fraction,
-            integrity_policy="strict",
+            fastforward=FastForwardPolicy(enabled=fast_forward),
+            integrity=IntegrityPolicy(
+                policy="strict", audit_fraction=audit_fraction
+            ),
         ),
     )
 

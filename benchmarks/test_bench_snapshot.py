@@ -17,7 +17,7 @@ import time
 from conftest import run_once, strict
 
 from repro.fi.campaign import DetectionCampaign
-from repro.fi.executor import CampaignConfig
+from repro.fi.executor import CampaignConfig, FastForwardPolicy
 from repro.fi.snapshot import DEFAULT_CHECKPOINT_STRIDE, checkpoint_cache
 
 
@@ -29,7 +29,8 @@ def _campaign(ctx, fast_forward):
         runs_per_signal=ctx.scale.runs_per_signal,
         seed=ctx.seed,
         config=CampaignConfig(
-            seed=ctx.seed, fast_forward=fast_forward,
+            seed=ctx.seed,
+            fastforward=FastForwardPolicy(enabled=fast_forward),
         ),
     )
 

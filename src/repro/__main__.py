@@ -16,16 +16,11 @@ Subcommands
     ``python -m repro.experiments --help`` for its options).
 ``table1`` .. ``extended``
     Run one experiment directly, e.g. ``python -m repro table1
-    --jobs 4``.  Accepts ``--scale``, ``--seed``, ``--target``,
-    ``--jobs``, ``--resume``, ``--checkpoint-dir``, ``--task-timeout``,
-    ``--retries``, ``--event-log``, ``--checkpoint-stride``,
-    ``--no-fast-forward``, ``--audit-fraction``, ``--audit-seed``,
-    ``--integrity-policy``, ``--adaptive``/``--fixed-n``,
-    ``--ci-level``, ``--ci-halfwidth``, ``--min-batch``,
-    ``--max-runs``, ``--store``, ``--results-db`` and ``--run-name``;
-    parallel and fast-forwarded runs are bit-identical to serial
-    full-replay ones for the same seed, and failing runs are retried
-    and quarantined instead of aborting the campaign.
+    --jobs 4``.  Accepts the flags of ``python -m repro.experiments``
+    (see ``--help``); parallel and fast-forwarded runs are
+    bit-identical to serial full-replay ones for the same seed, and
+    failing runs are retried and quarantined instead of aborting the
+    campaign.
 ``analyze``
     Query a campaign results database: ``list`` its contents, ``show``
     one stored result, ``diff`` two runs proportion-by-proportion with
@@ -48,15 +43,6 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import List, Optional
-
-#: ids accepted as direct subcommands (validated against the runner's
-#: EXPERIMENTS table at execution time; kept literal so the CLI parser
-#: builds without importing the experiment machinery)
-EXPERIMENT_IDS = (
-    "table1", "table2", "table3", "table4",
-    "figure3", "table5", "profiles", "extended",
-)
-
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.target import ArrestmentSimulator, standard_test_cases
@@ -497,19 +483,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.errors import ServiceError
+    from repro.experiments.__main__ import submittable_keys
     from repro.service import ServiceClient
 
     spec = {"experiment": args.experiment}
-    for key in (
-        "scale", "seed", "target", "jobs", "backend", "store",
-        "batch_width", "run_name", "retries", "task_timeout",
-        "audit_fraction", "integrity_policy",
-    ):
-        value = getattr(args, key)
-        if value is not None:
-            spec[key] = value
-    if args.adaptive:
-        spec["adaptive"] = True
+    for key in submittable_keys():
+        if getattr(args, key) is not None:
+            spec[key] = getattr(args, key)
     client = ServiceClient(args.spool)
     try:
         reply = client.submit(spec)
@@ -596,37 +576,10 @@ def _cmd_drain(args: argparse.Namespace) -> int:
 
 
 def _cmd_one_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments.__main__ import report_telemetry
-    from repro.experiments.context import ExperimentContext, default_scale
+    from repro.experiments.__main__ import context_from_args, report_telemetry
     from repro.experiments.runner import EXPERIMENTS
 
-    ctx = ExperimentContext(
-        scale=args.scale if args.scale is not None else default_scale(),
-        seed=args.seed,
-        target=args.target,
-        jobs=args.jobs,
-        backend=args.backend,
-        resume=args.resume,
-        checkpoint_dir=args.checkpoint_dir,
-        task_timeout=args.task_timeout,
-        retries=args.retries,
-        event_log=args.event_log,
-        fast_forward=not args.no_fast_forward,
-        checkpoint_stride=args.checkpoint_stride,
-        track_pool=not args.no_track_pool,
-        batch_width=args.batch_width,
-        audit_fraction=args.audit_fraction,
-        audit_seed=args.audit_seed,
-        integrity_policy=args.integrity_policy,
-        adaptive=args.adaptive,
-        ci_level=args.ci_level,
-        ci_halfwidth=args.ci_halfwidth,
-        min_batch=args.min_batch,
-        max_runs=args.max_runs,
-        store_backend=args.store,
-        results_db=args.results_db,
-        run_name=args.run_name,
-    )
+    ctx = context_from_args(args)
     result = EXPERIMENTS[args.command](ctx)
     print(result.render())
     report_telemetry(ctx)
@@ -634,6 +587,9 @@ def _cmd_one_experiment(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.experiments.__main__ import add_execution_options
+    from repro.experiments.runner import EXPERIMENTS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=(
@@ -684,128 +640,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_exp.add_argument("rest", nargs=argparse.REMAINDER)
     p_exp.set_defaults(fn=_cmd_experiments)
 
-    for exp_id in EXPERIMENT_IDS:
+    for exp_id in EXPERIMENTS:
         p_one = sub.add_parser(exp_id, help=f"run the {exp_id} experiment")
-        p_one.add_argument(
-            "--scale", default=None,
-            help="workload scale (default: REPRO_SCALE or bench)",
-        )
-        p_one.add_argument("--seed", type=int, default=2002)
-        p_one.add_argument(
-            "--target", default="arrestment",
-            help="registered target system (default: arrestment)",
-        )
-        p_one.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
-            help="worker processes for campaigns (default: 1 = serial)",
-        )
-        p_one.add_argument(
-            "--backend", choices=("serial", "process"), default=None,
-            help="pin the execution backend (default: derived from "
-            "--jobs; results are bit-identical either way)",
-        )
-        p_one.add_argument(
-            "--resume", action="store_true",
-            help="resume partially completed campaigns from checkpoints",
-        )
-        p_one.add_argument("--checkpoint-dir", default=None, metavar="DIR")
-        p_one.add_argument(
-            "--task-timeout", type=float, default=None, metavar="S",
-            help="per-run wall-clock budget in seconds "
-            "(exceeded runs are retried, then quarantined)",
-        )
-        p_one.add_argument(
-            "--retries", type=int, default=None, metavar="N",
-            help="extra attempts for a failing run before quarantine "
-            "(default: 1)",
-        )
-        p_one.add_argument(
-            "--event-log", default=None, metavar="PATH",
-            help="append campaign run events to this JSONL file",
-        )
-        p_one.add_argument(
-            "--checkpoint-stride", type=int, default=None, metavar="N",
-            help="ticks between golden snapshots for fast-forwarded "
-            "injection runs (default: engine default)",
-        )
-        p_one.add_argument(
-            "--no-fast-forward", action="store_true",
-            help="disable the snapshot/fast-forward engine "
-            "(results are bit-identical)",
-        )
-        p_one.add_argument(
-            "--no-track-pool", action="store_true",
-            help="keep golden checkpoint tracks as plain dicts "
-            "instead of shared-memory columns (results are "
-            "bit-identical)",
-        )
-        p_one.add_argument(
-            "--batch-width", type=int, default=0, metavar="N",
-            help="advance up to N injected runs per vectorized tick "
-            "in each worker (default: 0 = scalar; results are "
-            "bit-identical)",
-        )
-        p_one.add_argument(
-            "--audit-fraction", type=float, default=0.0, metavar="F",
-            help="fraction of fast-forwarded runs re-executed "
-            "full-length and field-diffed (default: 0)",
-        )
-        p_one.add_argument(
-            "--audit-seed", type=int, default=None, metavar="N",
-            help="seed of the audit sample (default: campaign seed)",
-        )
-        p_one.add_argument(
-            "--integrity-policy", choices=("strict", "repair", "off"),
-            default=None, metavar="P",
-            help="integrity violation handling: strict aborts, repair "
-            "self-heals (default), off disables verification",
-        )
-        scheduling = p_one.add_mutually_exclusive_group()
-        scheduling.add_argument(
-            "--adaptive", action="store_true",
-            help="sequential Wilson-bound scheduling with per-stratum "
-            "early stopping for the sampled campaigns",
-        )
-        scheduling.add_argument(
-            "--fixed-n", action="store_true",
-            help="run the full per-stratum budget unconditionally "
-            "(the default)",
-        )
-        p_one.add_argument(
-            "--ci-level", type=float, default=None, metavar="L",
-            help="confidence level of the adaptive stopping intervals "
-            "(default: 0.95)",
-        )
-        p_one.add_argument(
-            "--ci-halfwidth", type=float, default=None, metavar="W",
-            help="Wilson half-width target stopping a stratum "
-            "(default: 0.2; 0 disables early stopping entirely)",
-        )
-        p_one.add_argument(
-            "--min-batch", type=int, default=None, metavar="N",
-            help="runs dispatched per stratum per adaptive round "
-            "(default: 4)",
-        )
-        p_one.add_argument(
-            "--max-runs", type=int, default=None, metavar="N",
-            help="per-stratum budget cap for adaptive campaigns "
-            "(default: the scale's per-stratum run count)",
-        )
-        p_one.add_argument(
-            "--store", choices=("json", "sqlite"), default=None,
-            help="checkpoint store backend (default: by path suffix; "
-            "json for the legacy per-campaign files)",
-        )
-        p_one.add_argument(
-            "--results-db", default=None, metavar="PATH",
-            help="also save finished campaign results into this sqlite "
-            "results database (see 'repro analyze')",
-        )
-        p_one.add_argument(
-            "--run-name", default=None, metavar="NAME",
-            help="run name for saved results "
-            "(default: <target>-<scale>-seed<seed>)",
-        )
+        add_execution_options(p_one)
         p_one.set_defaults(fn=_cmd_one_experiment)
 
     def add_spool(p: argparse.ArgumentParser) -> None:
@@ -862,38 +699,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sub = sub.add_parser(
         "submit", help="submit one experiment job to the service"
     )
-    p_sub.add_argument("experiment", choices=EXPERIMENT_IDS)
+    p_sub.add_argument("experiment", choices=list(EXPERIMENTS))
     add_spool(p_sub)
-    p_sub.add_argument("--scale", default=None)
-    p_sub.add_argument("--seed", type=int, default=None)
-    p_sub.add_argument("--target", default=None)
-    p_sub.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="requested worker width (the scheduler grants a fair "
-        "share of the daemon's budget)",
-    )
-    p_sub.add_argument(
-        "--backend", choices=("serial", "process"), default=None,
-    )
-    p_sub.add_argument(
-        "--store", choices=("json", "sqlite"), default=None,
-    )
-    p_sub.add_argument(
-        "--batch-width", type=int, default=None, metavar="N",
-    )
-    p_sub.add_argument("--adaptive", action="store_true")
-    p_sub.add_argument("--run-name", default=None, metavar="NAME")
-    p_sub.add_argument("--retries", type=int, default=None, metavar="N")
-    p_sub.add_argument(
-        "--task-timeout", type=float, default=None, metavar="S",
-    )
-    p_sub.add_argument(
-        "--audit-fraction", type=float, default=None, metavar="F",
-    )
-    p_sub.add_argument(
-        "--integrity-policy", choices=("strict", "repair", "off"),
-        default=None,
-    )
+    add_execution_options(p_sub, submit=True)
     p_sub.add_argument(
         "--wait", action="store_true",
         help="follow the job until it is terminal (exit 0 only if "

@@ -23,9 +23,10 @@ used by the benchmarks.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core.permeability import PermeabilityMatrix
 from repro.analysis.estimators import matrix_from_estimate
@@ -39,18 +40,8 @@ from repro.fi.campaign import (
     PermeabilityCampaign,
     PermeabilityEstimate,
 )
-from repro.fi.executor import (
-    BACKENDS,
-    AdaptivePolicy,
-    CampaignConfig,
-    CampaignTelemetry,
-    CheckpointPolicy,
-    FastForwardPolicy,
-    FaultTolerancePolicy,
-    IntegrityPolicy,
-    VectorPolicy,
-)
-from repro.fi.store import STORE_BACKENDS, SqliteResultStore
+from repro.fi.executor import CampaignConfig, CampaignTelemetry
+from repro.fi.store import SqliteResultStore
 from repro.fi.memory import MemoryMap
 from repro.model.graph import SignalGraph
 from repro.target.simulation import ArrestmentSimulator
@@ -105,37 +96,17 @@ class ExperimentContext:
     ``process``; ``None`` derives it from *jobs*); *checkpoint_dir*
     enables checkpointing of partially completed campaigns, and
     *resume* picks existing checkpoints up instead of starting
-    fresh.
+    fresh.  *event_log* appends a JSONL record of run events (shared
+    by all campaigns of the context; each record carries its campaign
+    name), and *results_db* archives every finished campaign result
+    under ``<run_name>/<campaign>``.
 
-    Fault-tolerance knobs: *task_timeout* bounds each injection run's
-    wall clock, *retries* bounds the attempts a failing task gets
-    before quarantine (``None`` keeps the executor default), and
-    *event_log* appends a JSONL record of run events (shared by all
-    campaigns of the context; each record carries its campaign name).
-
-    Fast-forward knobs: *fast_forward* toggles the snapshot engine
-    (golden checkpoints + prefix skipping + resynchronization; results
-    are bit-identical either way), *checkpoint_stride* sets the
-    distance between golden checkpoints in ticks (``None`` keeps the
-    engine default), and *track_pool* flattens golden tracks into
-    shared-memory columns pre-fork so checkpoint restores read out of
-    shared segments (bit-identical either way).
-
-    Integrity knobs: *audit_fraction* re-executes that fraction of
-    fast-forwarded runs full-length and field-diffs the results,
-    *audit_seed* fixes the audit sample (``None`` uses the campaign
-    seed), and *integrity_policy* selects how violations — audit
-    mismatches, checkpoint digest failures, worker drift — are
-    handled (``strict`` aborts, ``repair`` self-heals, ``off``
-    disables verification; ``None`` keeps the executor default).
-
-    Adaptive-sampling knobs: *adaptive* switches the sampled
-    campaigns (permeability, detection) to sequential Wilson-bound
-    scheduling; *ci_level* and *ci_halfwidth* set the confidence
-    level and two-sided precision target (half-width 0 disables early
-    stopping while keeping the batched scheduler — bit-identical to
-    fixed-n); *min_batch* is the per-stratum batch size per round and
-    *max_runs* overrides the scale's per-stratum budget.
+    *options* are execution options by their declared names
+    (:data:`~repro.fi.executor.EXECUTION_OPTIONS`: ``retries=2``,
+    ``adaptive=True``, ``store="sqlite"``, ...; ``python -m
+    repro.experiments --help`` lists them).  They build the one
+    :class:`~repro.fi.executor.CampaignConfig` that every campaign of
+    the context runs under.
     """
 
     def __init__(
@@ -147,69 +118,32 @@ class ExperimentContext:
         backend: Optional[str] = None,
         resume: bool = False,
         checkpoint_dir: Optional[str] = None,
-        task_timeout: Optional[float] = None,
-        retries: Optional[int] = None,
         event_log: Optional[str] = None,
-        fast_forward: bool = True,
-        checkpoint_stride: Optional[int] = None,
-        track_pool: bool = True,
-        batch_width: int = 0,
-        audit_fraction: float = 0.0,
-        audit_seed: Optional[int] = None,
-        integrity_policy: Optional[str] = None,
-        adaptive: bool = False,
-        ci_level: Optional[float] = None,
-        ci_halfwidth: Optional[float] = None,
-        min_batch: Optional[int] = None,
-        max_runs: Optional[int] = None,
-        store_backend: Optional[str] = None,
         results_db: Optional[str] = None,
         run_name: Optional[str] = None,
+        **options: Any,
     ):
         if scale not in SCALES:
             raise ExperimentError(
                 f"unknown scale {scale!r}; choose from {sorted(SCALES)}"
-            )
-        if store_backend is not None and store_backend not in STORE_BACKENDS:
-            raise ExperimentError(
-                f"unknown store backend {store_backend!r}; "
-                f"choose from {STORE_BACKENDS}"
-            )
-        if backend is not None and backend not in BACKENDS:
-            raise ExperimentError(
-                f"unknown execution backend {backend!r}; "
-                f"choose from {BACKENDS}"
             )
         self.scale = SCALES[scale]
         self.seed = seed
         self.target: TargetSystem = (
             get_target(target) if isinstance(target, str) else target
         )
-        self.jobs = jobs
-        self.backend = backend
+        #: the execution config shared by the context's campaigns
+        self.config = dataclasses.replace(
+            CampaignConfig.from_options(**options),
+            seed=seed, jobs=jobs, backend=backend, event_log_path=event_log,
+        )
         self.resume = resume
-        self.task_timeout = task_timeout
-        self.retries = retries
-        self.event_log = event_log
-        self.fast_forward = fast_forward
-        self.checkpoint_stride = checkpoint_stride
-        self.track_pool = track_pool
-        self.batch_width = batch_width
-        self.audit_fraction = audit_fraction
-        self.audit_seed = audit_seed
-        self.integrity_policy = integrity_policy
-        self.adaptive = adaptive
-        self.ci_level = ci_level
-        self.ci_halfwidth = ci_halfwidth
-        self.min_batch = min_batch
-        self.max_runs = max_runs
         if resume and checkpoint_dir is None:
             checkpoint_dir = os.path.join(
                 ".repro-checkpoints",
                 f"{self.target.name}-{self.scale.name}-{seed}",
             )
         self.checkpoint_dir = checkpoint_dir
-        self.store_backend = store_backend
         self.results_db = results_db
         self.run_name = run_name or (
             f"{self.target.name}-{self.scale.name}-seed{seed}"
@@ -243,57 +177,22 @@ class ExperimentContext:
         campaign (the legacy layout); the sqlite backend keeps every
         campaign of the context in one shared ``results.db`` database.
         """
-        checkpoint = None
-        if self.checkpoint_dir is not None:
-            if self.store_backend == "sqlite":
-                path = os.path.join(self.checkpoint_dir, "results.db")
-                if not self.resume and os.path.exists(path):
-                    # fresh start requested: drop this campaign's
-                    # records, keep the rest of the database
-                    with SqliteResultStore(path) as store:
-                        store.discard_campaign(campaign)
-            else:
-                path = os.path.join(self.checkpoint_dir, f"{campaign}.json")
-                if not self.resume and os.path.exists(path):
-                    os.remove(path)  # fresh start requested
-            checkpoint = CheckpointPolicy(
-                path=path, backend=self.store_backend
-            )
-        ft_kwargs = {"task_timeout": self.task_timeout}
-        if self.retries is not None:
-            ft_kwargs["retries"] = self.retries
-        ff_kwargs = {
-            "enabled": self.fast_forward,
-            "track_pool": self.track_pool,
-        }
-        if self.checkpoint_stride is not None:
-            ff_kwargs["checkpoint_stride"] = self.checkpoint_stride
-        integrity_kwargs = {
-            "audit_fraction": self.audit_fraction,
-            "audit_seed": self.audit_seed,
-        }
-        if self.integrity_policy is not None:
-            integrity_kwargs["policy"] = self.integrity_policy
-        sampling_kwargs = {"enabled": self.adaptive}
-        if self.ci_level is not None:
-            sampling_kwargs["ci_level"] = self.ci_level
-        if self.ci_halfwidth is not None:
-            sampling_kwargs["ci_halfwidth"] = self.ci_halfwidth
-        if self.min_batch is not None:
-            sampling_kwargs["min_batch"] = self.min_batch
-        if self.max_runs is not None:
-            sampling_kwargs["max_runs"] = self.max_runs
-        return CampaignConfig(
-            seed=self.seed,
-            jobs=self.jobs,
-            backend=self.backend,
-            event_log_path=self.event_log,
-            checkpoint=checkpoint,
-            fault_tolerance=FaultTolerancePolicy(**ft_kwargs),
-            fastforward=FastForwardPolicy(**ff_kwargs),
-            integrity=IntegrityPolicy(**integrity_kwargs),
-            sampling=AdaptivePolicy(**sampling_kwargs),
-            vector=VectorPolicy(batch_width=self.batch_width),
+        if self.checkpoint_dir is None:
+            return self.config
+        checkpoint = self.config.checkpoint
+        if checkpoint.backend == "sqlite":
+            path = os.path.join(self.checkpoint_dir, "results.db")
+            if not self.resume and os.path.exists(path):
+                # fresh start requested: drop this campaign's
+                # records, keep the rest of the database
+                with SqliteResultStore(path) as store:
+                    store.discard_campaign(campaign)
+        else:
+            path = os.path.join(self.checkpoint_dir, f"{campaign}.json")
+            if not self.resume and os.path.exists(path):
+                os.remove(path)  # fresh start requested
+        return dataclasses.replace(
+            self.config, checkpoint=dataclasses.replace(checkpoint, path=path)
         )
 
     def _save_result(self, campaign: str, result) -> None:
@@ -309,7 +208,7 @@ class ExperimentContext:
                     "target": self.target.name,
                     "scale": self.scale.name,
                     "seed": self.seed,
-                    "adaptive": self.adaptive,
+                    "adaptive": self.config.sampling.enabled,
                     "campaign": campaign,
                 },
             )

@@ -165,13 +165,14 @@ def stopping_rule_from(config: CampaignConfig) -> Optional[StoppingRule]:
     bit-identical to fixed-n scheduling (the A/B determinism
     contract).
     """
-    if config.ci_halfwidth <= 0.0:
+    sampling = config.sampling
+    if sampling.ci_halfwidth <= 0.0:
         return None
     return StoppingRule(
-        level=config.ci_level,
-        halfwidth=config.ci_halfwidth,
-        zero_threshold=config.zero_threshold,
-        saturation_threshold=config.saturation_threshold,
+        level=sampling.ci_level,
+        halfwidth=sampling.ci_halfwidth,
+        zero_threshold=sampling.zero_threshold,
+        saturation_threshold=sampling.saturation_threshold,
     )
 
 

@@ -31,7 +31,7 @@ runs).  Golden runs are shared through the process-wide
 :data:`~repro.fi.executor.golden_cache`.
 
 The sampled campaigns (permeability and detection) additionally
-support **adaptive scheduling** (``config.adaptive``): the pre-drawn
+support **adaptive scheduling** (``config.sampling``): the pre-drawn
 task list is unchanged, but batches are dispatched per stratum through
 an :class:`~repro.fi.adaptive.AdaptiveSampler`, which stops a stratum
 as soon as its Wilson intervals certify the estimates (architectural
@@ -42,8 +42,9 @@ pair exactly once and ignore the adaptive options.
 Campaigns accept either a bare simulator factory or a registered
 :class:`~repro.targets.TargetSystem` (anything with a
 ``simulator_factory`` attribute); the shared execution options live in
-a :class:`~repro.fi.executor.CampaignConfig` passed as ``config=``.
-Explicit constructor arguments win over config values.
+a :class:`~repro.fi.executor.CampaignConfig` passed as ``config=``
+(``None``: the default config).  Explicit constructor arguments win
+over config values.
 """
 
 from __future__ import annotations
@@ -141,9 +142,9 @@ def _resolve_factory(factory) -> SimulatorFactory:
 def _resolve_test_cases(
     factory,
     test_cases: Optional[Sequence[TestCase]],
-    config: Optional[CampaignConfig],
+    config: CampaignConfig,
 ) -> List[TestCase]:
-    if test_cases is None and config is not None:
+    if test_cases is None:
         test_cases = config.test_cases
     if test_cases is None and not callable(factory):
         default_cases = getattr(factory, "standard_test_cases", None)
@@ -152,14 +153,6 @@ def _resolve_test_cases(
     if not test_cases:
         raise CampaignError("at least one test case is required")
     return list(test_cases)
-
-
-def _resolve_seed(
-    seed: Optional[int], config: Optional[CampaignConfig]
-) -> int:
-    if seed is not None:
-        return seed
-    return config.seed if config is not None else 2002
 
 
 def _target_label(factory) -> str:
@@ -261,10 +254,12 @@ class PermeabilityCampaign:
             raise CampaignError(
                 f"runs_per_input must be positive, got {runs_per_input}"
             )
+        if config is None:
+            config = CampaignConfig()
         self.factory = _resolve_factory(factory)
         self.test_cases = _resolve_test_cases(factory, test_cases, config)
         self.runs_per_input = runs_per_input
-        self.seed = _resolve_seed(seed, config)
+        self.seed = seed if seed is not None else config.seed
         self.rng = random.Random(self.seed)
         self.direct_only = direct_only
         self.modules = tuple(modules) if modules is not None else None
@@ -282,19 +277,16 @@ class PermeabilityCampaign:
 
     def _runs_budget(self) -> int:
         """Per-input budget: ``max_runs`` caps adaptive campaigns."""
-        if (
-            self.config is not None
-            and self.config.adaptive
-            and self.config.max_runs is not None
-        ):
-            return self.config.max_runs
+        sampling = self.config.sampling
+        if sampling.enabled and sampling.max_runs is not None:
+            return sampling.max_runs
         return self.runs_per_input
 
     def run(self) -> PermeabilityEstimate:
         executor = CampaignExecutor(self.config, campaign="permeability")
         probe = self.factory(self.test_cases[0])
         system = probe.system
-        adaptive = self.config is not None and self.config.adaptive
+        adaptive = self.config.sampling.enabled
         runs_budget = self._runs_budget()
 
         # Phase 1: pre-draw every random parameter in the legacy
@@ -400,7 +392,7 @@ class PermeabilityCampaign:
                 strata,
                 counts_of,
                 rule=stopping_rule_from(self.config),
-                min_batch=self.config.min_batch,
+                min_batch=self.config.sampling.min_batch,
             )
             results = sampler.run(
                 runner, len(tasks), fingerprint, sentinel=sentinel
@@ -651,12 +643,14 @@ class DetectionCampaign:
             raise CampaignError(
                 f"runs_per_signal must be positive, got {runs_per_signal}"
             )
+        if config is None:
+            config = CampaignConfig()
         self.factory = _resolve_factory(factory)
         self.test_cases = _resolve_test_cases(factory, test_cases, config)
         self.specs = list(assertion_specs)
         self.runs_per_signal = runs_per_signal
         self.targets = list(targets) if targets is not None else None
-        self.seed = _resolve_seed(seed, config)
+        self.seed = seed if seed is not None else config.seed
         self.rng = random.Random(self.seed)
         self.config = config
         self.goldens = golden_cache.store_for(
@@ -673,12 +667,9 @@ class DetectionCampaign:
 
     def _runs_budget(self) -> int:
         """Per-signal budget: ``max_runs`` caps adaptive campaigns."""
-        if (
-            self.config is not None
-            and self.config.adaptive
-            and self.config.max_runs is not None
-        ):
-            return self.config.max_runs
+        sampling = self.config.sampling
+        if sampling.enabled and sampling.max_runs is not None:
+            return sampling.max_runs
         return self.runs_per_signal
 
     def run(self) -> DetectionResult:
@@ -690,7 +681,7 @@ class DetectionCampaign:
             else probe.system.system_inputs()
         )
         ea_names = [spec.name for spec in self.specs]
-        adaptive = self.config is not None and self.config.adaptive
+        adaptive = self.config.sampling.enabled
         runs_budget = self._runs_budget()
 
         # Phase 1: pre-draw (target -> run_index), legacy order.
@@ -758,7 +749,7 @@ class DetectionCampaign:
                 strata,
                 counts_of,
                 rule=stopping_rule_from(self.config),
-                min_batch=self.config.min_batch,
+                min_batch=self.config.sampling.min_batch,
             )
             results = sampler.run(
                 runner, len(tasks), fingerprint, sentinel=sentinel
@@ -1003,11 +994,13 @@ class RecoveryCampaign:
         policies=None,
         config: Optional[CampaignConfig] = None,
     ):
+        if config is None:
+            config = CampaignConfig()
         self.factory = _resolve_factory(factory)
         self.test_cases = _resolve_test_cases(factory, test_cases, config)
         self.specs = list(assertion_specs)
         self.period_ticks = period_ticks
-        self.seed = _resolve_seed(seed, config)
+        self.seed = seed if seed is not None else config.seed
         self.policies = policies
         self.config = config
         self._locations = list(locations) if locations is not None else None
@@ -1148,11 +1141,13 @@ class MemoryCampaign:
         seed: Optional[int] = None,
         config: Optional[CampaignConfig] = None,
     ):
+        if config is None:
+            config = CampaignConfig()
         self.factory = _resolve_factory(factory)
         self.test_cases = _resolve_test_cases(factory, test_cases, config)
         self.specs = list(assertion_specs)
         self.period_ticks = period_ticks
-        self.seed = _resolve_seed(seed, config)
+        self.seed = seed if seed is not None else config.seed
         self.rng = random.Random(self.seed)
         self.config = config
         self._locations = list(locations) if locations is not None else None

@@ -88,6 +88,7 @@ to serial).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -97,7 +98,7 @@ import random
 import signal
 import threading
 import time
-import warnings
+import typing
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -117,6 +118,7 @@ from typing import (
 from repro.errors import CampaignError, IntegrityError
 from repro.fi.golden import GoldenRun, GoldenRunStore
 from repro.fi.integrity import (
+    DEFAULT_POLICY,
     POLICIES,
     IntegrityViolation,
     drain_violations,
@@ -134,6 +136,8 @@ __all__ = [
     "CampaignTelemetry",
     "CampaignExecutor",
     "CheckpointPolicy",
+    "EXECUTION_OPTIONS",
+    "ExecutionOption",
     "FastForwardPolicy",
     "FaultTolerancePolicy",
     "GoldenRunCache",
@@ -164,6 +168,45 @@ MAX_BACKOFF_S = 30.0
 # Configuration.
 # ======================================================================
 @dataclass(frozen=True)
+class ExecutionOption:
+    """A policy field that users set by name.
+
+    It is declared once, in the field's metadata, and every entry point
+    is generated from it: :meth:`CampaignConfig.from_options`, the
+    ``**options`` of :class:`~repro.experiments.context.ExperimentContext`,
+    the keys of a service job spec and the command-line flags.
+    """
+
+    #: option name: context keyword and job-spec key.
+    name: str
+    #: command-line flag; for a boolean, the spelling that flips the
+    #: field away from its default.
+    flag: str
+    #: ``--help`` text of *flag*.
+    help: str
+    metavar: Optional[str] = None
+    choices: Optional[Tuple[str, ...]] = None
+    #: boolean options only: ``(flag, help)`` of a second spelling
+    #: that sets the default back.
+    off: Optional[Tuple[str, str]] = None
+    #: the :class:`CampaignConfig` policy attribute and the field
+    #: within it, with the field's value type and default; filled in
+    #: when :data:`EXECUTION_OPTIONS` is collected.
+    policy: str = ""
+    field: str = ""
+    type: Any = None
+    default: Any = None
+
+
+def _option(default: Any, name: str, flag: str, help: str, **extra: Any) -> Any:
+    """A policy field declared as the execution option *name*."""
+    return dataclasses_field(
+        default=default,
+        metadata={"option": ExecutionOption(name, flag, help, **extra)},
+    )
+
+
+@dataclass(frozen=True)
 class CheckpointPolicy:
     """Where and how campaign progress is persisted.
 
@@ -178,7 +221,14 @@ class CheckpointPolicy:
     #: flush the store every this many completed tasks.
     every: int = 32
     #: ``"json"`` or ``"sqlite"``; ``None`` derives from the suffix.
-    backend: Optional[str] = None
+    backend: Optional[str] = _option(
+        None, "store", "--store",
+        "checkpoint store backend: json keeps one legacy "
+        "<campaign>.json file per campaign, sqlite streams every "
+        "campaign into one <checkpoint-dir>/results.db database "
+        "(default: by path suffix, i.e. json)",
+        choices=STORE_BACKENDS,
+    )
 
     def __post_init__(self) -> None:
         if self.every < 1:
@@ -197,15 +247,21 @@ class FaultTolerancePolicy:
     """Retry, timeout and pool-survival knobs."""
 
     #: per-task wall-clock budget in seconds; ``None`` = unlimited.
-    task_timeout: Optional[float] = None
+    task_timeout: Optional[float] = _option(
+        None, "task_timeout", "--task-timeout",
+        "per-run wall-clock budget in seconds (default: unlimited; "
+        "exceeded runs are retried, then quarantined)",
+        metavar="S",
+    )
     #: extra attempts per task before quarantine (total = retries + 1).
-    retries: int = 1
-    #: base of the retry backoff between attempts, in seconds.
+    retries: int = _option(
+        1, "retries", "--retries",
+        "extra attempts for a failing run before it is quarantined as "
+        "a TaskFailure (default: 1)",
+        metavar="N",
+    )
+    #: base of the decorrelated-jitter retry backoff, in seconds.
     retry_backoff_s: float = 0.25
-    #: decorrelate the retry backoff with seeded jitter so concurrent
-    #: campaigns (and their workers) do not stampede in lockstep;
-    #: ``False`` restores the legacy deterministic exponential ramp.
-    retry_jitter: bool = True
     #: seed of the backoff jitter stream; ``None`` uses the campaign
     #: seed, so test runs stay reproducible.
     backoff_seed: Optional[int] = None
@@ -244,13 +300,18 @@ class FastForwardPolicy:
 
     #: restore golden checkpoints instead of re-simulating the prefix
     #: (bit-identical either way; off = always simulate from tick 0).
-    enabled: bool = True
+    enabled: bool = _option(
+        True, "fast_forward", "--no-fast-forward",
+        "disable the snapshot/fast-forward engine and simulate every "
+        "injected run from tick 0 (results are bit-identical)",
+    )
     #: ticks between golden checkpoints for fast-forwarded runs.
-    checkpoint_stride: int = DEFAULT_CHECKPOINT_STRIDE
-    #: flatten golden tracks into shared-memory columns pre-fork and
-    #: restore checkpoints out of the shared segments (bit-identical
-    #: either way; also killable via ``REPRO_NO_TRACK_POOL=1``).
-    track_pool: bool = True
+    checkpoint_stride: int = _option(
+        DEFAULT_CHECKPOINT_STRIDE, "checkpoint_stride", "--checkpoint-stride",
+        f"ticks between golden snapshots for fast-forwarded injection "
+        f"runs (default: {DEFAULT_CHECKPOINT_STRIDE})",
+        metavar="N",
+    )
 
     def __post_init__(self) -> None:
         if self.checkpoint_stride < 1:
@@ -267,12 +328,28 @@ class IntegrityPolicy:
     #: ``"strict"`` (violations abort), ``"repair"`` (violations are
     #: healed from a trusted recomputation) or ``"off"`` (no
     #: verification: no checkpoint digest checks, audits or sentinels).
-    policy: str = "repair"
+    policy: str = _option(
+        DEFAULT_POLICY, "integrity_policy", "--integrity-policy",
+        "how integrity violations are handled: strict aborts, repair "
+        "self-heals from a trusted recomputation (default), off "
+        "disables verification",
+        metavar="P", choices=POLICIES,
+    )
     #: fraction of fast-forwarded runs re-executed full-length and
     #: field-diffed against the fast-forward result (0.0 = no audits).
-    audit_fraction: float = 0.0
+    audit_fraction: float = _option(
+        0.0, "audit_fraction", "--audit-fraction",
+        "fraction of fast-forwarded runs re-executed full-length and "
+        "field-diffed against the fast-forward result (default: 0)",
+        metavar="F",
+    )
     #: seed of the deterministic audit sample; ``None`` uses ``seed``.
-    audit_seed: Optional[int] = None
+    audit_seed: Optional[int] = _option(
+        None, "audit_seed", "--audit-seed",
+        "seed of the deterministic audit sample (default: the "
+        "campaign seed)",
+        metavar="N",
+    )
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.audit_fraction <= 1.0:
@@ -298,20 +375,52 @@ class AdaptivePolicy:
     """
 
     #: master switch for adaptive scheduling.
-    enabled: bool = False
+    enabled: bool = _option(
+        False, "adaptive", "--adaptive",
+        "sequential Wilson-bound scheduling: dispatch the sampled "
+        "campaigns in per-stratum batches and stop each stratum once "
+        "its estimates are certified (architectural zero, saturated, "
+        "or within the half-width target)",
+        off=(
+            "--fixed-n",
+            "run the full per-stratum budget unconditionally "
+            "(the default)",
+        ),
+    )
     #: confidence level of the stopping intervals and bounds.
-    ci_level: float = 0.95
+    ci_level: float = _option(
+        0.95, "ci_level", "--ci-level",
+        "confidence level of the adaptive stopping intervals "
+        "(default: 0.95)",
+        metavar="L",
+    )
     #: two-sided Wilson half-width at which a stratum's estimate is
     #: precise enough to stop.  ``0`` disables early stopping entirely
     #: (the adaptive engine then runs the full budget in batches and is
     #: bit-identical to fixed-n scheduling).
-    ci_halfwidth: float = 0.2
+    ci_halfwidth: float = _option(
+        0.2, "ci_halfwidth", "--ci-halfwidth",
+        "two-sided Wilson half-width target that stops a stratum "
+        "(default: 0.2; 0 disables early stopping entirely, making the "
+        "adaptive schedule bit-identical to fixed-n)",
+        metavar="W",
+    )
     #: injections dispatched per stratum per adaptive round.
-    min_batch: int = 4
+    min_batch: int = _option(
+        4, "min_batch", "--min-batch",
+        "injection runs dispatched per stratum per adaptive round "
+        "(default: 4)",
+        metavar="N",
+    )
     #: per-stratum injection budget for adaptive campaigns; ``None``
     #: uses the driver's fixed-n run count (``runs_per_input`` /
     #: ``runs_per_signal``).
-    max_runs: Optional[int] = None
+    max_runs: Optional[int] = _option(
+        None, "max_runs", "--max-runs",
+        "per-stratum budget cap for adaptive campaigns (default: the "
+        "scale's per-stratum run count)",
+        metavar="N",
+    )
     #: one-sided upper bound below which an all-miss stratum pair is
     #: certified an architectural zero.
     zero_threshold: float = 0.3
@@ -363,7 +472,13 @@ class VectorPolicy:
     """
 
     #: injected runs advanced per vectorized tick; 0 disables batching.
-    batch_width: int = 0
+    batch_width: int = _option(
+        0, "batch_width", "--batch-width",
+        "vectorized batch core: advance up to N injected runs per tick "
+        "in each worker (default: 0 = scalar path; results are "
+        "bit-identical)",
+        metavar="N",
+    )
 
     def __post_init__(self) -> None:
         if self.batch_width < 0:
@@ -372,53 +487,7 @@ class VectorPolicy:
             )
 
 
-#: flat constructor kwarg -> (policy attribute, field) mapping.  The
-#: flat spellings remain readable as properties forever; *passing*
-#: them to the constructor is deprecated (``store_backend`` excepted,
-#: which was never a flat field and carries no legacy).
-_FLAT_FIELDS: Dict[str, Tuple[str, str]] = {
-    "checkpoint_path": ("checkpoint", "path"),
-    "checkpoint_every": ("checkpoint", "every"),
-    "store_backend": ("checkpoint", "backend"),
-    "task_timeout": ("fault_tolerance", "task_timeout"),
-    "retries": ("fault_tolerance", "retries"),
-    "retry_backoff_s": ("fault_tolerance", "retry_backoff_s"),
-    "retry_jitter": ("fault_tolerance", "retry_jitter"),
-    "backoff_seed": ("fault_tolerance", "backoff_seed"),
-    "max_pool_respawns": ("fault_tolerance", "max_pool_respawns"),
-    "pool_watchdog_s": ("fault_tolerance", "pool_watchdog_s"),
-    "fast_forward": ("fastforward", "enabled"),
-    "checkpoint_stride": ("fastforward", "checkpoint_stride"),
-    "track_pool": ("fastforward", "track_pool"),
-    "integrity_policy": ("integrity", "policy"),
-    "audit_fraction": ("integrity", "audit_fraction"),
-    "audit_seed": ("integrity", "audit_seed"),
-    "adaptive": ("sampling", "enabled"),
-    "ci_level": ("sampling", "ci_level"),
-    "ci_halfwidth": ("sampling", "ci_halfwidth"),
-    "min_batch": ("sampling", "min_batch"),
-    "max_runs": ("sampling", "max_runs"),
-    "zero_threshold": ("sampling", "zero_threshold"),
-    "saturation_threshold": ("sampling", "saturation_threshold"),
-    "batch_width": ("vector", "batch_width"),
-}
-
-#: flat kwargs accepted without a deprecation warning.
-_FLAT_NO_WARN = frozenset(
-    {"store_backend", "batch_width", "track_pool",
-     "retry_jitter", "backoff_seed"}
-)
-
-_POLICY_TYPES = {
-    "checkpoint": CheckpointPolicy,
-    "fault_tolerance": FaultTolerancePolicy,
-    "fastforward": FastForwardPolicy,
-    "integrity": IntegrityPolicy,
-    "sampling": AdaptivePolicy,
-    "vector": VectorPolicy,
-}
-
-
+@dataclass(frozen=True)
 class CampaignConfig:
     """Shared configuration accepted by every campaign driver.
 
@@ -438,87 +507,78 @@ class CampaignConfig:
             sampling=AdaptivePolicy(enabled=True, ci_halfwidth=0.1),
         )
 
-    The pre-redesign flat keyword arguments (``checkpoint_path=...``,
-    ``audit_fraction=...``, ...) are still accepted — they are mapped
-    onto the nested policies and emit a :class:`DeprecationWarning` —
-    and every flat spelling remains readable as a property
-    (``config.checkpoint_every`` == ``config.checkpoint.every``), so
-    existing call sites keep working unchanged.
+    :meth:`from_options` builds the policies from the user-facing
+    option names of :data:`EXECUTION_OPTIONS` instead.
     """
 
-    def __init__(
-        self,
-        seed: int = 2002,
-        test_cases: Optional[Sequence[Any]] = None,
-        jobs: int = 1,
-        backend: Optional[str] = None,
-        event_log_path: Optional[str] = None,
-        checkpoint: Optional[CheckpointPolicy] = None,
-        fault_tolerance: Optional[FaultTolerancePolicy] = None,
-        fastforward: Optional[FastForwardPolicy] = None,
-        integrity: Optional[IntegrityPolicy] = None,
-        sampling: Optional[AdaptivePolicy] = None,
-        vector: Optional["VectorPolicy"] = None,
-        **flat: Any,
-    ) -> None:
-        unknown = sorted(set(flat) - set(_FLAT_FIELDS))
-        if unknown:
-            raise CampaignError(
-                f"unknown CampaignConfig fields: {', '.join(unknown)}"
-            )
-        explicit: Dict[str, Any] = {
-            "checkpoint": checkpoint,
-            "fault_tolerance": fault_tolerance,
-            "fastforward": fastforward,
-            "integrity": integrity,
-            "sampling": sampling,
-            "vector": vector,
-        }
-        overrides: Dict[str, Dict[str, Any]] = {
-            group: {} for group in _POLICY_TYPES
-        }
-        legacy: List[str] = []
-        for name, value in flat.items():
-            group, attr = _FLAT_FIELDS[name]
-            if explicit[group] is not None:
-                raise CampaignError(
-                    f"{name}= conflicts with the explicit {group}= "
-                    f"policy; set {group}.{attr} instead"
-                )
-            overrides[group][attr] = value
-            if name not in _FLAT_NO_WARN:
-                legacy.append(name)
-        if legacy:
-            warnings.warn(
-                f"flat CampaignConfig fields "
-                f"({', '.join(sorted(legacy))}) are deprecated; pass "
-                f"nested policies (CheckpointPolicy, "
-                f"FaultTolerancePolicy, FastForwardPolicy, "
-                f"IntegrityPolicy, AdaptivePolicy) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        #: campaign RNG seed (the paper's campaigns use 2002).
-        self.seed = seed
-        #: test cases to cycle over; ``None`` = the driver's default.
-        self.test_cases = test_cases
-        #: worker processes; 1 = serial execution.
-        self.jobs = jobs
-        #: ``"serial"`` or ``"process"``; ``None`` selects from jobs.
-        self.backend = backend
-        #: JSONL run-event log; ``None`` disables file event logging.
-        self.event_log_path = event_log_path
-        for group, policy_type in _POLICY_TYPES.items():
-            policy = explicit[group]
-            if policy is None:
-                policy = policy_type(**overrides[group])
-            object.__setattr__(self, group, policy)
+    #: campaign RNG seed (the paper's campaigns use 2002).
+    seed: int = 2002
+    #: test cases to cycle over; ``None`` = the campaign's default.
+    test_cases: Optional[Sequence[Any]] = None
+    #: worker processes; 1 = serial execution.
+    jobs: int = 1
+    #: ``"serial"`` or ``"process"``; ``None`` selects from jobs.
+    backend: Optional[str] = None
+    #: JSONL run-event log; ``None`` disables file event logging.
+    event_log_path: Optional[str] = None
+    checkpoint: CheckpointPolicy = dataclasses_field(
+        default_factory=CheckpointPolicy
+    )
+    fault_tolerance: FaultTolerancePolicy = dataclasses_field(
+        default_factory=FaultTolerancePolicy
+    )
+    fastforward: FastForwardPolicy = dataclasses_field(
+        default_factory=FastForwardPolicy
+    )
+    integrity: IntegrityPolicy = dataclasses_field(
+        default_factory=IntegrityPolicy
+    )
+    sampling: AdaptivePolicy = dataclasses_field(
+        default_factory=AdaptivePolicy
+    )
+    vector: VectorPolicy = dataclasses_field(default_factory=VectorPolicy)
+
+    def __post_init__(self) -> None:
         if self.jobs < 1:
             raise CampaignError(f"jobs must be >= 1, got {self.jobs}")
         if self.backend is not None and self.backend not in BACKENDS:
             raise CampaignError(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
+
+    @classmethod
+    def from_options(cls, **options: Any) -> "CampaignConfig":
+        """A default config whose policies carry *options*, keyed by
+        the names of :data:`EXECUTION_OPTIONS`.
+
+        An option given as ``None`` keeps its policy default.  An
+        unknown name raises :class:`~repro.errors.CampaignError`, a
+        value of the wrong type :class:`TypeError`, and a value out of
+        range the policy's :class:`~repro.errors.CampaignError`.
+        """
+        unknown = sorted(set(options) - set(EXECUTION_OPTIONS))
+        if unknown:
+            raise CampaignError(
+                f"unknown execution options: {', '.join(unknown)}"
+            )
+        values: Dict[str, Dict[str, Any]] = {}
+        for name, value in options.items():
+            if value is None:
+                continue
+            option = EXECUTION_OPTIONS[name]
+            accepted = (int, float) if option.type is float else option.type
+            if not isinstance(value, accepted) or (
+                isinstance(value, bool) and option.type is not bool
+            ):
+                raise TypeError(
+                    f"execution option {name} must be "
+                    f"{option.type.__name__}, got {value!r}"
+                )
+            values.setdefault(option.policy, {})[option.field] = value
+        return cls(**{
+            policy: _POLICY_TYPES[policy](**fields)
+            for policy, fields in values.items()
+        })
 
     # -- resolution helpers ---------------------------------------------
     def resolved_backend(self) -> str:
@@ -534,35 +594,39 @@ class CampaignConfig:
             return self.fault_tolerance.task_timeout * 2 + 5.0
         return DEFAULT_POOL_WATCHDOG_S
 
-    def __eq__(self, other: Any) -> Any:
-        if not isinstance(other, CampaignConfig):
-            return NotImplemented
-        return self.__dict__ == other.__dict__
 
-    def __repr__(self) -> str:
-        return (
-            f"CampaignConfig(seed={self.seed!r}, jobs={self.jobs!r}, "
-            f"backend={self.backend!r}, "
-            f"event_log_path={self.event_log_path!r}, "
-            f"checkpoint={self.checkpoint!r}, "
-            f"fault_tolerance={self.fault_tolerance!r}, "
-            f"fastforward={self.fastforward!r}, "
-            f"integrity={self.integrity!r}, sampling={self.sampling!r}, "
-            f"vector={self.vector!r})"
-        )
+#: :class:`CampaignConfig` policy attribute -> policy type.
+_POLICY_TYPES = {
+    group.name: group.default_factory
+    for group in dataclasses.fields(CampaignConfig)
+    if group.default_factory is not dataclasses.MISSING
+}
 
 
-def _flat_property(group: str, attr: str) -> property:
-    def read(self: CampaignConfig) -> Any:
-        return getattr(getattr(self, group), attr)
+def _declared_options() -> Iterator[ExecutionOption]:
+    for policy, policy_type in _POLICY_TYPES.items():
+        hints = typing.get_type_hints(policy_type)
+        for spec in dataclasses.fields(policy_type):
+            option = spec.metadata.get("option")
+            if option is None:
+                continue
+            value_type = hints[spec.name]
+            # Optional[X] -> X
+            value_type = next(
+                (t for t in typing.get_args(value_type)
+                 if t is not type(None)),
+                value_type,
+            )
+            yield dataclasses.replace(
+                option, policy=policy, field=spec.name,
+                type=value_type, default=spec.default,
+            )
 
-    read.__doc__ = f"Read-only alias of ``{group}.{attr}``."
-    return property(read)
 
-
-for _flat_name, (_group, _attr) in _FLAT_FIELDS.items():
-    setattr(CampaignConfig, _flat_name, _flat_property(_group, _attr))
-del _flat_name, _group, _attr
+#: every execution option by name, in declaration order.
+EXECUTION_OPTIONS: Dict[str, ExecutionOption] = {
+    option.name: option for option in _declared_options()
+}
 
 
 def fingerprint_of(*parts: Any) -> str:
@@ -1242,13 +1306,6 @@ def _pool_chunk(
     return [_pool_task(key, item) for item in items]
 
 
-def _backoff_s(config: CampaignConfig, attempt: int) -> float:
-    """Exponential backoff before the given (>= 2nd) attempt."""
-    if attempt <= 1 or config.retry_backoff_s <= 0:
-        return 0.0
-    return min(config.retry_backoff_s * (2 ** (attempt - 2)), MAX_BACKOFF_S)
-
-
 def decorrelated_backoff(
     base: float,
     previous: float,
@@ -1284,7 +1341,7 @@ class CampaignExecutor:
     serial.
 
     A task that raises, times out or kills its worker is retried up
-    to ``config.retries`` times and then quarantined: its result slot
+    to ``config.fault_tolerance.retries`` times and then quarantined: its result slot
     holds a :class:`TaskFailure` instead of aborting the run.  The
     checkpoint is flushed on every exit path.
     """
@@ -1588,32 +1645,26 @@ class CampaignExecutor:
                 raise IntegrityError(
                     payload.get("err", "integrity violation")
                 )
-            if attempts[index] >= config.retries + 1:
+            if attempts[index] >= config.fault_tolerance.retries + 1:
                 quarantine(index, kind, payload.get("err", ""))
 
         ft = config.fault_tolerance
         backoff_rng = random.Random(
             ft.backoff_seed if ft.backoff_seed is not None else config.seed
         )
-        backoff_prev = config.retry_backoff_s
+        backoff_prev = ft.retry_backoff_s
 
         def backoff_sleep(attempt: int) -> None:
-            """Sleep before a (>= 2nd) retry attempt.
-
-            Jittered retries draw from the decorrelated recurrence so
-            campaigns retrying concurrently spread out; with jitter
-            off the legacy deterministic exponential ramp applies.
-            """
+            """Sleep before a (>= 2nd) retry attempt, drawn from the
+            decorrelated recurrence so campaigns retrying concurrently
+            spread out."""
             nonlocal backoff_prev
             if attempt <= 1:
                 return
-            if not ft.retry_jitter:
-                time.sleep(_backoff_s(config, attempt))
-                return
             sleep_s = decorrelated_backoff(
-                config.retry_backoff_s, backoff_prev, backoff_rng
+                ft.retry_backoff_s, backoff_prev, backoff_rng
             )
-            backoff_prev = max(sleep_s, config.retry_backoff_s)
+            backoff_prev = max(sleep_s, ft.retry_backoff_s)
             time.sleep(sleep_s)
 
         def run_serial(indices: Sequence[int]) -> None:
@@ -1687,7 +1738,7 @@ class CampaignExecutor:
 
         def run_pool(indices: Sequence[int]) -> None:
             context = multiprocessing.get_context("fork")
-            respawns_left = config.max_pool_respawns
+            respawns_left = config.fault_tolerance.max_pool_respawns
             watchdog = config.resolved_watchdog()
             remaining = [i for i in indices if i not in done]
             pool = context.Pool(
@@ -1757,7 +1808,7 @@ class CampaignExecutor:
                         # singly once per-task timeouts are in play
                         chunk_n = (
                             1
-                            if config.task_timeout is not None
+                            if config.fault_tolerance.task_timeout is not None
                             else max(1, len(items) // (config.jobs * 8))
                         )
                         chunks = [
@@ -1803,7 +1854,7 @@ class CampaignExecutor:
                     for index in indices:
                         if index in done:
                             continue
-                        if attempts[index] >= config.retries + 1:
+                        if attempts[index] >= config.fault_tolerance.retries + 1:
                             quarantine(
                                 index,
                                 "lost",
@@ -1843,13 +1894,13 @@ class CampaignExecutor:
 
         active = _ActiveCampaign(
             runner=runner,
-            timeout=config.task_timeout,
+            timeout=config.fault_tolerance.task_timeout,
             chaos=_chaos_from_env(),
         )
         if (
             backend == "process"
             and sentinel is not None
-            and config.integrity_policy != "off"
+            and config.integrity.policy != "off"
         ):
             # the parent's own digest, computed before the fork, is
             # the reference every worker probe is compared against

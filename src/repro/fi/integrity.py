@@ -353,11 +353,6 @@ def drain_violations() -> List[IntegrityViolation]:
 # ======================================================================
 # Sampled audit replay.
 # ======================================================================
-def _policy_of(config: Any) -> str:
-    policy = getattr(config, "integrity_policy", None) if config else None
-    return policy if policy in POLICIES else DEFAULT_POLICY
-
-
 class RunAuditor:
     """Re-executes a sampled fraction of fast-forwarded runs in full.
 
@@ -387,18 +382,15 @@ class RunAuditor:
     def __init__(
         self,
         ff: Any,
-        config: Any = None,
+        config: Any,
         campaign: str = "campaign",
         disable_after: int = DEFAULT_DISABLE_AFTER,
     ) -> None:
         self.campaign = campaign
-        self.policy = _policy_of(config)
-        fraction = getattr(config, "audit_fraction", 0.0) if config else 0.0
-        self.fraction = max(0.0, min(1.0, float(fraction or 0.0)))
-        seed = getattr(config, "audit_seed", None) if config else None
-        if seed is None:
-            seed = getattr(config, "seed", 0) if config else 0
-        self.seed = int(seed)
+        self.policy = config.integrity.policy
+        self.fraction = config.integrity.audit_fraction
+        seed = config.integrity.audit_seed
+        self.seed = seed if seed is not None else config.seed
         self.disable_after = disable_after
         self._ff = ff
         self._replay_ff = None

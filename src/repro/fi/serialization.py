@@ -8,8 +8,8 @@ can feed any number of later analyses.
 
 The format is versioned; loading rejects unknown versions rather than
 guessing.  Every saved envelope carries a canonical content digest
-(:func:`~repro.fi.integrity.canonical_digest`); :func:`load_json`
-re-verifies it and raises :class:`~repro.errors.IntegrityError` on a
+(:func:`~repro.fi.integrity.canonical_digest`);
+:func:`document_to_result` re-verifies it and raises :class:`~repro.errors.IntegrityError` on a
 mismatch, so a campaign file corrupted at rest (bit rot, truncated
 copy, hand edit) is detected instead of silently feeding wrong numbers
 into the analyses.  Files written before digests existed load
@@ -19,8 +19,6 @@ unverified.
 from __future__ import annotations
 
 import json
-import warnings
-from pathlib import Path
 from typing import Dict, List, Union
 
 from repro.errors import CampaignError, IntegrityError
@@ -46,8 +44,6 @@ __all__ = [
     "stratum_reports_from_dict",
     "result_to_document",
     "document_to_result",
-    "save_json",
-    "load_json",
 ]
 
 FORMAT_VERSION = 1
@@ -203,9 +199,9 @@ def memory_from_dict(data: dict) -> MemoryCampaignResult:
 def stratum_reports_to_dict(reports: List[StratumReport]) -> dict:
     """JSON-encodable summary of an adaptive campaign's spend.
 
-    Not a campaign-result kind (no :func:`save_json` envelope): the
-    reports describe how the budget was spent, not what was measured,
-    and ride along inside benchmark/telemetry artefacts.
+    Not a campaign-result kind (no :func:`result_to_document`
+    envelope): the reports describe how the budget was spent, not what
+    was measured, and ride along inside benchmark/telemetry artefacts.
     """
     return {
         "strata": [report.to_json() for report in reports],
@@ -292,46 +288,3 @@ def document_to_result(data: dict, source: str = "<document>") -> AnyResult:
             f"campaign file has unknown kind {data.get('kind')!r}"
         )
     return loader(data)
-
-
-_shim_warned = False
-
-
-def _warn_shim_once(name: str, replacement: str) -> None:
-    global _shim_warned
-    if _shim_warned:
-        return
-    _shim_warned = True
-    warnings.warn(
-        f"{name}() is deprecated; use {replacement} "
-        f"(repro.fi.store) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def save_json(result: AnyResult, path: Union[str, Path]) -> Path:
-    """Deprecated shim over ``ResultStore.save_result``.
-
-    Serializes a campaign result to a JSON file; returns the path.
-    Prefer ``JsonCheckpointStore(path).save_result(result)`` (or the
-    sqlite store for a queryable results database).
-    """
-    _warn_shim_once("save_json", "ResultStore.save_result")
-    from repro.fi.store import JsonCheckpointStore
-
-    path = Path(path)
-    JsonCheckpointStore(str(path)).save_result(result)
-    return path
-
-
-def load_json(path: Union[str, Path]) -> AnyResult:
-    """Deprecated shim over ``ResultStore.load_result``.
-
-    Loads any campaign result saved by :func:`save_json`.  Prefer
-    ``JsonCheckpointStore(path).load_result()``.
-    """
-    _warn_shim_once("load_json", "ResultStore.load_result")
-    from repro.fi.store import JsonCheckpointStore
-
-    return JsonCheckpointStore(str(Path(path))).load_result()

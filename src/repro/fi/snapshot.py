@@ -42,7 +42,8 @@ the last divergence is redundant too.  This module eliminates both:
   tuples, classifier accumulators) ride a small per-row side channel.
   The rebuild round-trips every leaf exactly — pooled restores are
   bit-identical to dict restores — and any track whose shape resists
-  flattening simply stays on the dict path.
+  flattening, or any host without shared memory, simply stays on the
+  dict path.
 
 Both mechanisms preserve results bit-for-bit; they only trade redundant
 simulation for snapshot comparisons.  ``ff_stats`` counts restores,
@@ -75,10 +76,6 @@ __all__ = [
     "checkpoint_cache",
     "ff_stats",
 ]
-
-#: environment kill-switch for the shared-memory checkpoint pool
-#: (mirrors the ``track_pool`` policy flag; either disables it).
-_NO_TRACK_POOL_ENV = "REPRO_NO_TRACK_POOL"
 
 #: default distance between golden checkpoints, in ticks.  Denser
 #: strides shorten the simulated remainder per injected run (less
@@ -717,7 +714,7 @@ class FastForward:
         self,
         factory,
         target: str,
-        config=None,
+        config,
         bank_specs: Optional[Sequence] = None,
         resync: bool = True,
         store: Optional[CheckpointStore] = None,
@@ -727,17 +724,10 @@ class FastForward:
         self.bank_specs = list(bank_specs) if bank_specs is not None else None
         self.resync = resync
         self.store = store if store is not None else checkpoint_cache
-        stride = getattr(config, "checkpoint_stride", None)
-        self.stride = stride if stride else DEFAULT_CHECKPOINT_STRIDE
-        self.enabled = bool(getattr(config, "fast_forward", True))
-        self.track_pool_enabled = (
-            self.enabled
-            and bool(getattr(config, "track_pool", True))
-            and not os.environ.get(_NO_TRACK_POOL_ENV)
-            and shm_available()
-        )
+        self.stride = config.fastforward.checkpoint_stride
+        self.enabled = config.fastforward.enabled
         self._pool: Optional[TrackPool] = (
-            TrackPool() if self.track_pool_enabled else None
+            TrackPool() if self.enabled and shm_available() else None
         )
 
     @property

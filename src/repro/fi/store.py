@@ -2,7 +2,7 @@
 
 Campaign persistence used to be an implicit contract scattered over
 the executor (JSON checkpoint read/write/flush/fingerprint) and
-:mod:`repro.fi.serialization` (``save_json``/``load_json``).  This
+:mod:`repro.fi.serialization` (result files).  This
 module makes the contract explicit: a :class:`ResultStore` owns both
 halves of campaign persistence —
 
@@ -20,7 +20,8 @@ Two implementations:
 :class:`JsonCheckpointStore`
     Bit-compatible with the pre-store checkpoint files (the
     ``{campaign, fingerprint, n_tasks, results, digests}`` document,
-    schema revision 2) and with ``save_json`` result envelopes.  The
+    schema revision 2) and with the digest-stamped result envelopes
+    of :func:`~repro.fi.serialization.result_to_document`.  The
     whole document lives in memory and is rewritten atomically
     (write-temp-then-rename) on flush — but only when new records
     actually arrived since the last flush.
@@ -364,8 +365,8 @@ class JsonCheckpointStore(ResultStore):
 
     Bit-compatible with pre-store files: the same
     ``{campaign, fingerprint, n_tasks, results, digests}`` document
-    (checkpoint side) and the same digest-stamped ``save_json``
-    envelope (result side).  The document is rewritten atomically on
+    (checkpoint side) and the same digest-stamped result envelope
+    (result side).  The document is rewritten atomically on
     flush — write to ``<path>.tmp``, then :func:`os.replace` — and the
     rewrite is skipped entirely when no new records arrived.
     """

@@ -1164,7 +1164,7 @@ def wrap_runner(
     kind: str,
     runner: Callable[[int], Any],
     tasks: Sequence[tuple],
-    config: Optional[Any],
+    config: Any,
     factory: Callable[[Any], Any],
     auditor: Optional[Any] = None,
     goldens: Optional[Any] = None,
@@ -1179,10 +1179,7 @@ def wrap_runner(
     0), numpy is unavailable, or no batch could be planned — the
     scalar path needs no wrapper to stay correct.
     """
-    width = 0
-    if config is not None:
-        vector = getattr(config, "vector", None)
-        width = getattr(vector, "batch_width", 0) if vector else 0
+    width = config.vector.batch_width
     if width <= 0 or np is None:
         return runner
     batched = BatchRunner(

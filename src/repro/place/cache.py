@@ -335,8 +335,8 @@ def cached_estimate(
     resolved = getattr(factory, "simulator_factory", factory)
     system = resolved(test_cases[0]).system
     extra = None
-    if config is not None and getattr(config, "adaptive", False):
-        extra = f"adaptive:max_runs={getattr(config, 'max_runs', None)}"
+    if config is not None and config.sampling.enabled:
+        extra = f"adaptive:max_runs={config.sampling.max_runs}"
     fingerprints = system_fingerprints(
         system,
         seed=seed,

@@ -43,8 +43,14 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.errors import ServiceError
-from repro.fi.executor import MAX_BACKOFF_S, decorrelated_backoff
+from repro.errors import CampaignError, ServiceError
+from repro.experiments.__main__ import submittable_keys
+from repro.fi.executor import (
+    EXECUTION_OPTIONS,
+    MAX_BACKOFF_S,
+    CampaignConfig,
+    decorrelated_backoff,
+)
 from repro.service.jobs import Job, JobQueue
 
 __all__ = [
@@ -58,21 +64,20 @@ __all__ = [
 #: me" (SIGTERM drain, KeyboardInterrupt).  BSD's EX_TEMPFAIL.
 EXIT_INTERRUPTED = 75
 
-#: spec keys a submission may carry; everything else is refused so a
-#: typo ("targt") surfaces at submit time, not as a silent default.
-SPEC_KEYS = frozenset({
-    "experiment", "scale", "seed", "target", "jobs", "backend",
-    "store", "batch_width", "adaptive", "run_name", "retries",
-    "task_timeout", "audit_fraction", "integrity_policy", "env",
-})
+#: spec keys a submission may carry: the experiment, the job's
+#: environment, and the context arguments and execution options of
+#: ``repro submit``; everything else is refused so a typo ("targt")
+#: surfaces at submit time, not as a silent default.
+SPEC_KEYS = frozenset({"experiment", "env", *submittable_keys()})
 
 
 def validate_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Check a job spec's shape; returns it unchanged.
+    """Check a job spec's shape and option values; returns it unchanged.
 
     Validation that needs the experiment machinery (unknown target,
     bad scale) happens in the child and surfaces as a failed job;
-    this catches the structural mistakes at the submission boundary.
+    this catches structural mistakes and bad execution options at the
+    submission boundary, before any job child forks.
     """
     if not isinstance(spec, dict):
         raise ServiceError("a job spec must be a JSON object")
@@ -93,6 +98,11 @@ def validate_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
     env = spec.get("env")
     if env is not None and not isinstance(env, dict):
         raise ServiceError("spec 'env' must be an object of strings")
+    options = {k: v for k, v in spec.items() if k in EXECUTION_OPTIONS}
+    try:
+        CampaignConfig.from_options(**options)
+    except (CampaignError, TypeError, ValueError) as exc:
+        raise ServiceError(f"bad job spec: {exc}") from None
     return spec
 
 
@@ -171,25 +181,17 @@ def _run_experiment(
     from repro.experiments.context import ExperimentContext
     from repro.experiments.runner import EXPERIMENTS
 
-    ctx = ExperimentContext(
-        scale=str(spec.get("scale", "test")),
-        seed=int(spec.get("seed", 2002)),
-        target=str(spec.get("target", "arrestment")),
+    values = {key: spec[key] for key in submittable_keys() if key in spec}
+    values.setdefault("scale", "test")
+    values.update(
         jobs=width,
-        backend=spec.get("backend"),
         resume=True,
         checkpoint_dir=os.path.join(job_dir, "ckpt"),
-        task_timeout=spec.get("task_timeout"),
-        retries=spec.get("retries"),
         event_log=os.path.join(job_dir, "events.jsonl"),
-        batch_width=int(spec.get("batch_width", 0)),
-        audit_fraction=float(spec.get("audit_fraction", 0.0)),
-        integrity_policy=spec.get("integrity_policy"),
-        adaptive=bool(spec.get("adaptive", False)),
-        store_backend=spec.get("store"),
         results_db=results_db,
         run_name=spec.get("run_name") or f"job{job_id}",
     )
+    ctx = ExperimentContext(**values)
     result = EXPERIMENTS[spec["experiment"]](ctx)
     telemetry: Dict[str, Any] = {}
     for campaign, t in ctx.telemetries.items():

@@ -59,3 +59,24 @@ def ctx():
     one permeability / detection / memory campaign each.
     """
     return ExperimentContext(scale="test", seed=2002)
+
+
+@pytest.fixture
+def option_values():
+    """One valid, non-default value per declared execution option."""
+    return {
+        "store": "sqlite",
+        "task_timeout": 12.5,
+        "retries": 3,
+        "fast_forward": False,
+        "checkpoint_stride": 128,
+        "integrity_policy": "strict",
+        "audit_fraction": 0.25,
+        "audit_seed": 11,
+        "adaptive": True,
+        "ci_level": 0.9,
+        "ci_halfwidth": 0.1,
+        "min_batch": 2,
+        "max_runs": 7,
+        "batch_width": 16,
+    }

@@ -51,7 +51,8 @@ def two_cases(test_cases):
     return [test_cases[4], test_cases[20]]
 
 
-def _config(jobs=1, checkpoint=None, integrity=None, adaptive=False,
+def _config(jobs=1, checkpoint=CheckpointPolicy(),
+            integrity=IntegrityPolicy(), adaptive=False,
             retries=1, pool_watchdog_s=None, **sampling):
     """No retry back-off; *adaptive* and *sampling* fill the
     :class:`AdaptivePolicy`."""

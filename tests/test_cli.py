@@ -4,6 +4,7 @@ import pytest
 
 from repro.__main__ import main as repro_main
 from repro.experiments.__main__ import main as experiments_main
+from repro.fi.executor import EXECUTION_OPTIONS
 
 
 class TestTopLevelCLI:
@@ -156,12 +157,85 @@ class TestExperimentsCLI:
             "--audit-seed", "11", "--integrity-policy", "strict",
         ])
         config = context_from_args(args).campaign_config("detection")
-        assert config.audit_fraction == 0.25
-        assert config.audit_seed == 11
-        assert config.integrity_policy == "strict"
+        assert config.integrity.audit_fraction == 0.25
+        assert config.integrity.audit_seed == 11
+        assert config.integrity.policy == "strict"
 
     def test_bad_integrity_policy_rejected(self):
         with pytest.raises(SystemExit):
             experiments_main(
                 ["table3", "--integrity-policy", "paranoid"]
             )
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--scale", "galactic"), ("--target", "nonsense")]
+    )
+    def test_direct_command_rejects_bad_choice(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["table3", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"invalid choice: '{value}'" in err
+
+    def test_bad_repro_scale_spares_other_commands(self, monkeypatch):
+        # the shared parser builds for every experiment subcommand;
+        # REPRO_SCALE is only resolved when a context is built
+        monkeypatch.setenv("REPRO_SCALE", "huge")
+        assert repro_main(["simulate", "--case", "0"]) == 0
+
+
+class _Rendered:
+    def render(self):
+        return ""
+
+
+@pytest.mark.parametrize("name", list(EXECUTION_OPTIONS))
+def test_option_reaches_its_policy_field_by_every_route(
+    name, option_values, monkeypatch, tmp_path
+):
+    """``python -m repro.experiments``, ``repro table1``, a ``repro
+    submit`` spec run by the job child, and ``ExperimentContext``
+    all land the option on its policy field."""
+    from repro.experiments import runner
+    from repro.experiments.context import ExperimentContext
+    from repro.service import scheduler
+
+    option = EXECUTION_OPTIONS[name]
+    value = option_values[name]
+    flags = [option.flag] if option.type is bool else [option.flag, str(value)]
+    contexts = []
+
+    def capture(ctx, *args, **kwargs):
+        contexts.append(ctx)
+        return _Rendered()
+
+    monkeypatch.setattr("repro.experiments.__main__.run_all", capture)
+    monkeypatch.setitem(runner.EXPERIMENTS, "table1", capture)
+    assert experiments_main(["--scale", "test", *flags]) == 0
+    assert repro_main(["table1", "--scale", "test", *flags]) == 0
+
+    specs = []
+
+    class Client:
+        def __init__(self, spool):
+            pass
+
+        def submit(self, spec):
+            specs.append(scheduler.validate_spec(spec))
+            return {"job": 1}
+
+    monkeypatch.setattr("repro.service.ServiceClient", Client)
+    assert repro_main(
+        ["submit", "table1", "--spool", str(tmp_path), *flags]
+    ) == 0
+    assert specs[0][name] == value
+    scheduler._run_experiment(
+        1, specs[0], str(tmp_path), 1, str(tmp_path / "results.db")
+    )
+    contexts.append(ExperimentContext(scale="test", **{name: value}))
+
+    assert len(contexts) == 4
+    for ctx in contexts:
+        policy = getattr(ctx.campaign_config("permeability"), option.policy)
+        assert getattr(policy, option.field) == value

@@ -227,8 +227,8 @@ class TestCampaignCheckpointing:
 # ======================================================================
 # Fault tolerance: retries, quarantine, timeouts, broken pools.
 # ======================================================================
-def _fast_config(jobs=1, checkpoint=None, event_log_path=None,
-                 **fault_tolerance):
+def _fast_config(jobs=1, checkpoint=CheckpointPolicy(),
+                 event_log_path=None, **fault_tolerance):
     """No retry back-off; *fault_tolerance* sets the other
     :class:`FaultTolerancePolicy` fields."""
     return CampaignConfig(

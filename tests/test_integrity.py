@@ -150,9 +150,9 @@ class TestRunDigest:
 class TestIntegrityConfig:
     def test_defaults(self):
         config = CampaignConfig()
-        assert config.audit_fraction == 0.0
-        assert config.audit_seed is None
-        assert config.integrity_policy == "repair"
+        assert config.integrity.audit_fraction == 0.0
+        assert config.integrity.audit_seed is None
+        assert config.integrity.policy == "repair"
 
     def test_validation(self):
         with pytest.raises(CampaignError):

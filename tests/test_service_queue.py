@@ -169,9 +169,26 @@ class TestCountersAndDepth:
 
 
 class TestValidateSpec:
-    def test_accepts_known_keys(self):
-        spec = {"experiment": "table1", "jobs": 4, "env": {"A": "1"}}
+    def test_accepts_known_keys(self, option_values):
+        spec = {
+            "experiment": "table1", "env": {"A": "1"}, "scale": "test",
+            "seed": 7, "target": "watertank", "jobs": 4,
+            "backend": "process", "run_name": "r", **option_values,
+        }
         assert validate_spec(spec) is spec
+
+    @pytest.mark.parametrize("bad", [
+        {"batch_width": -1},
+        {"integrity_policy": "paranoid"},
+        {"retries": -3},
+        {"retries": "3"},
+        {"ci_level": "high"},
+        {"audit_seed": 1.5},
+        {"fast_forward": "no"},
+    ])
+    def test_rejects_bad_option_values(self, bad):
+        with pytest.raises(ServiceError, match="bad job spec"):
+            validate_spec({"experiment": "table1", **bad})
 
     def test_rejects_unknown_key(self):
         with pytest.raises(ServiceError, match="targt"):

@@ -322,7 +322,8 @@ class TestCheckpointStore:
 # Campaign-level A/B: fast-forward on vs off (the tentpole contract).
 # ======================================================================
 class TestCampaignFastForwardAB:
-    def config(self, ff, jobs=1, checkpoint=None, **fastforward):
+    def config(self, ff, jobs=1, checkpoint=CheckpointPolicy(),
+               **fastforward):
         return CampaignConfig(
             seed=7, jobs=jobs, checkpoint=checkpoint,
             fastforward=FastForwardPolicy(enabled=ff, **fastforward),
@@ -534,14 +535,14 @@ class TestTrackPool:
         assert not pool.publish(test_cases[4].case_id, track)
         assert pool.get(test_cases[4].case_id) is None
 
-    def test_campaign_bit_identical_pool_on_off(self, two_cases):
+    def test_campaign_bit_identical_pool_on_off(self, two_cases, monkeypatch):
         specs = list(EA_BY_NAME.values())
 
-        def run(**kwargs):
+        def run():
             campaign = DetectionCampaign(
                 factory, two_cases, specs,
                 runs_per_signal=3, targets=["ADC", "TCNT"],
-                config=CampaignConfig(seed=7, **kwargs),
+                config=CampaignConfig(seed=7),
             )
             result = campaign.run()
             return (
@@ -549,39 +550,28 @@ class TestTrackPool:
                 result.run_records, result.run_latencies,
             ), campaign.telemetry
 
-        on, t_on = run(track_pool=True)
-        off, t_off = run(track_pool=False)
+        on, t_on = run()
+        # a host without shared memory keeps the dict tracks
+        monkeypatch.setattr(
+            "repro.fi.snapshot.shm_available", lambda: False
+        )
+        off, t_off = run()
         assert on == off
         # both runs really fast-forwarded (the pool changes where the
         # checkpoint bytes live, not whether restores happen)
         assert t_on.ff_restores > 0
         assert t_off.ff_restores > 0
 
-    def test_env_kill_switch_disables_pool(self, test_cases, monkeypatch):
-        from repro.fi.snapshot import FastForward
-
-        monkeypatch.setenv("REPRO_NO_TRACK_POOL", "1")
-        engine = FastForward(factory, "arrestment")
-        assert not engine.track_pool_enabled
-        assert engine.pooled_tracks == 0
-        monkeypatch.delenv("REPRO_NO_TRACK_POOL")
-        assert FastForward(factory, "arrestment").track_pool_enabled
-
-    def test_policy_flag_disables_pool(self, test_cases):
-        from repro.fi.snapshot import FastForward
-
-        config = CampaignConfig(track_pool=False)
-        engine = FastForward(factory, "arrestment", config=config)
-        assert not engine.track_pool_enabled
-
     def test_preload_fills_the_pool(self, two_cases):
         from repro.fi.snapshot import CheckpointStore, FastForward
+        from repro.fi.shm import shm_available
 
-        engine = FastForward(
-            factory, "arrestment", store=CheckpointStore(max_tracks=4)
-        )
-        if not engine.track_pool_enabled:
+        if not shm_available():
             pytest.skip("shared memory unavailable")
+        engine = FastForward(
+            factory, "arrestment", CampaignConfig(),
+            store=CheckpointStore(max_tracks=4),
+        )
         engine.preload(two_cases)
         assert engine.pooled_tracks == len(two_cases)
         for case in two_cases:
@@ -600,12 +590,10 @@ class TestConfigKnobs:
 
         ctx = ExperimentContext(
             scale="test", fast_forward=False, checkpoint_stride=512,
-            track_pool=False,
         )
         config = ctx.campaign_config("detection")
-        assert config.fast_forward is False
-        assert config.checkpoint_stride == 512
-        assert config.fastforward.track_pool is False
+        assert config.fastforward.enabled is False
+        assert config.fastforward.checkpoint_stride == 512
 
     def test_cli_flags_reach_the_context(self):
         from repro.experiments.__main__ import (
@@ -617,10 +605,8 @@ class TestConfigKnobs:
         parser = argparse.ArgumentParser()
         add_execution_options(parser)
         args = parser.parse_args(
-            ["--no-fast-forward", "--checkpoint-stride", "128",
-             "--no-track-pool"]
+            ["--no-fast-forward", "--checkpoint-stride", "128"]
         )
         ctx = context_from_args(args)
-        assert ctx.fast_forward is False
-        assert ctx.checkpoint_stride == 128
-        assert ctx.track_pool is False
+        assert ctx.config.fastforward.enabled is False
+        assert ctx.config.fastforward.checkpoint_stride == 128

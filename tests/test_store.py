@@ -3,9 +3,8 @@
 The core contracts under test: the sqlite backend is a drop-in
 replacement for the legacy JSON checkpoint files (bit-identical
 campaign results, identical resume schedules, identical integrity
-outcomes), a legacy checkpoint migrates into the database losslessly,
-and the deprecated flat-config/serialization entry points keep working
-behind their warning shims.
+outcomes), and a legacy checkpoint migrates into the database
+losslessly.
 """
 
 import json
@@ -30,11 +29,8 @@ from repro.fi import (
     PermeabilityCampaign,
     SqliteResultStore,
     backend_for_path,
-    load_json,
     open_store,
-    save_json,
 )
-from repro.fi import serialization
 from repro.target.simulation import ArrestmentSimulator
 
 BACKENDS = ("json", "sqlite")
@@ -474,45 +470,9 @@ class TestResultPersistence:
 
 
 class TestDeprecationShims:
-    def test_save_load_json_still_work_and_warn_once(
-        self, two_cases, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(serialization, "_shim_warned", False)
-        estimate = PermeabilityCampaign(
-            factory, two_cases, runs_per_input=2, seed=7
-        ).run()
-        path = tmp_path / "estimate.json"
-        with pytest.warns(DeprecationWarning, match="save_json"):
-            save_json(estimate, path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # warn-once: no second warning
-            loaded = load_json(path)
-        assert loaded.values == estimate.values
-
-    def test_flat_config_kwargs_warn(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="checkpoint_path"):
-            config = CampaignConfig(
-                checkpoint_path=str(tmp_path / "cp.json"),
-                checkpoint_every=2,
-            )
-        assert config.checkpoint.path == str(tmp_path / "cp.json")
-        assert config.checkpoint.every == 2
-        # the read-side flat aliases stay warning-free
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert config.checkpoint_path == config.checkpoint.path
-            assert config.checkpoint_every == 2
-
     def test_nested_config_does_not_warn(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             CampaignConfig(
                 checkpoint=CheckpointPolicy(path=str(tmp_path / "cp.json"))
-            )
-
-    def test_flat_conflicts_with_nested(self, tmp_path):
-        with pytest.raises(CampaignError, match="conflicts"):
-            CampaignConfig(
-                checkpoint=CheckpointPolicy(path="a.json"),
-                checkpoint_path="b.json",
             )

@@ -17,7 +17,7 @@ from repro.fi.campaign import (
     PermeabilityCampaign,
     RecoveryCampaign,
 )
-from repro.fi.executor import CampaignConfig
+from repro.fi.executor import CampaignConfig, VectorPolicy
 from repro.fi.memory import MemoryMap
 from repro.fi.vector import (
     BatchRunner,
@@ -384,6 +384,10 @@ class TestArrestmentKernel:
         assert delta[3] > 0
 
 
+#: the batched side of the campaign A/B tests (the scalar side is None)
+BATCHED = CampaignConfig(vector=VectorPolicy(batch_width=32))
+
+
 class TestCampaignAB:
     """Whole campaigns: batch_width on vs off is invisible in results."""
 
@@ -395,7 +399,7 @@ class TestCampaignAB:
             ).run()
             return estimate.direct_counts, estimate.active_runs
 
-        assert run(None) == run(CampaignConfig(batch_width=32))
+        assert run(None) == run(BATCHED)
 
     def test_tank_detection_identical(self, tank_cases):
         def run(config):
@@ -408,7 +412,7 @@ class TestCampaignAB:
                 result.run_records, result.run_latencies,
             )
 
-        assert run(None) == run(CampaignConfig(batch_width=32))
+        assert run(None) == run(BATCHED)
 
     def test_tank_memory_identical(self, tank_cases):
         def run(config):
@@ -421,7 +425,7 @@ class TestCampaignAB:
                 for r in result.records
             ]
 
-        assert run(None) == run(CampaignConfig(batch_width=32))
+        assert run(None) == run(BATCHED)
 
     def test_tank_recovery_identical(self, tank_cases):
         def run(config):
@@ -438,13 +442,13 @@ class TestCampaignAB:
                 for o in result.outcomes
             ]
 
-        assert run(None) == run(CampaignConfig(batch_width=32))
+        assert run(None) == run(BATCHED)
 
     def test_telemetry_counts_batched_rows(self, tank_cases):
         campaign = DetectionCampaign(
             tank_factory, tank_cases, tank_assertions(),
             runs_per_signal=8, seed=11,
-            config=CampaignConfig(batch_width=32),
+            config=BATCHED,
         )
         campaign.run()
         telemetry = campaign.telemetry
@@ -458,7 +462,7 @@ class TestCampaignAB:
         group counts reach the telemetry line and run-event log."""
         campaign = MemoryCampaign(
             tank_factory, tank_cases, tank_assertions(),
-            seed=11, config=CampaignConfig(batch_width=32),
+            seed=11, config=BATCHED,
         )
         campaign.run()
         telemetry = campaign.telemetry
@@ -478,7 +482,8 @@ class TestCampaignAB:
         MemoryCampaign(
             tank_factory, tank_cases, tank_assertions(), seed=11,
             config=CampaignConfig(
-                batch_width=32, event_log_path=str(log)
+                event_log_path=str(log),
+                vector=VectorPolicy(batch_width=32),
             ),
         ).run()
         events = [
@@ -503,7 +508,8 @@ class TestCampaignAB:
             return index
 
         assert wrap_runner(
-            "detection", runner, [], None, tank_factory
+            "detection", runner, [],
+            CampaignConfig(vector=VectorPolicy(batch_width=0)), tank_factory,
         ) is runner
         assert wrap_runner(
             "detection", runner, [], CampaignConfig(), tank_factory
@@ -522,7 +528,8 @@ class TestCampaignABProcess:
                 list(EA_BY_NAME.values()),
                 runs_per_signal=6, seed=11,
                 config=CampaignConfig(
-                    backend="process", jobs=2, batch_width=batch_width
+                    backend="process", jobs=2,
+                    vector=VectorPolicy(batch_width=batch_width),
                 ),
             ).run()
             return (
@@ -537,7 +544,8 @@ class TestCampaignABProcess:
             estimate = PermeabilityCampaign(
                 tank_factory, tank_cases, runs_per_input=4, seed=11,
                 config=CampaignConfig(
-                    backend="process", jobs=2, batch_width=batch_width
+                    backend="process", jobs=2,
+                    vector=VectorPolicy(batch_width=batch_width),
                 ),
             ).run()
             return estimate.direct_counts, estimate.active_runs
@@ -549,7 +557,8 @@ class TestCampaignABProcess:
             result = MemoryCampaign(
                 tank_factory, tank_cases, tank_assertions(), seed=11,
                 config=CampaignConfig(
-                    backend="process", jobs=2, batch_width=batch_width
+                    backend="process", jobs=2,
+                    vector=VectorPolicy(batch_width=batch_width),
                 ),
             ).run()
             return [
@@ -565,7 +574,8 @@ class TestCampaignABProcess:
                 arrestment_factory, arrestment_cases,
                 list(EA_BY_NAME.values()), seed=11,
                 config=CampaignConfig(
-                    backend="process", jobs=2, batch_width=batch_width
+                    backend="process", jobs=2,
+                    vector=VectorPolicy(batch_width=batch_width),
                 ),
             ).run()
             return [
