@@ -92,8 +92,8 @@ def test_bench_integrity_audit_overhead(benchmark, ctx):
     print(f"  full replay   : {full_s:.2f} s")
     print(f"  fast-forward  : {ff_s:.2f} s (win {win:.2f} s)")
     print(f"  ff + audit    : {audited_s:.2f} s "
-          f"({telemetry.audits} audits, "
-          f"{telemetry.audit_mismatches} mismatches)")
+          f"({telemetry.counts['audits']} audits, "
+          f"{telemetry.counts['audit_mismatches']} mismatches)")
     print(f"  overhead      : {overhead:.2f} s "
           f"({ratio:.0%} of the ff win)")
 
@@ -105,8 +105,8 @@ def test_bench_integrity_audit_overhead(benchmark, ctx):
         assert other.detections == full.detections
         assert other.run_records == full.run_records
         assert other.run_latencies == full.run_latencies
-    assert telemetry.audit_mismatches == 0
-    assert telemetry.audits > 0
+    assert telemetry.counts["audit_mismatches"] == 0
+    assert telemetry.counts["audits"] > 0
 
     with open("BENCH_integrity.json", "w") as handle:
         json.dump(
@@ -121,8 +121,8 @@ def test_bench_integrity_audit_overhead(benchmark, ctx):
                 "ff_win_s": round(win, 3),
                 "audit_overhead_s": round(overhead, 3),
                 "overhead_over_win": round(ratio, 3),
-                "audits": telemetry.audits,
-                "audit_mismatches": telemetry.audit_mismatches,
+                "audits": telemetry.counts["audits"],
+                "audit_mismatches": telemetry.counts["audit_mismatches"],
                 "bit_identical": True,
             },
             handle,

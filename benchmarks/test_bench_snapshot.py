@@ -78,10 +78,10 @@ def test_bench_snapshot_fast_forward(benchmark, ctx):
           f"scale {ctx.scale.name})")
     print(f"  full replay : {full_s:.2f} s")
     print(f"  fast-forward: {ff_s:.2f} s "
-          f"({telemetry.ff_ticks_saved} ticks saved, "
-          f"{telemetry.ff_restores} restores, "
-          f"{telemetry.ff_resyncs} resyncs, "
-          f"{telemetry.ff_tracks} tracks)")
+          f"({telemetry.counts['ff_ticks_skipped']} ticks saved, "
+          f"{telemetry.counts['ff_restores']} restores, "
+          f"{telemetry.counts['ff_resyncs']} resyncs, "
+          f"{telemetry.counts['ff_tracks_recorded']} tracks)")
     print(f"  speedup     : {speedup:.2f}x")
 
     # the core contract holds at any scale: bit-identical results
@@ -90,7 +90,7 @@ def test_bench_snapshot_fast_forward(benchmark, ctx):
     assert fast.detections == full.detections
     assert fast.run_records == full.run_records
     assert fast.run_latencies == full.run_latencies
-    assert telemetry.ff_ticks_saved > 0
+    assert telemetry.counts["ff_ticks_skipped"] > 0
 
     with open("BENCH_snapshot.json", "w") as handle:
         json.dump(
@@ -102,10 +102,10 @@ def test_bench_snapshot_fast_forward(benchmark, ctx):
                 "fast_forward_s": round(ff_s, 3),
                 "speedup": round(speedup, 2),
                 "bit_identical": True,
-                "ff_ticks_saved": telemetry.ff_ticks_saved,
-                "ff_restores": telemetry.ff_restores,
-                "ff_resyncs": telemetry.ff_resyncs,
-                "ff_tracks": telemetry.ff_tracks,
+                "ff_ticks_saved": telemetry.counts["ff_ticks_skipped"],
+                "ff_restores": telemetry.counts["ff_restores"],
+                "ff_resyncs": telemetry.counts["ff_resyncs"],
+                "ff_tracks": telemetry.counts["ff_tracks_recorded"],
             },
             handle,
             indent=2,

@@ -139,28 +139,29 @@ def test_bench_vector_batch(benchmark, ctx):
 
     campaign, batched = run_once(benchmark, run_batched)
     telemetry = campaign.telemetry
+    counts = telemetry.counts
     batched_s = telemetry.wall_s
     speedup = scalar_s / batched_s if batched_s > 0 else 0.0
 
     # bit-identity, serial backend
     assert _digest(batched) == _digest(scalar)
-    assert telemetry.vec_rows > 0
-    assert telemetry.vec_batched_ticks > 0
+    assert counts["vec_rows"] > 0
+    assert counts["vec_batched_ticks"] > 0
 
     # bit-identity, process backend (groups computed whole in workers)
     pool_campaign = _campaign(ctx, BATCH_WIDTH, backend="process", jobs=2)
     pooled = pool_campaign.run()
     assert _digest(pooled) == _digest(scalar)
-    assert pool_campaign.telemetry.vec_rows > 0
+    assert pool_campaign.telemetry.counts["vec_rows"] > 0
 
     print()
     print(f"vector bench (batch width {BATCH_WIDTH}, "
           f"scale {ctx.scale.name})")
     print(f"  scalar full replay: {scalar_s:.2f} s")
     print(f"  vectorized        : {batched_s:.2f} s "
-          f"({telemetry.vec_rows} rows in {telemetry.vec_groups} groups, "
-          f"{telemetry.vec_batched_ticks} batched ticks, "
-          f"{telemetry.vec_retired_rows} retired)")
+          f"({counts['vec_rows']} rows in {counts['vec_groups']} groups, "
+          f"{counts['vec_batched_ticks']} batched ticks, "
+          f"{counts['vec_retired_rows']} retired)")
     print(f"  speedup           : {speedup:.2f}x")
 
     _record_bench(
@@ -175,12 +176,12 @@ def test_bench_vector_batch(benchmark, ctx):
             "speedup": round(speedup, 2),
             "bit_identical_serial": True,
             "bit_identical_process": True,
-            "vec_rows": telemetry.vec_rows,
-            "vec_groups": telemetry.vec_groups,
-            "vec_batched_ticks": telemetry.vec_batched_ticks,
-            "vec_retired_rows": telemetry.vec_retired_rows,
+            "vec_rows": counts["vec_rows"],
+            "vec_groups": counts["vec_groups"],
+            "vec_batched_ticks": counts["vec_batched_ticks"],
+            "vec_retired_rows": counts["vec_retired_rows"],
             "vec_occupancy": round(telemetry.vec_occupancy, 3),
-            "vec_cross_case_groups": telemetry.vec_cross_case_groups,
+            "vec_cross_case_groups": counts["vec_cross_case_groups"],
         },
     )
 
@@ -219,15 +220,16 @@ def test_bench_vector_memory(benchmark, ctx):
 
     campaign, batched = run_once(benchmark, run_batched)
     telemetry = campaign.telemetry
+    counts = telemetry.counts
     batched_s = telemetry.wall_s
     speedup = scalar_s / batched_s if batched_s > 0 else 0.0
 
     # bit-identity, serial backend
     assert _mem_digest(batched) == _mem_digest(scalar)
-    assert telemetry.vec_rows > 0
-    assert telemetry.vec_batched_ticks > 0
+    assert counts["vec_rows"] > 0
+    assert counts["vec_batched_ticks"] > 0
     # the whole sweep rides in cross-case groups
-    assert telemetry.vec_cross_case_groups >= 1
+    assert counts["vec_cross_case_groups"] >= 1
 
     # bit-identity, process backend (groups computed whole in workers)
     pool_campaign = _mem_campaign(
@@ -235,7 +237,7 @@ def test_bench_vector_memory(benchmark, ctx):
     )
     pooled = pool_campaign.run()
     assert _mem_digest(pooled) == _mem_digest(scalar)
-    assert pool_campaign.telemetry.vec_rows > 0
+    assert pool_campaign.telemetry.counts["vec_rows"] > 0
 
     occupancy = telemetry.vec_occupancy
     print()
@@ -243,10 +245,10 @@ def test_bench_vector_memory(benchmark, ctx):
           f"scale {ctx.scale.name}, {len(locations)} locations)")
     print(f"  scalar full replay: {scalar_s:.2f} s")
     print(f"  vectorized        : {batched_s:.2f} s "
-          f"({telemetry.vec_rows} rows in {telemetry.vec_groups} groups, "
+          f"({counts['vec_rows']} rows in {counts['vec_groups']} groups, "
           f"{100 * occupancy:.1f}% occupancy, "
-          f"{telemetry.vec_cross_case_groups} cross-case, "
-          f"{telemetry.vec_retired_rows} retired)")
+          f"{counts['vec_cross_case_groups']} cross-case, "
+          f"{counts['vec_retired_rows']} retired)")
     print(f"  speedup           : {speedup:.2f}x")
 
     _record_bench(
@@ -262,12 +264,12 @@ def test_bench_vector_memory(benchmark, ctx):
             "speedup": round(speedup, 2),
             "bit_identical_serial": True,
             "bit_identical_process": True,
-            "vec_rows": telemetry.vec_rows,
-            "vec_groups": telemetry.vec_groups,
-            "vec_batched_ticks": telemetry.vec_batched_ticks,
-            "vec_retired_rows": telemetry.vec_retired_rows,
+            "vec_rows": counts["vec_rows"],
+            "vec_groups": counts["vec_groups"],
+            "vec_batched_ticks": counts["vec_batched_ticks"],
+            "vec_retired_rows": counts["vec_retired_rows"],
             "vec_occupancy": round(occupancy, 3),
-            "vec_cross_case_groups": telemetry.vec_cross_case_groups,
+            "vec_cross_case_groups": counts["vec_cross_case_groups"],
         },
     )
 
@@ -324,22 +326,23 @@ def test_bench_vector_permeability(benchmark, ctx):
 
     campaign, batched, batched_s = run_once(benchmark, run_batched)
     telemetry = campaign.telemetry
+    counts = telemetry.counts
     speedup = scalar_s / batched_s if batched_s > 0 else 0.0
 
     # bit-identity, serial and process backends
     assert _perm_digest(batched) == _perm_digest(scalar)
     assert _perm_digest(pooled) == _perm_digest(scalar)
-    assert telemetry.vec_rows > 0
-    assert pool_campaign.telemetry.vec_rows > 0
+    assert counts["vec_rows"] > 0
+    assert pool_campaign.telemetry.counts["vec_rows"] > 0
 
     print()
     print(f"vector permeability bench (batch width {BATCH_WIDTH}, "
           f"scale {ctx.scale.name}, {ctx.target.name})")
     print(f"  scalar fast-forward: {scalar_s:.2f} s")
     print(f"  vectorized         : {batched_s:.2f} s "
-          f"({telemetry.vec_rows} rows in {telemetry.vec_groups} groups, "
+          f"({counts['vec_rows']} rows in {counts['vec_groups']} groups, "
           f"{100 * telemetry.vec_occupancy:.1f}% occupancy, "
-          f"{telemetry.vec_retired_rows} retired)")
+          f"{counts['vec_retired_rows']} retired)")
     print(f"  speedup            : {speedup:.2f}x "
           f"(target {PERM_TARGET_SPEEDUP:.0f}x "
           f"{'met' if speedup >= PERM_TARGET_SPEEDUP else 'not met'})")
@@ -357,12 +360,12 @@ def test_bench_vector_permeability(benchmark, ctx):
             "target_speedup": PERM_TARGET_SPEEDUP,
             "bit_identical_serial": True,
             "bit_identical_process": True,
-            "vec_rows": telemetry.vec_rows,
-            "vec_groups": telemetry.vec_groups,
-            "vec_batched_ticks": telemetry.vec_batched_ticks,
-            "vec_retired_rows": telemetry.vec_retired_rows,
+            "vec_rows": counts["vec_rows"],
+            "vec_groups": counts["vec_groups"],
+            "vec_batched_ticks": counts["vec_batched_ticks"],
+            "vec_retired_rows": counts["vec_retired_rows"],
             "vec_occupancy": round(telemetry.vec_occupancy, 3),
-            "vec_cross_case_groups": telemetry.vec_cross_case_groups,
+            "vec_cross_case_groups": counts["vec_cross_case_groups"],
         },
     )
 

@@ -34,7 +34,9 @@ fixed-n path on any backend.
 Per-stratum spend, savings and stop reasons are recorded in
 :class:`~repro.fi.executor.CampaignTelemetry` (``runs_saved``,
 ``stop_reasons``) and in the run-event log (``stratum_stop`` and
-``adaptive_summary`` events).
+``adaptive_summary`` events).  Each round's telemetry folds into the
+campaign's: run fields add up, and so does every registered layer
+counter in ``counts`` (:mod:`repro.fi.counters`), whatever it is.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from repro.analysis.intervals import (
     wilson_halfwidth,
 )
 from repro.errors import CampaignError
+from repro.fi import counters
 from repro.fi.executor import (
     CampaignConfig,
     CampaignExecutor,
@@ -72,6 +75,19 @@ __all__ = [
     "AdaptiveSampler",
     "stopping_rule_from",
 ]
+
+#: run fields the campaign aggregate sums over its rounds
+_SUMMED = (
+    "executed_runs", "resumed_runs", "wall_s", "busy_s", "retries",
+    "failures", "timeouts", "pool_respawns", "drift_events",
+    "checkpoint_rejects",
+)
+#: golden-cache and store figures count over the executor's lifetime,
+#: so the latest round's values already cover the whole campaign
+_LATEST = (
+    "cache_hits", "cache_misses", "store_backend", "store_flushes",
+    "store_flushes_skipped", "store_records_written", "store_bytes_written",
+)
 
 
 class _Skipped:
@@ -282,40 +298,13 @@ class AdaptiveSampler:
     def _fold_round(
         self, aggregate: CampaignTelemetry, round_telemetry: CampaignTelemetry
     ) -> None:
-        aggregate.executed_runs += round_telemetry.executed_runs
-        aggregate.resumed_runs += round_telemetry.resumed_runs
-        aggregate.wall_s += round_telemetry.wall_s
-        aggregate.busy_s += round_telemetry.busy_s
-        aggregate.retries += round_telemetry.retries
-        aggregate.failures += round_telemetry.failures
-        aggregate.timeouts += round_telemetry.timeouts
-        aggregate.pool_respawns += round_telemetry.pool_respawns
+        for name in _SUMMED:
+            total = getattr(aggregate, name) + getattr(round_telemetry, name)
+            setattr(aggregate, name, total)
+        for name in _LATEST:
+            setattr(aggregate, name, getattr(round_telemetry, name))
         aggregate.degraded = aggregate.degraded or round_telemetry.degraded
-        aggregate.ff_restores += round_telemetry.ff_restores
-        aggregate.ff_resyncs += round_telemetry.ff_resyncs
-        aggregate.ff_ticks_saved += round_telemetry.ff_ticks_saved
-        aggregate.ff_tracks += round_telemetry.ff_tracks
-        aggregate.audits += round_telemetry.audits
-        aggregate.audit_mismatches += round_telemetry.audit_mismatches
-        aggregate.audit_repairs += round_telemetry.audit_repairs
-        aggregate.drift_events += round_telemetry.drift_events
-        aggregate.checkpoint_rejects += round_telemetry.checkpoint_rejects
-        # the executor's golden-cache counters are cumulative since its
-        # construction, so the latest round's values already cover the
-        # whole campaign
-        aggregate.cache_hits = round_telemetry.cache_hits
-        aggregate.cache_misses = round_telemetry.cache_misses
-        # store statistics are cumulative over the executor's store
-        # instance, which every round shares — assign, don't sum
-        aggregate.store_backend = round_telemetry.store_backend
-        aggregate.store_flushes = round_telemetry.store_flushes
-        aggregate.store_flushes_skipped = (
-            round_telemetry.store_flushes_skipped
-        )
-        aggregate.store_records_written = (
-            round_telemetry.store_records_written
-        )
-        aggregate.store_bytes_written = round_telemetry.store_bytes_written
+        counters.add(aggregate.counts, round_telemetry.counts)
 
     # ------------------------------------------------------------------
     def run(

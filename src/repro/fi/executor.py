@@ -77,9 +77,10 @@ Result integrity
 The executor carries the runtime self-checking layer of
 :mod:`repro.fi.integrity`: per-record checkpoint digests (above),
 sampled audit replay (campaign drivers wrap their task function in a
-:class:`~repro.fi.integrity.RunAuditor`; the executor ships audit
-counters and :class:`~repro.fi.integrity.IntegrityViolation` records
-home from pool workers in-band), and worker drift sentinels — before
+:class:`~repro.fi.integrity.RunAuditor`; the executor ships
+layer-counter deltas (:mod:`repro.fi.counters`) and
+:class:`~repro.fi.integrity.IntegrityViolation` records home from
+pool workers in-band), and worker drift sentinels — before
 dispatching tasks to a fresh pool, every worker digests a locally
 computed golden run and the parent compares the digests against its
 own, treating any divergence as a broken pool (respawn, then degrade
@@ -99,7 +100,7 @@ import signal
 import threading
 import time
 import typing
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from dataclasses import field as dataclasses_field
@@ -116,17 +117,16 @@ from typing import (
 )
 
 from repro.errors import CampaignError, IntegrityError
+from repro.fi import counters
 from repro.fi.golden import GoldenRun, GoldenRunStore
 from repro.fi.integrity import (
     DEFAULT_POLICY,
     POLICIES,
     IntegrityViolation,
     drain_violations,
-    integrity_stats,
 )
-from repro.fi.snapshot import DEFAULT_CHECKPOINT_STRIDE, ff_stats
+from repro.fi.snapshot import DEFAULT_CHECKPOINT_STRIDE
 from repro.fi.store import STORE_BACKENDS, ResultStore, open_store
-from repro.fi.vector import vector_stats
 
 __all__ = [
     "BACKENDS",
@@ -698,6 +698,11 @@ class TaskFailure:
 # ======================================================================
 # Run-event log.
 # ======================================================================
+#: records a :class:`RunEventLog` failed to write (file or sink): a
+#: failed write is counted, never allowed to take the campaign down.
+event_stats = counters.Counters("events_", "dropped")
+
+
 class RunEventLog:
     """Append-only JSONL log of campaign run events.
 
@@ -760,12 +765,12 @@ class RunEventLog:
                 if self._fsync:
                     os.fsync(self._handle.fileno())
             except (OSError, ValueError):
-                pass  # never let observability take the campaign down
+                event_stats.dropped += 1
         if self.sink is not None:
             try:
                 self.sink.log_event(record)
             except Exception:
-                pass  # observability must never take the campaign down
+                event_stats.dropped += 1
 
     def close(self) -> None:
         if self._handle is not None:
@@ -804,22 +809,6 @@ class CampaignTelemetry:
     #: True once the pool could not be rebuilt and the remaining
     #: tasks ran on the serial backend.
     degraded: bool = False
-    #: injected runs started from a restored golden checkpoint.
-    ff_restores: int = 0
-    #: injected runs that reconverged with the golden run and exited
-    #: early (suffix skipped).
-    ff_resyncs: int = 0
-    #: simulation ticks skipped by fast-forwarding (prefix + suffix).
-    ff_ticks_saved: int = 0
-    #: checkpoint tracks recorded (one extra golden-style run each).
-    ff_tracks: int = 0
-    #: sampled runs re-executed full-length for the audit replay.
-    audits: int = 0
-    #: audited runs whose full replay diverged from the fast-forward
-    #: result (each one is a recorded :class:`IntegrityViolation`).
-    audit_mismatches: int = 0
-    #: mismatched runs healed by adopting the full-replay result.
-    audit_repairs: int = 0
     #: pools torn down because a worker's golden digest diverged.
     drift_events: int = 0
     #: checkpoint records dropped on load after a digest mismatch.
@@ -835,24 +824,11 @@ class CampaignTelemetry:
     #: payload bytes the store wrote (whole-document rewrites for the
     #: JSON backend, streamed inserts for sqlite).
     store_bytes_written: int = 0
-    #: runs answered by the vectorized batch core.
-    vec_rows: int = 0
-    #: task groups the vectorized core advanced together.
-    vec_groups: int = 0
-    #: row-ticks advanced in lockstep (rows x ticks, summed).
-    vec_batched_ticks: int = 0
-    #: rows retired from a batch to the scalar path after their
-    #: control flow diverged from the golden trace.
-    vec_retired_rows: int = 0
-    #: batch-eligible tasks that fell back to the scalar runner
-    #: (audit-selected, chaos env, retired, or unsupported).
-    vec_scalar_fallbacks: int = 0
-    #: groups whose rows span more than one test case (cross-case
-    #: batching sharing one lockstep pass over several goldens).
-    vec_cross_case_groups: int = 0
-    #: total row slots the dispatched groups offered (groups x width);
-    #: ``vec_rows / vec_group_capacity`` is the group occupancy.
-    vec_group_capacity: int = 0
+    #: every registered layer counter over the run (zero included),
+    #: keyed as :func:`repro.fi.counters.snapshot` names them.
+    counts: Dict[str, int] = dataclasses_field(
+        default_factory=lambda: dict.fromkeys(counters.snapshot(), 0)
+    )
     #: True when the run was scheduled by the adaptive sampler.
     adaptive: bool = False
     #: strata the adaptive sampler scheduled.
@@ -871,9 +847,8 @@ class CampaignTelemetry:
     @property
     def vec_occupancy(self) -> float:
         """Fraction of dispatched batch slots that carried a row."""
-        if not self.vec_group_capacity:
-            return 0.0
-        return self.vec_rows / self.vec_group_capacity
+        capacity = self.counts.get("vec_group_capacity", 0)
+        return self.counts.get("vec_rows", 0) / capacity if capacity else 0.0
 
     @property
     def worker_utilization(self) -> float:
@@ -894,6 +869,7 @@ class CampaignTelemetry:
         )
 
     def render(self) -> str:
+        c = defaultdict(int, self.counts)
         text = (
             f"[{self.campaign}] {self.executed_runs}/{self.total_runs} runs"
             f" ({self.resumed_runs} resumed) in {self.wall_s:.2f} s"
@@ -904,20 +880,20 @@ class CampaignTelemetry:
             f" / {self.cache_misses} miss"
             f" ({self.cache_hit_rate:.0%})"
         )
-        if self.ff_restores or self.ff_resyncs or self.ff_tracks:
+        if c["ff_restores"] or c["ff_resyncs"] or c["ff_tracks_recorded"]:
             text += (
-                f" | fast-forward {self.ff_ticks_saved} ticks saved"
-                f" ({self.ff_restores} restores, {self.ff_resyncs} resyncs,"
-                f" {self.ff_tracks} tracks)"
+                f" | fast-forward {c['ff_ticks_skipped']} ticks saved"
+                f" ({c['ff_restores']} restores, {c['ff_resyncs']} resyncs,"
+                f" {c['ff_tracks_recorded']} tracks)"
             )
         if (
-            self.audits or self.audit_mismatches
+            c["audits"] or c["audit_mismatches"]
             or self.drift_events or self.checkpoint_rejects
         ):
             text += (
-                f" | integrity audits={self.audits}"
-                f" mismatches={self.audit_mismatches}"
-                f" repairs={self.audit_repairs}"
+                f" | integrity audits={c['audits']}"
+                f" mismatches={c['audit_mismatches']}"
+                f" repairs={c['audit_repairs']}"
             )
             if self.drift_events:
                 text += f" drift={self.drift_events}"
@@ -931,18 +907,18 @@ class CampaignTelemetry:
                 f" {self.store_records_written} records"
                 f" / {self.store_bytes_written} B"
             )
-        if self.vec_rows or self.vec_groups or self.vec_scalar_fallbacks:
+        if c["vec_rows"] or c["vec_groups"] or c["vec_scalar_fallbacks"]:
             text += (
-                f" | vector {self.vec_rows} rows"
-                f" in {self.vec_groups} groups"
-                f" ({self.vec_batched_ticks} batched ticks,"
-                f" {self.vec_retired_rows} retired,"
-                f" {self.vec_scalar_fallbacks} scalar)"
+                f" | vector {c['vec_rows']} rows"
+                f" in {c['vec_groups']} groups"
+                f" ({c['vec_batched_ticks']} batched ticks,"
+                f" {c['vec_retired_rows']} retired,"
+                f" {c['vec_scalar_fallbacks']} scalar)"
             )
-            if self.vec_group_capacity:
+            if c["vec_group_capacity"]:
                 text += (
                     f" occupancy={self.vec_occupancy:.0%}"
-                    f" cross-case={self.vec_cross_case_groups}"
+                    f" cross-case={c['vec_cross_case_groups']}"
                 )
         if self.adaptive:
             text += (
@@ -963,6 +939,8 @@ class CampaignTelemetry:
             )
             if self.degraded:
                 text += " degraded=serial"
+        if c["events_dropped"]:
+            text += f" | events dropped={c['events_dropped']}"
         return text
 
 
@@ -1225,9 +1203,7 @@ def _execute_attempt(
     """One attempt of one task; errors become in-band payloads."""
     started = time.perf_counter()
     fail_index, _ = active.chaos
-    ff_before = ff_stats.as_tuple()
-    integ_before = integrity_stats.as_tuple()
-    vec_before = vector_stats.as_tuple()
+    counts_before = counters.snapshot()
     # a batched runner answers a whole group of runs from the first
     # task that touches it, so that attempt gets the group's worth of
     # timeout budget
@@ -1241,22 +1217,6 @@ def _execute_attempt(
         with _task_alarm(timeout):
             result = active.runner(index)
         payload: Dict[str, Any] = {"ok": result}
-        # fast-forward savings travel beside the result — never inside
-        # it, so checkpoints and aggregates stay bit-identical whether
-        # fast-forwarding is on or off
-        ff_delta = tuple(
-            after - before
-            for before, after in zip(ff_before, ff_stats.as_tuple())
-        )
-        if any(ff_delta):
-            payload["ff"] = ff_delta
-        # vectorized-core counters travel the same way
-        vec_delta = tuple(
-            after - before
-            for before, after in zip(vec_before, vector_stats.as_tuple())
-        )
-        if any(vec_delta):
-            payload["vec"] = vec_delta
     except _TaskTimeout:
         payload = {
             "err": f"timed out after {timeout:g} s",
@@ -1268,14 +1228,12 @@ def _execute_attempt(
         payload = {"err": str(exc), "kind": "integrity"}
     except Exception as exc:
         payload = {"err": f"{type(exc).__name__}: {exc}", "kind": "exception"}
-    # audit counters and structured violations travel beside the
-    # result, like the fast-forward delta above
-    integ_delta = tuple(
-        after - before
-        for before, after in zip(integ_before, integrity_stats.as_tuple())
-    )
-    if any(integ_delta):
-        payload["integ"] = integ_delta
+    # layer-counter deltas and structured violations travel beside the
+    # result — never inside it, so checkpoints and aggregates stay
+    # bit-identical whatever the execution strategy
+    counts = counters.delta(counts_before, counters.snapshot())
+    if counts:
+        payload["counts"] = counts
     violations = drain_violations()
     if violations:
         payload["viol"] = [violation.to_json() for violation in violations]
@@ -1362,14 +1320,12 @@ class CampaignExecutor:
         self.violations: List[IntegrityViolation] = []
         self._events = RunEventLog(None, campaign)
         self._store: Optional[ResultStore] = None
-        # cache and fast-forward stats count from executor
-        # construction, so golden runs and checkpoint tracks built
-        # while the campaign pre-draws its parameters show up
+        # cache and layer counters count from executor construction,
+        # so golden runs and checkpoint tracks built while the
+        # campaign pre-draws its parameters show up
         self._cache_hits0 = self.cache.hits
         self._cache_misses0 = self.cache.misses
-        self._ff0 = ff_stats.as_tuple()
-        self._integ0 = integrity_stats.as_tuple()
-        self._vec0 = vector_stats.as_tuple()
+        self._counts0 = counters.snapshot()
 
     # ------------------------------------------------------------------
     # The result store.
@@ -1536,47 +1492,6 @@ class CampaignExecutor:
             if since_flush >= config.checkpoint.every:
                 flush_store()
                 since_flush = 0
-
-        def absorb_ff(ff_delta: Optional[Tuple[int, ...]]) -> None:
-            """Fold a pool worker's fast-forward delta into telemetry.
-
-            Only pool results are absorbed this way: in-process work
-            (serial tasks, degraded tasks, track preloads) mutates the
-            parent's ``ff_stats`` directly and is accounted once, as
-            the process-wide delta, when the run finishes.
-            """
-            if ff_delta:
-                telemetry.ff_restores += ff_delta[0]
-                telemetry.ff_resyncs += ff_delta[1]
-                telemetry.ff_ticks_saved += ff_delta[2]
-                telemetry.ff_tracks += ff_delta[3]
-
-        def absorb_integrity(integ_delta: Optional[Tuple[int, ...]]) -> None:
-            """Fold a pool worker's audit counters into telemetry.
-
-            Pool results only, mirroring :func:`absorb_ff`: in-process
-            audits mutate the parent's ``integrity_stats`` directly
-            and are accounted once, as the process-wide delta, when
-            the run finishes.
-            """
-            if integ_delta:
-                telemetry.audits += integ_delta[0]
-                telemetry.audit_mismatches += integ_delta[1]
-                telemetry.audit_repairs += integ_delta[2]
-
-        def absorb_vec(vec_delta: Optional[Tuple[int, ...]]) -> None:
-            """Fold a pool worker's vectorized-core counters into
-            telemetry.  Pool results only, mirroring :func:`absorb_ff`.
-            """
-            if vec_delta:
-                telemetry.vec_batched_ticks += vec_delta[0]
-                telemetry.vec_retired_rows += vec_delta[1]
-                telemetry.vec_groups += vec_delta[2]
-                telemetry.vec_rows += vec_delta[3]
-                telemetry.vec_scalar_fallbacks += vec_delta[4]
-                if len(vec_delta) > 6:
-                    telemetry.vec_cross_case_groups += vec_delta[5]
-                    telemetry.vec_group_capacity += vec_delta[6]
 
         def absorb_violations(payload: Dict) -> None:
             """Collect a task's structured violations (any backend).
@@ -1840,10 +1755,12 @@ class CampaignExecutor:
                             break
                         received += 1
                         for index, payload, busy in results:
-                            absorb_integrity(payload.get("integ"))
+                            # in-process work is counted by the
+                            # run-wide delta in ``finally`` instead
+                            counters.add(
+                                telemetry.counts, payload.get("counts", {})
+                            )
                             if "ok" in payload:
-                                absorb_ff(payload.get("ff"))
-                                absorb_vec(payload.get("vec"))
                                 succeed(index, payload, busy)
                             else:
                                 fail_attempt(index, payload, busy)
@@ -1930,30 +1847,11 @@ class CampaignExecutor:
             telemetry.wall_s = time.perf_counter() - started
             telemetry.cache_hits = self.cache.hits - self._cache_hits0
             telemetry.cache_misses = self.cache.misses - self._cache_misses0
-            ff_now = ff_stats.as_tuple()
-            absorb_ff(
-                tuple(
-                    after - before
-                    for before, after in zip(self._ff0, ff_now)
-                )
+            counts_now = counters.snapshot()
+            counters.add(
+                telemetry.counts, counters.delta(self._counts0, counts_now)
             )
-            self._ff0 = ff_now
-            integ_now = integrity_stats.as_tuple()
-            absorb_integrity(
-                tuple(
-                    after - before
-                    for before, after in zip(self._integ0, integ_now)
-                )
-            )
-            self._integ0 = integ_now
-            vec_now = vector_stats.as_tuple()
-            absorb_vec(
-                tuple(
-                    after - before
-                    for before, after in zip(self._vec0, vec_now)
-                )
-            )
-            self._vec0 = vec_now
+            self._counts0 = counts_now
             # the no-lost-progress guarantee: flush on every exit path
             if store is not None:
                 flush_store()
@@ -1977,15 +1875,10 @@ class CampaignExecutor:
                 timeouts=telemetry.timeouts,
                 respawns=telemetry.pool_respawns,
                 degraded=telemetry.degraded,
-                audits=telemetry.audits,
-                audit_mismatches=telemetry.audit_mismatches,
-                audit_repairs=telemetry.audit_repairs,
                 drift_events=telemetry.drift_events,
                 checkpoint_rejects=telemetry.checkpoint_rejects,
                 violations=len(self.violations),
-                vec_rows=telemetry.vec_rows,
-                vec_groups=telemetry.vec_groups,
-                vec_cross_case_groups=telemetry.vec_cross_case_groups,
+                **telemetry.counts,
                 vec_occupancy=round(telemetry.vec_occupancy, 4),
                 wall_s=round(telemetry.wall_s, 3),
             )

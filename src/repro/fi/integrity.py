@@ -27,9 +27,11 @@ This module verifies it at runtime, cheaply and by sampling:
   digest (FP environment drift, mismatched code) marks the worker's
   pool broken before any of its results are merged.
 
-Counters live in the process-local :data:`integrity_stats` (mirroring
-:data:`~repro.fi.snapshot.ff_stats`); pool workers ship the per-task
-delta — and any structured violations — home beside the task result.
+Audit counters live in :data:`integrity_stats`, an unprefixed
+:class:`~repro.fi.counters.Counters` (keys ``audits``,
+``audit_mismatches``, ``audit_repairs``); pool workers ship the
+per-task delta — and any structured violations — home beside the task
+result.
 """
 
 from __future__ import annotations
@@ -40,14 +42,14 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.errors import IntegrityError
+from repro.fi.counters import Counters
 
 __all__ = [
     "DEFAULT_POLICY",
     "POLICIES",
-    "IntegrityStats",
     "IntegrityViolation",
     "RunAuditor",
     "canonical_digest",
@@ -309,31 +311,8 @@ class IntegrityViolation:
         return text
 
 
-class IntegrityStats:
-    """Process-local integrity counters.
-
-    Module-global like :data:`~repro.fi.snapshot.ff_stats`: forked
-    pool workers mutate their copy, the executor snapshots the
-    counters around each task and ships the delta home beside the
-    task result.
-    """
-
-    __slots__ = ("audits", "audit_mismatches", "audit_repairs")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.audits = 0
-        self.audit_mismatches = 0
-        self.audit_repairs = 0
-
-    def as_tuple(self) -> Tuple[int, int, int]:
-        return (self.audits, self.audit_mismatches, self.audit_repairs)
-
-
 #: the process-wide counters used by all auditing machinery.
-integrity_stats = IntegrityStats()
+integrity_stats = Counters("", "audits", "audit_mismatches", "audit_repairs")
 
 #: violations raised since the last drain; the executor drains this
 #: after every task attempt and ships the records home in-band.
@@ -432,16 +411,13 @@ class RunAuditor:
             return execute(self._replay_ff)
         from repro.fi.snapshot import ff_stats
 
-        before = ff_stats.as_tuple()
+        engaged = ff_stats.restores + ff_stats.resyncs
         result = execute(self._ff)
         if not self.should_audit(index):
             return result
-        delta = tuple(
-            after - b for b, after in zip(before, ff_stats.as_tuple())
-        )
-        # restores / resyncs are positions 0 and 1: a run that never
-        # touched the engine is already a full replay — nothing to audit
-        if delta[0] == 0 and delta[1] == 0:
+        # a run that never touched the engine is already a full
+        # replay — nothing to audit
+        if ff_stats.restores + ff_stats.resyncs == engaged:
             return result
         integrity_stats.audits += 1
         replayed = execute(self._replay_ff)

@@ -46,9 +46,10 @@ the last divergence is redundant too.  This module eliminates both:
   dict path.
 
 Both mechanisms preserve results bit-for-bit; they only trade redundant
-simulation for snapshot comparisons.  ``ff_stats`` counts restores,
-resynchronizations and skipped ticks; the campaign executor folds the
-per-task deltas into :class:`~repro.fi.executor.CampaignTelemetry`.
+simulation for snapshot comparisons.  ``ff_stats``, the ``ff_``
+instance of :class:`~repro.fi.counters.Counters`, counts restores,
+resynchronizations, skipped ticks and recorded tracks; telemetry reads
+it as ``counts["ff_restores"]`` and so on.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.edm.monitors import MonitorBank
 from repro.errors import CampaignError
+from repro.fi.counters import Counters
 from repro.fi.shm import ShmArrayPack, shm_available
 from repro.target.simulation import SignalTraces, SimulatorState
 
@@ -70,7 +72,6 @@ __all__ = [
     "CheckpointTrack",
     "CheckpointStore",
     "FastForward",
-    "FastForwardStats",
     "PooledTrack",
     "TrackPool",
     "checkpoint_cache",
@@ -85,40 +86,10 @@ __all__ = [
 DEFAULT_CHECKPOINT_STRIDE = 64
 
 
-# ======================================================================
-# Statistics.
-# ======================================================================
-class FastForwardStats:
-    """Process-local fast-forward counters.
-
-    Kept module-global (not per-campaign) so forked pool workers can
-    account their savings into a plain object; the executor snapshots
-    the counters around each task and ships the delta home with the
-    task result.
-    """
-
-    __slots__ = ("restores", "resyncs", "ticks_skipped", "tracks_recorded")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.restores = 0
-        self.resyncs = 0
-        self.ticks_skipped = 0
-        self.tracks_recorded = 0
-
-    def as_tuple(self) -> Tuple[int, int, int, int]:
-        return (
-            self.restores,
-            self.resyncs,
-            self.ticks_skipped,
-            self.tracks_recorded,
-        )
-
-
 #: the process-wide counters used by all fast-forward machinery.
-ff_stats = FastForwardStats()
+ff_stats = Counters(
+    "ff_", "restores", "resyncs", "ticks_skipped", "tracks_recorded"
+)
 
 
 # ======================================================================

@@ -57,13 +57,14 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.fi.counters import Counters
+
 try:
     import numpy as np
 except Exception:  # pragma: no cover - numpy ships with the toolchain
     np = None
 
 __all__ = [
-    "VectorStats",
     "vector_stats",
     "RowInjection",
     "VectorRow",
@@ -80,45 +81,12 @@ __all__ = [
 ]
 
 
-# ======================================================================
-# Process-wide counters (mirrors ff_stats / integrity_stats).
-# ======================================================================
-class VectorStats:
-    """Counters of the vectorized core, aggregated into telemetry."""
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        #: row-ticks advanced in batch mode (rows x ticks)
-        self.batched_ticks = 0
-        #: rows retired to the scalar path after dispatch divergence
-        self.retired_rows = 0
-        #: batches computed
-        self.groups = 0
-        #: rows whose outcome came from a batch
-        self.rows = 0
-        #: rows answered by the scalar path (audited, chaos, ungrouped)
-        self.scalar_fallbacks = 0
-        #: computed groups whose rows span more than one test case
-        self.cross_case_groups = 0
-        #: total row capacity of computed groups (groups x batch width)
-        self.group_capacity = 0
-
-    def as_tuple(self) -> Tuple[int, int, int, int, int, int, int]:
-        return (
-            self.batched_ticks,
-            self.retired_rows,
-            self.groups,
-            self.rows,
-            self.scalar_fallbacks,
-            self.cross_case_groups,
-            self.group_capacity,
-        )
-
-
-#: the process-wide counters used by all batching machinery.
-vector_stats = VectorStats()
+#: the process-wide counters used by all batching machinery (the
+#: ``vec_`` keys of the counter table in docs/campaigns.md)
+vector_stats = Counters(
+    "vec_", "batched_ticks", "retired_rows", "groups", "rows",
+    "scalar_fallbacks", "cross_case_groups", "group_capacity",
+)
 
 
 # ======================================================================

@@ -312,8 +312,8 @@ class TestAuditReplay:
             ),
         )
         assert campaign.run() == plain
-        assert campaign.telemetry.audits > 0
-        assert campaign.telemetry.audit_mismatches == 0
+        assert campaign.telemetry.counts["audits"] > 0
+        assert campaign.telemetry.counts["audit_mismatches"] == 0
         assert campaign.integrity_violations == []
 
     def test_strict_detects_corrupted_fast_forward(
@@ -344,9 +344,10 @@ class TestAuditReplay:
         repaired = campaign.run()
         assert repaired == trusted
         telemetry = campaign.telemetry
-        assert telemetry.audits > 0
-        assert telemetry.audit_mismatches > 0
-        assert telemetry.audit_repairs == telemetry.audit_mismatches
+        counts = telemetry.counts
+        assert counts["audits"] > 0
+        assert counts["audit_mismatches"] > 0
+        assert counts["audit_repairs"] == counts["audit_mismatches"]
         assert campaign.integrity_violations
         violation = campaign.integrity_violations[0]
         assert violation.kind == "audit_mismatch"

@@ -347,9 +347,9 @@ class TestCampaignFastForwardAB:
         assert off.detections == on.detections
         assert off.run_records == on.run_records
         assert off.run_latencies == on.run_latencies
-        assert t_on.ff_ticks_saved > 0
-        assert t_on.ff_restores > 0
-        assert t_off.ff_ticks_saved == 0
+        assert t_on.counts["ff_ticks_skipped"] > 0
+        assert t_on.counts["ff_restores"] > 0
+        assert t_off.counts["ff_ticks_skipped"] == 0
         assert "fast-forward" in t_on.render()
         assert "fast-forward" not in t_off.render()
 
@@ -357,7 +357,7 @@ class TestCampaignFastForwardAB:
         assert parallel.detections == off.detections
         assert parallel.run_records == off.run_records
         assert parallel.run_latencies == off.run_latencies
-        assert t_par.ff_ticks_saved > 0
+        assert t_par.counts["ff_ticks_skipped"] > 0
 
     @pytest.mark.slow
     def test_permeability_bit_identical(self, two_cases):
@@ -393,8 +393,8 @@ class TestCampaignFastForwardAB:
         assert off.records == on.records
         # default phases land before the first checkpoint: the engine
         # must stay entirely out of the way
-        assert t_on.ff_restores == 0
-        assert t_on.ff_tracks == 0
+        assert t_on.counts["ff_restores"] == 0
+        assert t_on.counts["ff_tracks_recorded"] == 0
         parallel, _ = run_memory(True, jobs=2)
         assert parallel.records == off.records
 
@@ -423,7 +423,7 @@ class TestCampaignFastForwardAB:
         assert off.detections == on.detections
         assert off.run_records == on.run_records
         assert off.run_latencies == on.run_latencies
-        assert t_on.ff_ticks_saved > 0
+        assert t_on.counts["ff_ticks_skipped"] > 0
 
     def test_stride_choice_does_not_change_results(self, two_cases):
         specs = list(EA_BY_NAME.values())
@@ -559,8 +559,8 @@ class TestTrackPool:
         assert on == off
         # both runs really fast-forwarded (the pool changes where the
         # checkpoint bytes live, not whether restores happen)
-        assert t_on.ff_restores > 0
-        assert t_off.ff_restores > 0
+        assert t_on.counts["ff_restores"] > 0
+        assert t_off.counts["ff_restores"] > 0
 
     def test_preload_fills_the_pool(self, two_cases):
         from repro.fi.snapshot import CheckpointStore, FastForward

@@ -4,10 +4,11 @@ Two layers of A/B coverage: :class:`~repro.fi.vector.BatchRunner`
 directly against the campaigns' scalar ``_one_run`` (fast, surgical —
 including forced tick-0 dispatch divergence), and whole campaigns with
 ``batch_width`` on vs off (serial in the default suite, the process
-backend under the ``slow`` marker).
+backend under the ``slow`` marker; adaptive batched campaigns on both).
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,12 +18,12 @@ from repro.fi.campaign import (
     PermeabilityCampaign,
     RecoveryCampaign,
 )
-from repro.fi.executor import CampaignConfig, VectorPolicy
+from repro.fi import counters
+from repro.fi.executor import AdaptivePolicy, CampaignConfig, VectorPolicy
 from repro.fi.memory import MemoryMap
 from repro.fi.vector import (
     BatchRunner,
     MemoryFlipPlan,
-    vector_stats,
     wrap_runner,
 )
 from repro.edm.catalogue import EA_BY_NAME
@@ -64,14 +65,12 @@ def batch_vs_scalar(kind, campaign, tasks, width=16, **kwargs):
         kind, tasks, scalar, width, campaign.factory, **kwargs
     )
     assert runner._kernel is not None, "kernel refused the target"
-    before = vector_stats.as_tuple()
+    before = counters.snapshot()
     try:
         batched = [runner(i) for i in range(len(tasks))]
     finally:
         runner.close()
-    delta = tuple(
-        after - b for b, after in zip(before, vector_stats.as_tuple())
-    )
+    delta = Counter(counters.delta(before, counters.snapshot()))
     reference = [scalar(i) for i in range(len(tasks))]
     return batched, reference, delta
 
@@ -117,9 +116,9 @@ class TestWatertankKernel:
             "permeability", campaign, tasks, goldens=campaign.goldens
         )
         assert batched == reference
-        assert delta[2] == 1  # one batch across modules
-        assert delta[1] == 1  # the TIMER row retired
-        assert delta[3] == len(tasks) - 1  # the rest answered by it
+        assert delta["vec_groups"] == 1  # one batch across modules
+        assert delta["vec_retired_rows"] == 1  # the TIMER row retired
+        assert delta["vec_rows"] == len(tasks) - 1  # the rest answered by it
 
     def test_timer_divergence_retires_to_scalar(self, tank_cases):
         """A tick-0 flip of the dispatch slot leaves the golden
@@ -137,8 +136,9 @@ class TestWatertankKernel:
             "permeability", campaign, tasks, goldens=campaign.goldens
         )
         assert batched == reference
-        assert delta[1] == len(tasks)  # all rows dispatch-diverged
-        assert delta[3] == 0
+        # all rows dispatch-diverged
+        assert delta["vec_retired_rows"] == len(tasks)
+        assert delta["vec_rows"] == 0
 
     def test_detection_rows_match_scalar(self, tank_cases):
         specs = tank_assertions()
@@ -155,7 +155,7 @@ class TestWatertankKernel:
             "detection", campaign, tasks, specs=specs
         )
         assert batched == reference
-        assert delta[3] == len(tasks)
+        assert delta["vec_rows"] == len(tasks)
 
     def test_memory_rows_match_scalar(self, tank_cases):
         specs = tank_assertions()
@@ -168,7 +168,7 @@ class TestWatertankKernel:
             period_ticks=campaign.period_ticks,
         )
         assert batched == reference
-        assert delta[3] > 0  # some rows really ran batched
+        assert delta["vec_rows"] > 0  # some rows really ran batched
 
     def test_memory_cross_case_group(self, tank_cases):
         """Two cases sharing one (location, bit, phase) land in the
@@ -188,9 +188,10 @@ class TestWatertankKernel:
             period_ticks=campaign.period_ticks,
         )
         assert batched == reference
-        assert delta[2] == 1  # one group for both cases
-        assert delta[5] == 1  # counted as cross-case
-        assert delta[6] == 16  # one group's slots at width 16
+        assert delta["vec_groups"] == 1  # one group for both cases
+        assert delta["vec_cross_case_groups"] == 1  # counted as cross-case
+        # one group's slots at width 16
+        assert delta["vec_group_capacity"] == 16
 
     def test_recovery_rows_match_scalar(self, tank_cases):
         specs = tank_assertions()
@@ -204,7 +205,7 @@ class TestWatertankKernel:
             period_ticks=campaign.period_ticks,
         )
         assert batched == reference
-        assert delta[3] > 0
+        assert delta["vec_rows"] > 0
 
 
 class TestArrestmentKernel:
@@ -229,9 +230,9 @@ class TestArrestmentKernel:
             "permeability", campaign, tasks, goldens=campaign.goldens
         )
         assert batched == reference
-        assert delta[2] == 1  # one batch across modules
-        assert delta[1] == 1  # the CLOCK row retired
-        assert delta[3] == len(tasks) - 1  # the rest answered by it
+        assert delta["vec_groups"] == 1  # one batch across modules
+        assert delta["vec_retired_rows"] == 1  # the CLOCK row retired
+        assert delta["vec_rows"] == len(tasks) - 1  # the rest answered by it
 
     def test_clock_divergence_retires_to_scalar(self, arrestment_cases):
         campaign = PermeabilityCampaign(
@@ -245,7 +246,7 @@ class TestArrestmentKernel:
             "permeability", campaign, tasks, goldens=campaign.goldens
         )
         assert batched == reference
-        assert delta[1] == len(tasks)
+        assert delta["vec_retired_rows"] == len(tasks)
 
     def test_detection_rows_match_scalar(self, arrestment_cases):
         specs = list(EA_BY_NAME.values())
@@ -263,7 +264,7 @@ class TestArrestmentKernel:
             "detection", campaign, tasks, specs=specs
         )
         assert batched == reference
-        assert delta[3] == len(tasks)
+        assert delta["vec_rows"] == len(tasks)
 
     def test_memory_rows_match_scalar(self, arrestment_cases):
         specs = list(EA_BY_NAME.values())
@@ -276,7 +277,7 @@ class TestArrestmentKernel:
             period_ticks=campaign.period_ticks,
         )
         assert batched == reference
-        assert delta[3] > 0
+        assert delta["vec_rows"] > 0
 
     def test_memory_dispatch_chain_rows_stay_batched(self, arrestment_cases):
         """Memory flips on the dispatch chain — CLOCK's slot-successor
@@ -310,8 +311,10 @@ class TestArrestmentKernel:
             period_ticks=campaign.period_ticks,
         )
         assert batched == reference
-        assert delta[1] == 0  # no dispatch-divergence retirements
-        assert delta[3] == len(tasks)  # every row answered by the batch
+        # no dispatch-divergence retirements: every row answered by the
+        # batch
+        assert delta["vec_retired_rows"] == 0
+        assert delta["vec_rows"] == len(tasks)
 
     def test_left_rows_do_not_hold_masked_dispatch(
         self, arrestment_cases, monkeypatch
@@ -359,7 +362,7 @@ class TestArrestmentKernel:
             period_ticks=campaign.period_ticks,
         )
         assert batched == reference
-        assert delta[2] == 1 and delta[3] == len(tasks)
+        assert delta["vec_groups"] == 1 and delta["vec_rows"] == len(tasks)
         chain_left = max(
             tick for tick, live in tick_live if live[:chain_rows].any()
         )
@@ -381,7 +384,7 @@ class TestArrestmentKernel:
             period_ticks=campaign.period_ticks,
         )
         assert batched == reference
-        assert delta[3] > 0
+        assert delta["vec_rows"] > 0
 
 
 #: the batched side of the campaign A/B tests (the scalar side is None)
@@ -452,9 +455,9 @@ class TestCampaignAB:
         )
         campaign.run()
         telemetry = campaign.telemetry
-        assert telemetry.vec_rows > 0
-        assert telemetry.vec_groups > 0
-        assert telemetry.vec_batched_ticks > 0
+        assert telemetry.counts["vec_rows"] > 0
+        assert telemetry.counts["vec_groups"] > 0
+        assert telemetry.counts["vec_batched_ticks"] > 0
         assert "vector" in telemetry.render()
 
     def test_telemetry_occupancy_and_cross_case(self, tank_cases):
@@ -466,11 +469,12 @@ class TestCampaignAB:
         )
         campaign.run()
         telemetry = campaign.telemetry
-        assert telemetry.vec_group_capacity >= telemetry.vec_rows > 0
+        counts = telemetry.counts
+        assert counts["vec_group_capacity"] >= counts["vec_rows"] > 0
         assert 0.0 < telemetry.vec_occupancy <= 1.0
         # a memory sweep pairs every location with every case: the
         # planner must have packed cross-case groups
-        assert telemetry.vec_cross_case_groups > 0
+        assert counts["vec_cross_case_groups"] > 0
         rendered = telemetry.render()
         assert "occupancy=" in rendered
         assert "cross-case=" in rendered
@@ -500,8 +504,8 @@ class TestCampaignAB:
             runs_per_signal=2, seed=11, config=CampaignConfig(),
         )
         campaign.run()
-        assert campaign.telemetry.vec_rows == 0
-        assert campaign.telemetry.vec_groups == 0
+        assert campaign.telemetry.counts["vec_rows"] == 0
+        assert campaign.telemetry.counts["vec_groups"] == 0
 
     def test_wrap_runner_passthrough_when_off(self):
         def runner(index):
@@ -514,6 +518,59 @@ class TestCampaignAB:
         assert wrap_runner(
             "detection", runner, [], CampaignConfig(), tank_factory
         ) is runner
+
+
+class TestAdaptiveBatched:
+    """Adaptive sampling stacks on the batched core: results match the
+    adaptive scalar run, and every round's vector counters reach the
+    campaign's telemetry."""
+
+    @staticmethod
+    def run(kind, tank_cases, jobs, batch_width, log=None):
+        config = CampaignConfig(
+            backend="process" if jobs > 1 else "serial",
+            jobs=jobs,
+            event_log_path=log,
+            sampling=AdaptivePolicy(enabled=True, min_batch=2),
+            vector=VectorPolicy(batch_width=batch_width),
+        )
+        if kind == "permeability":
+            campaign = PermeabilityCampaign(
+                tank_factory, tank_cases, runs_per_input=4, seed=11,
+                config=config,
+            )
+            estimate = campaign.run()
+            outcome = (estimate.direct_counts, estimate.active_runs)
+        else:
+            campaign = DetectionCampaign(
+                tank_factory, tank_cases, tank_assertions(),
+                runs_per_signal=8, seed=11, config=config,
+            )
+            result = campaign.run()
+            outcome = (
+                result.n_injected, result.n_err, result.detections,
+                result.run_records, result.run_latencies,
+            )
+        return outcome, campaign.telemetry
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("kind", ["permeability", "detection"])
+    def test_identical_and_counted(self, tank_cases, tmp_path, kind, jobs):
+        import json
+
+        scalar, _ = self.run(kind, tank_cases, jobs, 0)
+        log = tmp_path / "events.jsonl"
+        batched, telemetry = self.run(kind, tank_cases, jobs, 32, str(log))
+        assert batched == scalar
+        run_ends = [
+            event
+            for event in map(json.loads, log.read_text().splitlines())
+            if event["event"] == "run_end"
+        ]
+        assert len(run_ends) >= 2  # several adaptive rounds
+        rows = telemetry.counts["vec_rows"]
+        assert rows == sum(event["vec_rows"] for event in run_ends) > 0
+        assert f" | vector {rows} rows in " in telemetry.render()
 
 
 @pytest.mark.slow
