@@ -20,6 +20,7 @@ from repro.fi.executor import (
     CampaignConfig,
     FastForwardPolicy,
     IntegrityPolicy,
+    VectorPolicy,
 )
 from repro.fi.snapshot import checkpoint_cache
 
@@ -39,6 +40,9 @@ def _campaign(ctx, fast_forward, audit_fraction=0.0):
             integrity=IntegrityPolicy(
                 policy="strict", audit_fraction=audit_fraction
             ),
+            # audits re-check fast-forwarded scalar runs, which a
+            # batched campaign mostly bypasses: measure the scalar path
+            vector=VectorPolicy(batch_width=0),
         ),
     )
 

@@ -15,16 +15,18 @@ import time
 from conftest import run_once
 
 from repro.fi.campaign import PermeabilityCampaign
-from repro.fi.executor import CampaignConfig
+from repro.fi.executor import CampaignConfig, VectorPolicy
 
 
-def _campaign(ctx, config=None):
+def _campaign(ctx, jobs=1):
+    # a batched campaign is one group in one worker, so the pool
+    # speedup is measured on the scalar path
     return PermeabilityCampaign(
         ctx.simulator_factory,
         ctx.test_cases,
         runs_per_input=ctx.scale.runs_per_input,
         seed=ctx.seed,
-        config=config,
+        config=CampaignConfig(jobs=jobs, vector=VectorPolicy(batch_width=0)),
     )
 
 
@@ -37,7 +39,7 @@ def test_bench_parallel_table1(benchmark, ctx):
     serial_s = time.perf_counter() - started
 
     def run_parallel():
-        campaign = _campaign(ctx, CampaignConfig(jobs=jobs))
+        campaign = _campaign(ctx, jobs)
         estimate = campaign.run()
         return campaign, estimate
 

@@ -17,7 +17,11 @@ import time
 from conftest import run_once, strict
 
 from repro.fi.campaign import DetectionCampaign
-from repro.fi.executor import CampaignConfig, FastForwardPolicy
+from repro.fi.executor import (
+    CampaignConfig,
+    FastForwardPolicy,
+    VectorPolicy,
+)
 from repro.fi.snapshot import DEFAULT_CHECKPOINT_STRIDE, checkpoint_cache
 
 
@@ -31,6 +35,8 @@ def _campaign(ctx, fast_forward):
         config=CampaignConfig(
             seed=ctx.seed,
             fastforward=FastForwardPolicy(enabled=fast_forward),
+            # batched rows skip fast-forward: measure the scalar path
+            vector=VectorPolicy(batch_width=0),
         ),
     )
 

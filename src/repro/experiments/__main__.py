@@ -166,7 +166,10 @@ def main(argv=None) -> int:
     add_execution_options(parser)
     args = parser.parse_args(argv)
     ctx = context_from_args(args)
-    run_all(ctx, only=args.ids or None)
+    run_all(
+        ctx, only=args.ids or None,
+        timing=lambda line: print(line, file=sys.stderr),
+    )
     report_telemetry(ctx)
     return 0
 

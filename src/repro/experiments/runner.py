@@ -35,8 +35,15 @@ def run_all(
     ctx: Optional[ExperimentContext] = None,
     only: Optional[List[str]] = None,
     echo: Callable[[str], None] = print,
+    timing: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, object]:
-    """Run the selected experiments; returns id -> result object."""
+    """Run the selected experiments; returns id -> result object.
+
+    Each report goes to *echo* under an ``[id]`` header, and the time
+    it took to *timing*, if given (the CLI sends it to stderr, beside
+    the campaign telemetry), so reports of differently executed runs
+    compare byte for byte.
+    """
     if ctx is None:
         ctx = ExperimentContext(scale=default_scale())
     selected = only if only is not None else list(EXPERIMENTS)
@@ -49,7 +56,9 @@ def run_all(
         results[exp_id] = result
         echo("")
         echo("=" * 72)
-        echo(f"[{exp_id}]  ({elapsed:.1f} s, scale={ctx.scale.name})")
+        echo(f"[{exp_id}]")
+        if timing is not None:
+            timing(f"[{exp_id}]  ({elapsed:.1f} s, scale={ctx.scale.name})")
         echo("=" * 72)
         echo(result.render())
     return results

@@ -163,16 +163,21 @@ def _target_label(factory) -> str:
 
 
 def _preload_tracks(
-    ff: FastForward, tasks: Sequence[Tuple], case_of, tick_of
+    ff: FastForward, tasks: Sequence[Tuple], case_of, tick_of, runner=None
 ) -> None:
     """Record the checkpoint tracks a task list will need, up front.
 
     Runs in the campaign's serial pre-draw phase — before the process
     pool forks — so workers inherit the tracks through copy-on-write
-    instead of each recording their own.
+    instead of each recording their own.  A campaign whose batch rows
+    never retire passes its *runner*, and the tasks its batch answers
+    are skipped; a run that needs a track anyway records it on launch.
     """
+    answers = getattr(runner, "answers", None)
     needed: Dict[int, Any] = {}
-    for task in tasks:
+    for index, task in enumerate(tasks):
+        if answers is not None and answers(index):
+            continue
         if ff.wants_track(tick_of(task)):
             test_case = case_of(task)
             needed.setdefault(test_case.case_id, test_case)
@@ -694,9 +699,6 @@ class DetectionCampaign:
                 tick = self.rng.randrange(0, golden.completion_tick)
                 bit = self.rng.randrange(0, width)
                 tasks.append((target, test_case, tick, bit))
-        _preload_tracks(
-            self._ff, tasks, case_of=lambda t: t[1], tick_of=lambda t: t[2]
-        )
 
         # Phase 2: execute, audit-replaying a sampled fraction.
         auditor = RunAuditor(self._ff, self.config, campaign="detection")
@@ -712,6 +714,12 @@ class DetectionCampaign:
         runner = wrap_runner(
             "detection", runner, tasks, self.config, self.factory,
             auditor=auditor, specs=self.specs,
+        )
+        # detection rows never retire: only the tasks the batch leaves
+        # to the scalar path can restore a checkpoint
+        _preload_tracks(
+            self._ff, tasks, case_of=lambda t: t[1], tick_of=lambda t: t[2],
+            runner=runner,
         )
 
         fingerprint = fingerprint_of(

@@ -268,7 +268,8 @@ class FaultTolerancePolicy:
     #: pool rebuilds tolerated before degrading to serial execution.
     max_pool_respawns: int = 2
     #: stall watchdog on pool results; ``None`` derives it from
-    #: ``task_timeout`` (or :data:`DEFAULT_POOL_WATCHDOG_S`).
+    #: ``task_timeout`` (or :data:`DEFAULT_POOL_WATCHDOG_S`); see
+    #: :meth:`CampaignConfig.resolved_watchdog`.
     pool_watchdog_s: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -461,22 +462,23 @@ class AdaptivePolicy:
 class VectorPolicy:
     """Vectorized batch execution (``repro.fi.vector``).
 
-    ``batch_width`` > 0 lets campaigns that publish a batch planner
-    advance up to that many injected runs per numpy tick inside one
-    worker; detection, memory and recovery rows follow their own —
-    possibly corrupted — dispatch schedule via masked invocations, and
-    permeability rows whose dispatch diverges retire to the scalar
-    path, so results stay bit-identical to scalar execution.  ``0`` (the default) keeps the
-    scalar path for everything.  Campaigns without a planner ignore
-    the policy.
+    ``batch_width`` > 0 (the default: 256) lets campaigns that publish
+    a batch planner advance up to that many injected runs per numpy
+    tick inside one worker; detection, memory and recovery rows follow
+    their own — possibly corrupted — dispatch schedule via masked
+    invocations, and permeability rows whose dispatch diverges retire
+    to the scalar path, so results stay bit-identical to scalar
+    execution.  ``0`` keeps the scalar path for everything: it is the
+    oracle the A/B suites compare against, and the only path on a host
+    without numpy.  Campaigns without a planner ignore the policy.
     """
 
     #: injected runs advanced per vectorized tick; 0 disables batching.
     batch_width: int = _option(
-        0, "batch_width", "--batch-width",
+        256, "batch_width", "--batch-width",
         "vectorized batch core: advance up to N injected runs per tick "
-        "in each worker (default: 0 = scalar path; results are "
-        "bit-identical)",
+        "in each worker (default: 256; 0 = the scalar path, the oracle "
+        "and the only path without numpy; results are bit-identical)",
         metavar="N",
     )
 
@@ -586,12 +588,18 @@ class CampaignConfig:
             return self.backend
         return "process" if self.jobs > 1 else "serial"
 
-    def resolved_watchdog(self) -> float:
-        """Seconds of result silence after which the pool is broken."""
+    def resolved_watchdog(self, scale: int = 1) -> float:
+        """Seconds of result silence after which the pool is broken.
+
+        A configured watchdog covers one task; a wave whose longest
+        work item is a batch leader computing *scale* tasks' worth
+        under one alarm gets it scaled alike.  The catch-all default
+        bounds a wedged pool, not a task, and is left as is.
+        """
         if self.fault_tolerance.pool_watchdog_s is not None:
-            return self.fault_tolerance.pool_watchdog_s
+            return self.fault_tolerance.pool_watchdog_s * scale
         if self.fault_tolerance.task_timeout is not None:
-            return self.fault_tolerance.task_timeout * 2 + 5.0
+            return self.fault_tolerance.task_timeout * scale * 2 + 5.0
         return DEFAULT_POOL_WATCHDOG_S
 
 
@@ -1261,7 +1269,15 @@ def _pool_chunk(
     (prefixed by its campaign's registry key).
     """
     key, items = work
-    return [_pool_task(key, item) for item in items]
+    results = [_pool_task(key, item) for item in items]
+    # a batched runner answered every row of its groups this chunk
+    # asked for; the rest of those groups' outcomes travel home beside
+    # the last result, so later adaptive rounds never recompute them
+    ship = getattr(_ACTIVE[key].runner, "ship", None)
+    shipped = ship() if ship is not None else None
+    if shipped and results:
+        results[-1][1]["outcomes"] = shipped
+    return results
 
 
 def decorrelated_backoff(
@@ -1705,31 +1721,38 @@ class CampaignExecutor:
                             )
                     if wave_attempt > 1:
                         backoff_sleep(wave_attempt)
-                    items = [(i, attempts[i]) for i in remaining]
+                    # a batched runner answers whole groups of tasks
+                    # at once: keep each group inside one work item so
+                    # the batch computes in a single worker instead of
+                    # once per member
                     plan = getattr(runner, "chunk_plan", None)
-                    if plan is not None:
-                        # a batched runner answers whole groups of
-                        # tasks at once: keep each group inside one
-                        # work item so the batch computes in a single
-                        # worker instead of once per member
-                        attempt_of = dict(items)
-                        chunks = [
-                            [(i, attempt_of[i]) for i in chunk]
-                            for chunk in plan(remaining)
-                        ]
-                    else:
-                        # chunking amortizes pipe traffic, but a lost
-                        # worker loses its whole chunk — dispatch
-                        # singly once per-task timeouts are in play
-                        chunk_n = (
-                            1
-                            if config.fault_tolerance.task_timeout is not None
-                            else max(1, len(items) // (config.jobs * 8))
-                        )
-                        chunks = [
-                            items[k:k + chunk_n]
-                            for k in range(0, len(items), chunk_n)
-                        ]
+                    chunks = [
+                        [(i, attempts[i]) for i in group]
+                        for group in (plan(remaining) if plan else [])
+                    ]
+                    grouped = {i for chunk in chunks for i, _ in chunk}
+                    items = [
+                        (i, attempts[i]) for i in remaining if i not in grouped
+                    ]
+                    # chunking amortizes pipe traffic, but a lost worker
+                    # loses its whole chunk — dispatch singly once
+                    # per-task timeouts are in play
+                    chunk_n = (
+                        1
+                        if config.fault_tolerance.task_timeout is not None
+                        else max(1, len(items) // (config.jobs * 8))
+                    )
+                    chunks += [
+                        items[k:k + chunk_n]
+                        for k in range(0, len(items), chunk_n)
+                    ]
+                    # a batch leader computes its group under a scaled
+                    # alarm (see ``_execute_attempt``), so the wave's
+                    # watchdog stretches alike
+                    scale_of = getattr(runner, "timeout_scale_for", None)
+                    wave_watchdog = config.resolved_watchdog(
+                        max(map(scale_of, remaining)) if scale_of else 1
+                    )
                     iterator = pool.imap_unordered(
                         _pool_chunk, [(key, chunk) for chunk in chunks],
                         chunksize=1,
@@ -1738,13 +1761,14 @@ class CampaignExecutor:
                     received = 0
                     while received < len(chunks):
                         try:
-                            results = iterator.next(watchdog)
+                            results = iterator.next(wave_watchdog)
                         except StopIteration:
                             break
                         except multiprocessing.TimeoutError:
                             broken = (
-                                f"no result within the {watchdog:.0f} s "
-                                f"watchdog (worker death or wedged pool)"
+                                f"no result within the "
+                                f"{wave_watchdog:.0f} s watchdog "
+                                f"(worker death or wedged pool)"
                             )
                             break
                         except Exception as exc:
@@ -1760,6 +1784,8 @@ class CampaignExecutor:
                             counters.add(
                                 telemetry.counts, payload.get("counts", {})
                             )
+                            if "outcomes" in payload:
+                                runner.absorb(payload["outcomes"])
                             if "ok" in payload:
                                 succeed(index, payload, busy)
                             else:

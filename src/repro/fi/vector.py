@@ -46,9 +46,14 @@ to the scalar path.  Four mechanisms keep that true:
 Golden invocation streams — the reference side of the permeability
 comparison — are packed once into shared memory
 (:class:`repro.fi.shm.ShmArrayPack`) before the worker pool forks.
+Each group is computed once per campaign: a pool worker ships the
+outcomes of the group's rows its chunk did not ask for home, and the
+next pool forks with them cached (:meth:`BatchRunner.ship`,
+:meth:`BatchRunner.absorb`), so adaptive rounds never recompute it.
 
-Enabled with ``CampaignConfig(vector=VectorPolicy(batch_width=N))`` /
-``--batch-width N`` (default 0 = scalar path).
+On by default: ``CampaignConfig(vector=VectorPolicy(batch_width=N))``
+/ ``--batch-width N`` sets the width (default 256); ``0`` selects the
+scalar path, which is the oracle and the only path without numpy.
 """
 
 from __future__ import annotations
@@ -749,8 +754,6 @@ def _plan_groups(
 # The batch runner.
 # ======================================================================
 _RETIRED = object()
-#: scalar rows per chunk when the chunk plan batches ungrouped indices.
-_SCALAR_CHUNK = 32
 
 
 def _kernel_for(probe):
@@ -785,17 +788,21 @@ class BatchRunner:
     Wraps a campaign's scalar ``runner(index)`` callable.  Task
     indices that belong to a plannable batch are answered by running
     the whole batch through the target's vector kernel once (cached
-    per process); everything else — audited rows, chaos runs, rows of
-    unsupported targets, retired rows — falls through to the wrapped
-    scalar runner, which remains the semantic reference.
+    per process, each row's outcome served once); everything else —
+    audited rows, chaos runs, rows of unsupported targets, retired
+    rows — falls through to the wrapped scalar runner, which remains
+    the semantic reference.
 
-    Also exposes the two executor integration hooks:
+    Also exposes the executor integration hooks:
 
     * :meth:`timeout_scale_for` — a batch leader computes up to
       ``len(group)`` runs under one per-task alarm, so its budget is
       scaled accordingly;
     * :meth:`chunk_plan` — pool chunks are aligned to batch
-      boundaries, so exactly one worker computes each batch.
+      boundaries, so exactly one worker computes each batch;
+    * :meth:`ship` and :meth:`absorb` — a worker sends the outcomes of
+      the rows its chunk did not ask for home, and the parent caches
+      them for the pools of later adaptive rounds.
     """
 
     def __init__(
@@ -826,8 +833,11 @@ class BatchRunner:
         self._chaos = any(
             name.startswith("REPRO_CHAOS_") for name in os.environ
         )
+        #: group id -> outcomes of its rows not served yet (retired
+        #: rows have none); kept until the runner is dropped
         self._cache: Dict[int, Dict[int, Any]] = {}
-        self._served: Dict[int, int] = {}
+        #: groups computed in this process since the last :meth:`ship`
+        self._fresh: List[int] = []
         self._group_of: Dict[int, _Group] = {}
         self._groups: List[_Group] = []
         self._kernel = None
@@ -913,26 +923,15 @@ class BatchRunner:
         return len(group.indices)
 
     def chunk_plan(self, indices: Sequence[int]) -> List[List[int]]:
-        """Pool chunks aligned to batch boundaries."""
-        buckets: Dict[int, List[int]] = {}
-        order: List[int] = []
-        scalars: List[int] = []
+        """One pool chunk per group: the rows of *indices* a batch
+        answers.  The executor chunks the rest (ungrouped, audited or
+        chaos rows) like any scalar work."""
+        chunks: Dict[int, List[int]] = {}
         for index in indices:
-            group = self._group_of.get(index)
-            if group is None or self._kernel is None:
-                scalars.append(index)
-                continue
-            bucket = buckets.get(group.gid)
-            if bucket is None:
-                bucket = buckets[group.gid] = []
-                order.append(group.gid)
-            bucket.append(index)
-        chunks = [buckets[gid] for gid in order]
-        chunks.extend(
-            scalars[i:i + _SCALAR_CHUNK]
-            for i in range(0, len(scalars), _SCALAR_CHUNK)
-        )
-        return chunks
+            if self.answers(index):
+                gid = self._group_of[index].gid
+                chunks.setdefault(gid, []).append(index)
+        return list(chunks.values())
 
     # ------------------------------------------------------------------
     # Dispatch.
@@ -949,6 +948,11 @@ class BatchRunner:
             return None
         return group
 
+    def answers(self, index: int) -> bool:
+        """True when a batch answers task *index*; the scalar path then
+        runs it only if its row retires."""
+        return self._batchable(index) is not None
+
     def __call__(self, index: int) -> Any:
         group = self._batchable(index)
         if group is None:
@@ -956,19 +960,35 @@ class BatchRunner:
             return self._inner(index)
         outcomes = self._cache.get(group.gid)
         if outcomes is None:
-            outcomes = self._compute_group(group)
-            self._cache[group.gid] = outcomes
-        outcome = outcomes.get(index, _RETIRED)
-        served = self._served.get(group.gid, 0) + 1
-        self._served[group.gid] = served
-        if served >= len(group.indices):
-            # every row answered: drop the batch from the cache
-            self._cache.pop(group.gid, None)
-            self._served.pop(group.gid, None)
+            outcomes = self._cache[group.gid] = self._compute_group(group)
+            self._fresh.append(group.gid)
+        # each outcome is served once; a row without one (retired, or
+        # asked again after a failed attempt) runs on the scalar path
+        outcome = outcomes.pop(index, _RETIRED)
         if outcome is _RETIRED:
             return self._inner(index)
         vector_stats.rows += 1
         return outcome
+
+    def ship(self) -> Dict[int, Dict[int, Any]]:
+        """The unserved outcomes of the groups this process computed
+        since the last call, by group id.
+
+        A pool worker ships them home after each chunk.  A chunk holds
+        every row of its round that the group answers, so what is left
+        belongs to later adaptive rounds; nothing is left when the
+        chunk held the whole group, as in a fixed-n run.
+        """
+        shipped = {gid: self._cache[gid] for gid in self._fresh
+                   if self._cache[gid]}
+        self._fresh = []
+        return shipped
+
+    def absorb(self, shipped: Dict[int, Dict[int, Any]]) -> None:
+        """Cache outcomes a pool worker shipped home, so the pools of
+        later rounds fork with them and no row is simulated twice."""
+        for gid, outcomes in shipped.items():
+            self._cache.setdefault(gid, {}).update(outcomes)
 
     # ------------------------------------------------------------------
     # Batch computation and outcome assembly.
@@ -1017,6 +1037,8 @@ class BatchRunner:
             if retired:
                 vector_stats.retired_rows += 1
                 continue
+            if not self.answers(index):
+                continue  # audited: the scalar path serves it
             if self._kind == "permeability":
                 outcomes[index] = self._permeability_outcome(
                     rows[row], result, row

@@ -57,7 +57,18 @@ class ArrestmentVectorKernel:
 
     @staticmethod
     def supports(probe) -> bool:
-        return type(probe).__name__ == "ArrestmentSimulator"
+        # the bodies transcribe the modules of repro.target.wiring: a
+        # system with any other module (a target variant) runs scalar
+        from repro.target import modules
+
+        transcribed = {
+            "CLOCK": modules.Clock, "DIST_S": modules.DistS,
+            "PRES_S": modules.PresS, "CALC": modules.Calc,
+            "V_REG": modules.VReg, "PRES_A": modules.PresA,
+        }
+        return type(probe).__name__ == "ArrestmentSimulator" and {
+            module.name: type(module) for module in probe.system.modules()
+        } == transcribed
 
     def __init__(self, probe):
         self.max_ticks = int(probe.timeout_s / C.TICK_S)

@@ -1,5 +1,7 @@
 """Tests for the command-line interfaces."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main as repro_main
@@ -127,6 +129,32 @@ class TestExperimentsCLI:
         out = capsys.readouterr().out
         assert "Table 3" in out
         assert "262/94" in out
+
+    def test_timing_lines_go_to_stderr(self, capsys):
+        assert experiments_main(["--scale", "test", "table1"]) == 0
+        captured = capsys.readouterr()
+        assert "[table1]" in captured.out
+        assert "s, scale=" not in captured.out
+        assert "s, scale=test)" in captured.err
+
+    def test_silenced_report_prints_no_timing(self, capsys):
+        from repro.experiments import ExperimentContext, run_all
+
+        lines = []
+        run_all(ExperimentContext(scale="test"), ["table3"], lines.append)
+        assert "[table3]" in lines
+        assert capsys.readouterr().err == ""
+
+    def test_batched_by_default_scalar_on_request(self, capsys):
+        assert repro_main(["table1", "--scale", "test"]) == 0
+        batched = capsys.readouterr()
+        assert repro_main(
+            ["table1", "--scale", "test", "--batch-width", "0"]
+        ) == 0
+        scalar = capsys.readouterr()
+        assert re.search(r" \| vector [0-9]+ rows", batched.err)
+        assert " | vector " not in scalar.err
+        assert batched.out == scalar.out
 
     def test_bad_scale_rejected(self):
         with pytest.raises(SystemExit):

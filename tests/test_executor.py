@@ -48,6 +48,17 @@ class TestCampaignConfig:
         assert CampaignConfig(jobs=4, backend="serial").resolved_backend() \
             == "serial"
 
+    def test_watchdog_scales_for_a_batch(self):
+        timed = CampaignConfig(
+            fault_tolerance=FaultTolerancePolicy(task_timeout=2.0)
+        )
+        assert timed.resolved_watchdog() == 2.0 * 2 + 5
+        assert timed.resolved_watchdog(8) == 2.0 * 8 * 2 + 5
+        # the catch-all default bounds a wedged pool, not a task
+        assert CampaignConfig().resolved_watchdog(8) == (
+            CampaignConfig().resolved_watchdog()
+        )
+
     def test_validation(self):
         with pytest.raises(CampaignError):
             CampaignConfig(jobs=0)
@@ -464,6 +475,48 @@ class TestBackendReporting:
         assert telemetry.failures == 0
         assert telemetry.retries == 0
         assert telemetry.pool_respawns == 0
+
+
+class _SlowGroup:
+    """A stand-in for a batched runner: every task belongs to one
+    group, whose leader computes for *seconds* under an alarm scaled
+    by the group's size (the ``BatchRunner`` hooks)."""
+
+    def __init__(self, size, seconds):
+        self.size = size
+        self.seconds = seconds
+        self.computed = False
+
+    def chunk_plan(self, indices):
+        return [list(indices)]
+
+    def timeout_scale_for(self, index):
+        return 1 if self.computed else self.size
+
+    def __call__(self, index):
+        if not self.computed:
+            time.sleep(self.seconds)
+            self.computed = True
+        return index * 2
+
+
+class TestSlowBatch:
+    def test_slow_group_is_not_a_broken_pool(self, tmp_path):
+        """The leader outlasts one task's alarm and watchdog, but not
+        the group's: no respawn, no lost task."""
+        log = str(tmp_path / "events.jsonl")
+        config = _fast_config(
+            jobs=2, retries=0, task_timeout=1.0, pool_watchdog_s=0.5,
+            event_log_path=log,
+        )
+        executor = CampaignExecutor(config, campaign="unit")
+        results = executor.run_tasks(_SlowGroup(8, 1.5), 8, "fp")
+        assert results == [i * 2 for i in range(8)]
+        with open(log) as handle:
+            names = [json.loads(line)["event"] for line in handle]
+        assert "pool_broken" not in names
+        assert executor.telemetry.pool_respawns == 0
+        assert not executor.telemetry.degraded
 
 
 class TestWorkerCrash:

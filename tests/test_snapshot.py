@@ -28,6 +28,7 @@ from repro.fi import (
     PermeabilityCampaign,
     RecoveryCampaign,
 )
+from repro.fi.executor import VectorPolicy
 from repro.fi.memory import Region
 from repro.fi.snapshot import record_track
 from repro.target.simulation import ArrestmentSimulator, SignalTraces
@@ -36,6 +37,11 @@ from repro.targets import get_target
 
 def factory(tc):
     return ArrestmentSimulator(tc)
+
+
+#: the scalar path: batched rows never restore a checkpoint, so the
+#: tests whose subject is fast-forward pin it
+SCALAR = VectorPolicy(batch_width=0)
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +333,7 @@ class TestCampaignFastForwardAB:
         return CampaignConfig(
             seed=7, jobs=jobs, checkpoint=checkpoint,
             fastforward=FastForwardPolicy(enabled=ff, **fastforward),
+            vector=SCALAR,
         )
 
     def test_detection_bit_identical(self, two_cases):
@@ -542,7 +549,7 @@ class TestTrackPool:
             campaign = DetectionCampaign(
                 factory, two_cases, specs,
                 runs_per_signal=3, targets=["ADC", "TCNT"],
-                config=CampaignConfig(seed=7),
+                config=CampaignConfig(seed=7, vector=SCALAR),
             )
             result = campaign.run()
             return (

@@ -209,6 +209,15 @@ class TestWatertankKernel:
 
 
 class TestArrestmentKernel:
+    def test_variant_with_other_modules_stays_scalar(self, arrestment_cases):
+        """A system with a module the kernel does not transcribe (the
+        telemetry variant's REPORT) is never batched."""
+        from repro.target.variants import telemetry_simulator
+
+        case = arrestment_cases[0]
+        assert ArrestmentVectorKernel.supports(arrestment_factory(case))
+        assert not ArrestmentVectorKernel.supports(telemetry_simulator(case))
+
     def test_permeability_rows_match_scalar(self, arrestment_cases):
         """One batch across modules; the CLOCK row's flipped slot
         number diverges from the golden schedule and retires alone."""
@@ -387,7 +396,9 @@ class TestArrestmentKernel:
         assert delta["vec_rows"] > 0
 
 
-#: the batched side of the campaign A/B tests (the scalar side is None)
+#: the two sides of the campaign A/B tests: the scalar path is the
+#: oracle, and it has to be asked for now that batching is the default
+SCALAR = CampaignConfig(vector=VectorPolicy(batch_width=0))
 BATCHED = CampaignConfig(vector=VectorPolicy(batch_width=32))
 
 
@@ -402,7 +413,7 @@ class TestCampaignAB:
             ).run()
             return estimate.direct_counts, estimate.active_runs
 
-        assert run(None) == run(BATCHED)
+        assert run(SCALAR) == run(BATCHED)
 
     def test_tank_detection_identical(self, tank_cases):
         def run(config):
@@ -415,7 +426,7 @@ class TestCampaignAB:
                 result.run_records, result.run_latencies,
             )
 
-        assert run(None) == run(BATCHED)
+        assert run(SCALAR) == run(BATCHED)
 
     def test_tank_memory_identical(self, tank_cases):
         def run(config):
@@ -428,7 +439,7 @@ class TestCampaignAB:
                 for r in result.records
             ]
 
-        assert run(None) == run(BATCHED)
+        assert run(SCALAR) == run(BATCHED)
 
     def test_tank_recovery_identical(self, tank_cases):
         def run(config):
@@ -445,7 +456,7 @@ class TestCampaignAB:
                 for o in result.outcomes
             ]
 
-        assert run(None) == run(BATCHED)
+        assert run(SCALAR) == run(BATCHED)
 
     def test_telemetry_counts_batched_rows(self, tank_cases):
         campaign = DetectionCampaign(
@@ -498,14 +509,21 @@ class TestCampaignAB:
         assert run_end["vec_cross_case_groups"] > 0
         assert 0.0 < run_end["vec_occupancy"] <= 1.0
 
-    def test_default_config_stays_scalar(self, tank_cases):
-        campaign = DetectionCampaign(
-            tank_factory, tank_cases, tank_assertions(),
-            runs_per_signal=2, seed=11, config=CampaignConfig(),
-        )
-        campaign.run()
-        assert campaign.telemetry.counts["vec_rows"] == 0
-        assert campaign.telemetry.counts["vec_groups"] == 0
+    def test_default_config_batches(self, tank_cases):
+        def counts(config):
+            campaign = DetectionCampaign(
+                tank_factory, tank_cases, tank_assertions(),
+                runs_per_signal=2, seed=11, config=config,
+            )
+            campaign.run()
+            return campaign.telemetry.counts
+
+        batched = counts(CampaignConfig())
+        assert batched["vec_groups"] > 0
+        assert batched["vec_rows"] > 0
+        scalar = counts(SCALAR)
+        assert scalar["vec_rows"] == 0
+        assert scalar["vec_groups"] == 0
 
     def test_wrap_runner_passthrough_when_off(self):
         def runner(index):
@@ -571,6 +589,47 @@ class TestAdaptiveBatched:
         rows = telemetry.counts["vec_rows"]
         assert rows == sum(event["vec_rows"] for event in run_ends) > 0
         assert f" | vector {rows} rows in " in telemetry.render()
+        if jobs > 1:
+            # later rounds' pools fork with the outcomes the first
+            # round's worker shipped home: each group is computed once
+            _, serial = self.run(kind, tank_cases, 1, 32)
+            for name in ("vec_groups", "vec_batched_ticks",
+                         "vec_retired_rows"):
+                assert telemetry.counts[name] == serial.counts[name]
+
+
+class TestDetectionTracks:
+    """Detection rows never retire, so a batched detection campaign
+    records checkpoint tracks only for the tasks its batch leaves to
+    the scalar path."""
+
+    @staticmethod
+    def run(**options):
+        from repro.experiments.context import ExperimentContext
+        from repro.fi.snapshot import checkpoint_cache
+
+        checkpoint_cache.clear()
+        ctx = ExperimentContext(scale="test", **options)
+        result = ctx.detection_result()
+        outcome = (
+            result.n_injected, result.n_err, result.detections,
+            result.run_records, result.run_latencies,
+        )
+        return outcome, ctx.telemetries["detection"].counts
+
+    def test_batch_answered_tasks_record_no_tracks(self):
+        scalar, scalar_counts = self.run(batch_width=0)
+        batched, counts = self.run()
+        assert batched == scalar
+        assert counts["vec_rows"] > 0
+        assert counts["ff_tracks_recorded"] == 0
+        assert scalar_counts["ff_tracks_recorded"] > 0
+        # audited rows run scalar, so their tracks are recorded again
+        audited, audited_counts = self.run(audit_fraction=1.0)
+        assert audited == scalar
+        assert audited_counts["ff_tracks_recorded"] == (
+            scalar_counts["ff_tracks_recorded"]
+        )
 
 
 @pytest.mark.slow
