@@ -189,16 +189,10 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # PeriodicMemoryFlip.
     # ------------------------------------------------------------------
-    def _period_boundary(self, tick: int) -> bool:
-        spec = self.spec
-        return (
-            tick >= spec.start_tick
-            and (tick - spec.start_tick) % spec.period_ticks == 0
-        )
-
     def _memory_pre_tick(self, tick: int) -> None:
         spec = self.spec
-        if not self._period_boundary(tick):
+        # strike only at period boundaries
+        if tick < spec.start_tick or (tick - spec.start_tick) % spec.period_ticks:
             return
         location = spec.location
         if location.kind is CellKind.STATE:

@@ -148,6 +148,8 @@ class ExecutionContext:
     through the injector's local-write hook for the same reason.
     """
 
+    __slots__ = ("_module", "_args", "_locals", "_local_hook")
+
     def __init__(
         self,
         module: "Module",
@@ -158,8 +160,6 @@ class ExecutionContext:
         self._args = args
         self._locals: Dict[str, Number] = {}
         self._local_hook = local_hook
-        self._local_specs = module._local_spec_map
-        self._local_quantizers = module._local_quantizers
 
     def arg(self, name: str) -> Number:
         """Read an input-port value (possibly corrupted by the injector)."""
@@ -181,7 +181,7 @@ class ExecutionContext:
         continue computing with the *returned* value, just as the target
         code would read the variable back from its stack slot.
         """
-        quantizer = self._local_quantizers.get(name)
+        quantizer = self._module._local_quantizers.get(name)
         if quantizer is None:
             raise ModelError(
                 f"module {self._module.name!r} declares no local {name!r}"
@@ -196,7 +196,7 @@ class ExecutionContext:
 
     def local(self, name: str) -> Number:
         """Read back a named stack local written earlier this invocation."""
-        if name not in self._local_specs:
+        if name not in self._module._local_spec_map:
             raise ModelError(
                 f"module {self._module.name!r} declares no local {name!r}"
             )

@@ -18,12 +18,17 @@ The runtime side consists of:
   points used by the fault-injection substrate (argument marshaling,
   local writes, post-invocation output stores) and by the EDM
   substrate (signal monitors evaluated after each producing
-  invocation).
+  invocation);
+* :class:`SignalTraces` — the per-signal write streams of one run;
+* :class:`HookedSimulator` — the hook plumbing every closed-loop
+  simulator shares: handler registration, trace recording, the
+  top-of-tick probe and register corruption.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, fields
 from typing import (
     Callable,
     Dict,
@@ -55,6 +60,8 @@ __all__ = [
     "InvocationRecord",
     "ExecutorHooks",
     "SystemExecutor",
+    "SignalTraces",
+    "HookedSimulator",
 ]
 
 
@@ -296,7 +303,13 @@ class SystemModel:
 
 
 class SignalStore:
-    """Current value of every signal, quantized to its spec."""
+    """Current value of every signal, quantized to its spec.
+
+    The value dict keeps its identity across :meth:`reset` and
+    :meth:`restore`, so the executor and the simulators' run loops
+    bind :attr:`values` once and store already-quantized values into
+    it directly.
+    """
 
     def __init__(self, system: SystemModel):
         self._system = system
@@ -311,6 +324,19 @@ class SignalStore:
         }
         self.reset()
 
+    @property
+    def values(self) -> Dict[str, Number]:
+        """The live value dict.  Writes through it bypass quantization:
+        quantize with :meth:`quantizer` first."""
+        return self._values
+
+    def quantizer(self, signal: str) -> Callable[[Number], Number]:
+        """The precompiled quantizer of *signal*."""
+        quantizer = self._quantizers.get(signal)
+        if quantizer is None:
+            raise UnknownSignalError(signal, self._quantizers)
+        return quantizer
+
     def reset(self) -> None:
         for spec in self._system.signals():
             self._values[spec.name] = spec.quantize(spec.initial)
@@ -322,10 +348,7 @@ class SignalStore:
             raise UnknownSignalError(signal, self._values) from None
 
     def __setitem__(self, signal: str, value: Number) -> None:
-        quantizer = self._quantizers.get(signal)
-        if quantizer is None:
-            raise UnknownSignalError(signal, self._quantizers)
-        self._values[signal] = quantizer(value)
+        self._values[signal] = self.quantizer(signal)(value)
 
     def poke(self, signal: str, value: Number) -> None:
         """Overwrite a signal value bit-for-bit (injector interface)."""
@@ -335,10 +358,11 @@ class SignalStore:
         return dict(self._values)
 
     def restore(self, snapshot: Dict[str, Number]) -> None:
-        """Overwrite every value from a :meth:`snapshot` of the same
-        system.  Values bypass re-quantization: a snapshot only ever
-        holds already-quantized values."""
-        self._values = dict(snapshot)
+        """Overwrite every value, in place, from a :meth:`snapshot` of
+        the same system.  Values bypass re-quantization: a snapshot
+        only ever holds already-quantized values."""
+        self._values.clear()
+        self._values.update(snapshot)
 
 
 class SlotSchedule:
@@ -401,7 +425,7 @@ class SlotSchedule:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class InvocationRecord:
     """What one module invocation consumed and produced."""
 
@@ -411,7 +435,7 @@ class InvocationRecord:
     outputs: Dict[str, Number]
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutorHooks:
     """Hook points for fault injection and monitoring.
 
@@ -447,20 +471,21 @@ class SystemExecutor:
         self.schedule = schedule
         self.hooks = hooks or ExecutorHooks()
         self.store = SignalStore(system)
+        self._values = self.store.values
         self.tick = 0
-        # resolved wiring, precomputed for the per-invocation hot path
-        self._bindings: Dict[str, Tuple[Module, List[Tuple[str, str]],
-                                        List[Tuple[str, str]]]] = {}
+        # resolved wiring, precomputed for the per-invocation hot path:
+        # (port, signal) per input, (port, signal, quantizer) per output
+        self._bindings: Dict[str, Tuple[Module, Tuple, Tuple]] = {}
         for module in system.modules():
-            inputs = [
+            inputs = tuple(
                 (port, system.signal_of_input(module.name, port))
                 for port in module.inputs
-            ]
-            outputs = [
-                (port, system.signal_of_output(module.name, port))
-                for port in module.outputs
-            ]
-            self._bindings[module.name] = (module, inputs, outputs)
+            )
+            outputs = []
+            for port in module.outputs:
+                signal = system.signal_of_output(module.name, port)
+                outputs.append((port, signal, self.store.quantizer(signal)))
+            self._bindings[module.name] = (module, inputs, tuple(outputs))
 
     def reset(self) -> None:
         self.store.reset()
@@ -468,55 +493,317 @@ class SystemExecutor:
             module.reset()
         self.tick = 0
 
-    def run_tick(self) -> List[InvocationRecord]:
-        """Run one scheduler tick; return the invocations performed."""
-        self.begin_tick()
-        records = [
-            self.invoke(name)
-            for name in self.schedule.modules_for_tick(self.tick)
-        ]
-        self.end_tick()
-        return records
+    def run_tick(self, slot_signal: Optional[str] = None) -> None:
+        """Run one scheduler tick: the every-tick modules, then the
+        modules of one slot.
 
-    def begin_tick(self) -> None:
-        """Start a tick: fire the pre-tick hook (RAM-area injection point).
-
-        Use together with :meth:`invoke` and :meth:`end_tick` when the
-        set of modules to run is not known up front — the target system's
-        scheduler reads the ``ms_slot_nbr`` signal *produced during the
-        tick* to decide which slot's modules to dispatch.
+        The slot is ``tick % n_slots`` or, with *slot_signal*, the value
+        the every-tick modules left in that signal: the target systems'
+        schedulers read the slot number produced during the tick, and
+        an out-of-range (corrupted) slot number dispatches no module.
+        The ``pre_tick`` hook fires before any module runs (RAM-area
+        injection point), the ``post_tick`` hook after the last.
         """
-        if self.hooks.pre_tick is not None:
-            self.hooks.pre_tick(self.tick)
+        hooks = self.hooks
+        tick = self.tick
+        if hooks.pre_tick is not None:
+            hooks.pre_tick(tick)
+        schedule = self.schedule
+        invoke = self.invoke
+        for name in schedule._every_tick:
+            invoke(name)
+        slot = (
+            tick % schedule.n_slots
+            if slot_signal is None
+            else self._values[slot_signal]
+        )
+        for name in schedule._slots.get(slot, ()):
+            invoke(name)
+        if hooks.post_tick is not None:
+            hooks.post_tick(tick)
+        self.tick = tick + 1
 
-    def end_tick(self) -> None:
-        """Finish a tick: fire the post-tick hook and advance the tick."""
-        if self.hooks.post_tick is not None:
-            self.hooks.post_tick(self.tick)
-        self.tick += 1
+    def invoke(self, module_name: str) -> Optional[InvocationRecord]:
+        """Run one invocation of *module_name*.
 
-    def invoke(self, module_name: str) -> InvocationRecord:
+        Its :class:`InvocationRecord` is built, handed to the
+        ``post_invoke`` hook and returned only when that hook is
+        installed (the record's one reader); otherwise this returns
+        None.
+        """
         binding = self._bindings.get(module_name)
         if binding is None:
             raise UnknownModuleError(module_name, self._bindings)
         module, input_binding, output_binding = binding
-        store = self.store
-        args = {port: store[signal] for port, signal in input_binding}
-        if self.hooks.marshal is not None:
-            args = self.hooks.marshal(module_name, args)
-        ctx = ExecutionContext(module, args, local_hook=self.hooks.local_write)
-        outputs = module.invoke(ctx)
-        stored: Dict[str, Number] = {}
-        for port, signal in output_binding:
-            store[signal] = outputs[port]
-            stored[port] = store[signal]
-        record = InvocationRecord(
-            tick=self.tick, module=module_name, inputs=args, outputs=stored
+        values = self._values
+        hooks = self.hooks
+        args = {}
+        for port, signal in input_binding:
+            args[port] = values[signal]
+        if hooks.marshal is not None:
+            args = hooks.marshal(module_name, args)
+        outputs = module.invoke(
+            ExecutionContext(module, args, hooks.local_write)
         )
-        if self.hooks.post_invoke is not None:
-            self.hooks.post_invoke(record)
+        post_invoke = hooks.post_invoke
+        if post_invoke is None:
+            for port, signal, quantize in output_binding:
+                values[signal] = quantize(outputs[port])
+            return None
+        stored: Dict[str, Number] = {}
+        for port, signal, quantize in output_binding:
+            stored[port] = values[signal] = quantize(outputs[port])
+        record = InvocationRecord(self.tick, module_name, args, stored)
+        post_invoke(record)
         return record
 
     def run(self, ticks: int) -> None:
         for _ in range(ticks):
             self.run_tick()
+
+
+_EMPTY: Tuple = ()
+
+
+class SignalTraces:
+    """Per-signal streams of (tick, value) writes.
+
+    Stored as parallel tick/value arrays per signal, so the golden-run
+    comparison can diff whole streams at C speed without materializing
+    pair lists, and the fast-forward engine can splice golden prefixes
+    and suffixes by index (ticks within one stream are nondecreasing).
+    """
+
+    __slots__ = ("_ticks", "_values")
+
+    def __init__(self) -> None:
+        self._ticks: Dict[str, List[int]] = {}
+        self._values: Dict[str, List[Number]] = {}
+
+    def record(self, signal: str, tick: int, value: Number) -> None:
+        ticks = self._ticks.get(signal)
+        if ticks is None:
+            ticks = self._ticks[signal] = []
+            self._values[signal] = []
+        ticks.append(tick)
+        self._values[signal].append(value)
+
+    def stream(self, signal: str) -> List[Tuple[int, Number]]:
+        """The recorded write stream as (tick, value) pairs (a fresh
+        list); empty for unknown signals."""
+        return list(
+            zip(self._ticks.get(signal, _EMPTY), self._values.get(signal, _EMPTY))
+        )
+
+    def signals(self) -> List[str]:
+        return list(self._ticks)
+
+    # ------------------------------------------------------------------
+    # No-copy accessors (comparison hot path).
+    # ------------------------------------------------------------------
+    def ticks_of(self, signal: str) -> Sequence[int]:
+        """Write ticks of *signal*, nondecreasing.  The internal array:
+        treat as read-only."""
+        return self._ticks.get(signal, _EMPTY)
+
+    def values_of(self, signal: str) -> Sequence[Number]:
+        """Write values of *signal*, parallel to :meth:`ticks_of`.
+        The internal array: treat as read-only."""
+        return self._values.get(signal, _EMPTY)
+
+    def lengths(self) -> Dict[str, int]:
+        """Per-signal stream lengths (a checkpoint's trace cut marks)."""
+        return {signal: len(ticks) for signal, ticks in self._ticks.items()}
+
+    # ------------------------------------------------------------------
+    # Fast-forward splicing.
+    # ------------------------------------------------------------------
+    def splice_prefix(
+        self, source: "SignalTraces", lengths: Mapping[str, int]
+    ) -> None:
+        """Replace this trace's streams with *source*'s first
+        ``lengths[signal]`` writes (the golden prefix up to a
+        checkpoint)."""
+        for signal, n in lengths.items():
+            if n:
+                self._ticks[signal] = source._ticks[signal][:n]
+                self._values[signal] = source._values[signal][:n]
+
+    def extend_suffix(self, source: "SignalTraces", from_tick: int) -> None:
+        """Append *source*'s writes at or after *from_tick* (the golden
+        suffix after a resynchronization point)."""
+        for signal, ticks in source._ticks.items():
+            start = bisect_left(ticks, from_tick)
+            if start < len(ticks):
+                mine = self._ticks.get(signal)
+                if mine is None:
+                    mine = self._ticks[signal] = []
+                    self._values[signal] = []
+                mine.extend(ticks[start:])
+                self._values[signal].extend(source._values[signal][start:])
+
+    def first_difference(
+        self, other: "SignalTraces", signal: str
+    ) -> Optional[int]:
+        """First tick at which the two streams of *signal* diverge.
+
+        A difference is a changed value, a shifted write tick, or a
+        write present in only one stream; ``None`` means the streams
+        are identical.
+        """
+        mine_t = self._ticks.get(signal, _EMPTY)
+        mine_v = self._values.get(signal, _EMPTY)
+        theirs_t = other._ticks.get(signal, _EMPTY)
+        theirs_v = other._values.get(signal, _EMPTY)
+        # identical streams (the overwhelmingly common case) compare as
+        # two array equalities at C speed
+        if mine_t == theirs_t and mine_v == theirs_v:
+            return None
+        shorter = min(len(mine_t), len(theirs_t))
+        for i in range(shorter):
+            if mine_t[i] != theirs_t[i] or mine_v[i] != theirs_v[i]:
+                return min(mine_t[i], theirs_t[i])
+        longer = mine_t if len(mine_t) > len(theirs_t) else theirs_t
+        return longer[shorter]
+
+
+#: the hook kinds whose handlers rewrite a value: each receives the
+#: previous handler's return value as its last argument
+_CHAINED_HOOKS = ("marshal", "local_write")
+
+
+def _dispatcher(handlers: Sequence[Callable], chained: bool):
+    """What the executor calls for one hook kind: nothing, the single
+    handler itself, or a loop over the handlers in registration order."""
+    if len(handlers) < 2:
+        return handlers[0] if handlers else None
+    handlers = tuple(handlers)
+    if chained:
+        def dispatch(*args):
+            *context, value = args
+            for handler in handlers:
+                value = handler(*context, value)
+            return value
+    else:
+        def dispatch(*args):
+            for handler in handlers:
+                handler(*args)
+    return dispatch
+
+
+class HookedSimulator:
+    """Hook plumbing shared by the closed-loop simulators.
+
+    Owns the system, its executor and the signal traces.  Handlers
+    attach per hook kind (``add_pre_tick`` / ``add_marshal`` /
+    ``add_local_write`` / ``add_post_invoke`` / ``add_post_tick``)
+    and fire in registration order; ``marshal`` and ``local_write``
+    handlers chain, and the executor receives the last one's value.
+    Only kinds with work to do are installed on the executor, and a
+    kind with one handler gets that handler itself, so an unused hook
+    costs nothing and a used one no dispatch frame.  With
+    :attr:`record_traces` on, the invocation's outputs are recorded
+    before any ``post_invoke`` handler sees it.
+
+    Subclasses map their system input signals to sensor-suite
+    attributes in ``_REGISTER_OF`` and provide ``self.sensors``.
+    """
+
+    #: system input signal -> register attribute of ``self.sensors``
+    _REGISTER_OF: Dict[str, str] = {}
+
+    def __init__(
+        self, system: SystemModel, schedule: SlotSchedule, record_traces: bool
+    ):
+        self.system = system
+        self.executor = SystemExecutor(system, schedule)
+        self._hooks = self.executor.hooks
+        self.traces = SignalTraces()
+        self._record_traces = bool(record_traces)
+        self._handlers: Dict[str, List[Callable]] = {
+            hook.name: [] for hook in fields(ExecutorHooks)
+        }
+        self._tick_probe: Optional[Callable[[int], bool]] = None
+        self._output_signals = {
+            module.name: tuple(
+                system.signal_of_output(module.name, port)
+                for port in module.outputs
+            )
+            for module in system.modules()
+        }
+        store = self.executor.store
+        #: (signal, register attribute, quantizer) per system input
+        self._registers = tuple(
+            (signal, attr, store.quantizer(signal))
+            for signal, attr in self._REGISTER_OF.items()
+        )
+        self._rewire_hooks()
+
+    def _rewire_hooks(self) -> None:
+        hooks = self._hooks
+        for kind, handlers in self._handlers.items():
+            if kind == "post_invoke" and self._record_traces:
+                handlers = [self._record_outputs, *handlers]
+            setattr(hooks, kind, _dispatcher(handlers, kind in _CHAINED_HOOKS))
+
+    def _record_outputs(self, record: InvocationRecord) -> None:
+        traces = self.traces
+        tick = record.tick
+        for signal, value in zip(
+            self._output_signals[record.module], record.outputs.values()
+        ):
+            traces.record(signal, tick, value)
+
+    @property
+    def record_traces(self) -> bool:
+        return self._record_traces
+
+    @record_traces.setter
+    def record_traces(self, enabled: bool) -> None:
+        self._record_traces = bool(enabled)
+        self._rewire_hooks()
+
+    def _add(self, kind: str, handler: Callable) -> None:
+        self._handlers[kind].append(handler)
+        self._rewire_hooks()
+
+    def add_pre_tick(self, handler: Callable[[int], None]) -> None:
+        self._add("pre_tick", handler)
+
+    def add_marshal(
+        self, handler: Callable[[str, Dict[str, Number]], Dict[str, Number]]
+    ) -> None:
+        self._add("marshal", handler)
+
+    def add_local_write(self, handler: Callable[[str, str, Number], Number]) -> None:
+        self._add("local_write", handler)
+
+    def add_post_invoke(self, handler: Callable[[InvocationRecord], None]) -> None:
+        self._add("post_invoke", handler)
+
+    def add_post_tick(self, handler: Callable[[int], None]) -> None:
+        self._add("post_tick", handler)
+
+    def set_tick_probe(self, probe: Optional[Callable[[int], bool]]) -> None:
+        """Install a callable run at the top of every tick, before any
+        simulation work.  Returning True stops the run immediately (the
+        fast-forward engine's resynchronization exit); checkpoint
+        recorders return False to keep the run going.  A run reads the
+        probe once, when it starts."""
+        self._tick_probe = probe
+
+    def corrupt_input(self, signal: str, bit: int) -> Tuple[Number, Number]:
+        """Flip a bit of a peripheral register (a system input signal).
+
+        The corruption lands in the register itself, so its persistence
+        follows the register's refresh semantics: counters carry the
+        error forward, a converter result is overwritten at the next
+        conversion.  Returns (before, after).
+        """
+        attr = self._REGISTER_OF[signal]
+        spec = self.system.signal(signal)
+        before = getattr(self.sensors, attr)
+        after = spec.flip_bit(before, bit)
+        setattr(self.sensors, attr, after)
+        self.executor.store.poke(signal, after)
+        return before, after

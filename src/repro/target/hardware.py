@@ -20,6 +20,10 @@ from repro.target import constants as C
 
 __all__ = ["SensorSuite"]
 
+_PACNT_MASK = (1 << C.PACNT_BITS) - 1
+_ADC_FULL = (1 << C.ADC_BITS) - 1
+_TOC2_FULL = (1 << C.TOC2_BITS) - 1
+
 
 @dataclass
 class SensorSuite:
@@ -40,18 +44,26 @@ class SensorSuite:
         new = pulses - self._pulse_mirror
         if new > 0:
             self._pulse_mirror = pulses
-            self.pacnt = (self.pacnt + new) & ((1 << C.PACNT_BITS) - 1)
+            self.pacnt = (self.pacnt + new) & _PACNT_MASK
             self.total_pulses += new
             self.tic1 = self.tcnt
-        fraction = min(max(pressure_pa / C.ADC_FULL_SCALE_PA, 0.0), 1.0)
-        full = (1 << C.ADC_BITS) - 1
-        self.adc = min(full, int(fraction * full))
+        # min/max clamps spelled as comparisons (same ties and NaN)
+        fraction = pressure_pa / C.ADC_FULL_SCALE_PA
+        if 0.0 > fraction:
+            fraction = 0.0
+        if 1.0 < fraction:
+            fraction = 1.0
+        adc = int(fraction * _ADC_FULL)
+        self.adc = adc if adc < _ADC_FULL else _ADC_FULL
 
     @staticmethod
     def commanded_pressure(toc2: int) -> float:
         """Brake pressure commanded by the TOC2 register value."""
-        full = (1 << C.TOC2_BITS) - 1
-        fraction = min(max(toc2 / full, 0.0), 1.0)
+        fraction = toc2 / _TOC2_FULL
+        if 0.0 > fraction:
+            fraction = 0.0
+        if 1.0 < fraction:
+            fraction = 1.0
         return fraction * C.P_MAX_PA
 
     def reset(self) -> None:

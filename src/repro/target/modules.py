@@ -32,16 +32,18 @@ class Clock(Module):
 
     INPUTS = ("ms_slot_nbr",)
     OUTPUTS = ("ms_slot_nbr", "mscnt")
+    #: the successor-table cell of each slot
+    SUCC = tuple(f"slot_succ{slot}" for slot in range(C.N_SLOTS))
     STATE = (CellSpec("mscnt", **_U16),) + tuple(
-        CellSpec(f"slot_succ{slot}", initial=(slot + 1) % C.N_SLOTS, **_U8)
-        for slot in range(C.N_SLOTS)
+        CellSpec(name, initial=(slot + 1) % C.N_SLOTS, **_U8)
+        for slot, name in enumerate(SUCC)
     )
     LOCALS = (CellSpec("next_slot", **_U8),)
 
     def invoke(self, ctx: ExecutionContext) -> Dict[str, Number]:
         slot = ctx.arg("ms_slot_nbr")
         if 0 <= slot < C.N_SLOTS:
-            nxt = self.state[f"slot_succ{slot}"]
+            nxt = self.state[self.SUCC[slot]]
         else:
             nxt = 0  # corrupted slot number: restart the cycle
         nxt = ctx.set_local("next_slot", nxt)
@@ -59,14 +61,14 @@ class DistS(Module):
 
     INPUTS = ("PACNT", "TIC1", "TCNT")
     OUTPUTS = ("pulscnt", "slow_speed", "stopped")
+    #: the pulse-delta window cells
+    WINDOW = tuple(f"win{j}" for j in range(C.SPEED_WINDOW))
     STATE = (
         (
             CellSpec("last_cnt", **_U8),
             CellSpec("pulscnt_acc", **_U16),
         )
-        + tuple(
-            CellSpec(f"win{j}", **_U8) for j in range(C.SPEED_WINDOW)
-        )
+        + tuple(CellSpec(name, **_U8) for name in WINDOW)
         + (
             CellSpec("win_pos", **_U8),
             CellSpec("win_fill", **_U8),
@@ -88,12 +90,10 @@ class DistS(Module):
         # pulse-rate window: fewer than SLOW_PULSE_THRESHOLD pulses in
         # SPEED_WINDOW invocations (160 ms) means v < ~12.5 m/s.
         pos = state["win_pos"] % C.SPEED_WINDOW
-        state[f"win{pos}"] = delta
+        state[self.WINDOW[pos]] = delta
         state["win_pos"] = state["win_pos"] + 1
         state["win_fill"] = min(state["win_fill"] + 1, C.SPEED_WINDOW)
-        window_sum = sum(
-            state[f"win{j}"] for j in range(C.SPEED_WINDOW)
-        )
+        window_sum = sum(state[name] for name in self.WINDOW)
         pulse_slow = (
             state["win_fill"] >= C.SPEED_WINDOW
             and window_sum < C.SLOW_PULSE_THRESHOLD
@@ -202,10 +202,12 @@ class PresS(Module):
     MAX_REJECT_STREAK = 5
     #: median filter depth.
     DEPTH = 5
+    #: the accepted-history cells, oldest first
+    HISTORY = tuple(f"h{j}" for j in range(DEPTH))
 
     STATE = (
         (CellSpec("last", **_U16),)
-        + tuple(CellSpec(f"h{j}", **_U16) for j in range(DEPTH))
+        + tuple(CellSpec(name, **_U16) for name in HISTORY)
         + (CellSpec("rejects", **_U8),)
     )
     LOCALS = (CellSpec("scaled", **_U16),)
@@ -225,12 +227,11 @@ class PresS(Module):
             state["rejects"] = 0
         if accept:
             state["last"] = scaled
-            for j in range(self.DEPTH - 1):
-                state[f"h{j}"] = state[f"h{j + 1}"]
-            state[f"h{self.DEPTH - 1}"] = scaled
-        median = sorted(
-            state[f"h{j}"] for j in range(self.DEPTH)
-        )[self.DEPTH // 2]
+            history = self.HISTORY
+            for older, newer in zip(history, history[1:]):
+                state[older] = state[newer]
+            state[history[-1]] = scaled
+        median = sorted(state[name] for name in self.HISTORY)[self.DEPTH // 2]
         return {"IsValue": median & ~(self.QUANTUM - 1)}
 
 

@@ -52,7 +52,10 @@ class ArrestmentPlant:
     def step(self, commanded_pa: float, dt_s: float = C.TICK_S) -> PlantState:
         """Advance one tick under the commanded brake pressure."""
         state = self.state
-        commanded = min(max(commanded_pa, 0.0), C.P_MAX_PA)
+        # min/max clamps spelled as comparisons (same ties and NaN)
+        commanded = 0.0 if 0.0 > commanded_pa else commanded_pa
+        if C.P_MAX_PA < commanded:
+            commanded = C.P_MAX_PA
         state.pressure_pa += (
             (commanded - state.pressure_pa) * dt_s / C.ACTUATOR_TAU_S
         )
@@ -62,7 +65,8 @@ class ArrestmentPlant:
             return state
         force = C.BRAKE_GAIN_N_PER_PA * state.pressure_pa + C.TAPE_DRAG_N
         retardation = force / self.mass_kg
-        new_velocity = max(0.0, state.velocity_ms - retardation * dt_s)
+        velocity = state.velocity_ms - retardation * dt_s
+        new_velocity = velocity if velocity > 0.0 else 0.0
         state.distance_m += (state.velocity_ms + new_velocity) * 0.5 * dt_s
         state.velocity_ms = new_velocity
         state.force_n = force

@@ -18,16 +18,14 @@ bit-identically — the substrate of the fast-forward engine in
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from repro.model.signal import Number
 from repro.model.system import (
-    ExecutorHooks,
-    InvocationRecord,
+    HookedSimulator,
+    SignalTraces,
     SlotSchedule,
-    SystemExecutor,
     SystemModel,
 )
 from repro.target import constants as C
@@ -43,110 +41,6 @@ __all__ = [
     "ArrestmentResult",
     "ArrestmentSimulator",
 ]
-
-_EMPTY: Tuple = ()
-
-
-class SignalTraces:
-    """Per-signal streams of (tick, value) writes.
-
-    Stored as parallel tick/value arrays per signal, so the golden-run
-    comparison can diff whole streams at C speed without materializing
-    pair lists, and the fast-forward engine can splice golden prefixes
-    and suffixes by index (ticks within one stream are nondecreasing).
-    """
-
-    __slots__ = ("_ticks", "_values")
-
-    def __init__(self) -> None:
-        self._ticks: Dict[str, List[int]] = {}
-        self._values: Dict[str, List[Number]] = {}
-
-    def record(self, signal: str, tick: int, value: Number) -> None:
-        ticks = self._ticks.get(signal)
-        if ticks is None:
-            ticks = self._ticks[signal] = []
-            self._values[signal] = []
-        ticks.append(tick)
-        self._values[signal].append(value)
-
-    def stream(self, signal: str) -> List[Tuple[int, Number]]:
-        """The recorded write stream as (tick, value) pairs (a fresh
-        list); empty for unknown signals."""
-        return list(
-            zip(self._ticks.get(signal, _EMPTY), self._values.get(signal, _EMPTY))
-        )
-
-    def signals(self) -> List[str]:
-        return list(self._ticks)
-
-    # ------------------------------------------------------------------
-    # No-copy accessors (comparison hot path).
-    # ------------------------------------------------------------------
-    def ticks_of(self, signal: str) -> Sequence[int]:
-        """Write ticks of *signal*, nondecreasing.  The internal array:
-        treat as read-only."""
-        return self._ticks.get(signal, _EMPTY)
-
-    def values_of(self, signal: str) -> Sequence[Number]:
-        """Write values of *signal*, parallel to :meth:`ticks_of`.
-        The internal array: treat as read-only."""
-        return self._values.get(signal, _EMPTY)
-
-    def lengths(self) -> Dict[str, int]:
-        """Per-signal stream lengths (a checkpoint's trace cut marks)."""
-        return {signal: len(ticks) for signal, ticks in self._ticks.items()}
-
-    # ------------------------------------------------------------------
-    # Fast-forward splicing.
-    # ------------------------------------------------------------------
-    def splice_prefix(
-        self, source: "SignalTraces", lengths: Mapping[str, int]
-    ) -> None:
-        """Replace this trace's streams with *source*'s first
-        ``lengths[signal]`` writes (the golden prefix up to a
-        checkpoint)."""
-        for signal, n in lengths.items():
-            if n:
-                self._ticks[signal] = source._ticks[signal][:n]
-                self._values[signal] = source._values[signal][:n]
-
-    def extend_suffix(self, source: "SignalTraces", from_tick: int) -> None:
-        """Append *source*'s writes at or after *from_tick* (the golden
-        suffix after a resynchronization point)."""
-        for signal, ticks in source._ticks.items():
-            start = bisect_left(ticks, from_tick)
-            if start < len(ticks):
-                mine = self._ticks.get(signal)
-                if mine is None:
-                    mine = self._ticks[signal] = []
-                    self._values[signal] = []
-                mine.extend(ticks[start:])
-                self._values[signal].extend(source._values[signal][start:])
-
-    def first_difference(
-        self, other: "SignalTraces", signal: str
-    ) -> Optional[int]:
-        """First tick at which the two streams of *signal* diverge.
-
-        A difference is a changed value, a shifted write tick, or a
-        write present in only one stream; ``None`` means the streams
-        are identical.
-        """
-        mine_t = self._ticks.get(signal, _EMPTY)
-        mine_v = self._values.get(signal, _EMPTY)
-        theirs_t = other._ticks.get(signal, _EMPTY)
-        theirs_v = other._values.get(signal, _EMPTY)
-        # identical streams (the overwhelmingly common case) compare as
-        # two array equalities at C speed
-        if mine_t == theirs_t and mine_v == theirs_v:
-            return None
-        shorter = min(len(mine_t), len(theirs_t))
-        for i in range(shorter):
-            if mine_t[i] != theirs_t[i] or mine_v[i] != theirs_v[i]:
-                return min(mine_t[i], theirs_t[i])
-        longer = mine_t if len(mine_t) > len(theirs_t) else theirs_t
-        return longer[shorter]
 
 
 @dataclass
@@ -205,8 +99,15 @@ class ArrestmentResult:
         return self.verdict.failed
 
 
-class ArrestmentSimulator:
+class ArrestmentSimulator(HookedSimulator):
     """One engagement of the arrestment system."""
+
+    _REGISTER_OF = {
+        "PACNT": "pacnt",
+        "TIC1": "tic1",
+        "TCNT": "tcnt",
+        "ADC": "adc",
+    }
 
     def __init__(
         self,
@@ -218,12 +119,10 @@ class ArrestmentSimulator:
     ):
         self.test_case = test_case
         self.timeout_s = timeout_s
-        self._record_traces = record_traces
         if system is None:
             system = build_arrestment_system(
                 pressure_scale=C.pressure_scale_counts(test_case.mass_kg)
             )
-        self.system: SystemModel = system
         if module_slots is None:
             module_slots = dict(C.MODULE_SLOTS)
         self.module_slots = dict(module_slots)
@@ -231,141 +130,16 @@ class ArrestmentSimulator:
         schedule.every_tick("CLOCK")
         for module, slot in self.module_slots.items():
             schedule.assign(slot, module)
-        self._pre_tick: List[Callable[[int], None]] = []
-        self._marshal: List[
-            Callable[[str, Dict[str, Number]], Dict[str, Number]]
-        ] = []
-        self._local_write: List[Callable[[str, str, Number], Number]] = []
-        self._post_invoke: List[Callable[[InvocationRecord], None]] = []
-        self._post_tick: List[Callable[[int], None]] = []
-        self._hooks = ExecutorHooks()
-        self.executor = SystemExecutor(self.system, schedule, self._hooks)
+        super().__init__(system, schedule, record_traces)
         self.plant = ArrestmentPlant(
             test_case.mass_kg, test_case.engaging_velocity_ms
         )
         self.sensors = SensorSuite()
         self.classifier = FailureClassifier(test_case)
-        self.traces = SignalTraces()
-        self._slot_map: Dict[int, List[str]] = {}
-        for module, slot in self.module_slots.items():
-            self._slot_map.setdefault(slot, []).append(module)
         self._completion: Optional[int] = None
         self._stop_tick: Optional[int] = None
         self._ticks_run = 0
         self._start_tick = 0
-        self._tick_probe: Optional[Callable[[int], bool]] = None
-        self._rewire_hooks()
-
-    # ------------------------------------------------------------------
-    # Hook plumbing (the fault injector's attachment points).
-    # ------------------------------------------------------------------
-    def _rewire_hooks(self) -> None:
-        """Install only the dispatchers with work to do.
-
-        Hook dispatch costs a call (and a handler loop) per tick or
-        per invocation; an empty handler list instead leaves the
-        executor's ``hook is None`` fast path in place.
-        """
-        hooks = self._hooks
-        hooks.pre_tick = self._run_pre_tick if self._pre_tick else None
-        hooks.marshal = self._run_marshal if self._marshal else None
-        hooks.local_write = (
-            self._run_local_write if self._local_write else None
-        )
-        hooks.post_invoke = (
-            self._run_post_invoke
-            if self._record_traces or self._post_invoke
-            else None
-        )
-        hooks.post_tick = self._run_post_tick if self._post_tick else None
-
-    @property
-    def record_traces(self) -> bool:
-        return self._record_traces
-
-    @record_traces.setter
-    def record_traces(self, enabled: bool) -> None:
-        self._record_traces = bool(enabled)
-        self._rewire_hooks()
-
-    def add_pre_tick(self, handler) -> None:
-        self._pre_tick.append(handler)
-        self._rewire_hooks()
-
-    def add_marshal(self, handler) -> None:
-        self._marshal.append(handler)
-        self._rewire_hooks()
-
-    def add_local_write(self, handler) -> None:
-        self._local_write.append(handler)
-        self._rewire_hooks()
-
-    def add_post_invoke(self, handler) -> None:
-        self._post_invoke.append(handler)
-        self._rewire_hooks()
-
-    def add_post_tick(self, handler) -> None:
-        self._post_tick.append(handler)
-        self._rewire_hooks()
-
-    def set_tick_probe(self, probe: Optional[Callable[[int], bool]]) -> None:
-        """Install a callable run at the top of every tick, before any
-        simulation work.  Returning True stops the run immediately (the
-        fast-forward engine's resynchronization exit); checkpoint
-        recorders return False to keep the run going."""
-        self._tick_probe = probe
-
-    def _run_pre_tick(self, tick: int) -> None:
-        for handler in self._pre_tick:
-            handler(tick)
-
-    def _run_marshal(self, module, args):
-        for handler in self._marshal:
-            args = handler(module, args)
-        return args
-
-    def _run_local_write(self, module, name, value):
-        for handler in self._local_write:
-            value = handler(module, name, value)
-        return value
-
-    def _run_post_invoke(self, record: InvocationRecord) -> None:
-        if self._record_traces:
-            for port, value in record.outputs.items():
-                signal = self.system.signal_of_output(record.module, port)
-                self.traces.record(signal, record.tick, value)
-        for handler in self._post_invoke:
-            handler(record)
-
-    def _run_post_tick(self, tick: int) -> None:
-        for handler in self._post_tick:
-            handler(tick)
-
-    # ------------------------------------------------------------------
-    # Injection support.
-    # ------------------------------------------------------------------
-    _REGISTER_OF = {
-        "PACNT": "pacnt",
-        "TIC1": "tic1",
-        "TCNT": "tcnt",
-        "ADC": "adc",
-    }
-
-    def corrupt_input(self, signal: str, bit: int) -> Tuple[Number, Number]:
-        """Flip a bit of a peripheral register (a system input signal).
-
-        The corruption lands in the register itself, so its persistence
-        follows the register's refresh semantics: counters carry the
-        error forward, the ADC result is overwritten at the next
-        conversion.  Returns (before, after).
-        """
-        attr = self._REGISTER_OF[signal]
-        spec = self.system.signal(signal)
-        before = getattr(self.sensors, attr)
-        after = spec.flip_bit(before, bit)
-        setattr(self.sensors, attr, after)
-        self.executor.store.poke(signal, after)
-        return before, after
 
     # ------------------------------------------------------------------
     # Checkpointing.
@@ -417,16 +191,16 @@ class ArrestmentSimulator:
     # ------------------------------------------------------------------
     # The engagement loop.
     # ------------------------------------------------------------------
-    def _write_sensor_inputs(self, tick: int) -> None:
-        store = self.executor.store
-        for signal, attr in self._REGISTER_OF.items():
-            store[signal] = getattr(self.sensors, attr)
-            if self._record_traces:
-                self.traces.record(signal, tick, store[signal])
-
     def run(self) -> ArrestmentResult:
         executor = self.executor
-        store = executor.store
+        run_tick = executor.run_tick
+        values = executor.store.values
+        plant = self.plant
+        sensors = self.sensors
+        observe = self.classifier.observe
+        commanded_pressure = SensorSuite.commanded_pressure
+        registers = self._registers
+        traces = self.traces if self._record_traces else None
         max_ticks = int(self.timeout_s / C.TICK_S)
         abort_distance = C.MAX_STOPPING_DISTANCE_M + C.OVERRUN_ABORT_MARGIN_M
         probe = self._tick_probe
@@ -434,29 +208,21 @@ class ArrestmentSimulator:
         while tick < max_ticks:
             if probe is not None and probe(tick):
                 break
-            self.sensors.advance(
-                self.plant.state.distance_m, self.plant.state.pressure_pa
-            )
-            self._write_sensor_inputs(tick)
-            executor.begin_tick()
-            executor.invoke("CLOCK")
-            slot = store["ms_slot_nbr"]
-            for module in self._slot_map.get(slot, ()):
-                executor.invoke(module)
-            executor.end_tick()
-            state = self.plant.step(
-                SensorSuite.commanded_pressure(store["TOC2"])
-            )
-            self.classifier.observe(state)
+            state = plant.state
+            sensors.advance(state.distance_m, state.pressure_pa)
+            for signal, attr, quantize in registers:
+                value = values[signal] = quantize(getattr(sensors, attr))
+                if traces is not None:
+                    traces.record(signal, tick, value)
+            run_tick("ms_slot_nbr")
+            state = plant.step(commanded_pressure(values["TOC2"]))
+            observe(state)
             self._ticks_run = tick + 1
-            if self._stop_tick is None and self.plant.is_stopped:
-                self._stop_tick = tick
-            if (
-                self._completion is None
-                and store["stopped"]
-                and self.plant.is_stopped
-            ):
-                self._completion = tick
+            if state.velocity_ms == 0.0:
+                if self._stop_tick is None:
+                    self._stop_tick = tick
+                if self._completion is None and values["stopped"]:
+                    self._completion = tick
             if (
                 self._completion is not None
                 and tick >= self._completion + C.POST_STOP_TICKS

@@ -1,10 +1,11 @@
 """Closed-loop water-tank mission simulation.
 
-Exposes the same hook API as the arrestment simulator
-(``add_pre_tick`` / ``add_marshal`` / ``add_local_write`` /
-``add_post_invoke`` / ``add_post_tick``, ``corrupt_input``,
-``executor``, ``run()``), so every campaign driver of :mod:`repro.fi`
-works against this target unchanged.
+Shares its hook plumbing with the arrestment simulator
+(:class:`~repro.model.system.HookedSimulator`: ``add_pre_tick`` /
+``add_marshal`` / ``add_local_write`` / ``add_post_invoke`` /
+``add_post_tick``, ``corrupt_input``, ``executor``) and runs the same
+``run()`` contract, so every campaign driver of :mod:`repro.fi` works
+against this target unchanged.
 
 The mission is fixed-duration regulation: a run *completes* when the
 full mission has been simulated (so every injection within the mission
@@ -17,17 +18,10 @@ line deasserted).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.model.signal import Number
-from repro.model.system import (
-    ExecutorHooks,
-    InvocationRecord,
-    SlotSchedule,
-    SystemExecutor,
-    SystemModel,
-)
-from repro.target.simulation import SignalTraces, SimulatorState
+from repro.model.system import HookedSimulator, SignalTraces, SlotSchedule
+from repro.target.simulation import SimulatorState
 from repro.watertank import constants as C
 from repro.watertank.physics import InflowProfile, TankPlant, TankSensorSuite
 from repro.watertank.testcases import TankTestCase
@@ -73,8 +67,10 @@ class TankMissionResult:
         return self.verdict.failed
 
 
-class WaterTankSimulator:
+class WaterTankSimulator(HookedSimulator):
     """One fixed-duration regulation mission."""
+
+    _REGISTER_OF = {"LVL_ADC": "lvl_adc", "FLOW_CNT": "flow_cnt"}
 
     def __init__(
         self,
@@ -84,143 +80,24 @@ class WaterTankSimulator:
     ):
         self.test_case = test_case
         self.mission_ticks = mission_ticks
-        self._record_traces = record_traces
-        self.system: SystemModel = build_watertank_system()
         schedule = SlotSchedule(C.N_SLOTS)
         schedule.every_tick("TIMER")
         for module, slot in C.MODULE_SLOTS.items():
             schedule.assign(slot, module)
-        self._pre_tick: List[Callable[[int], None]] = []
-        self._marshal: List[
-            Callable[[str, Dict[str, Number]], Dict[str, Number]]
-        ] = []
-        self._local_write: List[Callable[[str, str, Number], Number]] = []
-        self._post_invoke: List[Callable[[InvocationRecord], None]] = []
-        self._post_tick: List[Callable[[int], None]] = []
-        self._hooks = ExecutorHooks()
-        self.executor = SystemExecutor(self.system, schedule, self._hooks)
+        super().__init__(build_watertank_system(), schedule, record_traces)
         self.plant = TankPlant(
             InflowProfile(test_case.base_inflow_m3s, test_case.step_m3s)
         )
         self.sensors = TankSensorSuite()
-        self.traces = SignalTraces()
-        self._slot_map: Dict[int, List[str]] = {}
-        for module, slot in C.MODULE_SLOTS.items():
-            self._slot_map.setdefault(slot, []).append(module)
         #: consecutive ticks with level above the alarm threshold while
         #: the alarm line is deasserted
         self._missed_alarm_ticks = 0
         self._failure_kinds: List[str] = []
         self._start_tick = 0
-        self._tick_probe: Optional[Callable[[int], bool]] = None
-        self._rewire_hooks()
-
-    # ------------------------------------------------------------------
-    # Hook plumbing (same shape as ArrestmentSimulator).
-    # ------------------------------------------------------------------
-    def _rewire_hooks(self) -> None:
-        """Install only the dispatchers with work to do (see the
-        arrestment simulator: empty handler lists keep the executor's
-        ``hook is None`` fast path)."""
-        hooks = self._hooks
-        hooks.pre_tick = self._run_pre_tick if self._pre_tick else None
-        hooks.marshal = self._run_marshal if self._marshal else None
-        hooks.local_write = (
-            self._run_local_write if self._local_write else None
-        )
-        hooks.post_invoke = (
-            self._run_post_invoke
-            if self._record_traces or self._post_invoke
-            else None
-        )
-        hooks.post_tick = self._run_post_tick if self._post_tick else None
-
-    @property
-    def record_traces(self) -> bool:
-        return self._record_traces
-
-    @record_traces.setter
-    def record_traces(self, enabled: bool) -> None:
-        self._record_traces = bool(enabled)
-        self._rewire_hooks()
-
-    def add_pre_tick(self, handler) -> None:
-        self._pre_tick.append(handler)
-        self._rewire_hooks()
-
-    def add_marshal(self, handler) -> None:
-        self._marshal.append(handler)
-        self._rewire_hooks()
-
-    def add_local_write(self, handler) -> None:
-        self._local_write.append(handler)
-        self._rewire_hooks()
-
-    def add_post_invoke(self, handler) -> None:
-        self._post_invoke.append(handler)
-        self._rewire_hooks()
-
-    def add_post_tick(self, handler) -> None:
-        self._post_tick.append(handler)
-        self._rewire_hooks()
-
-    def set_tick_probe(self, probe: Optional[Callable[[int], bool]]) -> None:
-        """Install a top-of-tick callable; returning True stops the run
-        (see ArrestmentSimulator.set_tick_probe)."""
-        self._tick_probe = probe
-
-    def _run_pre_tick(self, tick: int) -> None:
-        for handler in self._pre_tick:
-            handler(tick)
-
-    def _run_marshal(self, module, args):
-        for handler in self._marshal:
-            args = handler(module, args)
-        return args
-
-    def _run_local_write(self, module, name, value):
-        for handler in self._local_write:
-            value = handler(module, name, value)
-        return value
-
-    def _run_post_invoke(self, record: InvocationRecord) -> None:
-        if self._record_traces:
-            for port, value in record.outputs.items():
-                signal = self.system.signal_of_output(record.module, port)
-                self.traces.record(signal, record.tick, value)
-        for handler in self._post_invoke:
-            handler(record)
-
-    def _run_post_tick(self, tick: int) -> None:
-        for handler in self._post_tick:
-            handler(tick)
-
-    # ------------------------------------------------------------------
-    # Injection support.
-    # ------------------------------------------------------------------
-    _REGISTER_OF = {"LVL_ADC": "lvl_adc", "FLOW_CNT": "flow_cnt"}
-
-    def corrupt_input(self, signal: str, bit: int) -> Tuple[Number, Number]:
-        """Persistent register corruption (see the arrestment
-        simulator's corrupt_input for the semantics)."""
-        attr = self._REGISTER_OF[signal]
-        spec = self.system.signal(signal)
-        before = getattr(self.sensors, attr)
-        after = spec.flip_bit(before, bit)
-        setattr(self.sensors, attr, after)
-        self.executor.store.poke(signal, after)
-        return before, after
 
     # ------------------------------------------------------------------
     # The mission loop.
     # ------------------------------------------------------------------
-    def _write_sensor_inputs(self, tick: int) -> None:
-        store = self.executor.store
-        for signal, attr in self._REGISTER_OF.items():
-            store[signal] = getattr(self.sensors, attr)
-            if self._record_traces:
-                self.traces.record(signal, tick, store[signal])
-
     def _observe_safety(self, tick: int) -> None:
         level = self.plant.state.level_m
         if level >= C.MAX_LEVEL_M and "overflow" not in self._failure_kinds:
@@ -281,24 +158,24 @@ class WaterTankSimulator:
 
     def run(self) -> TankMissionResult:
         executor = self.executor
-        store = executor.store
+        run_tick = executor.run_tick
+        values = executor.store.values
+        plant = self.plant
+        sensors = self.sensors
+        registers = self._registers
+        traces = self.traces if self._record_traces else None
         probe = self._tick_probe
         tick = self._start_tick
         while tick < self.mission_ticks:
             if probe is not None and probe(tick):
                 break
-            self.sensors.advance(
-                self.plant.state.level_m, self.plant.total_inflow_m3
-            )
-            self._write_sensor_inputs(tick)
-            executor.begin_tick()
-            executor.invoke("TIMER")
-            slot = store["tick_nbr"]
-            for module in self._slot_map.get(slot, ()):
-                executor.invoke(module)
-            executor.end_tick()
-            commanded = TankSensorSuite.commanded_valve(store["VALVE_POS"])
-            self.plant.step(commanded)
+            sensors.advance(plant.state.level_m, plant.total_inflow_m3)
+            for signal, attr, quantize in registers:
+                value = values[signal] = quantize(getattr(sensors, attr))
+                if traces is not None:
+                    traces.record(signal, tick, value)
+            run_tick("tick_nbr")
+            plant.step(TankSensorSuite.commanded_valve(values["VALVE_POS"]))
             self._observe_safety(tick)
             tick += 1
         return TankMissionResult(

@@ -266,15 +266,17 @@ class TestSystemExecutor:
         executor.run(2)
         assert events == [("pre", 0), ("post", 0), ("pre", 1), ("post", 1)]
 
-    def test_begin_invoke_end_manual_tick(self):
-        system = build_chain()
-        executor = SystemExecutor(system, full_schedule())
-        executor.begin_tick()
-        executor.invoke("A")
-        executor.invoke("B")
-        executor.end_tick()
-        assert executor.tick == 1
-        assert executor.store["OUT"] == 2
+    def test_run_tick_dispatches_the_slot_a_signal_names(self):
+        seen = []
+        executor = SystemExecutor(
+            build_chain(), full_schedule(),
+            ExecutorHooks(post_invoke=seen.append),
+        )
+        for slot in (1, 0, 7):  # slot 7 is out of range: nothing runs
+            executor.store["IN"] = slot
+            executor.run_tick("IN")
+        assert [(r.tick, r.module) for r in seen] == [(0, "B"), (1, "A")]
+        assert executor.tick == 3
 
     def test_invalid_wiring_rejected_at_construction(self):
         system = build_chain()
