@@ -82,7 +82,7 @@ def test_bench_place_cold_vs_cached(benchmark, ctx, tmp_path):
         rom_bytes=sum(by_signal[s].rom_bytes for s in PA_SET),
         ram_bytes=sum(by_signal[s].ram_bytes for s in PA_SET),
     )
-    cache = PlacementCache(str(tmp_path / "place-cache.json"))
+    cache = PlacementCache(str(tmp_path / "results.db"))
 
     def cold_solve():
         estimate, telemetry = cached_estimate(
@@ -112,6 +112,7 @@ def test_bench_place_cold_vs_cached(benchmark, ctx, tmp_path):
     )
     _, result2, report2 = _solve(target, estimate2, budget)
     resolve_s = time.perf_counter() - t0
+    cache.close()
     assert warm_tel.misses == (CHANGED_MODULE,)
     assert len(warm_tel.hits) == 5
     # same seed per module => same counts => byte-identical table

@@ -28,9 +28,10 @@ Subcommands
 ``place``
     Solve the budgeted EDM-placement problem over measured
     permeabilities: greedy + branch-and-bound ILP coverage
-    maximization through the compositional per-module cache (see
-    ``docs/placement.md``).  Exits 0 only when the solved set
-    dominates both hand-derived sets on coverage per byte.
+    maximization through the compositional per-module cache, kept in
+    the results database ``--db`` (see ``docs/placement.md``).  Exits
+    0 only when the solved set dominates both hand-derived sets on
+    coverage per byte.
 ``serve`` / ``submit`` / ``status`` / ``cancel`` / ``drain``
     The campaign service (see ``docs/service.md``): a long-running
     daemon scheduling submitted campaign jobs over a shared worker
@@ -293,6 +294,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
     )
     from repro.experiments.context import SCALES, default_scale
     from repro.fi.campaign import PermeabilityEstimate
+    from repro.fi.store import SqliteResultStore
     from repro.place import (
         Budget,
         PlacementCache,
@@ -306,15 +308,13 @@ def _cmd_place(args: argparse.Namespace) -> int:
     from repro.targets import get_target
 
     try:
-        target = get_target(args.target)
+        target = get_target(args.target or "arrestment")
         system = target.build_system()
         specs = target.assertion_specs()
 
         telemetry = None
         if args.run is not None:
             import os
-
-            from repro.fi.store import SqliteResultStore
 
             # read-only query: must not create an empty database
             if not os.path.exists(args.db):
@@ -334,29 +334,19 @@ def _cmd_place(args: argparse.Namespace) -> int:
                 )
                 return 2
         else:
-            scale_name = (
-                args.scale if args.scale is not None else default_scale()
-            )
-            if scale_name not in SCALES:
-                print(
-                    f"error: --scale must be one of {sorted(SCALES)}, "
-                    f"got {scale_name!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            scale = SCALES[scale_name]
+            scale = SCALES[args.scale or default_scale()]
             cases = list(target.standard_test_cases())
             cases = cases[:: scale.test_case_stride]
             runs = (
                 args.runs if args.runs is not None else scale.runs_per_input
             )
-            with PlacementCache(args.cache) as cache:
+            with PlacementCache(args.db) as cache:
                 estimate, telemetry = cached_estimate(
                     target,
                     cases,
                     cache,
                     runs_per_input=runs,
-                    seed=args.seed,
+                    seed=2002 if args.seed is None else args.seed,
                     invalidate=tuple(args.invalidate),
                 )
 
@@ -587,7 +577,7 @@ def _cmd_one_experiment(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.experiments.__main__ import add_execution_options
+    from repro.experiments.__main__ import add_execution_options, context_flags
     from repro.experiments.runner import EXPERIMENTS
 
     parser = argparse.ArgumentParser(
@@ -739,10 +729,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="solve the budgeted EDM placement (greedy + ILP over the "
         "compositional permeability cache)",
     )
-    p_place.add_argument(
-        "--target", default="arrestment",
-        help="registered target system (default: arrestment)",
-    )
+    shared = context_flags()
+    for flag in ("--scale", "--seed", "--target"):
+        p_place.add_argument(flag, **shared[flag])
     p_place.add_argument(
         "--budget-rom", type=int, default=None, metavar="BYTES",
         help="ROM budget in bytes (default: the PA hand set's ROM cost)",
@@ -761,22 +750,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "both with a cross-check line (the default)",
     )
     p_place.add_argument(
-        "--cache", default="place-cache.json", metavar="PATH",
-        help="compositional per-module permeability cache; .json or "
-        ".db/.sqlite/.sqlite3 suffix picks the backend "
-        "(default: place-cache.json)",
-    )
-    p_place.add_argument(
         "--invalidate", action="append", default=[], metavar="MODULE",
         help="force this module's cache entry stale so it is "
         "re-injected (repeatable)",
     )
-    p_place.add_argument(
-        "--scale", default=None,
-        help="campaign scale for fresh injections "
-        "(default: REPRO_SCALE or bench)",
-    )
-    p_place.add_argument("--seed", type=int, default=2002)
     p_place.add_argument(
         "--runs", type=int, default=None, metavar="N",
         help="override the scale's injection runs per module input",
@@ -788,7 +765,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_place.add_argument(
         "--db", default="results.db", metavar="PATH",
-        help="results database for --run (default: results.db)",
+        help="results database holding the compositional per-module "
+        "permeability cache, and the run --run names "
+        "(default: results.db)",
     )
     p_place.add_argument(
         "--run", default=None, metavar="NAME",
@@ -824,7 +803,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_imp = an_sub.add_parser(
         "import",
-        help="migrate a legacy JSON checkpoint into the database",
+        help="migrate a legacy JSON checkpoint document into the "
+        "database (a malformed one is refused whole, exit 2)",
     )
     p_imp.add_argument("checkpoint", help="path of the checkpoint .json file")
     p_an.set_defaults(fn=_cmd_analyze)

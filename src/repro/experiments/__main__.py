@@ -7,6 +7,8 @@ lists every flag.  The same flags serve ``python -m repro
 job, ``python -m repro submit``: :func:`add_execution_options` builds
 them from the context flags below and the execution options declared
 on the campaign policies (:data:`~repro.fi.executor.EXECUTION_OPTIONS`).
+``python -m repro place`` takes its ``--scale``, ``--seed`` and
+``--target`` from :func:`context_flags` too.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.targets import available_targets
 SCHEDULER_OWNED = ("resume", "checkpoint_dir", "event_log", "results_db")
 
 
-def _context_flags() -> Dict[str, Dict[str, Any]]:
+def context_flags() -> Dict[str, Dict[str, Any]]:
     """The context flags: flag -> ``add_argument`` keywords.
 
     Each flag's destination is an argument of
@@ -88,7 +90,7 @@ def _dest(flag: str) -> str:
 
 def submittable_keys() -> List[str]:
     """The context arguments and options a service job spec may set."""
-    context = [_dest(flag) for flag in _context_flags()]
+    context = [_dest(flag) for flag in context_flags()]
     return [
         key for key in context if key not in SCHEDULER_OWNED
     ] + list(EXECUTION_OPTIONS)
@@ -124,7 +126,7 @@ def add_execution_options(
     keeps the default of :class:`ExperimentContext` or of the option's
     policy field.  *submit* leaves out the :data:`SCHEDULER_OWNED` flags.
     """
-    for flag, kwargs in _context_flags().items():
+    for flag, kwargs in context_flags().items():
         if not (submit and _dest(flag) in SCHEDULER_OWNED):
             parser.add_argument(flag, **kwargs)
     for option in EXECUTION_OPTIONS.values():
@@ -137,7 +139,7 @@ def context_from_args(args: argparse.Namespace) -> ExperimentContext:
     The scale defaults to ``REPRO_SCALE`` (else ``bench``), resolved
     here rather than when the parser is built.
     """
-    keys = [_dest(flag) for flag in _context_flags()]
+    keys = [_dest(flag) for flag in context_flags()]
     values = {
         key: getattr(args, key)
         for key in keys + list(EXECUTION_OPTIONS)

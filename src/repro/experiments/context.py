@@ -94,7 +94,8 @@ class ExperimentContext:
     arrestment system).  *jobs* > 1 runs the campaigns on a process
     pool; *backend* pins the execution backend (``serial`` or
     ``process``; ``None`` derives it from *jobs*); *checkpoint_dir*
-    enables checkpointing of partially completed campaigns, and
+    enables checkpointing of partially completed campaigns into
+    ``<checkpoint_dir>/results.db``, and
     *resume* picks existing checkpoints up instead of starting
     fresh.  *event_log* appends a JSONL record of run events (shared
     by all campaigns of the context; each record carries its campaign
@@ -103,7 +104,7 @@ class ExperimentContext:
 
     *options* are execution options by their declared names
     (:data:`~repro.fi.executor.EXECUTION_OPTIONS`: ``retries=2``,
-    ``adaptive=True``, ``store="sqlite"``, ...; ``python -m
+    ``adaptive=True``, ...; ``python -m
     repro.experiments --help`` lists them).  They build the one
     :class:`~repro.fi.executor.CampaignConfig` that every campaign of
     the context runs under.
@@ -171,28 +172,20 @@ class ExperimentContext:
     simulator_factory = staticmethod(ArrestmentSimulator)
 
     def campaign_config(self, campaign: str) -> CampaignConfig:
-        """The shared execution config, with a per-campaign checkpoint.
-
-        The JSON backend keeps one ``<campaign>.json`` file per
-        campaign (the legacy layout); the sqlite backend keeps every
-        campaign of the context in one shared ``results.db`` database.
-        """
+        """The shared execution config, checkpointing *campaign* into
+        the ``results.db`` database every campaign of the context
+        shares."""
         if self.checkpoint_dir is None:
             return self.config
-        checkpoint = self.config.checkpoint
-        if checkpoint.backend == "sqlite":
-            path = os.path.join(self.checkpoint_dir, "results.db")
-            if not self.resume and os.path.exists(path):
-                # fresh start requested: drop this campaign's
-                # records, keep the rest of the database
-                with SqliteResultStore(path) as store:
-                    store.discard_campaign(campaign)
-        else:
-            path = os.path.join(self.checkpoint_dir, f"{campaign}.json")
-            if not self.resume and os.path.exists(path):
-                os.remove(path)  # fresh start requested
+        path = os.path.join(self.checkpoint_dir, "results.db")
+        if not self.resume and os.path.exists(path):
+            # fresh start requested: drop this campaign's records,
+            # keep the rest of the database
+            with SqliteResultStore(path) as store:
+                store.discard_campaign(campaign)
         return dataclasses.replace(
-            self.config, checkpoint=dataclasses.replace(checkpoint, path=path)
+            self.config,
+            checkpoint=dataclasses.replace(self.config.checkpoint, path=path),
         )
 
     def _save_result(self, campaign: str, result) -> None:

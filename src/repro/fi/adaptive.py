@@ -85,8 +85,8 @@ _SUMMED = (
 #: golden-cache and store figures count over the executor's lifetime,
 #: so the latest round's values already cover the whole campaign
 _LATEST = (
-    "cache_hits", "cache_misses", "store_backend", "store_flushes",
-    "store_flushes_skipped", "store_records_written", "store_bytes_written",
+    "cache_hits", "cache_misses", "store_flushes", "store_flushes_skipped",
+    "store_records_written", "store_bytes_written",
 )
 
 

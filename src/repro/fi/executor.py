@@ -54,23 +54,21 @@ KeyboardInterrupt — so no completed run is ever lost.
 
 Checkpointing and the result store
 ----------------------------------
-Campaign persistence lives behind the
-:class:`~repro.fi.store.ResultStore` interface
-(:mod:`repro.fi.store`): the executor opens the store named by
-``config.checkpoint.path`` (the path's suffix — or
-``checkpoint.backend`` — selects the legacy single-file JSON
-checkpoint or the sqlite results database), binds it to the campaign
-identity ``(campaign, fingerprint, n_tasks)``, streams each finished
-task record into it and flushes every ``checkpoint.every`` tasks and
-on every exit path.  A resume run with a matching fingerprint
-schedules only the tasks the store has no verified record for; a
-mismatched fingerprint — or a structurally corrupt checkpoint —
-discards the stored records instead of crashing.  Digest stamping and
+Campaign persistence lives in the results database of
+:mod:`repro.fi.store`: the executor opens the
+:class:`~repro.fi.store.SqliteResultStore` named by
+``config.checkpoint.path``, binds it to the campaign identity
+``(campaign, fingerprint, n_tasks)``, streams each finished task
+record into it and flushes every ``checkpoint.every`` tasks and on
+every exit path.  A resume run with a matching fingerprint schedules
+only the tasks the store has no verified record for; a mismatched
+fingerprint is another campaign, and a stored row that cannot load is
+deleted and re-executed instead of crashing.  Digest stamping and
 verification are store-level concerns: records whose stored canonical
 digest does not verify on load are handled per the integrity policy —
 dropped and re-executed (``repair``, the default), fatal (``strict``),
-or accepted unverified (``off``) — and pre-digest checkpoints (no
-``digests`` map) still load.
+or accepted unverified (``off``) — and records without a digest still
+load.
 
 Result integrity
 ----------------
@@ -126,7 +124,7 @@ from repro.fi.integrity import (
     drain_violations,
 )
 from repro.fi.snapshot import DEFAULT_CHECKPOINT_STRIDE
-from repro.fi.store import STORE_BACKENDS, ResultStore, open_store
+from repro.fi.store import SqliteResultStore
 
 __all__ = [
     "BACKENDS",
@@ -152,7 +150,7 @@ __all__ = [
 
 BACKENDS = ("serial", "process")
 
-#: bumped whenever the checkpoint document layout changes; salted into
+#: bumped whenever the checkpoint record layout changes; salted into
 #: every fingerprint so old files mismatch instead of half-loading.
 CHECKPOINT_SCHEMA_REVISION = 2
 
@@ -210,35 +208,19 @@ def _option(default: Any, name: str, flag: str, help: str, **extra: Any) -> Any:
 class CheckpointPolicy:
     """Where and how campaign progress is persisted.
 
-    *path* names the campaign's result store; its suffix selects the
-    store backend (``.db``/``.sqlite``/``.sqlite3`` → sqlite,
-    anything else → the legacy JSON document) unless *backend* pins
-    one explicitly.
+    *path* names the campaign's results database
+    (:class:`~repro.fi.store.SqliteResultStore`), whatever its suffix.
     """
 
-    #: checkpoint / results-store file; ``None`` disables persistence.
+    #: results database file; ``None`` disables persistence.
     path: Optional[str] = None
     #: flush the store every this many completed tasks.
     every: int = 32
-    #: ``"json"`` or ``"sqlite"``; ``None`` derives from the suffix.
-    backend: Optional[str] = _option(
-        None, "store", "--store",
-        "checkpoint store backend: json keeps one legacy "
-        "<campaign>.json file per campaign, sqlite streams every "
-        "campaign into one <checkpoint-dir>/results.db database "
-        "(default: by path suffix, i.e. json)",
-        choices=STORE_BACKENDS,
-    )
 
     def __post_init__(self) -> None:
         if self.every < 1:
             raise CampaignError(
                 f"checkpoint_every must be >= 1, got {self.every}"
-            )
-        if self.backend is not None and self.backend not in STORE_BACKENDS:
-            raise CampaignError(
-                f"unknown store backend {self.backend!r}; "
-                f"choose from {STORE_BACKENDS}"
             )
 
 
@@ -728,17 +710,16 @@ class RunEventLog:
     additionally ``fsync`` per record — durable against power loss,
     at a per-event cost only forensics-critical runs should pay.
 
-    *sink*, when given, mirrors every record into a
-    :class:`~repro.fi.store.ResultStore` (the sqlite backend persists
-    them in its ``events`` table; the JSON backend ignores them), so
-    a results database carries its own event history.
+    *sink*, when given, mirrors every record into the ``events``
+    table of a :class:`~repro.fi.store.SqliteResultStore`, so a
+    results database carries its own event history.
     """
 
     def __init__(
         self,
         path: Optional[str] = None,
         campaign: str = "",
-        sink: Optional[ResultStore] = None,
+        sink: Optional[SqliteResultStore] = None,
     ):
         self.path = path
         self.campaign = campaign
@@ -821,16 +802,13 @@ class CampaignTelemetry:
     drift_events: int = 0
     #: checkpoint records dropped on load after a digest mismatch.
     checkpoint_rejects: int = 0
-    #: result-store backend persisting the campaign ("" = no store).
-    store_backend: str = ""
     #: store flushes that actually wrote data.
     store_flushes: int = 0
     #: store flushes skipped because no new records had arrived.
     store_flushes_skipped: int = 0
     #: records persisted by the store (new records, not rewrites).
     store_records_written: int = 0
-    #: payload bytes the store wrote (whole-document rewrites for the
-    #: JSON backend, streamed inserts for sqlite).
+    #: payload bytes the store wrote (each record once).
     store_bytes_written: int = 0
     #: every registered layer counter over the run (zero included),
     #: keyed as :func:`repro.fi.counters.snapshot` names them.
@@ -907,10 +885,9 @@ class CampaignTelemetry:
                 text += f" drift={self.drift_events}"
             if self.checkpoint_rejects:
                 text += f" ckpt-rejects={self.checkpoint_rejects}"
-        if self.store_backend:
+        if self.store_flushes or self.store_flushes_skipped:
             text += (
-                f" | store={self.store_backend}"
-                f" flushes={self.store_flushes}"
+                f" | store flushes={self.store_flushes}"
                 f"+{self.store_flushes_skipped} skipped,"
                 f" {self.store_records_written} records"
                 f" / {self.store_bytes_written} B"
@@ -1335,7 +1312,7 @@ class CampaignExecutor:
         #: (audit mismatches, rejected checkpoint records, drift).
         self.violations: List[IntegrityViolation] = []
         self._events = RunEventLog(None, campaign)
-        self._store: Optional[ResultStore] = None
+        self._store: Optional[SqliteResultStore] = None
         # cache and layer counters count from executor construction,
         # so golden runs and checkpoint tracks built while the
         # campaign pre-draws its parameters show up
@@ -1347,22 +1324,16 @@ class CampaignExecutor:
     # The result store.
     # ------------------------------------------------------------------
     @property
-    def store(self) -> Optional[ResultStore]:
+    def store(self) -> Optional[SqliteResultStore]:
         """The campaign's result store, opened lazily from
         ``config.checkpoint`` (``None`` when persistence is off).
 
-        The store's backend follows the checkpoint path's suffix
-        (``.db``/``.sqlite``/``.sqlite3`` → sqlite, anything else →
-        the legacy JSON document) unless ``checkpoint.backend`` pins
-        one.  The instance is kept for the executor's lifetime, so
-        adaptive rounds and repeated :meth:`run_tasks` calls share
-        one verified view of the campaign's records.
+        The instance is kept for the executor's lifetime, so adaptive
+        rounds and repeated :meth:`run_tasks` calls share one verified
+        view of the campaign's records.
         """
         if self._store is None and self.config.checkpoint.path:
-            self._store = open_store(
-                self.config.checkpoint.path,
-                self.config.checkpoint.backend,
-            )
+            self._store = SqliteResultStore(self.config.checkpoint.path)
         return self._store
 
     def close(self) -> None:
@@ -1881,7 +1852,6 @@ class CampaignExecutor:
             # the no-lost-progress guarantee: flush on every exit path
             if store is not None:
                 flush_store()
-                telemetry.store_backend = store.backend
                 telemetry.store_flushes = store.stats.flushes
                 telemetry.store_flushes_skipped = (
                     store.stats.skipped_flushes

@@ -248,8 +248,8 @@ AnyResult = Union[PermeabilityEstimate, DetectionResult, MemoryCampaignResult]
 def result_to_document(result: AnyResult) -> dict:
     """The digest-stamped JSON envelope of a campaign result.
 
-    This is the persistence format shared by every
-    :class:`~repro.fi.store.ResultStore` backend: the envelope gains
+    This is the persistence format of saved results in
+    :class:`~repro.fi.store.SqliteResultStore`: the envelope gains
     a ``digest`` field — the canonical content digest of everything
     else in it — which :func:`document_to_result` re-verifies.
     """

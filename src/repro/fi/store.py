@@ -1,10 +1,7 @@
-"""The campaign results database behind the :class:`ResultStore` API.
+"""The campaign results database.
 
-Campaign persistence used to be an implicit contract scattered over
-the executor (JSON checkpoint read/write/flush/fingerprint) and
-:mod:`repro.fi.serialization` (result files).  This
-module makes the contract explicit: a :class:`ResultStore` owns both
-halves of campaign persistence —
+:class:`SqliteResultStore` owns campaign persistence, both halves of
+it:
 
 * the **checkpoint side** (per-task records keyed by campaign +
   fingerprint, digest-verified on load, flushed incrementally while
@@ -15,31 +12,24 @@ halves of campaign persistence —
   name with metadata), consumed by the analytics layer
   (:mod:`repro.analysis.compare`) and the ``repro analyze`` CLI.
 
-Two implementations:
+Campaigns, per-task records, quarantined task failures, integrity
+violations, run events, saved results and the placement cache's
+per-module estimates (:mod:`repro.place.cache`) live in normalized
+tables of one sqlite file, written in WAL mode.  Records stream in
+per-flush transactions (each record's bytes are written once), and
+resume only needs the completed index set — the full result set is
+never materialized in memory on load.  One database holds many
+campaigns and many runs, which is what makes cross-campaign analytics
+(``repro analyze diff``) possible.
 
-:class:`JsonCheckpointStore`
-    Bit-compatible with the pre-store checkpoint files (the
-    ``{campaign, fingerprint, n_tasks, results, digests}`` document,
-    schema revision 2) and with the digest-stamped result envelopes
-    of :func:`~repro.fi.serialization.result_to_document`.  The
-    whole document lives in memory and is rewritten atomically
-    (write-temp-then-rename) on flush — but only when new records
-    actually arrived since the last flush.
+The legacy JSON checkpoint document (``{campaign, fingerprint,
+n_tasks, results, digests}``) is an import format only:
+:meth:`SqliteResultStore.import_checkpoint` (``repro analyze import``)
+validates one and copies it in.
 
-:class:`SqliteResultStore`
-    A real results database: campaigns, per-task records, quarantined
-    task failures, integrity violations, run events and saved results
-    in normalized sqlite tables, written in WAL mode.  Records stream
-    in per-flush transactions (each record's bytes are written once,
-    instead of rewriting the whole document), and resume only needs
-    the completed index set — the full result set is never
-    materialized in memory on load.  One database file holds many
-    campaigns and many runs, which is what makes cross-campaign
-    analytics (``repro analyze diff``) possible.
-
-Digests are a store-level concern: stores stamp every checkpoint
+Digests are a store-level concern: the store stamps every checkpoint
 record with its canonical content digest
-(:func:`~repro.fi.integrity.canonical_digest`) on write and re-verify
+(:func:`~repro.fi.integrity.canonical_digest`) on write and re-verifies
 on load, reporting mismatches through the caller's violation callback
 per the integrity policy (``strict`` raises, ``repair`` drops the
 record for re-execution, ``off`` loads unverified).
@@ -51,7 +41,6 @@ import json
 import os
 import sqlite3
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -68,22 +57,11 @@ from repro.errors import CampaignError, IntegrityError
 from repro.fi.integrity import IntegrityViolation, canonical_digest
 
 __all__ = [
-    "STORE_BACKENDS",
-    "SQLITE_SUFFIXES",
     "StoreStats",
     "StoredResult",
     "StoredCampaign",
-    "ResultStore",
-    "JsonCheckpointStore",
     "SqliteResultStore",
-    "backend_for_path",
-    "open_store",
 ]
-
-STORE_BACKENDS = ("json", "sqlite")
-
-#: checkpoint paths with these suffixes auto-select the sqlite backend.
-SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
 
 #: marker key of an encoded TaskFailure record (mirrors the executor's
 #: ``_FAILURE_MARKER``; kept literal here so the store does not import
@@ -91,6 +69,12 @@ SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
 _FAILURE_MARKER = "__task_failure__"
 
 _VIOLATION_CALLBACK = Callable[[IntegrityViolation], None]
+
+#: a staged record: (JSON text, digest, failure row or None).
+_Staged = Tuple[str, Optional[str], Optional[Tuple]]
+
+#: stands in for a stored record whose text is not JSON.
+_UNDECODABLE = object()
 
 #: bounded retry of a flush transaction that hits ``SQLITE_BUSY``
 #: (concurrent campaigns sharing one results database).
@@ -106,11 +90,10 @@ def _chaos_kill_flush() -> None:
     """Simulated ``kill -9`` at a flush's most vulnerable point.
 
     ``REPRO_CHAOS_KILL_FLUSH=<n>`` hard-exits the process during this
-    process's *n*-th flush — after the new bytes are staged (temp file
-    written / rows inserted) but before they become durable (rename /
-    commit).  A crash in this window must leave the previously
-    persisted state intact and loadable; the recovery tests and the
-    service chaos job drive exactly that.
+    process's *n*-th flush — after the new rows are inserted but
+    before they are committed.  A crash in this window must leave the
+    previously persisted state intact and loadable; the recovery tests
+    and the service chaos job drive exactly that.
     """
     target = os.environ.get("REPRO_CHAOS_KILL_FLUSH")
     if not target:
@@ -125,39 +108,12 @@ def _chaos_kill_flush() -> None:
         os._exit(137)
 
 
-def backend_for_path(path: str, backend: Optional[str] = None) -> str:
-    """Resolve a store backend name for *path*.
-
-    An explicit *backend* wins; otherwise the path's suffix selects
-    sqlite (:data:`SQLITE_SUFFIXES`) or json (everything else).
-    """
-    if backend is not None:
-        if backend not in STORE_BACKENDS:
-            raise CampaignError(
-                f"unknown store backend {backend!r}; "
-                f"choose from {STORE_BACKENDS}"
-            )
-        return backend
-    suffix = os.path.splitext(path)[1].lower()
-    return "sqlite" if suffix in SQLITE_SUFFIXES else "json"
-
-
-def open_store(path: str, backend: Optional[str] = None) -> "ResultStore":
-    """Open the :class:`ResultStore` for *path* (see
-    :func:`backend_for_path` for backend selection)."""
-    resolved = backend_for_path(path, backend)
-    if resolved == "sqlite":
-        return SqliteResultStore(path)
-    return JsonCheckpointStore(path)
-
-
 @dataclass
 class StoreStats:
     """Write-side statistics of one store instance.
 
-    ``bytes_written`` counts the payload bytes each flush persisted —
-    the whole document for the JSON backend, only the new records for
-    sqlite — which is the quantity the store benchmark compares.
+    ``bytes_written`` counts the payload bytes each flush persisted:
+    only the new records, each written once.
     """
 
     flushes: int = 0
@@ -191,130 +147,46 @@ class StoredCampaign:
     failures: int
 
 
-# ======================================================================
-# The abstract store interface.
-# ======================================================================
-class ResultStore(ABC):
-    """Persistence of campaign checkpoints and campaign results.
-
-    Checkpoint protocol (driven by the executor)::
-
-        rejects = store.open_campaign(name, fingerprint, n_tasks,
-                                      policy, on_violation)
-        done = store.completed_indices()     # schedule only the rest
-        store.put_record(index, record)      # per finished task
-        store.flush()                        # per checkpoint_every,
-                                             # and on every exit path
-        record = store.get_record(index)     # resumed records, lazily
-
-    Result protocol (driven by drivers and the analytics layer)::
-
-        store.save_result(result, run="table4/detection", meta={...})
-        result = store.load_result("table4/detection")
-        store.list_results()
-
-    Records must be JSON-encodable; the executor encodes
-    :class:`~repro.fi.executor.TaskFailure` records before handing
-    them over and decodes them after fetching.
-    """
-
-    backend: str = ""
-
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
-        self.stats = StoreStats()
-
-    # -- checkpoint side ------------------------------------------------
-    @abstractmethod
-    def open_campaign(
-        self,
-        campaign: str,
-        fingerprint: str,
-        n_tasks: int,
-        policy: str = "repair",
-        on_violation: Optional[_VIOLATION_CALLBACK] = None,
-    ) -> int:
-        """Bind the store to one campaign identity; returns the number
-        of stored records rejected by digest verification.
-
-        A stored campaign whose fingerprint or task count mismatches
-        is treated as absent (the legacy checkpoint behaviour), never
-        as an error.  Under the ``strict`` policy a digest mismatch
-        raises :class:`~repro.errors.IntegrityError`; under ``repair``
-        the record is dropped (and will be re-executed); ``off`` skips
-        verification.
-        """
-
-    @abstractmethod
-    def completed_indices(self) -> Set[int]:
-        """Verified task indices of the bound campaign."""
-
-    @abstractmethod
-    def get_record(self, index: int) -> Any:
-        """The stored record at *index* (raw, JSON-decoded)."""
-
-    @abstractmethod
-    def put_record(
-        self, index: int, record: Any, digest: Optional[str] = None
-    ) -> None:
-        """Stage one record; persisted by the next :meth:`flush`.
-
-        The store computes the record's canonical digest unless an
-        explicit *digest* is given (checkpoint migration preserves the
-        original digests verbatim).
-        """
-
-    @abstractmethod
-    def flush(self) -> bool:
-        """Persist staged records; returns False when there was
-        nothing new to write (the flush was skipped)."""
-
-    @abstractmethod
-    def discard_campaign(self, campaign: str) -> None:
-        """Drop every stored record of *campaign* (fresh-start runs)."""
-
-    @abstractmethod
-    def list_campaigns(self) -> List[StoredCampaign]:
-        """Catalogue of the checkpointed campaigns in this store."""
-
-    # -- event mirroring ------------------------------------------------
-    def log_event(self, record: Dict[str, Any]) -> None:
-        """Mirror one run event into the store (sqlite only)."""
-
-    # -- result side ----------------------------------------------------
-    @abstractmethod
-    def save_result(
-        self,
-        result: Any,
-        run: Optional[str] = None,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> str:
-        """Save a campaign result under *run*; returns the run key."""
-
-    @abstractmethod
-    def load_result(self, run: Optional[str] = None) -> Any:
-        """Load a saved campaign result (digest-verified)."""
-
-    @abstractmethod
-    def list_results(self) -> List[StoredResult]:
-        """Catalogue of the saved results in this store."""
-
-    # -- lifecycle ------------------------------------------------------
-    def close(self) -> None:
-        """Release any underlying resources (idempotent)."""
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
 def _digest_or_none(record: Any) -> Optional[str]:
     try:
         return canonical_digest(record)
     except IntegrityError:
         return None  # non-JSON records cannot be verified later
+
+
+def _staged(record: Any, digest: Optional[str] = None) -> _Staged:
+    """*record* as the row a flush writes; the store computes the
+    canonical digest unless *digest* is given."""
+    failure: Optional[Tuple] = None
+    if isinstance(record, dict) and record.get(_FAILURE_MARKER) == 1:
+        failure = (
+            str(record.get("kind", "")),
+            str(record.get("error", "")),
+            int(record.get("attempts", 0)),
+        )
+    return (
+        json.dumps(record, separators=(",", ":")),
+        digest if digest is not None else _digest_or_none(record),
+        failure,
+    )
+
+
+def _record_problem(record: Any) -> Optional[str]:
+    """Why a checkpoint record cannot be loaded, or ``None``."""
+    if record is _UNDECODABLE:
+        return "is not JSON"
+    if isinstance(record, dict) and record.get(_FAILURE_MARKER) == 1:
+        try:
+            int(record["index"])
+            int(record["attempts"])
+            if isinstance(record["kind"], str) and isinstance(
+                record["error"], str
+            ):
+                return None
+        except (KeyError, TypeError, ValueError):
+            pass
+        return "is a malformed quarantine record"
+    return None
 
 
 def _verify_record(
@@ -328,7 +200,7 @@ def _verify_record(
 ) -> bool:
     """Digest-check one loaded record; returns whether to keep it.
 
-    Records without a digest (pre-digest files) always load; a
+    Records without a digest (pre-digest checkpoints) always load; a
     mismatch is reported through *on_violation* and then either raises
     (``strict``) or rejects the record (``repair``).
     """
@@ -357,246 +229,66 @@ def _verify_record(
     return False  # repair: drop it, the task re-executes
 
 
-# ======================================================================
-# JSON backend.
-# ======================================================================
-class JsonCheckpointStore(ResultStore):
-    """The legacy single-file JSON checkpoint, behind the store API.
+def _parse_checkpoint(
+    payload: Any,
+) -> Tuple[str, str, int, Dict[int, Tuple[Any, Optional[str]]]]:
+    """Validate a legacy JSON checkpoint document as a whole.
 
-    Bit-compatible with pre-store files: the same
-    ``{campaign, fingerprint, n_tasks, results, digests}`` document
-    (checkpoint side) and the same digest-stamped result envelope
-    (result side).  The document is rewritten atomically on
-    flush — write to ``<path>.tmp``, then :func:`os.replace` — and the
-    rewrite is skipped entirely when no new records arrived.
+    Returns its identity and ``{index: (record, digest)}``; raises
+    :class:`ValueError` naming the first problem.
     """
-
-    backend = "json"
-
-    def __init__(self, path: str) -> None:
-        super().__init__(path)
-        self._bound: Optional[Tuple[str, str, int]] = None
-        self._records: Dict[int, Any] = {}
-        self._digests: Dict[int, str] = {}
-        self._dirty = False
-        self._new = 0
-
-    # -- checkpoint side ------------------------------------------------
-    def open_campaign(
-        self,
-        campaign: str,
-        fingerprint: str,
-        n_tasks: int,
-        policy: str = "repair",
-        on_violation: Optional[_VIOLATION_CALLBACK] = None,
-    ) -> int:
-        key = (campaign, fingerprint, n_tasks)
-        if self._bound == key:
-            return 0  # already verified in this store instance
-        self._bound = key
-        self._records = {}
-        self._digests = {}
-        self._dirty = False
-        self._new = 0
-        if not os.path.exists(self.path):
-            return 0
+    if not isinstance(payload, dict):
+        raise ValueError("the document is not an object")
+    campaign = payload.get("campaign")
+    fingerprint = payload.get("fingerprint")
+    n_tasks = payload.get("n_tasks")
+    results = payload.get("results")
+    digests = payload.get("digests", {})
+    if not isinstance(campaign, str) or not isinstance(fingerprint, str):
+        raise ValueError("'campaign' and 'fingerprint' must be strings")
+    if type(n_tasks) is not int or n_tasks < 0:
+        raise ValueError("'n_tasks' must be a non-negative integer")
+    if not isinstance(results, dict):
+        raise ValueError("'results' must map task indices to records")
+    if not isinstance(digests, dict) or not all(
+        isinstance(digest, str) for digest in digests.values()
+    ):
+        raise ValueError("'digests' must map task indices to strings")
+    rows: Dict[int, Tuple[Any, Optional[str]]] = {}
+    for key, record in results.items():
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return 0
-        if (
-            not isinstance(payload, dict)
-            or payload.get("campaign") != campaign
-            or payload.get("fingerprint") != fingerprint
-            or payload.get("n_tasks") != n_tasks
-        ):
-            # a stale document for some other campaign identity: treat
-            # as absent, and overwrite it on the next flush even if no
-            # new records arrive, so it cannot shadow this campaign
-            self._dirty = True
-            return 0
-        digests = payload.get("digests")
-        if not isinstance(digests, dict):
-            digests = {}
-        rejects = 0
-        # a structurally corrupt checkpoint (non-numeric indices,
-        # results that are not a mapping, mangled records) is discarded
-        # like a mismatched one — never crash the campaign
-        try:
-            records: Dict[int, Any] = {}
-            kept_digests: Dict[int, str] = {}
-            for index, record in payload.get("results", {}).items():
-                i = int(index)
-                if not 0 <= i < n_tasks:
-                    continue
-                stored = digests.get(index)
-                if not _verify_record(
-                    campaign, i, record, stored, policy,
-                    on_violation, self.path,
-                ):
-                    rejects += 1
-                    continue
-                if (
-                    isinstance(record, dict)
-                    and record.get(_FAILURE_MARKER) == 1
-                ):
-                    # a mangled quarantine record is structural
-                    # corruption: raising here routes into the
-                    # whole-discard path, like the legacy loader
-                    int(record["index"])
-                    int(record["attempts"])
-                    record["kind"] + ""
-                    record["error"] + ""
-                if isinstance(stored, str):
-                    kept_digests[i] = stored
-                records[i] = record
-        except IntegrityError:
-            self._bound = None  # strict abort: leave the store unbound
-            raise
-        except (AttributeError, KeyError, TypeError, ValueError):
-            self._dirty = True
-            return rejects
-        self._records = records
-        self._digests = kept_digests
-        if rejects:
-            self._dirty = True  # rewrite without the rejected records
-        return rejects
-
-    def completed_indices(self) -> Set[int]:
-        return set(self._records)
-
-    def get_record(self, index: int) -> Any:
-        return self._records[index]
-
-    def put_record(
-        self, index: int, record: Any, digest: Optional[str] = None
-    ) -> None:
-        self._records[index] = record
-        resolved = digest if digest is not None else _digest_or_none(record)
-        if resolved is not None:
-            self._digests[index] = resolved
-        else:
-            self._digests.pop(index, None)
-        self._dirty = True
-        self._new += 1
-
-    def flush(self) -> bool:
-        if self._bound is None or not self._dirty:
-            self.stats.skipped_flushes += 1
-            return False
-        campaign, fingerprint, n_tasks = self._bound
-        payload = {
-            "campaign": campaign,
-            "fingerprint": fingerprint,
-            "n_tasks": n_tasks,
-            "results": {
-                str(index): record
-                for index, record in self._records.items()
-            },
-            "digests": {
-                str(index): digest
-                for index, digest in self._digests.items()
-                if index in self._records
-            },
-        }
-        text = json.dumps(payload)
-        tmp = f"{self.path}.tmp"
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        _chaos_kill_flush()  # die after the temp write, before the rename
-        os.replace(tmp, self.path)
-        self._dirty = False
-        self.stats.flushes += 1
-        self.stats.records_written += self._new
-        self._new = 0
-        self.stats.bytes_written += len(text)
-        return True
-
-    def discard_campaign(self, campaign: str) -> None:
-        if self._bound is not None and self._bound[0] == campaign:
-            self._bound = None
-            self._records = {}
-            self._digests = {}
-            self._dirty = False
-            self._new = 0
-        if os.path.exists(self.path):
-            os.remove(self.path)
-
-    def list_campaigns(self) -> List[StoredCampaign]:
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return []
-        if not isinstance(payload, dict) or "campaign" not in payload:
-            return []
-        results = payload.get("results", {})
-        if not isinstance(results, dict):
-            results = {}
-        failures = sum(
-            1
-            for record in results.values()
-            if isinstance(record, dict)
-            and record.get(_FAILURE_MARKER) == 1
-        )
-        return [
-            StoredCampaign(
-                campaign=str(payload.get("campaign")),
-                fingerprint=str(payload.get("fingerprint")),
-                n_tasks=int(payload.get("n_tasks") or 0),
-                completed=len(results),
-                failures=failures,
+            index = int(key)
+        except ValueError:
+            raise ValueError(f"task index {key!r} is not an integer") from None
+        if not 0 <= index < n_tasks:
+            raise ValueError(
+                f"task index {index} is outside [0, {n_tasks})"
             )
-        ]
-
-    # -- result side ----------------------------------------------------
-    def save_result(
-        self,
-        result: Any,
-        run: Optional[str] = None,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> str:
-        from repro.fi.serialization import result_to_document
-
-        data = result_to_document(result)
-        with open(self.path, "w", encoding="utf-8") as handle:
-            text = json.dumps(data, indent=2)
-            handle.write(text)
-        self.stats.flushes += 1
-        self.stats.bytes_written += len(text)
-        return run if run is not None else self.path
-
-    def load_result(self, run: Optional[str] = None) -> Any:
-        from repro.fi.serialization import document_to_result
-
-        with open(self.path, "r", encoding="utf-8") as handle:
-            data = json.loads(handle.read())
-        return document_to_result(data, source=self.path)
-
-    def list_results(self) -> List[StoredResult]:
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                data = json.loads(handle.read())
-        except (OSError, ValueError):
-            return []
-        if not isinstance(data, dict) or "kind" not in data:
-            return []
-        return [
-            StoredResult(
-                run=self.path,
-                kind=str(data.get("kind")),
-                created_ts=os.path.getmtime(self.path),
-                digest=str(data.get("digest", "")),
-            )
-        ]
+        problem = _record_problem(record)
+        if problem is not None:
+            raise ValueError(f"the record of task {index} {problem}")
+        rows[index] = (record, digests.get(key))
+    return campaign, fingerprint, n_tasks, rows
 
 
-# ======================================================================
-# Sqlite backend.
-# ======================================================================
+def _legacy_hint(path: str) -> str:
+    """How to migrate the file at *path*, if it is a legacy JSON
+    checkpoint; ``""`` otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError):
+        return ""
+    if not isinstance(payload, dict) or not {"campaign", "results"} <= set(
+        payload
+    ):
+        return ""
+    return (
+        f"; it is a legacy JSON checkpoint, which only imports: "
+        f"repro analyze --db DB import {path}"
+    )
+
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS campaigns (
     id          INTEGER PRIMARY KEY,
@@ -650,33 +342,49 @@ CREATE TABLE IF NOT EXISTS results (
     created_ts  REAL NOT NULL,
     meta        TEXT
 );
+CREATE TABLE IF NOT EXISTS module_estimates (
+    module      TEXT PRIMARY KEY,
+    fingerprint TEXT NOT NULL,
+    payload     TEXT NOT NULL
+);
 """
 
 
-class SqliteResultStore(ResultStore):
-    """Normalized sqlite results database in WAL mode.
+class SqliteResultStore:
+    """Persistence of campaign checkpoints and campaign results in one
+    sqlite database (WAL mode).
 
-    One file holds any number of campaigns (checkpoint records keyed
-    by campaign identity) and any number of saved results (keyed by
-    run name).  Checkpoint records stream in per-flush transactions:
-    every record's bytes hit the database exactly once, so large
-    campaigns do not pay the quadratic rewrite cost of the JSON
-    document, and resume only reads the completed index set into
-    memory.
+    *path* names the database, whatever its suffix.  Checkpoint
+    protocol (driven by the executor)::
+
+        rejects = store.open_campaign(name, fingerprint, n_tasks,
+                                      policy, on_violation)
+        done = store.completed_indices()     # schedule only the rest
+        store.put_record(index, record)      # per finished task
+        store.flush()                        # per checkpoint_every,
+                                             # and on every exit path
+        record = store.get_record(index)     # resumed records, lazily
+
+    Result protocol (driven by drivers and the analytics layer)::
+
+        store.save_result(result, run="table4/detection", meta={...})
+        result = store.load_result("table4/detection")
+        store.list_results()
+
+    Records must be JSON-encodable; the executor encodes
+    :class:`~repro.fi.executor.TaskFailure` records before handing
+    them over and decodes them after fetching.
     """
 
-    backend = "sqlite"
-
     def __init__(self, path: str) -> None:
-        super().__init__(path)
+        self.path = str(path)
+        self.stats = StoreStats()
         self._conn: Optional[sqlite3.Connection] = None
         self._campaign_id: Optional[int] = None
         self._campaign: Optional[Tuple[str, str, int]] = None
         self._completed: Set[int] = set()
-        #: staged records: index -> (json text, digest, failure row)
-        self._pending: Dict[
-            int, Tuple[str, Optional[str], Optional[Tuple]]
-        ] = {}
+        #: staged records by task index
+        self._pending: Dict[int, _Staged] = {}
         self._pending_events: List[Tuple[float, str, str]] = []
 
     # -- connection -----------------------------------------------------
@@ -707,12 +415,13 @@ class SqliteResultStore(ResultStore):
                     pass
                 raise CampaignError(
                     f"{self.path}: not a usable sqlite results "
-                    f"database ({exc})"
+                    f"database ({exc}){_legacy_hint(self.path)}"
                 ) from exc
             self._conn = conn
         return self._conn
 
     def close(self) -> None:
+        """Flush and release the database (idempotent)."""
         if self._conn is not None:
             try:
                 self.flush()
@@ -724,6 +433,12 @@ class SqliteResultStore(ResultStore):
                 pass
             self._conn = None
 
+    def __enter__(self) -> "SqliteResultStore":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:
             self.close()
@@ -731,6 +446,27 @@ class SqliteResultStore(ResultStore):
             pass
 
     # -- checkpoint side ------------------------------------------------
+    @staticmethod
+    def _campaign_row(
+        conn: sqlite3.Connection, campaign: str, fingerprint: str,
+        n_tasks: int,
+    ) -> Tuple[int, bool]:
+        """The id of a campaign identity's row, inserting it (not yet
+        committed) when absent; and whether it was inserted."""
+        row = conn.execute(
+            "SELECT id FROM campaigns "
+            "WHERE name = ? AND fingerprint = ? AND n_tasks = ?",
+            (campaign, fingerprint, n_tasks),
+        ).fetchone()
+        if row is not None:
+            return row[0], False
+        cursor = conn.execute(
+            "INSERT INTO campaigns (name, fingerprint, n_tasks, created_ts) "
+            "VALUES (?, ?, ?, ?)",
+            (campaign, fingerprint, n_tasks, time.time()),
+        )
+        return cursor.lastrowid, True
+
     def open_campaign(
         self,
         campaign: str,
@@ -739,45 +475,44 @@ class SqliteResultStore(ResultStore):
         policy: str = "repair",
         on_violation: Optional[_VIOLATION_CALLBACK] = None,
     ) -> int:
+        """Bind the store to one campaign identity; returns the number
+        of stored records rejected by digest verification.
+
+        A stored campaign whose fingerprint or task count differs is
+        another campaign: its records are never loaded.  Under the
+        ``strict`` policy a digest mismatch raises
+        :class:`~repro.errors.IntegrityError`; under ``repair`` the
+        record is deleted (and its task re-executes); ``off`` skips
+        verification.  A row that cannot load at all — an index
+        outside ``[0, n_tasks)``, a record that is not JSON, a
+        malformed quarantine record — is deleted too, never a crash.
+        """
         key = (campaign, fingerprint, n_tasks)
         if self._campaign == key:
             return 0  # already verified in this store instance
         conn = self.connection
         self._campaign = key
         self._pending = {}
-        row = conn.execute(
-            "SELECT id FROM campaigns "
-            "WHERE name = ? AND fingerprint = ? AND n_tasks = ?",
-            (campaign, fingerprint, n_tasks),
-        ).fetchone()
-        if row is None:
-            cursor = conn.execute(
-                "INSERT INTO campaigns "
-                "(name, fingerprint, n_tasks, created_ts) "
-                "VALUES (?, ?, ?, ?)",
-                (campaign, fingerprint, n_tasks, time.time()),
-            )
+        self._campaign_id, created = self._campaign_row(
+            conn, campaign, fingerprint, n_tasks
+        )
+        if created:
             conn.commit()
-            self._campaign_id = cursor.lastrowid
             self._completed = set()
             return 0
-        self._campaign_id = row[0]
         rejects = 0
         completed: Set[int] = set()
-        rejected: List[int] = []
+        rejected: List[Any] = []
         for idx, record_text, digest in conn.execute(
             "SELECT idx, record, digest FROM tasks "
             "WHERE campaign_id = ? ORDER BY idx",
             (self._campaign_id,),
         ):
-            if not 0 <= idx < n_tasks:
-                rejected.append(idx)
-                continue
-            if policy != "off" and digest is not None:
+            if isinstance(idx, int) and 0 <= idx < n_tasks:
                 try:
                     record = json.loads(record_text)
-                except ValueError:
-                    record = None
+                except (TypeError, ValueError):
+                    record = _UNDECODABLE
                 try:
                     kept = _verify_record(
                         campaign, idx, record, digest, policy,
@@ -791,9 +526,10 @@ class SqliteResultStore(ResultStore):
                     raise
                 if not kept:
                     rejects += 1
-                    rejected.append(idx)
+                elif _record_problem(record) is None:
+                    completed.add(idx)
                     continue
-            completed.add(idx)
+            rejected.append(idx)
         if rejected:
             conn.executemany(
                 "DELETE FROM tasks WHERE campaign_id = ? AND idx = ?",
@@ -816,10 +552,12 @@ class SqliteResultStore(ResultStore):
         return self._campaign_id
 
     def completed_indices(self) -> Set[int]:
+        """Verified task indices of the bound campaign."""
         self._require_campaign()
         return set(self._completed)
 
     def get_record(self, index: int) -> Any:
+        """The stored record at *index* (raw, JSON-decoded)."""
         campaign_id = self._require_campaign()
         staged = self._pending.get(index)
         if staged is not None:
@@ -837,20 +575,14 @@ class SqliteResultStore(ResultStore):
     def put_record(
         self, index: int, record: Any, digest: Optional[str] = None
     ) -> None:
+        """Stage one record; persisted by the next :meth:`flush`."""
         self._require_campaign()
-        text = json.dumps(record, separators=(",", ":"))
-        resolved = digest if digest is not None else _digest_or_none(record)
-        failure: Optional[Tuple] = None
-        if isinstance(record, dict) and record.get(_FAILURE_MARKER) == 1:
-            failure = (
-                str(record.get("kind", "")),
-                str(record.get("error", "")),
-                int(record.get("attempts", 0)),
-            )
-        self._pending[index] = (text, resolved, failure)
+        self._pending[index] = _staged(record, digest)
         self._completed.add(index)
 
     def flush(self) -> bool:
+        """Persist staged records and events in one transaction;
+        returns False when there was nothing new to write."""
         if not self._pending and not self._pending_events:
             self.stats.skipped_flushes += 1
             return False
@@ -878,7 +610,7 @@ class SqliteResultStore(ResultStore):
 
     def _restage(
         self,
-        pending: Dict[int, Tuple[str, Optional[str], Optional[Tuple]]],
+        pending: Dict[int, _Staged],
         events: List[Tuple[float, str, str]],
     ) -> None:
         for idx, row in pending.items():
@@ -889,7 +621,7 @@ class SqliteResultStore(ResultStore):
         self,
         conn: sqlite3.Connection,
         campaign_id: Optional[int],
-        pending: Dict[int, Tuple[str, Optional[str], Optional[Tuple]]],
+        pending: Dict[int, _Staged],
         events: List[Tuple[float, str, str]],
     ) -> int:
         """One flush transaction, retried through ``SQLITE_BUSY``.
@@ -927,7 +659,7 @@ class SqliteResultStore(ResultStore):
         self,
         conn: sqlite3.Connection,
         campaign_id: Optional[int],
-        pending: Dict[int, Tuple[str, Optional[str], Optional[Tuple]]],
+        pending: Dict[int, _Staged],
         events: List[Tuple[float, str, str]],
     ) -> int:
         written = 0
@@ -980,6 +712,7 @@ class SqliteResultStore(ResultStore):
         return written
 
     def discard_campaign(self, campaign: str) -> None:
+        """Drop every stored record of *campaign* (fresh-start runs)."""
         conn = self.connection
         conn.execute("DELETE FROM campaigns WHERE name = ?", (campaign,))
         conn.commit()
@@ -990,6 +723,7 @@ class SqliteResultStore(ResultStore):
             self._pending = {}
 
     def list_campaigns(self) -> List[StoredCampaign]:
+        """Catalogue of the checkpointed campaigns in this store."""
         conn = self.connection
         rows = conn.execute(
             "SELECT c.id, c.name, c.fingerprint, c.n_tasks, "
@@ -1031,6 +765,7 @@ class SqliteResultStore(ResultStore):
         conn.commit()
 
     def log_event(self, record: Dict[str, Any]) -> None:
+        """Stage one run event; persisted by the next :meth:`flush`."""
         fields = {
             k: v for k, v in record.items()
             if k not in ("ts", "campaign", "event")
@@ -1062,11 +797,14 @@ class SqliteResultStore(ResultStore):
 
     # -- checkpoint migration -------------------------------------------
     def import_checkpoint(self, path: str) -> StoredCampaign:
-        """Import a legacy JSON checkpoint file, losslessly.
+        """Import a legacy JSON checkpoint document, losslessly.
 
-        The document's records and their **original** digests are
-        preserved verbatim, so exporting the campaign again
-        (:meth:`checkpoint_document`) reproduces the source document.
+        The whole document is validated first — integer task indices
+        in ``[0, n_tasks)``, well-formed quarantine records, a mapping
+        of digests — and then written in one transaction, each record
+        with its **original** digest.  A malformed document raises
+        :class:`~repro.errors.CampaignError` and leaves the database
+        unchanged.
         """
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -1075,84 +813,46 @@ class SqliteResultStore(ResultStore):
             raise CampaignError(
                 f"cannot read checkpoint {path}: {exc}"
             ) from exc
-        if (
-            not isinstance(payload, dict)
-            or not isinstance(payload.get("results"), dict)
-            or "campaign" not in payload
-        ):
+        try:
+            campaign, fingerprint, n_tasks, rows = _parse_checkpoint(payload)
+        except ValueError as exc:
             raise CampaignError(
-                f"{path} is not a campaign checkpoint document"
+                f"{path} is not a valid campaign checkpoint: {exc}"
+            ) from None
+        staged = {
+            index: _staged(record, digest)
+            for index, (record, digest) in rows.items()
+        }
+        conn = self.connection
+        try:
+            campaign_id, _ = self._campaign_row(
+                conn, campaign, fingerprint, n_tasks
             )
-        campaign = str(payload["campaign"])
-        fingerprint = str(payload.get("fingerprint", ""))
-        n_tasks = int(payload.get("n_tasks", 0))
-        digests = payload.get("digests")
-        if not isinstance(digests, dict):
-            digests = {}
-        self.open_campaign(campaign, fingerprint, n_tasks, policy="off")
-        count = 0
-        for index, record in payload["results"].items():
-            i = int(index)
-            self.put_record(i, record, digest=digests.get(index))
-            count += 1
-        self.flush()
+            self._flush_transaction(conn, campaign_id, staged, [])
+        except BaseException:
+            conn.rollback()
+            raise
         return StoredCampaign(
             campaign=campaign,
             fingerprint=fingerprint,
             n_tasks=n_tasks,
-            completed=count,
+            completed=len(staged),
             failures=sum(
-                1
-                for record in payload["results"].values()
-                if isinstance(record, dict)
-                and record.get(_FAILURE_MARKER) == 1
+                1 for _, _, failure in staged.values()
+                if failure is not None
             ),
         )
-
-    def checkpoint_document(self, campaign: str) -> Dict[str, Any]:
-        """Export one campaign back into the JSON checkpoint format."""
-        conn = self.connection
-        row = conn.execute(
-            "SELECT id, fingerprint, n_tasks FROM campaigns "
-            "WHERE name = ? ORDER BY created_ts DESC LIMIT 1",
-            (campaign,),
-        ).fetchone()
-        if row is None:
-            raise CampaignError(
-                f"no campaign {campaign!r} in {self.path}"
-            )
-        campaign_id, fingerprint, n_tasks = row
-        results: Dict[str, Any] = {}
-        digests: Dict[str, str] = {}
-        for idx, record_text, digest in conn.execute(
-            "SELECT idx, record, digest FROM tasks "
-            "WHERE campaign_id = ? ORDER BY idx",
-            (campaign_id,),
-        ):
-            results[str(idx)] = json.loads(record_text)
-            if digest is not None:
-                digests[str(idx)] = digest
-        return {
-            "campaign": campaign,
-            "fingerprint": fingerprint,
-            "n_tasks": n_tasks,
-            "results": results,
-            "digests": digests,
-        }
 
     # -- result side ----------------------------------------------------
     def save_result(
         self,
         result: Any,
-        run: Optional[str] = None,
+        run: str,
         meta: Optional[Dict[str, Any]] = None,
     ) -> str:
+        """Save a campaign result under *run*; returns the run key."""
         from repro.fi.serialization import result_to_document
 
-        if run is None:
-            raise CampaignError(
-                "the sqlite store needs a run name to save a result"
-            )
         data = result_to_document(result)
         payload = json.dumps(data, separators=(",", ":"))
         conn = self.connection
@@ -1174,13 +874,10 @@ class SqliteResultStore(ResultStore):
         self.stats.bytes_written += len(payload)
         return run
 
-    def load_result(self, run: Optional[str] = None) -> Any:
+    def load_result(self, run: str) -> Any:
+        """Load a saved campaign result (digest-verified)."""
         from repro.fi.serialization import document_to_result
 
-        if run is None:
-            raise CampaignError(
-                "the sqlite store needs a run name to load a result"
-            )
         row = self.connection.execute(
             "SELECT payload FROM results WHERE run = ?", (run,)
         ).fetchone()
@@ -1206,6 +903,7 @@ class SqliteResultStore(ResultStore):
         return json.loads(row[0])
 
     def list_results(self) -> List[StoredResult]:
+        """Catalogue of the saved results in this store."""
         rows = self.connection.execute(
             "SELECT run, kind, created_ts, digest, meta "
             "FROM results ORDER BY created_ts",

@@ -20,23 +20,21 @@ merges hits and misses into a single
 bit-identical to what an uncached full campaign with the same seed
 would have produced.
 
-Two backends, selected by path suffix exactly like
-:mod:`repro.fi.store`: a human-readable JSON file, and a sqlite
-database for concurrent access.
+The cache entries are campaign results, so they live beside the
+estimates they cache: in the ``module_estimates`` table of a results
+database (:class:`~repro.fi.store.SqliteResultStore`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import sqlite3
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import PlacementError
 from repro.fi.campaign import PermeabilityCampaign, PermeabilityEstimate
-from repro.fi.store import SQLITE_SUFFIXES
+from repro.fi.store import SqliteResultStore
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -146,98 +144,48 @@ def system_fingerprints(
 
 
 # ======================================================================
-# The cache store (json / sqlite by path suffix).
+# The cache store.
 # ======================================================================
 class PlacementCache:
-    """Per-module stratum-count cache with json and sqlite backends."""
+    """Per-module stratum counts in the ``module_estimates`` table of
+    the results database at *path*."""
 
-    def __init__(self, path: str, backend: Optional[str] = None):
+    def __init__(self, path: str):
         self.path = path
-        if backend is None:
-            suffix = os.path.splitext(path)[1].lower()
-            backend = "sqlite" if suffix in SQLITE_SUFFIXES else "json"
-        if backend not in ("json", "sqlite"):
-            raise PlacementError(
-                f"unknown cache backend {backend!r}; "
-                f"expected 'json' or 'sqlite'"
-            )
-        self.backend = backend
-        self._conn: Optional[sqlite3.Connection] = None
-        if backend == "sqlite":
-            self._conn = sqlite3.connect(path)
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS module_estimates ("
-                " module TEXT PRIMARY KEY,"
-                " fingerprint TEXT NOT NULL,"
-                " payload TEXT NOT NULL)"
-            )
-            self._conn.commit()
+        self._store = SqliteResultStore(path)
 
-    # -- json helpers --------------------------------------------------
-    def _read_json(self) -> Dict:
-        if not os.path.exists(self.path):
-            return {"schema": CACHE_SCHEMA_VERSION, "modules": {}}
-        with open(self.path, encoding="utf-8") as handle:
-            data = json.load(handle)
-        if data.get("schema") != CACHE_SCHEMA_VERSION:
-            return {"schema": CACHE_SCHEMA_VERSION, "modules": {}}
-        return data
-
-    def _write_json(self, data: Dict) -> None:
-        tmp = f"{self.path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, indent=1, sort_keys=True)
-        os.replace(tmp, self.path)
-
-    # -- the API -------------------------------------------------------
     def lookup(self, module: str, fingerprint: str) -> Optional[Dict]:
         """The cached payload for *module*, or ``None`` when absent or
         stored under a different fingerprint (stale)."""
-        if self._conn is not None:
-            row = self._conn.execute(
-                "SELECT fingerprint, payload FROM module_estimates"
-                " WHERE module = ?",
-                (module,),
-            ).fetchone()
-            if row is None or row[0] != fingerprint:
-                return None
-            return json.loads(row[1])
-        entry = self._read_json()["modules"].get(module)
-        if entry is None or entry.get("fingerprint") != fingerprint:
+        row = self._store.connection.execute(
+            "SELECT fingerprint, payload FROM module_estimates"
+            " WHERE module = ?",
+            (module,),
+        ).fetchone()
+        if row is None or row[0] != fingerprint:
             return None
-        return entry["payload"]
+        return json.loads(row[1])
 
     def store(self, module: str, fingerprint: str, payload: Dict) -> None:
-        if self._conn is not None:
-            self._conn.execute(
-                "INSERT INTO module_estimates (module, fingerprint, payload)"
-                " VALUES (?, ?, ?)"
-                " ON CONFLICT(module) DO UPDATE SET"
-                " fingerprint = excluded.fingerprint,"
-                " payload = excluded.payload",
-                (module, fingerprint, json.dumps(payload, sort_keys=True)),
-            )
-            self._conn.commit()
-            return
-        data = self._read_json()
-        data["modules"][module] = {
-            "fingerprint": fingerprint,
-            "payload": payload,
-        }
-        self._write_json(data)
+        conn = self._store.connection
+        conn.execute(
+            "INSERT INTO module_estimates (module, fingerprint, payload)"
+            " VALUES (?, ?, ?)"
+            " ON CONFLICT(module) DO UPDATE SET"
+            " fingerprint = excluded.fingerprint,"
+            " payload = excluded.payload",
+            (module, fingerprint, json.dumps(payload, sort_keys=True)),
+        )
+        conn.commit()
 
     def modules(self) -> List[str]:
-        if self._conn is not None:
-            rows = self._conn.execute(
-                "SELECT module FROM module_estimates ORDER BY module"
-            ).fetchall()
-            return [row[0] for row in rows]
-        return sorted(self._read_json()["modules"])
+        rows = self._store.connection.execute(
+            "SELECT module FROM module_estimates ORDER BY module"
+        ).fetchall()
+        return [row[0] for row in rows]
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        self._store.close()
 
     def __enter__(self) -> "PlacementCache":
         return self
@@ -255,11 +203,10 @@ class CacheTelemetry:
 
     hits: Tuple[str, ...]  #: modules answered from the cache
     misses: Tuple[str, ...]  #: modules re-injected this call
-    backend: str
 
     def describe(self) -> str:
         return (
-            f"cache[{self.backend}]: hits={len(self.hits)} "
+            f"cache: hits={len(self.hits)} "
             f"misses={len(self.misses)}"
             + (f" reinjected={','.join(self.misses)}" if self.misses else "")
         )
@@ -387,6 +334,5 @@ def cached_estimate(
     telemetry = CacheTelemetry(
         hits=tuple(sorted(hits)),
         misses=tuple(sorted(misses)),
-        backend=cache.backend,
     )
     return estimate, telemetry

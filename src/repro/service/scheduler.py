@@ -65,10 +65,12 @@ __all__ = [
 EXIT_INTERRUPTED = 75
 
 #: spec keys a submission may carry: the experiment, the job's
-#: environment, and the context arguments and execution options of
-#: ``repro submit``; everything else is refused so a typo ("targt")
-#: surfaces at submit time, not as a silent default.
-SPEC_KEYS = frozenset({"experiment", "env", *submittable_keys()})
+#: environment, the context arguments and execution options of
+#: ``repro submit``, and ``store``, which names the one checkpoint
+#: store (``"sqlite"``) for specs written when there were two;
+#: everything else is refused so a typo ("targt") surfaces at submit
+#: time, not as a silent default.
+SPEC_KEYS = frozenset({"experiment", "env", "store", *submittable_keys()})
 
 
 def validate_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
@@ -98,6 +100,12 @@ def validate_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
     env = spec.get("env")
     if env is not None and not isinstance(env, dict):
         raise ServiceError("spec 'env' must be an object of strings")
+    if spec.get("store", "sqlite") != "sqlite":
+        raise ServiceError(
+            f"spec 'store' must be 'sqlite', the only checkpoint store, "
+            f"got {spec['store']!r}; a JSON checkpoint migrates with "
+            f"'repro analyze import'"
+        )
     options = {k: v for k, v in spec.items() if k in EXECUTION_OPTIONS}
     try:
         CampaignConfig.from_options(**options)
@@ -573,36 +581,24 @@ class Scheduler:
 # ======================================================================
 def job_progress(spool: str, job: Job) -> List[Dict[str, Any]]:
     """Per-campaign progress rows of one job, read from its
-    checkpoint store (works while the job is running: WAL readers
+    checkpoint database (works while the job is running: WAL readers
     never block the writer)."""
-    ckpt = os.path.join(spool, "jobs", str(job.id), "ckpt")
-    if not os.path.isdir(ckpt):
+    path = os.path.join(spool, "jobs", str(job.id), "ckpt", "results.db")
+    if not os.path.exists(path):
         return []
-    from repro.fi.store import JsonCheckpointStore, SqliteResultStore
+    from repro.fi.store import SqliteResultStore
 
-    rows: List[Dict[str, Any]] = []
-    sqlite_path = os.path.join(ckpt, "results.db")
     try:
-        if os.path.exists(sqlite_path):
-            with SqliteResultStore(sqlite_path) as store:
-                campaigns = store.list_campaigns()
-        else:
-            campaigns = []
-            for name in sorted(os.listdir(ckpt)):
-                if not name.endswith(".json"):
-                    continue
-                campaigns.extend(
-                    JsonCheckpointStore(
-                        os.path.join(ckpt, name)
-                    ).list_campaigns()
-                )
+        with SqliteResultStore(path) as store:
+            campaigns = store.list_campaigns()
     except Exception:
         return []
-    for stored in campaigns:
-        rows.append({
+    return [
+        {
             "campaign": stored.campaign,
             "done": stored.completed,
             "total": stored.n_tasks,
             "failures": stored.failures,
-        })
-    return rows
+        }
+        for stored in campaigns
+    ]

@@ -7,6 +7,9 @@ function-scoped so tests can mutate them freely.
 
 from __future__ import annotations
 
+import sqlite3
+from contextlib import closing, contextmanager
+
 import pytest
 
 from repro.experiments.context import ExperimentContext
@@ -15,6 +18,21 @@ from repro.model.graph import SignalGraph
 from repro.target.simulation import ArrestmentSimulator
 from repro.target.testcases import standard_test_cases
 from repro.target.wiring import build_arrestment_system
+
+
+@contextmanager
+def raw_db(path):
+    """A plain sqlite connection to the results database at *path*,
+    committed and closed on exit.
+
+    Tests edit a checkpoint or a saved result behind the store's back
+    through it — drop a tail to simulate a kill, tamper a record to
+    break its digest, plant a row the store would never write — and
+    read the rows back.
+    """
+    with closing(sqlite3.connect(str(path))) as conn:
+        with conn:
+            yield conn
 
 
 @pytest.fixture
@@ -65,7 +83,6 @@ def ctx():
 def option_values():
     """One valid, non-default value per declared execution option."""
     return {
-        "store": "sqlite",
         "task_timeout": 12.5,
         "retries": 3,
         "fast_forward": False,

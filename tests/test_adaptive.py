@@ -14,6 +14,7 @@ The core contracts under test:
 """
 
 import pytest
+from conftest import raw_db
 
 from repro.edm.catalogue import EA_BY_NAME
 from repro.errors import CampaignError
@@ -329,7 +330,7 @@ class TestAdaptiveResume:
         clean = clean_campaign.run()
 
         monkeypatch.setenv("REPRO_CHAOS_KILL_INDEX", "5")
-        path = str(tmp_path / "perm.json")
+        path = str(tmp_path / "perm.db")
         crashed_campaign = campaign(_config(
             adaptive=True, jobs=2, retries=2, pool_watchdog_s=2.0,
             checkpoint=CheckpointPolicy(path=path, every=1),
@@ -360,9 +361,7 @@ class TestAdaptiveResume:
         """Drop half the checkpoint mid-stratum and resume under the
         strict integrity policy: the surviving digest-verified records
         are trusted, the tail re-executes, and the outcome matches."""
-        import json
-
-        path = str(tmp_path / "perm.json")
+        path = str(tmp_path / "perm.db")
         full_campaign = PermeabilityCampaign(
             factory, two_cases, runs_per_input=8, seed=7,
             config=_config(
@@ -371,17 +370,8 @@ class TestAdaptiveResume:
         )
         full = full_campaign.run()
 
-        with open(path) as handle:
-            payload = json.load(handle)
-        kept = {
-            k: v for k, v in payload["results"].items() if int(k) % 2 == 0
-        }
-        payload["results"] = kept
-        payload["digests"] = {
-            k: v for k, v in payload.get("digests", {}).items() if k in kept
-        }
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
+        with raw_db(path) as db:
+            db.execute("DELETE FROM tasks WHERE idx % 2 = 1")
 
         resumed_campaign = PermeabilityCampaign(
             factory, two_cases, runs_per_input=8, seed=7,

@@ -6,6 +6,7 @@ import pytest
 
 from repro.__main__ import main as repro_main
 from repro.experiments.__main__ import main as experiments_main
+from repro.fi.campaign import PermeabilityCampaign
 from repro.fi.executor import EXECUTION_OPTIONS
 
 
@@ -65,14 +66,14 @@ class TestTopLevelCLI:
 
 
 class TestPlaceCLI:
-    def _solve(self, cache, extra=(), monkeypatch=None):
+    def _solve(self, db, extra=()):
         return repro_main(
             ["place", "--scale", "test", "--runs", "1",
-             "--cache", str(cache), *extra]
+             "--db", str(db), *extra]
         )
 
     def test_cold_then_warm_solve(self, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
+        cache = tmp_path / "results.db"
         assert self._solve(cache) == 0
         cold = capsys.readouterr().out
         assert "Budgeted EDM placement" in cold
@@ -86,7 +87,7 @@ class TestPlaceCLI:
         assert strip(cold) == strip(warm)
 
     def test_invalidate_reinjects_one_module(self, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
+        cache = tmp_path / "results.db"
         assert self._solve(cache) == 0
         capsys.readouterr()
         assert self._solve(cache, ["--invalidate", "CLOCK"]) == 0
@@ -94,12 +95,12 @@ class TestPlaceCLI:
 
     def test_unknown_module_rejected(self, tmp_path, capsys):
         assert self._solve(
-            tmp_path / "c.json", ["--invalidate", "NOPE"]
+            tmp_path / "c.db", ["--invalidate", "NOPE"]
         ) == 2
         assert "unknown modules" in capsys.readouterr().err
 
     def test_solver_choice_and_budget_flags(self, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
+        cache = tmp_path / "results.db"
         assert self._solve(cache, ["--solver", "greedy"]) in (0, 1)
         out = capsys.readouterr().out
         assert "solver=greedy" in out
@@ -117,10 +118,47 @@ class TestPlaceCLI:
         assert "no such results database" in capsys.readouterr().err
 
     def test_bad_target_rejected(self, tmp_path, capsys):
-        assert self._solve(
-            tmp_path / "c.json", ["--target", "nonsense"]
-        ) == 2
-        assert "unknown target" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            self._solve(tmp_path / "c.db", ["--target", "nonsense"])
+        assert exit_.value.code == 2
+        assert "argument --target: invalid choice: 'nonsense'" in (
+            capsys.readouterr().err
+        )
+
+    def test_bad_scale_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            repro_main(["place", "--scale", "galactic"])
+        assert exit_.value.code == 2
+        assert "argument --scale: invalid choice" in capsys.readouterr().err
+
+    def test_resolves_from_cache_in_a_results_database(
+        self, tmp_path, capsys
+    ):
+        """The cache shares the database with saved results, and an
+        entry stored there answers a re-solve."""
+        from repro.fi.store import SqliteResultStore
+        from repro.target import ArrestmentSimulator, standard_test_cases
+
+        db = str(tmp_path / "results.db")
+        estimate = PermeabilityCampaign(
+            ArrestmentSimulator, [standard_test_cases()[0]],
+            runs_per_input=1,
+        ).run()
+        with SqliteResultStore(db) as store:
+            store.save_result(estimate, run="kept/permeability")
+        assert self._solve(db) == 0
+        assert "misses=6" in capsys.readouterr().out
+        assert self._solve(db) == 0
+        assert "cache: hits=6 misses=0" in capsys.readouterr().out
+        with SqliteResultStore(db) as store:
+            assert store.load_result("kept/permeability") == estimate
+        assert repro_main(["analyze", "--db", db, "list"]) == 0
+        assert "kept/permeability" in capsys.readouterr().out
+
+    def test_cache_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            repro_main(["place", "--cache", str(tmp_path / "c.json")])
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
 
 
 class TestExperimentsCLI:
@@ -211,6 +249,25 @@ class TestExperimentsCLI:
         # REPRO_SCALE is only resolved when a context is built
         monkeypatch.setenv("REPRO_SCALE", "huge")
         assert repro_main(["simulate", "--case", "0"]) == 0
+
+    @pytest.mark.parametrize("main, argv", [
+        (experiments_main, []),
+        (repro_main, ["table1"]),
+        (repro_main, ["submit", "table1"]),
+    ], ids=["experiments", "table1", "submit"])
+    def test_store_flag_is_gone(self, main, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--store=sqlite"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --store" in capsys.readouterr().err
+
+    def test_checkpoint_dir_always_holds_one_database(self, tmp_path):
+        from repro.experiments.context import ExperimentContext
+
+        ctx = ExperimentContext(scale="test", checkpoint_dir=str(tmp_path))
+        for campaign in ("permeability", "detection", "memory"):
+            path = ctx.campaign_config(campaign).checkpoint.path
+            assert path == str(tmp_path / "results.db")
 
 
 class _Rendered:

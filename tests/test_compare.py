@@ -7,6 +7,7 @@ reachable end-to-end through ``python -m repro analyze`` on a results
 database populated by a real experiment run.
 """
 
+import json
 import math
 
 import pytest
@@ -254,19 +255,39 @@ class TestAnalyzeCLI:
         assert "error" in capsys.readouterr().err
 
     def test_import_and_rely_on_db(self, results_db, tmp_path, capsys):
-        from repro.fi import CampaignConfig, CampaignExecutor, CheckpointPolicy
-
-        checkpoint = str(tmp_path / "unit.json")
-        CampaignExecutor(
-            CampaignConfig(checkpoint=CheckpointPolicy(path=checkpoint)),
-            campaign="unit",
-        ).run_tasks(lambda i: i, 3, "fp")
+        checkpoint = tmp_path / "unit.json"
+        checkpoint.write_text(json.dumps({
+            "campaign": "unit", "fingerprint": "fp", "n_tasks": 3,
+            "results": {"0": 0, "1": 1, "2": 2},
+        }))
         assert repro_main(
-            ["analyze", "--db", results_db, "import", checkpoint]
+            ["analyze", "--db", results_db, "import", str(checkpoint)]
         ) == 0
         assert "3/3 tasks" in capsys.readouterr().out
         assert repro_main(["analyze", "--db", results_db, "list"]) == 0
         assert "unit" in capsys.readouterr().out
+
+    def test_malformed_import_changes_nothing(self, tmp_path, capsys):
+        db = str(tmp_path / "results.db")
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({
+            "campaign": "good", "fingerprint": "f", "n_tasks": 1,
+            "results": {"0": {"v": 0}},
+        }))
+        assert repro_main(["analyze", "--db", db, "import", str(good)]) == 0
+        capsys.readouterr()
+        assert repro_main(["analyze", "--db", db, "list"]) == 0
+        before = capsys.readouterr().out
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "campaign": "x", "fingerprint": "f", "n_tasks": 3,
+            "results": {"0": {"v": 1}, "a": {"v": 2}},
+        }))
+        assert repro_main(["analyze", "--db", db, "import", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repro_main(["analyze", "--db", db, "list"]) == 0
+        assert capsys.readouterr().out == before
 
     def test_missing_db_is_one_clean_error_line(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.db")
@@ -288,6 +309,7 @@ class TestAnalyzeCLI:
         assert err.startswith("error:")
         assert err.count("\n") == 1  # one line, no traceback
         assert "not a usable sqlite results database" in err
+        assert "import" not in err  # no migration hint for non-JSON
 
     def test_saved_results_survive_in_sqlite(self, results_db):
         with SqliteResultStore(results_db) as store:

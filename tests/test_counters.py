@@ -175,7 +175,7 @@ FULL_RENDER = (
     " | backend=process jobs=2 util=80% | golden cache 57 hit / 3 miss"
     " (95%) | fast-forward 304508 ticks saved (75 restores, 34 resyncs,"
     " 3 tracks) | integrity audits=12 mismatches=2 repairs=2 drift=1"
-    " ckpt-rejects=4 | store=sqlite flushes=5+2 skipped, 90 records"
+    " ckpt-rejects=4 | store flushes=5+2 skipped, 90 records"
     " / 18432 B | vector 72 rows in 1 groups (437373 batched ticks,"
     " 6 retired, 12 scalar) occupancy=28% cross-case=1 | adaptive"
     " runs_saved=30 (4/13 strata early; budget=9 halfwidth=1 zero=3)"
@@ -190,7 +190,7 @@ def _full_telemetry(**counts):
         wall_s=4.5, busy_s=7.2, cache_hits=57, cache_misses=3,
         retries=2, failures=1, timeouts=1, pool_respawns=1, degraded=True,
         drift_events=1, checkpoint_rejects=4,
-        store_backend="sqlite", store_flushes=5, store_flushes_skipped=2,
+        store_flushes=5, store_flushes_skipped=2,
         store_records_written=90, store_bytes_written=18432,
         counts={
             "ff_restores": 75, "ff_resyncs": 34,

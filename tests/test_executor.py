@@ -10,6 +10,7 @@ import json
 import time
 
 import pytest
+from conftest import raw_db
 
 from repro.edm.catalogue import EA_BY_NAME
 from repro.errors import CampaignError
@@ -23,6 +24,7 @@ from repro.fi import (
     MemoryCampaign,
     MemoryMap,
     PermeabilityCampaign,
+    SqliteResultStore,
     TaskFailure,
 )
 from repro.target.simulation import ArrestmentSimulator
@@ -90,7 +92,7 @@ class TestExecutorMechanics:
         assert executor.telemetry.backend in ("process", "serial")
 
     def test_checkpoint_written_and_resumed(self, tmp_path):
-        path = str(tmp_path / "cp.json")
+        path = str(tmp_path / "cp.db")
         config = CampaignConfig(
             checkpoint=CheckpointPolicy(path=path, every=1)
         )
@@ -99,13 +101,8 @@ class TestExecutorMechanics:
         )
 
         # simulate a kill: drop the second half of the results
-        with open(path) as handle:
-            payload = json.load(handle)
-        payload["results"] = {
-            k: v for k, v in payload["results"].items() if int(k) < 3
-        }
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
+        with raw_db(path) as db:
+            db.execute("DELETE FROM tasks WHERE idx >= 3")
 
         executed = []
 
@@ -120,7 +117,7 @@ class TestExecutorMechanics:
         assert resumed.telemetry.executed_runs == 3
 
     def test_fingerprint_mismatch_discards_checkpoint(self, tmp_path):
-        path = str(tmp_path / "cp.json")
+        path = str(tmp_path / "cp.db")
         config = CampaignConfig(checkpoint=CheckpointPolicy(path=path))
         CampaignExecutor(config, campaign="unit").run_tasks(
             lambda i: i, 4, "fp-a"
@@ -165,7 +162,7 @@ class TestSerialParallelDeterminism:
 
 class TestCampaignCheckpointing:
     def test_memory_campaign_kill_resume(self, two_cases, tmp_path):
-        path = str(tmp_path / "memory.json")
+        path = str(tmp_path / "memory.db")
         locations = MemoryMap(factory(two_cases[0]).system).locations()[::25]
         specs = list(EA_BY_NAME.values())
 
@@ -181,13 +178,8 @@ class TestCampaignCheckpointing:
         ).run()
 
         # kill: keep only the first two completed tasks
-        with open(path) as handle:
-            payload = json.load(handle)
-        payload["results"] = {
-            k: v for k, v in payload["results"].items() if int(k) < 2
-        }
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
+        with raw_db(path) as db:
+            db.execute("DELETE FROM tasks WHERE idx >= 2")
 
         resumed_campaign = campaign(
             CampaignConfig(checkpoint=CheckpointPolicy(path=path))
@@ -253,6 +245,9 @@ def _fast_config(jobs=1, checkpoint=CheckpointPolicy(),
 
 
 class TestCorruptedCheckpoints:
+    """Rows the store never writes, planted behind its back: each one
+    is deleted and its task re-executed, never a crash."""
+
     def _executor(self, path, **kwargs):
         return CampaignExecutor(
             _fast_config(
@@ -261,49 +256,53 @@ class TestCorruptedCheckpoints:
             campaign="unit",
         )
 
+    def _plant(self, tmp_path, n_tasks, rows):
+        """A database holding campaign ``unit`` with exactly *rows*
+        (index -> record text, no digests)."""
+        path = tmp_path / "cp.db"
+        with SqliteResultStore(str(path)) as store:
+            store.open_campaign("unit", "fp", n_tasks)
+        with raw_db(path) as db:
+            db.executemany(
+                "INSERT INTO tasks (campaign_id, idx, record) "
+                "SELECT id, ?, ? FROM campaigns",
+                list(rows.items()),
+            )
+        return path
+
     def test_non_numeric_result_keys_discarded(self, tmp_path):
-        path = tmp_path / "cp.json"
-        path.write_text(json.dumps({
-            "campaign": "unit", "fingerprint": "fp", "n_tasks": 4,
-            "results": {"not-a-number": 1, "0": 0},
-        }))
+        path = self._plant(tmp_path, 4, {"not-a-number": "1", 0: "0"})
         executor = self._executor(path)
         assert executor.run_tasks(lambda i: i, 4, "fp") == [0, 1, 2, 3]
-        assert executor.telemetry.resumed_runs == 0
+        assert executor.telemetry.resumed_runs == 1
+        with raw_db(path) as db:
+            indices = db.execute("SELECT idx FROM tasks").fetchall()
+        assert sorted(idx for (idx,) in indices) == [0, 1, 2, 3]
 
-    def test_results_not_a_mapping_discarded(self, tmp_path):
-        path = tmp_path / "cp.json"
-        path.write_text(json.dumps({
-            "campaign": "unit", "fingerprint": "fp", "n_tasks": 3,
-            "results": [1, 2, 3],
-        }))
+    def test_undecodable_record_discarded(self, tmp_path):
+        path = self._plant(tmp_path, 3, {0: "{not json", 1: "1"})
         executor = self._executor(path)
         assert executor.run_tasks(lambda i: i, 3, "fp") == [0, 1, 2]
-        assert executor.telemetry.resumed_runs == 0
+        assert executor.telemetry.resumed_runs == 1
 
-    def test_garbage_json_discarded(self, tmp_path):
+    def test_garbage_file_refused(self, tmp_path):
         path = tmp_path / "cp.json"
         path.write_text("{not json at all")
         executor = self._executor(path)
-        assert executor.run_tasks(lambda i: i, 3, "fp") == [0, 1, 2]
-        assert executor.telemetry.resumed_runs == 0
+        with pytest.raises(CampaignError, match="not a usable sqlite"):
+            executor.run_tasks(lambda i: i, 3, "fp")
+        assert path.read_text() == "{not json at all"
 
     def test_mangled_failure_record_discarded(self, tmp_path):
-        path = tmp_path / "cp.json"
-        path.write_text(json.dumps({
-            "campaign": "unit", "fingerprint": "fp", "n_tasks": 2,
-            "results": {"0": {"__task_failure__": 1, "index": "zero"}},
-        }))
+        path = self._plant(tmp_path, 2, {
+            0: json.dumps({"__task_failure__": 1, "index": "zero"}),
+        })
         executor = self._executor(path)
         assert executor.run_tasks(lambda i: i, 2, "fp") == [0, 1]
         assert executor.telemetry.resumed_runs == 0
 
     def test_out_of_range_indices_dropped(self, tmp_path):
-        path = tmp_path / "cp.json"
-        path.write_text(json.dumps({
-            "campaign": "unit", "fingerprint": "fp", "n_tasks": 3,
-            "results": {"0": 0, "7": 99, "-1": 98},
-        }))
+        path = self._plant(tmp_path, 3, {0: "0", 7: "99", -1: "98"})
         executor = self._executor(path)
         assert executor.run_tasks(lambda i: i, 3, "fp") == [0, 1, 2]
         assert executor.telemetry.resumed_runs == 1
@@ -394,7 +393,7 @@ class TestQuarantine:
         assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
     def test_failure_checkpointed_and_resumed(self, tmp_path):
-        path = str(tmp_path / "cp.json")
+        path = str(tmp_path / "cp.db")
 
         def runner(index):
             if index == 2:
@@ -419,7 +418,7 @@ class TestQuarantine:
         assert isinstance(results[2], TaskFailure)
 
     def test_interrupt_flushes_checkpoint(self, tmp_path):
-        path = str(tmp_path / "cp.json")
+        path = str(tmp_path / "cp.db")
         config = _fast_config(
             checkpoint=CheckpointPolicy(path=path, every=100)
         )
@@ -432,9 +431,9 @@ class TestQuarantine:
         executor = CampaignExecutor(config, campaign="unit")
         with pytest.raises(KeyboardInterrupt):
             executor.run_tasks(runner, 6, "fp")
-        with open(path) as handle:
-            saved = json.load(handle)["results"]
-        assert sorted(int(k) for k in saved) == [0, 1, 2]
+        with raw_db(path) as db:
+            saved = db.execute("SELECT idx FROM tasks ORDER BY idx")
+            assert [idx for (idx,) in saved] == [0, 1, 2]
 
 
 class TestBackendReporting:
@@ -445,7 +444,7 @@ class TestBackendReporting:
         assert executor.telemetry.jobs == 1
 
     def test_resumed_workload_reports_serial(self, tmp_path):
-        path = str(tmp_path / "cp.json")
+        path = str(tmp_path / "cp.db")
         config = CampaignConfig(checkpoint=CheckpointPolicy(path=path))
         CampaignExecutor(config, campaign="unit").run_tasks(
             lambda i: i, 4, "fp"
@@ -525,7 +524,7 @@ class TestWorkerCrash:
 
     def test_killed_worker_respawned(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CHAOS_KILL_INDEX", "3")
-        path = str(tmp_path / "cp.json")
+        path = str(tmp_path / "cp.db")
         config = _fast_config(
             jobs=2, retries=2, pool_watchdog_s=1.5,
             checkpoint=CheckpointPolicy(path=path, every=1),
@@ -537,9 +536,9 @@ class TestWorkerCrash:
         assert telemetry.pool_respawns >= 1
         assert telemetry.failures == 0
         # the checkpoint survived the crash and covers every task
-        with open(path) as handle:
-            saved = json.load(handle)["results"]
-        assert sorted(int(k) for k in saved) == list(range(8))
+        with raw_db(path) as db:
+            saved = db.execute("SELECT idx FROM tasks ORDER BY idx")
+            assert [idx for (idx,) in saved] == list(range(8))
 
     def test_degrades_to_serial_when_pool_unrebuildable(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_KILL_INDEX", "2")
@@ -569,7 +568,7 @@ class TestWorkerCrash:
         clean = campaign().run()
 
         monkeypatch.setenv("REPRO_CHAOS_KILL_INDEX", "1")
-        path = str(tmp_path / "memory.json")
+        path = str(tmp_path / "memory.db")
         crashed = campaign(_fast_config(
             jobs=2, retries=2, pool_watchdog_s=2.0,
             checkpoint=CheckpointPolicy(path=path, every=1),
@@ -630,7 +629,7 @@ class TestEventLog:
         config = _fast_config(
             retries=1, event_log_path=log,
             checkpoint=CheckpointPolicy(
-                path=str(tmp_path / "cp.json"), every=1
+                path=str(tmp_path / "cp.db"), every=1
             ),
         )
         CampaignExecutor(config, campaign="unit").run_tasks(runner, 3, "fp")

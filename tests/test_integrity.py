@@ -13,6 +13,7 @@ import json
 import math
 
 import pytest
+from conftest import raw_db
 
 from repro.edm.catalogue import EA_BY_NAME
 from repro.errors import CampaignError, IntegrityError
@@ -25,8 +26,8 @@ from repro.fi import (
     FaultTolerancePolicy,
     IntegrityPolicy,
     IntegrityViolation,
-    JsonCheckpointStore,
     RunAuditor,
+    SqliteResultStore,
     canonical_digest,
     field_diff,
     fingerprint_of,
@@ -198,21 +199,20 @@ class TestCheckpointDigests:
         results = executor.run_tasks(lambda i: {"v": i * 2}, 4, "fp")
         return executor, results
 
-    def _tamper(self, path, index="2", value=None):
-        payload = json.loads(path.read_text())
-        payload["results"][index] = value if value is not None else {"v": 99}
-        path.write_text(json.dumps(payload))
-        return payload
+    def _tamper(self, path):
+        with raw_db(path) as db:
+            db.execute("UPDATE tasks SET record = '{\"v\": 99}' WHERE idx = 2")
 
     def test_digests_written(self, tmp_path):
-        path = tmp_path / "cp.json"
+        path = tmp_path / "cp.db"
         self._run(path)
-        payload = json.loads(path.read_text())
-        assert set(payload["digests"]) == {"0", "1", "2", "3"}
-        assert payload["digests"]["1"] == canonical_digest({"v": 2})
+        with raw_db(path) as db:
+            digests = dict(db.execute("SELECT idx, digest FROM tasks"))
+        assert set(digests) == {0, 1, 2, 3}
+        assert digests[1] == canonical_digest({"v": 2})
 
     def test_repair_reexecutes_tampered_record(self, tmp_path):
-        path = tmp_path / "cp.json"
+        path = tmp_path / "cp.db"
         self._run(path)
         self._tamper(path)
         executor, results = self._run(path, policy="repair")
@@ -222,7 +222,7 @@ class TestCheckpointDigests:
         assert [v.kind for v in executor.violations] == ["checkpoint_digest"]
 
     def test_strict_raises_on_tampered_record(self, tmp_path):
-        path = tmp_path / "cp.json"
+        path = tmp_path / "cp.db"
         self._run(path)
         self._tamper(path)
         executor = CampaignExecutor(
@@ -236,60 +236,73 @@ class TestCheckpointDigests:
             executor.run_tasks(lambda i: {"v": i * 2}, 4, "fp")
 
     def test_off_merges_unverified(self, tmp_path):
-        path = tmp_path / "cp.json"
+        path = tmp_path / "cp.db"
         self._run(path)
         self._tamper(path)
         _, results = self._run(path, policy="off")
         assert results[2] == {"v": 99}  # corruption silently accepted
 
     def test_pre_digest_checkpoint_resumes(self, tmp_path):
-        path = tmp_path / "cp.json"
-        path.write_text(json.dumps({
-            "campaign": "unit", "fingerprint": "fp", "n_tasks": 3,
-            "results": {"0": {"v": 0}, "1": {"v": 2}},
-        }))
+        path = tmp_path / "cp.db"
+        self._run(path)
+        with raw_db(path) as db:
+            db.execute("DELETE FROM tasks WHERE idx >= 2")
+            db.execute("UPDATE tasks SET digest = NULL")
         executor, results = self._run(path)
         assert results == [{"v": 0}, {"v": 2}, {"v": 4}, {"v": 6}]
         assert executor.telemetry.checkpoint_rejects == 0
+        assert executor.telemetry.resumed_runs == 2
 
 
 # ======================================================================
-# Saved campaign files.
+# Saved campaign results.
 # ======================================================================
 class TestSaveLoadDigest:
+    RUN = "unit/detection"
+
     @pytest.fixture(scope="class")
     def result(self, two_cases):
         return detection(two_cases).run()
 
-    @staticmethod
-    def _save(result, tmp_path):
-        path = tmp_path / "detection.json"
-        JsonCheckpointStore(str(path)).save_result(result)
+    @classmethod
+    def _save(cls, result, tmp_path):
+        path = str(tmp_path / "results.db")
+        with SqliteResultStore(path) as store:
+            store.save_result(result, run=cls.RUN)
         return path
 
+    @classmethod
+    def _load(cls, path):
+        with SqliteResultStore(path) as store:
+            return store.load_result(cls.RUN)
+
     @staticmethod
-    def _load(path):
-        return JsonCheckpointStore(str(path)).load_result()
+    def _edit(path, edit):
+        """Apply *edit* to the saved result's document in place."""
+        with raw_db(path) as db:
+            (payload,) = db.execute("SELECT payload FROM results").fetchone()
+            data = json.loads(payload)
+            edit(data)
+            db.execute("UPDATE results SET payload = ?", (json.dumps(data),))
 
     def test_round_trip_verified(self, result, tmp_path):
         path = self._save(result, tmp_path)
-        data = json.loads(path.read_text())
-        assert "digest" in data
+        with raw_db(path) as db:
+            (payload,) = db.execute("SELECT payload FROM results").fetchone()
+        assert "digest" in json.loads(payload)
         assert self._load(path) == result
 
     def test_tampered_file_raises(self, result, tmp_path):
         path = self._save(result, tmp_path)
-        data = json.loads(path.read_text())
-        data["n_err"] = {k: v + 1 for k, v in data["n_err"].items()}
-        path.write_text(json.dumps(data))
+        self._edit(path, lambda data: data.update(
+            n_err={k: v + 1 for k, v in data["n_err"].items()}
+        ))
         with pytest.raises(IntegrityError):
             self._load(path)
 
     def test_pre_digest_file_loads(self, result, tmp_path):
         path = self._save(result, tmp_path)
-        data = json.loads(path.read_text())
-        del data["digest"]
-        path.write_text(json.dumps(data))
+        self._edit(path, lambda data: data.pop("digest"))
         assert self._load(path) == result
 
 

@@ -9,8 +9,8 @@ Invariants exercised:
   collapses to one digest, ``-0.0`` stays distinct from ``0.0``,
   the infinities are distinct from everything finite;
 * campaign-result serialization round-trips bit-identically through
-  dicts and through the JSON result store
-  (:class:`~repro.fi.store.JsonCheckpointStore`, digest verification
+  dicts and through the results database
+  (:class:`~repro.fi.store.SqliteResultStore`, digest verification
   included) for all three result types.
 """
 
@@ -23,7 +23,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fi import JsonCheckpointStore, canonical_digest, field_diff
+from repro.fi import SqliteResultStore, canonical_digest, field_diff
 from repro.fi.campaign import (
     DetectionResult,
     MemoryCampaignResult,
@@ -204,6 +204,8 @@ def test_memory_dict_round_trip(result):
 )
 def test_file_round_trip_with_digest(result):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "result.json")
-        JsonCheckpointStore(path).save_result(result)
-        assert JsonCheckpointStore(path).load_result() == result
+        path = os.path.join(tmp, "results.db")
+        with SqliteResultStore(path) as store:
+            store.save_result(result, run="unit")
+        with SqliteResultStore(path) as store:
+            assert store.load_result("unit") == result

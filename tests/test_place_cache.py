@@ -1,14 +1,16 @@
-"""The compositional placement cache: reuse, invalidation, backends.
+"""The compositional placement cache: reuse, invalidation, storage.
 
 The ``repro place`` claims under test: a cold solve (empty cache,
 every module injected) and a cache-hit re-solve print byte-identical
-placement tables on both cache backends; editing one module's
-fingerprint re-injects only that module; and the merged cached
-estimate is exactly what one full uncached campaign with the same
-seed produces.
+placement tables; editing one module's fingerprint re-injects only
+that module; the merged cached estimate is exactly what one full
+uncached campaign with the same seed produces; and the cache lives in
+a results database, a cache file of the earlier sqlite layout
+included.
 """
 
 import pytest
+from conftest import raw_db
 
 from repro.edm.catalogue import EA_BY_NAME, EH_SET, PA_SET
 from repro.errors import PlacementError
@@ -65,6 +67,7 @@ def _render(estimate):
 
 
 class TestColdVsWarm:
+    # the path names a results database whatever its suffix
     @pytest.mark.parametrize("suffix", [".json", ".db"])
     def test_cache_hit_resolve_is_byte_identical(
         self, tmp_path, cases, full_estimate, suffix
@@ -84,23 +87,41 @@ class TestColdVsWarm:
         assert cold.active_runs == full_estimate.active_runs
         assert _render(cold) == _render(warm)
 
-    def test_backends_agree(self, tmp_path, cases):
-        estimates = []
-        for suffix in (".json", ".db"):
-            with PlacementCache(str(tmp_path / f"c{suffix}")) as cache:
-                estimate, _ = cached_estimate(
-                    factory, cases, cache, runs_per_input=RUNS, seed=SEED
-                )
-            estimates.append(estimate)
-        assert estimates[0].values == estimates[1].values
-        assert _render(estimates[0]) == _render(estimates[1])
+    def test_legacy_sqlite_cache_file_still_hits(self, tmp_path, cases):
+        """A cache file holding only the ``module_estimates`` table
+        (the layout of the cache's own sqlite file) opens as a results
+        database and answers every module."""
+        fresh = str(tmp_path / "results.db")
+        with PlacementCache(fresh) as cache:
+            cold, _ = cached_estimate(
+                factory, cases, cache, runs_per_input=RUNS, seed=SEED
+            )
+        with raw_db(fresh) as db:
+            rows = db.execute("SELECT * FROM module_estimates").fetchall()
+        legacy = str(tmp_path / "place-cache.db")
+        with raw_db(legacy) as db:
+            db.execute(
+                "CREATE TABLE module_estimates ("
+                " module TEXT PRIMARY KEY,"
+                " fingerprint TEXT NOT NULL,"
+                " payload TEXT NOT NULL)"
+            )
+            db.executemany(
+                "INSERT INTO module_estimates VALUES (?, ?, ?)", rows
+            )
+        with PlacementCache(legacy) as cache:
+            warm, telemetry = cached_estimate(
+                factory, cases, cache, runs_per_input=RUNS, seed=SEED
+            )
+        assert not telemetry.misses and len(telemetry.hits) == 6
+        assert warm.values == cold.values
 
 
 class TestInvalidation:
     def test_salted_fingerprint_reinjects_only_that_module(
         self, tmp_path, cases, full_estimate
     ):
-        with PlacementCache(str(tmp_path / "cache.json")) as cache:
+        with PlacementCache(str(tmp_path / "results.db")) as cache:
             cached_estimate(
                 factory, cases, cache, runs_per_input=RUNS, seed=SEED
             )
@@ -119,7 +140,7 @@ class TestInvalidation:
     def test_forced_invalidation_stores_under_plain_fingerprint(
         self, tmp_path, cases
     ):
-        with PlacementCache(str(tmp_path / "cache.json")) as cache:
+        with PlacementCache(str(tmp_path / "results.db")) as cache:
             cached_estimate(
                 factory, cases, cache, runs_per_input=RUNS, seed=SEED
             )
@@ -135,7 +156,7 @@ class TestInvalidation:
         assert not after.misses  # stored back under the plain print
 
     def test_unknown_modules_are_rejected(self, tmp_path, cases):
-        with PlacementCache(str(tmp_path / "cache.json")) as cache:
+        with PlacementCache(str(tmp_path / "results.db")) as cache:
             with pytest.raises(PlacementError):
                 cached_estimate(
                     factory, cases, cache,
@@ -191,13 +212,9 @@ class TestFingerprints:
 
 class TestCacheStore:
     def test_stale_fingerprint_misses(self, tmp_path):
-        with PlacementCache(str(tmp_path / "c.json")) as cache:
+        with PlacementCache(str(tmp_path / "results.db")) as cache:
             cache.store("CLOCK", "aaa", {"active": [], "counts": []})
             assert cache.lookup("CLOCK", "aaa") is not None
             assert cache.lookup("CLOCK", "bbb") is None
             assert cache.lookup("CALC", "aaa") is None
             assert cache.modules() == ["CLOCK"]
-
-    def test_unknown_backend_is_rejected(self, tmp_path):
-        with pytest.raises(PlacementError):
-            PlacementCache(str(tmp_path / "c.json"), backend="csv")

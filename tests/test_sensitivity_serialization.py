@@ -13,7 +13,7 @@ from repro.fi.serialization import (
     permeability_from_dict,
     permeability_to_dict,
 )
-from repro.fi.store import JsonCheckpointStore
+from repro.fi.store import SqliteResultStore
 
 
 class TestSensitivity:
@@ -112,9 +112,11 @@ class TestSerialization:
 
     def test_file_roundtrip(self, ctx, tmp_path):
         estimate = ctx.permeability_estimate()
-        path = str(tmp_path / "perm.json")
-        JsonCheckpointStore(path).save_result(estimate)
-        restored = JsonCheckpointStore(path).load_result()
+        path = str(tmp_path / "results.db")
+        with SqliteResultStore(path) as store:
+            store.save_result(estimate, run="perm")
+        with SqliteResultStore(path) as store:
+            restored = store.load_result("perm")
         assert restored.values == estimate.values
 
     def test_kind_mismatch_rejected(self, ctx):
@@ -129,10 +131,15 @@ class TestSerialization:
             permeability_from_dict(data)
 
     def test_unknown_file_kind_rejected(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text('{"format_version": 1, "kind": "bogus"}')
-        with pytest.raises(CampaignError, match="unknown kind"):
-            JsonCheckpointStore(str(path)).load_result()
+        path = str(tmp_path / "results.db")
+        with SqliteResultStore(path) as store:
+            store.connection.execute(
+                "INSERT INTO results (run, kind, payload, digest, created_ts)"
+                " VALUES ('bogus', 'bogus', ?, '', 0)",
+                ('{"format_version": 1, "kind": "bogus"}',),
+            )
+            with pytest.raises(CampaignError, match="unknown kind"):
+                store.load_result("bogus")
 
 
 class TestLatency:

@@ -190,6 +190,14 @@ class TestValidateSpec:
         with pytest.raises(ServiceError, match="bad job spec"):
             validate_spec({"experiment": "table1", **bad})
 
+    def test_accepts_the_sqlite_store(self):
+        spec = {"experiment": "table1", "store": "sqlite"}
+        assert validate_spec(spec) is spec
+
+    def test_refuses_any_other_store(self):
+        with pytest.raises(ServiceError, match="repro analyze import"):
+            validate_spec({"experiment": "table1", "store": "json"})
+
     def test_rejects_unknown_key(self):
         with pytest.raises(ServiceError, match="targt"):
             validate_spec({"experiment": "table1", "targt": "x"})

@@ -7,9 +7,8 @@ engine on or off, on both execution backends, including the
 interaction with resume-from-checkpoint files.
 """
 
-import json
-
 import pytest
+from conftest import raw_db
 
 from repro.edm.catalogue import EA_BY_NAME
 from repro.errors import CampaignError
@@ -453,7 +452,7 @@ class TestCampaignFastForwardAB:
         """A checkpoint file written with the engine off resumes with
         the engine on (and vice versa) to the same final result."""
         specs = list(EA_BY_NAME.values())
-        path = str(tmp_path / "detection.json")
+        path = str(tmp_path / "detection.db")
 
         def campaign(ff, **kwargs):
             return DetectionCampaign(
@@ -466,13 +465,8 @@ class TestCampaignFastForwardAB:
         campaign(False, checkpoint=CheckpointPolicy(path=path, every=1)).run()
 
         # kill: keep only the first four completed tasks
-        with open(path) as handle:
-            payload = json.load(handle)
-        payload["results"] = {
-            k: v for k, v in payload["results"].items() if int(k) < 4
-        }
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
+        with raw_db(path) as db:
+            db.execute("DELETE FROM tasks WHERE idx >= 4")
 
         resumed_campaign = campaign(
             True, checkpoint=CheckpointPolicy(path=path), jobs=2

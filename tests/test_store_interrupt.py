@@ -1,4 +1,4 @@
-"""Checkpoint durability under interrupts, on both store backends.
+"""Checkpoint durability under interrupts.
 
 Three escalating failure shapes:
 
@@ -8,13 +8,11 @@ Three escalating failure shapes:
   service's job children convert it) — same guarantee, across a real
   process boundary;
 * a hard kill **inside** a flush (``REPRO_CHAOS_KILL_FLUSH``), after
-  the new bytes are staged but before they are durable — the previous
-  durable state must survive untouched: the JSON backend via the
-  temp-file + ``os.replace`` protocol, the sqlite backend via
-  transaction rollback.
+  the new rows are inserted but before they are committed — the
+  previous durable state must survive untouched, via transaction
+  rollback.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -27,18 +25,20 @@ from repro.fi.executor import (
     CampaignExecutor,
     CheckpointPolicy,
 )
-from repro.fi.store import JsonCheckpointStore, SqliteResultStore
+from repro.fi.store import SqliteResultStore
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
-BACKENDS = [
-    pytest.param("cp.json", JsonCheckpointStore, id="json"),
-    pytest.param("results.db", SqliteResultStore, id="sqlite"),
+#: a checkpoint path names a database whatever its suffix, a legacy
+#: ``.json`` name included
+PATHS = [
+    pytest.param("results.db", id="sqlite"),
+    pytest.param("cp.json", id="json-suffix"),
 ]
 
 
-def _completed(store_cls, path, n_tasks=6):
-    with store_cls(path) as store:
+def _completed(path, n_tasks=6):
+    with SqliteResultStore(path) as store:
         store.open_campaign("unit", "fp", n_tasks)
         return store.completed_indices()
 
@@ -55,10 +55,8 @@ def _run_child(code, cwd, **env):
 
 
 class TestInterruptFlushesCheckpoint:
-    @pytest.mark.parametrize("filename,store_cls", BACKENDS)
-    def test_keyboard_interrupt_persists_prefix(
-        self, tmp_path, filename, store_cls
-    ):
+    @pytest.mark.parametrize("filename", PATHS)
+    def test_keyboard_interrupt_persists_prefix(self, tmp_path, filename):
         path = str(tmp_path / filename)
         config = CampaignConfig(
             checkpoint=CheckpointPolicy(path=path, every=100)
@@ -74,12 +72,10 @@ class TestInterruptFlushesCheckpoint:
             executor.run_tasks(runner, 6, "fp")
         # every=100 means only the exit-path flush can have persisted
         # these
-        assert _completed(store_cls, path) == {0, 1, 2}
+        assert _completed(path) == {0, 1, 2}
 
-    @pytest.mark.parametrize("filename,store_cls", BACKENDS)
-    def test_resume_after_interrupt_completes(
-        self, tmp_path, filename, store_cls
-    ):
+    @pytest.mark.parametrize("filename", PATHS)
+    def test_resume_after_interrupt_completes(self, tmp_path, filename):
         path = str(tmp_path / filename)
         config = CampaignConfig(checkpoint=CheckpointPolicy(path=path))
 
@@ -95,10 +91,8 @@ class TestInterruptFlushesCheckpoint:
         assert resumed.run_tasks(lambda i: i, 6, "fp") == list(range(6))
         assert resumed.telemetry.resumed_runs == 3
 
-    @pytest.mark.parametrize("filename,store_cls", BACKENDS)
-    def test_sigterm_persists_prefix(
-        self, tmp_path, filename, store_cls
-    ):
+    @pytest.mark.parametrize("filename", PATHS)
+    def test_sigterm_persists_prefix(self, tmp_path, filename):
         """SIGTERM → KeyboardInterrupt → exit 75, the way the service
         runs campaigns; the completed prefix must be on disk."""
         path = str(tmp_path / filename)
@@ -133,13 +127,13 @@ class TestInterruptFlushesCheckpoint:
             str(tmp_path),
         )
         assert child.returncode == 75, child.stderr
-        assert _completed(store_cls, path) == {0, 1, 2}
+        assert _completed(path) == {0, 1, 2}
 
 
 _FLUSH_KILL_CHILD = """
-from repro.fi.store import {store_cls}
+from repro.fi.store import SqliteResultStore
 
-with {store_cls}({path!r}) as store:
+with SqliteResultStore({path!r}) as store:
     store.open_campaign("unit", "fp", 6)
     store.put_record(0, {{"value": 0}})
     store.put_record(1, {{"value": 1}})
@@ -155,33 +149,20 @@ class TestKillMidFlush:
     """``REPRO_CHAOS_KILL_FLUSH=2`` hard-exits inside the second
     flush — after staging, before durability."""
 
-    def _kill_second_flush(self, tmp_path, store_cls, path):
+    def _kill_second_flush(self, tmp_path, path):
         child = _run_child(
-            _FLUSH_KILL_CHILD.format(
-                store_cls=store_cls.__name__, path=path
-            ),
+            _FLUSH_KILL_CHILD.format(path=path),
             str(tmp_path),
             REPRO_CHAOS_KILL_FLUSH="2",
         )
         assert child.returncode == 137, child.stderr
 
-    def test_json_previous_file_intact(self, tmp_path):
-        path = str(tmp_path / "cp.json")
-        self._kill_second_flush(tmp_path, JsonCheckpointStore, path)
-        # the kill landed after the temp write, before os.replace: the
-        # durable document is still exactly flush 1
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert sorted(payload["results"]) == ["0", "1"]
-        assert os.path.exists(path + ".tmp")  # the staged, lost bytes
-        assert _completed(JsonCheckpointStore, path) == {0, 1}
-
     def test_sqlite_rolls_back_to_previous_commit(self, tmp_path):
         path = str(tmp_path / "results.db")
-        self._kill_second_flush(tmp_path, SqliteResultStore, path)
+        self._kill_second_flush(tmp_path, path)
         # the kill landed after the inserts, before the commit: sqlite
         # rolls the open transaction back on the next connection
-        assert _completed(SqliteResultStore, path) == {0, 1}
+        assert _completed(path) == {0, 1}
 
     def test_sqlite_restages_on_interrupted_flush(
         self, tmp_path, monkeypatch
@@ -201,4 +182,4 @@ class TestKillMidFlush:
                 store.flush()
             monkeypatch.undo()
             assert store.flush()  # the restaged record goes through
-        assert _completed(SqliteResultStore, path, 4) == {0}
+        assert _completed(path, 4) == {0}
