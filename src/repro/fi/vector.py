@@ -43,6 +43,26 @@ to the scalar path.  Four mechanisms keep that true:
 * rows selected for an integrity audit, or running under chaos-test
   instrumentation, never enter a batch at all.
 
+Layout and dispatch
+-------------------
+Both kernels derive from :class:`BatchKernel`, which owns the state,
+the dispatch and the module invocation; a kernel transcribes only its
+tick loop and module bodies.  The signal store and every module's
+state cells are rows of one dense ``(cells, rows)`` int64 array
+(:class:`BatchCells`); a cell name reads as a view of its row
+(:class:`CellBlock`), so a module's state is one block and the
+dispatch successor table is a 2-D slice that memory flips write
+straight into.  A masked invocation restores the rows outside its
+mask with one ``np.copyto`` of the module's block.  Per-row dispatch
+counts the live rows per module slot with one table lookup and one
+``np.bincount``: a slot holding every live row runs unmasked, one
+holding some runs masked, and a tick with no live row on a module
+slot invokes nothing.  :class:`MemoryFlipPlan` is indexed by tick
+residue modulo the flip period, so a tick touches only the rows due
+then.  At bench scale a masked invocation costs about 40 µs at 114
+rows and a tick 67–102 µs outside the module bodies (measurements in
+docs/campaigns.md).
+
 Golden invocation streams — the reference side of the permeability
 comparison — are packed once into shared memory
 (:class:`repro.fi.shm.ShmArrayPack`) before the worker pool forks.
@@ -58,11 +78,13 @@ scalar path, which is the oracle and the only path without numpy.
 
 from __future__ import annotations
 
+import bisect
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.fi.counters import Counters
+from repro.model.signal import SignalType
 
 try:
     import numpy as np
@@ -77,8 +99,11 @@ __all__ = [
     "GroupResult",
     "BankArrays",
     "RecoveringBankArrays",
+    "CellBlock",
+    "BatchCells",
     "MemoryFlipPlan",
     "InvocationRecorder",
+    "BatchKernel",
     "flip_cells",
     "BatchRunner",
     "wrap_runner",
@@ -183,8 +208,6 @@ def q_bool(values):
 def flip_cells(values, bitmask, sig_type, width: int):
     """Vectorized :func:`repro.model.signal.flip_bit` for int-backed
     cells (UINT/INT/BOOL; FLOAT cells never enter a batch)."""
-    from repro.model.signal import SignalType
-
     raw = (np.asarray(values, dtype=np.int64) & ((1 << width) - 1)) ^ bitmask
     if sig_type is SignalType.BOOL:
         return q_bool(raw)
@@ -374,6 +397,67 @@ class RecoveringBankArrays(BankArrays):
 
 
 # ======================================================================
+# Dense batch state.
+# ======================================================================
+class CellBlock(dict):
+    """Named rows of one dense ``(cells, rows)`` int64 block.
+
+    A name reads as a view of its row, and assigning to a name writes
+    into that row, so :attr:`block` stays the only storage: a masked
+    invocation merges a whole module back with one ``np.copyto``, and
+    a flip through any name lands in the block.
+    """
+
+    def __init__(self, names: Sequence[str], block):
+        super().__init__(zip(names, block))
+        self.block = block
+
+    def __setitem__(self, name: str, values) -> None:
+        np.copyto(dict.__getitem__(self, name), values)
+
+
+class BatchCells:
+    """Every int cell of one batch in a single ``(cells, rows)`` int64
+    array: the signal store first, then each module's state cells, one
+    row per cell and one column per batch row, each column seeded from
+    its row's tick-0 template.
+
+    :attr:`signals` and :attr:`modules` name the rows
+    (:class:`CellBlock`); :attr:`index` maps ``(None, signal)`` and
+    ``(module, cell)`` to a row of :attr:`data`.
+    """
+
+    def __init__(self, signals: Sequence[str],
+                 modules: Dict[str, Sequence[str]],
+                 rows: Sequence[VectorRow], templates: Dict[int, Any]):
+        layout = [(None, name) for name in signals] + [
+            (module, cell) for module, cells in modules.items()
+            for cell in cells
+        ]
+        columns: Dict[int, List[int]] = {}
+        for row in rows:
+            if row.case_id not in columns:
+                template = templates[row.case_id]
+                columns[row.case_id] = [
+                    template.signals[cell] if module is None
+                    else template.modules[module][cell]
+                    for module, cell in layout
+                ]
+        self.data = np.array(
+            [columns[row.case_id] for row in rows], dtype=np.int64
+        ).T.copy()
+        self.index = {key: i for i, key in enumerate(layout)}
+        self.signals = CellBlock(signals, self.data[: len(signals)])
+        self.modules: Dict[str, CellBlock] = {}
+        start = len(signals)
+        for module, cells in modules.items():
+            self.modules[module] = CellBlock(
+                cells, self.data[start:start + len(cells)]
+            )
+            start += len(cells)
+
+
+# ======================================================================
 # Vectorized periodic memory flips (see PeriodicMemoryFlip).
 # ======================================================================
 class MemoryFlipPlan:
@@ -386,202 +470,194 @@ class MemoryFlipPlan:
     boundary; stack flips — module args and locals — are *armed* at
     the boundary and strike the owning module's next marshal or local
     write, then disarm.
+
+    The plan is indexed by tick residue modulo the period: a row joins
+    its residue's table at its phase (its first boundary), and rows
+    that leave the run loop (:meth:`leave`) drop out of every table, so
+    :meth:`pre_tick` touches only the rows due that tick.  The RAM
+    flips due at a tick land with one gather and one scatter on the
+    batch's dense cells (:class:`BatchCells`) per cell type.  Around a
+    masked invocation the kernel sets :attr:`mask`: only its rows may
+    take an arg or local strike.
     """
 
-    def __init__(self, kernel, rows: Sequence[VectorRow], first_inj):
+    def __init__(self, kernel, rows: Sequence[VectorRow], first_inj,
+                 cells: BatchCells):
         n = len(rows)
         self._first_inj = first_inj
+        self._flat = cells.data.reshape(-1)
         self._phase = np.array(
             [row.injection.tick for row in rows], dtype=np.int64
         )
         self._period = np.array(
             [max(1, row.injection.period) for row in rows], dtype=np.int64
         )
+        self._live = np.ones(n, dtype=bool)
+        self._joined = np.zeros(n, dtype=bool)
         self._armed = np.zeros(n, dtype=bool)
-        self._live = None
-        self._tick = 0
-        stack = np.zeros(n, dtype=bool)
-        state_rows: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
-        signal_rows: Dict[str, List[Tuple[int, int]]] = {}
-        arg_rows: Dict[str, Dict[str, List[Tuple[int, int]]]] = {}
-        local_rows: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
+        #: the strike buckets (one per arg or local cell) that may have
+        #: armed rows
+        self._armed_keys: set = set()
+        self.tick = 0
+        self.mask = None
+        #: RAM rows: flat position in the cells, width mask, bitmask
+        self._pos = np.full(n, -1, dtype=np.int64)
+        self._wm = np.zeros(n, dtype=np.int64)
+        self._bm = np.array(
+            [1 << row.injection.bit for row in rows], dtype=np.int64
+        )
+        #: RAM rows: the group their flips land in — UINT and BOOL rows
+        #: share one per type (per-row width masks), INT rows one per width
+        self._group: List[Any] = [None] * n
+        #: stack rows: their strike bucket's key
+        self._key: List[Any] = [None] * n
+        self._joins: Dict[int, List[int]] = {}
+        stack_rows: Dict[Tuple[str, str, str], List[int]] = {}
         for r, row in enumerate(rows):
             inj = row.injection
-            pair = (r, 1 << inj.bit)
-            if inj.memory_kind == "state":
-                state_rows.setdefault((inj.module, inj.cell), []).append(pair)
-            elif inj.memory_kind == "signal":
-                signal_rows.setdefault(inj.cell, []).append(pair)
-            elif inj.memory_kind == "arg":
-                arg_rows.setdefault(inj.module, {}).setdefault(
-                    inj.cell, []
-                ).append(pair)
-                stack[r] = True
-            else:  # local
-                local_rows.setdefault((inj.module, inj.cell), []).append(pair)
-                stack[r] = True
-        self._stack = stack
-
-        def _bucket(pairs):
-            idx = np.array([p[0] for p in pairs], dtype=np.int64)
-            bms = np.array([p[1] for p in pairs], dtype=np.int64)
-            return idx, bms
-
-        self._state = []
-        for (module, cell), pairs in state_rows.items():
-            ctype, width = kernel.state_spec[(module, cell)]
-            self._state.append((module, cell, *_bucket(pairs), ctype, width))
-        self._signal = []
-        for cell, pairs in signal_rows.items():
-            stype, width = kernel.quant[cell]
-            self._signal.append((cell, *_bucket(pairs), stype, width))
-        self._arg: Dict[str, list] = {}
-        for module, ports in arg_rows.items():
-            in_ports, _, in_sigs, _ = kernel.ports[module]
-            entries = []
-            for cell, pairs in ports.items():
-                j = in_ports.index(cell)
-                stype, width = kernel.quant[in_sigs[j]]
-                entries.append((j, *_bucket(pairs), stype, width))
-            self._arg[module] = entries
-        self._local: Dict[Tuple[str, str], tuple] = {}
-        for (module, cell), pairs in local_rows.items():
-            ctype, width = kernel.local_spec[(module, cell)]
-            self._local[(module, cell)] = (*_bucket(pairs), ctype, width)
-        self._succ_cells = frozenset(getattr(kernel, "succ_cells", ()))
-        self._any_armed = False
-        self._build_schedule()
-
-    def _build_schedule(self) -> None:
-        """Precompute, per (period, tick residue), which RAM flip
-        buckets can fire.  A full sweep plans one bucket per memory
-        location, so scanning every bucket every tick dwarfs the
-        handful that actually flip; the boundary condition collapses
-        to ``tick % period == phase % period``, letting
-        :meth:`pre_tick` visit only the current residue's buckets."""
-        tables = {
-            int(P): [[] for _ in range(int(P))]
-            for P in np.unique(self._period)
+            self._joins.setdefault(inj.tick, []).append(r)
+            if inj.memory_kind in ("state", "signal"):
+                if inj.memory_kind == "state":
+                    key = (inj.module, inj.cell)
+                    ctype, width = kernel.state_spec[key]
+                else:
+                    key = (None, inj.cell)
+                    ctype, width = kernel.quant[inj.cell]
+                self._pos[r] = cells.index[key] * n + r
+                self._wm[r] = (1 << width) - 1
+                self._group[r] = (
+                    ctype, width if ctype is SignalType.INT else None
+                )
+            else:  # a stack cell: arg or local
+                self._key[r] = (inj.memory_kind, inj.module, inj.cell)
+                stack_rows.setdefault(self._key[r], []).append(r)
+        #: strike bucket key -> its rows
+        self._buckets = {
+            key: np.array(members, dtype=np.int64)
+            for key, members in stack_rows.items()
         }
-
-        def _split(entry):
-            is_state = len(entry) == 6
-            if is_state:
-                module, cell, idx, bms, type_, width = entry
-                rebuild = (module, cell) in self._succ_cells
-                key = (module, cell)
+        #: module -> its arg buckets: (key, port, rows, bitmasks, type,
+        #: width); (module, local) -> its local bucket (key, rows, ...)
+        self._arg: Dict[str, list] = {}
+        self._local: Dict[Tuple[str, str], tuple] = {}
+        for key, idx in self._buckets.items():
+            kind, module, cell = key
+            if kind == "arg":
+                in_ports, _, in_sigs, _ = kernel.ports[module]
+                j = in_ports.index(cell)
+                self._arg.setdefault(module, []).append(
+                    (key, j, idx, self._bm[idx], *kernel.quant[in_sigs[j]])
+                )
             else:
-                key, idx, bms, type_, width = entry
-                rebuild = False
-            periods = self._period[idx]
-            phases = self._phase[idx]
-            for P, table in tables.items():
-                for residue in np.unique(phases[periods == P] % P):
-                    m = (periods == P) & ((phases % P) == residue)
-                    table[int(residue)].append((
-                        is_state, key, idx[m], bms[m], phases[m],
-                        type_, width, rebuild,
-                    ))
+                self._local[(module, cell)] = (
+                    key, idx, self._bm[idx], *kernel.local_spec[(module, cell)]
+                )
+        self._tables: List[Tuple[int, list]] = []
 
-        for entry in self._state:
-            _split(entry)
-        for entry in self._signal:
-            _split(entry)
-        self._schedules = list(tables.items())
+    def _build(self) -> None:
+        """Per (period, tick residue): the RAM flip groups and the
+        stack rows to arm, over the rows that joined and are still
+        live."""
+        active = self._live & self._joined
+        tables = []
+        for period in np.unique(self._period).tolist():
+            table: List[Any] = [None] * period
+            members = np.nonzero(active & (self._period == period))[0]
+            residues = self._phase[members] % period
+            for residue in np.unique(residues).tolist():
+                due = members[residues == residue]
+                ram = due[self._pos[due] >= 0]
+                groups: Dict[Any, List[int]] = {}
+                for r in ram.tolist():
+                    groups.setdefault(self._group[r], []).append(r)
+                stack = due[self._pos[due] < 0]
+                table[residue] = (
+                    [
+                        (self._pos[g], self._wm[g], self._bm[g], *group)
+                        for group, g in groups.items()
+                    ],
+                    stack if stack.size else None,
+                    {self._key[r] for r in stack.tolist()},
+                )
+            tables.append((period, table))
+        self._tables = tables
 
-    def _record(self, rsel, tick: int) -> None:
-        first = self._first_inj
-        first[rsel] = np.where(first[rsel] < 0, tick, first[rsel])
-
-    def pre_tick(self, tick: int, S, M, live=None) -> bool:
-        """Apply RAM flips / arm stack rows at this tick's period
-        boundaries.  Returns True when a dispatch-successor state cell
-        was flipped (the kernel must re-stack its gathered schedule)."""
-        boundary = (tick >= self._phase) & (
-            (tick - self._phase) % self._period == 0
-        )
-        if live is not None:
-            boundary = boundary & live
-        self._tick = tick
-        self._live = live
-        if not boundary.any():
-            return False
-        rebuild = False
-        for P, table in self._schedules:
-            for entry in table[tick % P]:
-                (is_state, key, idx, bms, phases,
-                 type_, width, is_succ) = entry
-                sel = tick >= phases
-                if live is not None:
-                    sel = sel & live[idx]
-                if not sel.any():
-                    continue
-                rsel = idx[sel]
-                arr = M[key[0]][key[1]] if is_state else S[key]
-                arr[rsel] = flip_cells(arr[rsel], bms[sel], type_, width)
-                self._record(rsel, tick)
-                if is_succ:
-                    rebuild = True
-        armed_now = boundary & self._stack
-        if armed_now.any():
-            self._armed |= armed_now
-            self._any_armed = True
-        return rebuild
-
-    def marshal(self, module: str, args: List[Any]) -> None:
-        """Strike armed arg rows at *module*'s marshaling, in place on
-        the freshly copied arg arrays."""
-        if not self._any_armed:
-            return
-        entries = self._arg.get(module)
-        if entries is None:
-            return
-        for j, idx, bms, stype, width in entries:
-            sel = self._armed[idx]
-            if self._live is not None:
-                sel = sel & self._live[idx]
-            if not sel.any():
+    def pre_tick(self, tick: int) -> None:
+        """Apply this tick's RAM flips and arm its stack rows."""
+        self.tick = tick
+        joining = self._joins.pop(tick, None)
+        if joining is not None:
+            rows = np.array(joining, dtype=np.int64)
+            rows = rows[self._live[rows]]
+            self._joined[rows] = True
+            # a RAM row's first flip is the one at its phase
+            self._first_inj[rows[self._pos[rows] >= 0]] = tick
+            self._build()
+        flat = self._flat
+        for period, table in self._tables:
+            entry = table[tick % period]
+            if entry is None:
                 continue
-            rsel = idx[sel]
-            arr = args[j]
-            arr[rsel] = flip_cells(arr[rsel], bms[sel], stype, width)
-            self._record(rsel, self._tick)
-            self._armed[rsel] = False
-            self._any_armed = bool(self._armed.any())
+            groups, stack, keys = entry
+            for pos, wm, bm, ctype, width in groups:
+                # flip_cells, with each row's own width mask
+                flipped = (flat[pos] & wm) ^ bm
+                if ctype is SignalType.BOOL:
+                    flipped = q_bool(flipped)
+                elif ctype is SignalType.INT:
+                    flipped = q_int(flipped, width)
+                flat[pos] = flipped
+            if stack is not None:
+                self._armed[stack] = True
+                self._armed_keys |= keys
 
-    def scoped_live(self, mask):
-        """Narrow the live-row mask to *mask* for one masked module
-        invocation (per-row dispatch: only the rows whose schedule
-        dispatched the module may take arg/local strikes); returns the
-        previous mask for :meth:`restore_live`."""
-        prev = self._live
-        self._live = mask if prev is None else (prev & mask)
-        return prev
+    def leave(self, left) -> None:
+        """Rows *left* (a mask) left the run loop: no further flips."""
+        self._live &= ~left
+        self._armed &= ~left
+        self._armed_keys = {
+            key for key, rows in self._buckets.items()
+            if np.count_nonzero(self._armed[rows])
+        }
+        self._build()
 
-    def restore_live(self, prev) -> None:
-        self._live = prev
+    def _strike(self, key, idx, bms, values, sig_type, width) -> bool:
+        """Flip the armed rows of *idx* (within :attr:`mask`) in
+        *values*, in place; True if any row struck."""
+        sel = self._armed[idx]
+        if self.mask is not None:
+            sel &= self.mask[idx]
+        if not np.count_nonzero(sel):
+            return False
+        rsel = idx[sel]
+        values[rsel] = flip_cells(values[rsel], bms[sel], sig_type, width)
+        first = self._first_inj
+        fresh = rsel[first[rsel] < 0]
+        first[fresh] = self.tick
+        self._armed[rsel] = False
+        if not np.count_nonzero(self._armed[idx]):
+            self._armed_keys.discard(key)
+        return True
+
+    def marshal(self, module: str, args) -> None:
+        """Strike armed arg rows at *module*'s marshaling, in place on
+        the freshly copied ``(ports, rows)`` args."""
+        armed = self._armed_keys
+        for key, j, idx, bms, stype, width in self._arg.get(module, ()):
+            if key in armed:
+                self._strike(key, idx, bms, args[j], stype, width)
 
     def local(self, module: str, name: str, values):
         """Strike armed local rows at the (module, local) write point;
         returns the (possibly copied and flipped) values array."""
-        if not self._any_armed:
-            return values
         bucket = self._local.get((module, name))
-        if bucket is None:
+        if bucket is None or bucket[0] not in self._armed_keys:
             return values
-        idx, bms, ctype, width = bucket
-        sel = self._armed[idx]
-        if self._live is not None:
-            sel = sel & self._live[idx]
-        if not sel.any():
-            return values
-        rsel = idx[sel]
+        key, idx, bms, ctype, width = bucket
         out = np.array(values, dtype=np.int64, copy=True)
-        out[rsel] = flip_cells(out[rsel], bms[sel], ctype, width)
-        self._record(rsel, self._tick)
-        self._armed[rsel] = False
-        self._any_armed = bool(self._armed.any())
-        return out
+        return out if self._strike(key, idx, bms, out, ctype, width) \
+            else values
+
 
 
 # ======================================================================
@@ -595,8 +671,8 @@ class InvocationRecorder:
     input bit of *its own* module at that module's first invocation at
     or after the row's tick and records that module's (post-marshal
     inputs, store read-back outputs) stream, so rows of every module
-    share one batch.  The kernel sets :attr:`tick` and :attr:`live`
-    (the rows still in the run loop; ``None``: every row) each tick.
+    share one batch.  The kernel sets :attr:`tick` each tick and calls
+    :meth:`leave` for rows that leave the run loop.
     """
 
     def __init__(self, kernel, rows: Sequence[VectorRow], bitmask,
@@ -604,19 +680,19 @@ class InvocationRecorder:
         n = len(rows)
         self._bitmask = bitmask
         self._first_inj = first_inj
-        self._from = np.array(
-            [row.injection.tick for row in rows], dtype=np.int64
-        )
-        self._pending = np.ones(n, dtype=bool)
         self._port = np.zeros(n, dtype=np.int64)
+        self._live = np.ones(n, dtype=bool)
         self.tick = 0
-        self.live = None
         #: per row: recorded invocations and (n_inv, n_in/n_out) views
         self.rec_len = np.zeros(n, dtype=np.int64)
         self.rec_ins: List[Any] = [None] * n
         self.rec_outs: List[Any] = [None] * n
         #: module -> (its rows, inputs buffer, outputs buffer)
         self._streams: Dict[str, Tuple[Any, Any, Any]] = {}
+        #: module -> (buffer positions, rows) of its live rows
+        self._live_rows: Dict[str, Tuple[Any, Any]] = {}
+        #: module -> (flip ticks ascending, their rows)
+        self._due: Dict[str, Tuple[List[int], Any]] = {}
         for module in sorted({row.injection.module for row in rows}):
             idx = np.array(
                 [r for r, row in enumerate(rows)
@@ -640,49 +716,333 @@ class InvocationRecorder:
             for p, r in enumerate(idx):
                 self.rec_ins[r], self.rec_outs[r] = ins[p], outs[p]
             self._streams[module] = (idx, ins, outs)
+            self._live_rows[module] = (slice(None), idx)
+            order = sorted(idx.tolist(), key=lambda r: rows[r].injection.tick)
+            self._due[module] = (
+                [rows[r].injection.tick for r in order],
+                np.array(order, dtype=np.int64),
+            )
+        #: module -> invocations recorded; its first flip not yet due
         self._count = dict.fromkeys(self._streams, 0)
+        self._next_due = dict.fromkeys(self._streams, 0)
 
-    def marshal(self, module: str, args: List[Any]) -> None:
+    def marshal(self, module: str, args) -> None:
         """Strike the flips due at this invocation of *module*, in
-        place on the freshly copied arg arrays."""
-        stream = self._streams.get(module)
-        if stream is None:
+        place on the freshly copied ``(ports, rows)`` args."""
+        due = self._due.get(module)
+        if due is None:
             return
-        idx = stream[0]
-        due = self._pending[idx] & (self._from[idx] <= self.tick)
-        if self.live is not None:
-            due &= self.live[idx]
-        if not due.any():
+        ticks, order = due
+        start = self._next_due[module]
+        if start == len(ticks) or ticks[start] > self.tick:
             return
-        hit = idx[due]
-        for j, arg in enumerate(args):
-            m = hit[self._port[hit] == j]
-            # xor of a bit < width on an in-range quantized value stays
-            # in range for every signal type
-            arg[m] ^= self._bitmask[m]
-        self._pending[hit] = False
+        end = bisect.bisect_right(ticks, self.tick, start)
+        self._next_due[module] = end
+        hit = order[start:end]
+        hit = hit[self._live[hit]]
+        # xor of a bit < width on an in-range quantized value stays in
+        # range for every signal type
+        args[self._port[hit], hit] ^= self._bitmask[hit]
         self._first_inj[hit] = self.tick
 
-    def record(self, module: str, args: Sequence[Any],
-               outs: Sequence[Any]) -> None:
-        """Append this invocation of *module* to its live rows'
-        streams."""
+    def record(self, module: str, args, outs) -> None:
+        """Append this invocation of *module* (``(ports, rows)`` args
+        and outputs) to its live rows' streams."""
         stream = self._streams.get(module)
         if stream is None:
             return
-        idx, ins, outs_buf = stream
-        pos = (
-            slice(None) if self.live is None
-            else np.nonzero(self.live[idx])[0]
-        )
-        rows = idx[pos]
+        _, ins, outs_buf = stream
+        pos, rows = self._live_rows[module]
         k = self._count[module]
-        for j, values in enumerate(args):
-            ins[pos, k, j] = values[rows]
-        for j, values in enumerate(outs):
-            outs_buf[pos, k, j] = values[rows]
+        ins[pos, k] = args[:, rows].T
+        outs_buf[pos, k] = outs[:, rows].T
         self.rec_len[rows] = k + 1
         self._count[module] = k + 1
+
+    def leave(self, left) -> None:
+        """Rows *left* (a mask) left the run loop: no further flips or
+        records."""
+        self._live &= ~left
+        for module, (idx, _, _) in self._streams.items():
+            pos = np.nonzero(self._live[idx])[0]
+            self._live_rows[module] = (pos, idx[pos])
+
+
+# ======================================================================
+# What the target kernels share.
+# ======================================================================
+def _store_writer(view, sig_type, width: int):
+    """The quantized store write of one signal into its row *view*:
+    ``write(values)``, or ``write(values, where)`` for the rows the
+    mask *where* selects."""
+    if sig_type is SignalType.UINT:
+        mask = (1 << width) - 1
+
+        def write(values, where=None):
+            if where is None:
+                np.bitwise_and(values, mask, out=view)
+            else:
+                np.copyto(view, values & mask, where=where)
+        return write
+
+    if sig_type is SignalType.BOOL:
+        def write(values, where=True):
+            np.copyto(view, q_bool(values), where=where)
+    else:
+        def write(values, where=True):
+            np.copyto(view, q_int(values, width), where=where)
+    return write
+
+
+class BatchKernel:
+    """The part of a target kernel that is not target-specific: the
+    probe system's port and cell tables, the dense batch state
+    (:class:`BatchCells`), per-row dispatch and module invocation.
+
+    A subclass transcribes its simulator's tick loop in ``run_group``
+    and its module bodies in ``_BODIES``: module name ->
+    ``body(self, args, st)``, taking the ``(ports, rows)`` args and the
+    module's :class:`CellBlock`, writing state cells in place and
+    returning the outputs in port order.
+    """
+
+    _BODIES: Dict[str, Callable[..., List[Any]]] = {}
+    #: the sensor registers, whose signals lead the store block
+    REGISTERS: Tuple[str, ...] = ()
+
+    def __init__(self, probe, n_slots: int, module_slots: Dict[str, int],
+                 slot_signal: str):
+        system = probe.system
+        self.n_slots = n_slots
+        #: module -> (in ports, out ports, in signals, out signals)
+        self.ports = {}
+        #: module -> its state cells in declaration order
+        self.state_cells: Dict[str, List[str]] = {}
+        #: (module, cell) -> (cell_type, width), for memory-row flips
+        self.state_spec = {}
+        self.local_spec = {}
+        for module in system.modules():
+            name = module.name
+            ins = list(module.inputs)
+            outs = list(module.outputs)
+            self.ports[name] = (
+                ins,
+                outs,
+                [system.signal_of_input(name, p) for p in ins],
+                [system.signal_of_output(name, p) for p in outs],
+            )
+            self.state_cells[name] = []
+            for spec in module.state.specs():
+                self.state_cells[name].append(spec.name)
+                self.state_spec[(name, spec.name)] = (
+                    spec.cell_type, spec.width
+                )
+            for spec in module.local_specs:
+                self.local_spec[(name, spec.name)] = (
+                    spec.cell_type, spec.width
+                )
+        #: signal -> (SignalType, width), for store-write quantization
+        self.quant = {
+            name: (system.signal(name).sig_type, system.signal(name).width)
+            for name in system.signal_names()
+        }
+        self.slot_modules: Dict[int, List[str]] = {}
+        for module, slot in module_slots.items():
+            self.slot_modules.setdefault(slot, []).append(module)
+        # per-row dispatch: the module slots ascending, and for every
+        # value of the slot signal the position of its module slot
+        # (len(slots): no module)
+        slots = sorted(self.slot_modules)
+        self._slot_groups = [self.slot_modules[s] for s in slots]
+        self._slot_code = np.full(
+            1 << self.quant[slot_signal][1], len(slots), dtype=np.uint8
+        )
+        self._slot_code[slots] = np.arange(len(slots))
+        self._mem: Optional[MemoryFlipPlan] = None
+        self._rec: Optional[InvocationRecorder] = None
+
+    def module_ports(self, module: str):
+        ins, outs, _, _ = self.ports[module]
+        return ins, outs
+
+    def supports_injection(self, inj: RowInjection) -> bool:
+        """Whether a row's injection can strike inside a batch
+        (memory rows: int-backed cells the kernel hooks only)."""
+        kind = inj.memory_kind
+        if kind is None:
+            return True
+        if kind == "state":
+            spec = self.state_spec.get((inj.module, inj.cell))
+        elif kind == "signal":
+            spec = self.quant.get(inj.cell)
+        elif kind == "arg":
+            ports = self.ports.get(inj.module)
+            if ports is None or inj.cell not in ports[0]:
+                return False
+            spec = self.quant.get(ports[2][ports[0].index(inj.cell)])
+        elif kind == "local":
+            spec = self.local_spec.get((inj.module, inj.cell))
+        else:
+            return False
+        return spec is not None and spec[0] is not SignalType.FLOAT
+
+    @staticmethod
+    def _column(job: GroupJob, pick: Callable[[Any], Any],
+                dtype=None):
+        """One array entry per row, picked from the rows' templates."""
+        return np.array(
+            [pick(job.templates[row.case_id]) for row in job.rows],
+            dtype=np.int64 if dtype is None else dtype,
+        )
+
+    def _bind(self, job: GroupJob) -> BatchCells:
+        """The dense cells of *job*'s rows, the sensor registers'
+        signals first, and the invocation table over them."""
+        template = job.templates[job.rows[0].case_id]
+        signals = list(self.REGISTERS) + [
+            name for name in template.signals if name not in self.REGISTERS
+        ]
+        cells = BatchCells(signals, self.state_cells, job.rows, job.templates)
+        store = cells.signals
+
+        def rows_of(names):
+            return np.array(
+                [cells.index[(None, name)] for name in names], dtype=np.int64
+            )
+
+        self._store = store.block
+        self._row_ix = np.arange(len(job.rows))
+        self._calls = {
+            module: (
+                rows_of(in_sigs),
+                [_store_writer(store[s], *self.quant[s]) for s in out_sigs],
+                rows_of(out_sigs),
+                cells.modules[module],
+                self._BODIES[module],
+            )
+            for module, (_, _, in_sigs, out_sigs) in self.ports.items()
+        }
+        return cells
+
+    def _registers(self, job: GroupJob):
+        """The sensor registers as one ``(registers, rows)`` block in
+        the order of their store rows (a separate array: a detection
+        flip corrupts both)."""
+        return np.array([
+            self._column(job, lambda t, r=r: t.sensors[r.lower()])
+            for r in self.REGISTERS
+        ])
+
+    def _input_flips(self, job: GroupJob) -> Dict[int, Any]:
+        """Detection rows: tick -> ``(rows, register rows)`` of the
+        system-input flips due then."""
+        due: Dict[int, List[Tuple[int, int]]] = {}
+        for r, row in enumerate(job.rows):
+            inj = row.injection
+            due.setdefault(inj.tick, []).append(
+                (r, self.REGISTERS.index(inj.signal))
+            )
+        return {
+            tick: np.array(pairs, dtype=np.int64).T
+            for tick, pairs in due.items()
+        }
+
+    def _bank(self, job: GroupJob) -> Optional[BankArrays]:
+        """The group's monitor bank — a recovering one for a
+        containment pass — or ``None`` without assertions."""
+        if not job.specs:
+            return None
+        if job.recover:
+            return RecoveringBankArrays(
+                job.specs, len(job.rows),
+                policies=job.policies, q_store=self._q_store,
+            )
+        return BankArrays(job.specs, len(job.rows))
+
+    def _cell_rows(self, cells: BatchCells, module: str,
+                   names: Sequence[str]):
+        """Consecutive state cells *names* of *module* as one
+        ``(len(names), rows)`` slice of its block."""
+        start = self.state_cells[module].index(names[0])
+        stop = start + len(names)
+        assert self.state_cells[module][start:stop] == list(names)
+        return cells.modules[module].block[start:stop]
+
+    def _mem_local(self, module: str, name: str, values):
+        """Hook point of one scalar ``set_local``: armed memory rows
+        strike the freshly quantized local value here."""
+        if self._mem is None:
+            return values
+        return self._mem.local(module, name, values)
+
+    def _q_store(self, signal: str, values):
+        """Store-write quantization of *values* for *signal*."""
+        sig_type, width = self.quant[signal]
+        if sig_type is SignalType.BOOL:
+            return q_bool(values)
+        if sig_type is SignalType.INT:
+            return q_int(values, width)
+        return q_uint(np.asarray(values, dtype=np.int64), width)
+
+    def _invoke(self, module: str, mask=None) -> None:
+        """Args from the store, marshal flips, module body, quantized
+        store write-back, invocation recording.
+
+        With *mask*, only the masked rows take the invocation: the
+        body runs at full width, but outputs are written back for the
+        masked rows only and the module's state block of every other
+        row is restored in one copy — those rows' (possibly corrupted)
+        schedules did not dispatch *module* this tick — and armed
+        memory strikes are confined to the mask."""
+        in_rows, writers, out_rows, st, body = self._calls[module]
+        args = self._store[in_rows]
+        rec, mem = self._rec, self._mem
+        if rec is not None:
+            rec.marshal(module, args)
+        if mask is None:
+            if mem is not None:
+                mem.marshal(module, args)
+            for write, values in zip(writers, body(self, args, st)):
+                write(values)
+        else:
+            saved = st.block.copy()
+            if mem is not None:
+                mem.mask = mask
+                mem.marshal(module, args)
+            for write, values in zip(writers, body(self, args, st)):
+                write(values, mask)
+            np.copyto(st.block, saved, where=~mask)
+            if mem is not None:
+                mem.mask = None
+        if rec is not None:
+            rec.record(module, args, self._store[out_rows])
+
+    def _dispatch(self, slots, live_count: int, dead=None) -> None:
+        """Per-row dispatch, like the scalar loop: every live row runs
+        the modules of its own — possibly corrupted — slot number
+        *slots*.  A module slot holding every live row runs unmasked,
+        one holding some of them masked; rows in *dead* (a mask) left
+        the run loop and take no invocation."""
+        code = self._slot_code[slots]
+        if dead is not None:
+            code[dead] = len(self._slot_groups)
+        counts = np.bincount(code, minlength=len(self._slot_groups) + 1)
+        for k, count in enumerate(counts.tolist()[:-1]):
+            if count:
+                mask = None if count == live_count else code == k
+                for module in self._slot_groups[k]:
+                    self._invoke(module, mask=mask)
+
+    def _dispatch_golden(self, slot: int, slots, retired, live=None) -> None:
+        """Permeability rows: their recorded invocation streams assume
+        the golden schedule, so (live) rows whose slot number *slots*
+        left it retire, and the golden *slot*'s modules run."""
+        off = slots != slot
+        if live is not None:
+            off &= live
+        retired |= off
+        for module in self.slot_modules.get(slot, ()):
+            self._invoke(module)
 
 
 # ======================================================================

@@ -350,21 +350,28 @@ class TestArrestmentKernel:
         tasks += [(loc, long, 0, 7) for loc in steady[:3]]
         chain_rows = len(tasks) - 3
 
-        tick_live = []
+        ticks = []
+        left = []
         masked_ticks = []
         pre_tick = MemoryFlipPlan.pre_tick
+        leave = MemoryFlipPlan.leave
         invoke = ArrestmentVectorKernel._invoke
 
-        def spy_pre_tick(self, tick, S, M, live=None):
-            tick_live.append((tick, live.copy()))
-            return pre_tick(self, tick, S, M, live)
+        def spy_pre_tick(self, tick):
+            ticks.append(tick)
+            return pre_tick(self, tick)
+
+        def spy_leave(self, rows):
+            left.append((ticks[-1], rows.copy()))
+            return leave(self, rows)
 
         def spy_invoke(self, *args, mask=None):
             if mask is not None:
-                masked_ticks.append(tick_live[-1][0])
+                masked_ticks.append(ticks[-1])
             return invoke(self, *args, mask=mask)
 
         monkeypatch.setattr(MemoryFlipPlan, "pre_tick", spy_pre_tick)
+        monkeypatch.setattr(MemoryFlipPlan, "leave", spy_leave)
         monkeypatch.setattr(ArrestmentVectorKernel, "_invoke", spy_invoke)
         batched, reference, delta = batch_vs_scalar(
             "memory", campaign, tasks, specs=specs,
@@ -372,11 +379,15 @@ class TestArrestmentKernel:
         )
         assert batched == reference
         assert delta["vec_groups"] == 1 and delta["vec_rows"] == len(tasks)
+        # every chain row left the loop; the last of them at chain_left
+        assert all(
+            any(rows[r] for _, rows in left) for r in range(chain_rows)
+        )
         chain_left = max(
-            tick for tick, live in tick_live if live[:chain_rows].any()
+            tick for tick, rows in left if rows[:chain_rows].any()
         )
         # the steady rows outlive the chain rows ...
-        assert tick_live[-1][0] > chain_left
+        assert ticks[-1] > chain_left
         # ... and the chain rows diverged while they ran
         assert masked_ticks
         assert max(masked_ticks) <= chain_left
@@ -394,6 +405,42 @@ class TestArrestmentKernel:
         )
         assert batched == reference
         assert delta["vec_rows"] > 0
+
+
+class TestBatchWork:
+    """The batches of the test-scale reproduction (seed 2002) do a
+    pinned amount of work: a faster tick may change the time per tick,
+    never which rows a batch holds, how many row-ticks it simulates or
+    which rows retire — even where the outcomes would still match."""
+
+    #: campaign -> (groups, rows answered, batched row-ticks, retired)
+    PINNED = {
+        "permeability": (1, 72, 437373, 6),
+        "detection": (1, 40, 218680, 0),
+        "memory": (1, 13, 54006, 0),
+    }
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        from repro.experiments.context import ExperimentContext
+
+        ctx = ExperimentContext(scale="test", seed=2002)
+        ctx.permeability_estimate()
+        ctx.detection_result()
+        ctx.memory_result()
+        return {
+            campaign: telemetry.counts
+            for campaign, telemetry in ctx.telemetries.items()
+        }
+
+    @pytest.mark.parametrize("campaign", sorted(PINNED))
+    def test_work_is_pinned(self, counts, campaign):
+        c = counts[campaign]
+        assert (
+            c["vec_groups"], c["vec_rows"], c["vec_batched_ticks"],
+            c["vec_retired_rows"],
+        ) == self.PINNED[campaign]
+        assert c["vec_scalar_fallbacks"] == 0
 
 
 #: the two sides of the campaign A/B tests: the scalar path is the

@@ -6,7 +6,8 @@ targets and requires bit-identical outcomes against the campaigns'
 scalar ``_one_run``.  Permeability batches always mix modules.
 Explicit examples pin the two structural edge cases: tick-0 dispatch
 divergence (the diverged rows retire) and rows whose flip lands on
-the very last tick.
+the very last tick; the arrestment memory examples pin flips on the
+dispatch chain, on stack cells and on RAM cells that re-quantize.
 """
 
 import pytest
@@ -79,6 +80,15 @@ def tank_mem():
     return MemoryCampaign(
         tank_prop_factory, standard_tank_cases()[:2], tank_assertions(),
         seed=5,
+    )
+
+
+@pytest.fixture(scope="module")
+def arrest_mem():
+    cases = standard_test_cases()
+    return MemoryCampaign(
+        arrest_prop_factory, [cases[4], cases[20]],
+        list(EA_BY_NAME.values()), seed=5,
     )
 
 
@@ -307,4 +317,27 @@ class TestArrestmentProperties:
         tasks = build_det_tasks(arrest_det, rows)
         check_batch(
             "detection", arrest_det, tasks, width, specs=arrest_det.specs
+        )
+
+    @settings(
+        max_examples=6, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(drawn=mem_rows())
+    # CLOCK's successor table: flips re-wire the dispatch cycle
+    @example(drawn=([(4, 0, 0, 3), (13, 1, 2, 17), (21, 0, 1, 0)], 3))
+    # the ms_slot_nbr backing store: the slot number itself
+    @example(drawn=([(22, 0, 1, 5), (22, 1, 0, 11)], 2))
+    # stack cells: CLOCK's next_slot local, V_REG.err's sign byte and
+    # the DIST_S.TIC1 argument
+    @example(drawn=([(79, 0, 2, 0), (107, 1, 7, 9), (81, 0, 4, 19)], 4))
+    # RAM cells that re-quantize after the flip: V_REG.integ's sign bit
+    # (INT) and the stopped flag's backing store (BOOL)
+    @example(drawn=([(72, 0, 7, 6), (45, 1, 0, 13)], 2))
+    def test_memory_batch_equals_scalar(self, arrest_mem, drawn):
+        rows, width = drawn
+        tasks = build_mem_tasks(arrest_mem, rows)
+        check_batch(
+            "memory", arrest_mem, tasks, width, specs=arrest_mem.specs,
+            period_ticks=arrest_mem.period_ticks,
         )
