@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.permeability import PermeabilityMatrix
 from repro.analysis.estimators import matrix_from_estimate
@@ -159,10 +159,9 @@ class ExperimentContext:
         self.telemetries: Dict[str, CampaignTelemetry] = {}
         #: per-campaign stratum spend reports (adaptive campaigns only)
         self.stratum_reports: Dict[str, List[StratumReport]] = {}
-        self._estimate: Optional[PermeabilityEstimate] = None
+        #: campaign name -> the result of its one run
+        self._results: Dict[str, Any] = {}
         self._matrix: Optional[PermeabilityMatrix] = None
-        self._detection: Optional[DetectionResult] = None
-        self._memory: Optional[MemoryCampaignResult] = None
         self._system = None
         self._graph: Optional[SignalGraph] = None
 
@@ -224,22 +223,30 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     # Campaign caches.
     # ------------------------------------------------------------------
+    def _campaign_result(
+        self, name: str, build: Callable[[CampaignConfig], Any]
+    ) -> Any:
+        """Run the campaign ``build(config)`` once and keep its result,
+        telemetry and stratum reports under *name*."""
+        if name not in self._results:
+            campaign = build(self.campaign_config(name))
+            result = self._results[name] = campaign.run()
+            self._save_result(name, result)
+            self.telemetries[name] = campaign.telemetry
+            if campaign.stratum_reports:
+                self.stratum_reports[name] = campaign.stratum_reports
+        return self._results[name]
+
     def permeability_estimate(self) -> PermeabilityEstimate:
-        if self._estimate is None:
-            campaign = PermeabilityCampaign(
+        return self._campaign_result(
+            "permeability",
+            lambda config: PermeabilityCampaign(
                 self.simulator_factory,
                 self.test_cases,
                 runs_per_input=self.scale.runs_per_input,
-                config=self.campaign_config("permeability"),
-            )
-            self._estimate = campaign.run()
-            self._save_result("permeability", self._estimate)
-            self.telemetries["permeability"] = campaign.telemetry
-            if campaign.stratum_reports:
-                self.stratum_reports["permeability"] = (
-                    campaign.stratum_reports
-                )
-        return self._estimate
+                config=config,
+            ),
+        )
 
     def measured_matrix(self) -> PermeabilityMatrix:
         if self._matrix is None:
@@ -249,36 +256,27 @@ class ExperimentContext:
         return self._matrix
 
     def detection_result(self) -> DetectionResult:
-        if self._detection is None:
-            campaign = DetectionCampaign(
+        return self._campaign_result(
+            "detection",
+            lambda config: DetectionCampaign(
                 self.simulator_factory,
                 self.test_cases,
                 self.assertion_specs(),
                 runs_per_signal=self.scale.runs_per_signal,
-                config=self.campaign_config("detection"),
-            )
-            self._detection = campaign.run()
-            self._save_result("detection", self._detection)
-            self.telemetries["detection"] = campaign.telemetry
-            if campaign.stratum_reports:
-                self.stratum_reports["detection"] = (
-                    campaign.stratum_reports
-                )
-        return self._detection
+                config=config,
+            ),
+        )
 
     def memory_result(self) -> MemoryCampaignResult:
-        if self._memory is None:
-            locations = MemoryMap(self.system).locations()[
-                :: self.scale.location_stride
-            ]
-            campaign = MemoryCampaign(
+        return self._campaign_result(
+            "memory",
+            lambda config: MemoryCampaign(
                 self.simulator_factory,
                 self.test_cases[:: self.scale.memory_case_stride],
                 self.assertion_specs(),
-                locations=locations,
-                config=self.campaign_config("memory"),
-            )
-            self._memory = campaign.run()
-            self._save_result("memory", self._memory)
-            self.telemetries["memory"] = campaign.telemetry
-        return self._memory
+                locations=MemoryMap(self.system).locations()[
+                    :: self.scale.location_stride
+                ],
+                config=config,
+            ),
+        )

@@ -1,6 +1,6 @@
 """Fault-injection campaigns (paper Sections 5.3, 6.2 and 7).
 
-Four campaign drivers:
+Four campaigns:
 
 * :class:`PermeabilityCampaign` — estimates every ``P^M_{i,k}`` of the
   system (Table 1): inject one bit flip into one module input per run,
@@ -18,23 +18,36 @@ Four campaign drivers:
 
 Execution model
 ---------------
-Every campaign separates into three phases: a serial *pre-draw* phase
-that draws all random parameters from the campaign RNG in the exact
-order the original single-loop drivers drew them, an *execution* phase
-that maps a pure per-run function over the pre-drawn parameter list
-through a :class:`~repro.fi.executor.CampaignExecutor` (serially or on
-a process pool), and a serial *aggregation* phase that folds results
-in task order.  Campaigns are therefore deterministic given their
-seed, **bit-identical between serial and parallel execution**, and
-every run is a fresh simulator instance (no state leaks between
-runs).  Golden runs are shared through the process-wide
-:data:`~repro.fi.executor.golden_cache`.
+A campaign declares what it runs as a :class:`CampaignPlan`, and one
+driver executes any plan.  ``run()`` has three phases:
+
+* *plan* — the campaign draws every random parameter from a fresh
+  ``random.Random(seed)``, in the exact order the original
+  single-loop drivers drew them, into a task list.  With the tasks
+  come each task's ``(test case, RowInjection)`` row for the
+  vectorized core, the parts of the checkpoint fingerprint, the
+  scalar per-run function, the fast-forward handle and, for the
+  sampled campaigns, the strata;
+* *execute* — the driver maps the per-run function over the task list
+  through a :class:`~repro.fi.executor.CampaignExecutor` (serially or
+  on a process pool), answering batchable runs from the vectorized
+  core (:mod:`repro.fi.vector`) and audit-replaying a sampled
+  fraction of fast-forwarded ones;
+* *aggregate* — the campaign folds the observed ``(task, outcome)``
+  pairs in task order; quarantined runs are reported, not folded.
+
+Campaigns are therefore deterministic given their seed,
+**bit-identical between serial and parallel execution**, and a second
+``run()`` repeats the first (with a checkpoint, it resumes the
+records of the very draw it repeats).  Every run is a fresh simulator
+instance (no state leaks between runs).  Golden runs are shared
+through the process-wide :data:`~repro.fi.executor.golden_cache`.
 
 The sampled campaigns (permeability and detection) additionally
-support **adaptive scheduling** (``config.sampling``): the pre-drawn
-task list is unchanged, but batches are dispatched per stratum through
-an :class:`~repro.fi.adaptive.AdaptiveSampler`, which stops a stratum
-as soon as its Wilson intervals certify the estimates (architectural
+support **adaptive scheduling** (``config.sampling``): the drawn task
+list is unchanged, but batches are dispatched per stratum through an
+:class:`~repro.fi.adaptive.AdaptiveSampler`, which stops a stratum as
+soon as its Wilson intervals certify the estimates (architectural
 zero, saturated, or within the half-width target).  The enumerative
 campaigns (memory and recovery) visit every (location, test case)
 pair exactly once and ignore the adaptive options.
@@ -53,6 +66,7 @@ import random
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -98,7 +112,7 @@ from repro.fi.models import (
     PeriodicMemoryFlip,
 )
 from repro.fi.snapshot import FastForward
-from repro.fi.vector import close_runner, wrap_runner
+from repro.fi.vector import RowInjection, close_runner, wrap_runner
 from repro.target.testcases import TestCase
 
 __all__ = [
@@ -162,39 +176,213 @@ def _target_label(factory) -> str:
     return getattr(factory, "__qualname__", type(factory).__name__)
 
 
-def _preload_tracks(
-    ff: FastForward, tasks: Sequence[Tuple], case_of, tick_of, runner=None
-) -> None:
-    """Record the checkpoint tracks a task list will need, up front.
+# ======================================================================
+# Plans and the driver.
+# ======================================================================
+@dataclass
+class CampaignPlan:
+    """Everything one campaign run executes, drawn before any run.
 
-    Runs in the campaign's serial pre-draw phase — before the process
-    pool forks — so workers inherit the tracks through copy-on-write
-    instead of each recording their own.  A campaign whose batch rows
-    never retire passes its *runner*, and the tasks its batch answers
-    are skipped; a run that needs a track anyway records it on launch.
+    ``tasks[i]`` holds the arguments of the scalar per-run function,
+    called as ``one_run(*tasks[i], ff=...)``, and ``rows[i]`` is the
+    same run as a ``(test case, RowInjection)`` row of the vectorized
+    core.  Only the campaign that drew a task knows its layout.
     """
-    answers = getattr(runner, "answers", None)
-    needed: Dict[int, Any] = {}
-    for index, task in enumerate(tasks):
+
+    kind: str
+    #: the target system the tasks were drawn for
+    system: Any
+    tasks: List[tuple]
+    rows: List[Tuple[TestCase, RowInjection]]
+    #: the parts of the checkpoint fingerprint (:func:`fingerprint_of`)
+    fingerprint: List[Any]
+    one_run: Callable[..., Any]
+    #: the fast-forward handle; ``None``: every run replays in full
+    ff: Optional[FastForward]
+    #: the campaign's inputs to its batch kernel (see
+    #: :func:`~repro.fi.vector.wrap_runner`)
+    batch: Dict[str, Any] = field(default_factory=dict)
+    #: batch rows can retire to the scalar path, so a task a batch
+    #: answers may still need its checkpoint track
+    retires: bool = False
+    #: sampled campaigns: the strata an adaptive run stops one by one,
+    #: and ``counts_of(stratum, executed)`` -> ``{name: (successes, n)}``
+    strata: Optional[List[AdaptiveStratum]] = None
+    counts_of: Optional[Callable[..., Dict[str, Tuple[int, int]]]] = None
+
+
+def _preload_tracks(plan: CampaignPlan, runner: Any) -> None:
+    """Record the checkpoint tracks the plan's runs will need, up front.
+
+    Runs before the process pool forks, so workers inherit the tracks
+    through copy-on-write instead of each recording their own.  Unless
+    the plan's batch rows can retire, the tasks a batch answers are
+    skipped; a run that needs a track anyway records it on launch.
+    """
+    answers = None if plan.retires else getattr(runner, "answers", None)
+    needed: Dict[int, TestCase] = {}
+    for index, (test_case, injection) in enumerate(plan.rows):
         if answers is not None and answers(index):
             continue
-        if ff.wants_track(tick_of(task)):
-            test_case = case_of(task)
+        if plan.ff.wants_track(injection.tick):
             needed.setdefault(test_case.case_id, test_case)
-    ff.preload(list(needed.values()))
+    plan.ff.preload(list(needed.values()))
 
 
-def _collect_failures(results: Sequence[Any]) -> List[TaskFailure]:
-    """The quarantined tasks of an executor result list.
+def _drive(
+    campaign: "_Campaign",
+) -> Tuple[CampaignPlan, List[Tuple[tuple, Any]], List[TaskFailure]]:
+    """Draw *campaign*'s plan and execute it.
 
-    Aggregation loops skip :class:`TaskFailure` entries (a quarantined
-    run contributes no observation — it is neither an active error nor
-    an inactive one) and surface them on the campaign result, so a
+    Returns the plan, the observed ``(task, outcome)`` pairs in task
+    order and the quarantined tasks.  Neither a quarantined run nor a
+    task an adaptive run never dispatched is an observation, so a
     faulty campaign completes with the surviving runs while the losses
-    stay accounted for.  With no faults the list is empty and results
-    are bit-identical to a serial run.
+    stay accounted for.  The executor exists before the draw, so the
+    golden runs the draw needs count in the campaign's telemetry; it
+    and the batch runner are closed on every exit path.
     """
-    return [r for r in results if isinstance(r, TaskFailure)]
+    config = campaign.config
+    executor = CampaignExecutor(config, campaign=campaign.kind)
+    runner = None
+    try:
+        plan = campaign._plan(
+            campaign.factory(campaign.test_cases[0]).system
+        )
+        # a sampled audit replay re-checks fast-forwarded runs
+        auditor = RunAuditor(plan.ff, config, campaign=plan.kind)
+
+        def scalar(index: int) -> Any:
+            task = plan.tasks[index]
+            return auditor.run(
+                index, lambda ff: plan.one_run(*task, ff=ff)
+            )
+
+        # batch_width > 0: answer contiguous task spans from the
+        # vectorized core (bit-identical; see repro.fi.vector)
+        runner = wrap_runner(
+            plan.kind, scalar, plan.rows, config, campaign.factory,
+            auditor=auditor, **plan.batch,
+        )
+        if plan.ff is not None:
+            _preload_tracks(plan, runner)
+        fingerprint = fingerprint_of(*plan.fingerprint)
+        sentinel = golden_sentinel(campaign.factory, campaign.test_cases[0])
+        if plan.strata is not None and config.sampling.enabled:
+            source = AdaptiveSampler(
+                executor,
+                plan.strata,
+                plan.counts_of,
+                rule=stopping_rule_from(config),
+                min_batch=config.sampling.min_batch,
+            )
+            results = source.run(
+                runner, len(plan.tasks), fingerprint, sentinel=sentinel
+            )
+            campaign.stratum_reports = list(source.reports)
+        else:
+            source = executor
+            results = executor.run_tasks(
+                runner, len(plan.tasks), fingerprint, sentinel=sentinel
+            )
+            campaign.stratum_reports = []
+        campaign.telemetry = source.telemetry
+        campaign.integrity_violations = list(source.violations)
+    finally:
+        executor.close()
+        close_runner(runner)
+    observed = [
+        (task, outcome)
+        for task, outcome in zip(plan.tasks, results)
+        if outcome is not SKIPPED and not isinstance(outcome, TaskFailure)
+    ]
+    failures = [r for r in results if isinstance(r, TaskFailure)]
+    return plan, observed, failures
+
+
+class _Campaign:
+    """What every campaign shares: the constructor plumbing, the state
+    its last run left behind, and the way a drawn task list becomes a
+    plan.  A campaign supplies ``_plan(system)``, ``_row(task)``,
+    ``_one_run(*task, ff=None)`` and a ``run()`` that aggregates what
+    :func:`_drive` returns."""
+
+    #: the campaign's name in checkpoints, telemetry and run events
+    kind = "campaign"
+
+    def __init__(
+        self,
+        factory: SimulatorFactory,
+        test_cases: Optional[Sequence[TestCase]],
+        seed: Optional[int],
+        config: Optional[CampaignConfig],
+        assertion_specs: Sequence[AssertionSpec] = (),
+    ):
+        if config is None:
+            config = CampaignConfig()
+        self.factory = _resolve_factory(factory)
+        self.test_cases = _resolve_test_cases(factory, test_cases, config)
+        self.specs = list(assertion_specs)
+        self.seed = seed if seed is not None else config.seed
+        self.config = config
+        self._target = _target_label(factory)
+        self.goldens = golden_cache.store_for(self._target, self.factory)
+        self.telemetry: Optional[CampaignTelemetry] = None
+        self.integrity_violations: List[IntegrityViolation] = []
+        #: per-stratum spend reports (adaptive campaigns only).
+        self.stratum_reports: List[StratumReport] = []
+
+    def _new_plan(
+        self, system, tasks: List[tuple], fingerprint: List[Any], **fields
+    ) -> CampaignPlan:
+        return CampaignPlan(
+            kind=self.kind,
+            system=system,
+            tasks=tasks,
+            rows=[self._row(task) for task in tasks],
+            fingerprint=fingerprint,
+            one_run=self._one_run,
+            **fields,
+        )
+
+
+class _SampledCampaign(_Campaign):
+    """A campaign that samples its fault space per stratum: each run
+    flips one uniformly drawn bit at one uniformly drawn tick within
+    the golden run, cycling over the test cases."""
+
+    def _budget(self, runs: int) -> int:
+        """Per-stratum budget: ``max_runs`` caps adaptive campaigns."""
+        sampling = self.config.sampling
+        if sampling.enabled and sampling.max_runs is not None:
+            return sampling.max_runs
+        return runs
+
+    def _sample(
+        self, strata: Sequence[Tuple[tuple, int]], budget: int
+    ) -> Tuple[List[tuple], List[AdaptiveStratum]]:
+        """``budget`` tasks ``(*key, test case, tick, bit)`` for each
+        ``(key, bit width)`` stratum, and the strata over them.
+
+        The adaptive path draws the identical full-budget list — a
+        stopped stratum simply never dispatches its tail.
+        """
+        rng = random.Random(self.seed)
+        tasks: List[tuple] = []
+        for key, width in strata:
+            for run_index in range(budget):
+                test_case = self.test_cases[run_index % len(self.test_cases)]
+                golden = self.goldens.get(test_case)
+                tick = rng.randrange(0, golden.completion_tick)
+                bit = rng.randrange(0, width)
+                tasks.append((*key, test_case, tick, bit))
+        return tasks, [
+            AdaptiveStratum(
+                label=".".join(key),
+                indices=tuple(range(i * budget, (i + 1) * budget)),
+            )
+            for i, (key, _) in enumerate(strata)
+        ]
 
 
 # ======================================================================
@@ -223,7 +411,7 @@ class PermeabilityEstimate:
             ) from None
 
 
-class PermeabilityCampaign:
+class PermeabilityCampaign(_SampledCampaign):
     """Estimate error permeabilities by module-input fault injection.
 
     For each module input port, ``runs_per_input`` injection runs are
@@ -232,6 +420,8 @@ class PermeabilityCampaign:
     invocation within the golden run's duration.  Only *direct* output
     errors are counted (Section 5.3).
     """
+
+    kind = "permeability"
 
     def __init__(
         self,
@@ -259,45 +449,15 @@ class PermeabilityCampaign:
             raise CampaignError(
                 f"runs_per_input must be positive, got {runs_per_input}"
             )
-        if config is None:
-            config = CampaignConfig()
-        self.factory = _resolve_factory(factory)
-        self.test_cases = _resolve_test_cases(factory, test_cases, config)
+        super().__init__(factory, test_cases, seed, config)
         self.runs_per_input = runs_per_input
-        self.seed = seed if seed is not None else config.seed
-        self.rng = random.Random(self.seed)
         self.direct_only = direct_only
         self.modules = tuple(modules) if modules is not None else None
-        self.config = config
-        self.goldens = golden_cache.store_for(
-            _target_label(factory), self.factory
-        )
-        self._ff = FastForward(
-            self.factory, _target_label(factory), config=config,
-        )
-        self.telemetry: Optional[CampaignTelemetry] = None
-        self.integrity_violations: List[IntegrityViolation] = []
-        #: per-stratum spend reports (adaptive campaigns only).
-        self.stratum_reports: List[StratumReport] = []
+        self._ff = FastForward(self.factory, self._target, config=self.config)
 
-    def _runs_budget(self) -> int:
-        """Per-input budget: ``max_runs`` caps adaptive campaigns."""
-        sampling = self.config.sampling
-        if sampling.enabled and sampling.max_runs is not None:
-            return sampling.max_runs
-        return self.runs_per_input
-
-    def run(self) -> PermeabilityEstimate:
-        executor = CampaignExecutor(self.config, campaign="permeability")
-        probe = self.factory(self.test_cases[0])
-        system = probe.system
-        adaptive = self.config.sampling.enabled
-        runs_budget = self._runs_budget()
-
-        # Phase 1: pre-draw every random parameter in the legacy
-        # serial loop order (module -> in_port -> run_index).  The
-        # adaptive path pre-draws the identical full-budget list — a
-        # stopped stratum simply never dispatches its tail.
+    def _inputs(self, system) -> List[Tuple[str, str, Tuple[str, ...], int]]:
+        """``(module, in_port, out_ports, bit width)`` of every injected
+        module input, in draw order (module -> in_port)."""
         if self.modules is not None:
             known = {module.name for module in system.modules()}
             unknown = [m for m in self.modules if m not in known]
@@ -306,132 +466,76 @@ class PermeabilityCampaign:
                     f"unknown modules {unknown}; "
                     f"system has {sorted(known)}"
                 )
-        pair_keys: List[Tuple[str, str]] = []
-        out_ports: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        tasks: List[Tuple[str, str, TestCase, int, int]] = []
-        task_pair: List[Tuple[str, str]] = []
-        for module in system.modules():
-            if self.modules is not None and module.name not in self.modules:
-                continue
-            for in_port in module.inputs:
-                key_in = (module.name, in_port)
-                pair_keys.append(key_in)
-                out_ports[key_in] = tuple(module.outputs)
-                signal = system.signal_of_input(module.name, in_port)
-                width = system.signal(signal).width
-                for run_index in range(runs_budget):
-                    test_case = self.test_cases[
-                        run_index % len(self.test_cases)
-                    ]
-                    golden = self.goldens.get(test_case)
-                    from_tick = self.rng.randrange(0, golden.completion_tick)
-                    bit = self.rng.randrange(0, width)
-                    tasks.append(
-                        (module.name, in_port, test_case, from_tick, bit)
-                    )
-                    task_pair.append(key_in)
-        _preload_tracks(
-            self._ff, tasks, case_of=lambda t: t[2], tick_of=lambda t: t[3]
-        )
-
-        # Phase 2: execute the pure per-run function over the tasks;
-        # a sampled audit replay re-checks fast-forwarded runs.
-        auditor = RunAuditor(
-            self._ff, self.config, campaign="permeability"
-        )
-
-        def runner(index: int) -> Optional[List[str]]:
-            task = tasks[index]
-            return auditor.run(
-                index, lambda ff: self._one_run(*task, ff=ff)
+        return [
+            (
+                module.name, in_port, tuple(module.outputs),
+                system.signal(
+                    system.signal_of_input(module.name, in_port)
+                ).width,
             )
+            for module in system.modules()
+            if self.modules is None or module.name in self.modules
+            for in_port in module.inputs
+        ]
 
-        # batch_width > 0: answer contiguous task spans of any modules
-        # from the vectorized core (bit-identical; see repro.fi.vector)
-        runner = wrap_runner(
-            "permeability", runner, tasks, self.config, self.factory,
-            auditor=auditor, goldens=self.goldens,
-            direct_only=self.direct_only,
+    def _plan(self, system) -> CampaignPlan:
+        inputs = self._inputs(system)
+        budget = self._budget(self.runs_per_input)
+        tasks, strata = self._sample(
+            [((module, port), width) for module, port, _, width in inputs],
+            budget,
         )
+        ports_of = {
+            f"{module}.{in_port}": out_ports
+            for module, in_port, out_ports, _ in inputs
+        }
 
-        fingerprint_parts = [
-            "permeability", system.name, self.seed,
-            runs_budget, self.direct_only,
+        def counts_of(stratum, executed):
+            active_n = 0
+            hits_per_port = {port: 0 for port in ports_of[stratum.label]}
+            for hits in executed:
+                if hits is None or isinstance(hits, TaskFailure):
+                    continue
+                active_n += 1
+                for out_port in hits:
+                    hits_per_port[out_port] += 1
+            return {
+                port: (count, active_n)
+                for port, count in hits_per_port.items()
+            }
+
+        fingerprint = [
+            self.kind, system.name, self.seed, budget, self.direct_only,
             [case.label for case in self.test_cases],
         ]
         if self.modules is not None:
-            fingerprint_parts.append(sorted(self.modules))
-        fingerprint = fingerprint_of(*fingerprint_parts)
-        sentinel = golden_sentinel(self.factory, self.test_cases[0])
-        if adaptive:
-            strata = [
-                AdaptiveStratum(
-                    label=f"{key_in[0]}.{key_in[1]}",
-                    indices=tuple(
-                        range(i * runs_budget, (i + 1) * runs_budget)
-                    ),
-                )
-                for i, key_in in enumerate(pair_keys)
-            ]
-            ports_of = {
-                f"{key_in[0]}.{key_in[1]}": out_ports[key_in]
-                for key_in in pair_keys
-            }
+            fingerprint.append(sorted(self.modules))
+        return self._new_plan(
+            system, tasks, fingerprint, ff=self._ff,
+            batch={"goldens": self.goldens, "direct_only": self.direct_only},
+            retires=True, strata=strata, counts_of=counts_of,
+        )
 
-            def counts_of(stratum, executed):
-                active_n = 0
-                hits_per_port = {port: 0 for port in ports_of[stratum.label]}
-                for hits in executed:
-                    if hits is None or isinstance(hits, TaskFailure):
-                        continue
-                    active_n += 1
-                    for out_port in hits:
-                        hits_per_port[out_port] += 1
-                return {
-                    port: (count, active_n)
-                    for port, count in hits_per_port.items()
-                }
+    def _row(self, task: tuple) -> Tuple[TestCase, RowInjection]:
+        module, in_port, test_case, from_tick, bit = task
+        return test_case, RowInjection(
+            kind="arg", tick=from_tick, bit=bit, port=in_port, module=module
+        )
 
-            sampler = AdaptiveSampler(
-                executor,
-                strata,
-                counts_of,
-                rule=stopping_rule_from(self.config),
-                min_batch=self.config.sampling.min_batch,
-            )
-            results = sampler.run(
-                runner, len(tasks), fingerprint, sentinel=sentinel
-            )
-            self.telemetry = sampler.telemetry
-            self.integrity_violations = list(sampler.violations)
-            self.stratum_reports = list(sampler.reports)
-        else:
-            results = executor.run_tasks(
-                runner, len(tasks), fingerprint, sentinel=sentinel
-            )
-            self.telemetry = executor.telemetry
-            self.integrity_violations = list(executor.violations)
-            self.stratum_reports = []
-        executor.close()
-        close_runner(runner)
-
-        # Phase 3: aggregate in task order (== legacy loop order).
+    def run(self) -> PermeabilityEstimate:
+        plan, observed, failures = _drive(self)
         direct: Dict[Tuple[str, str, str], int] = {}
         active: Dict[Tuple[str, str], int] = {}
-        for key_in in pair_keys:
-            active[key_in] = 0
-            for out_port in out_ports[key_in]:
-                direct[(key_in[0], key_in[1], out_port)] = 0
-        for key_in, hits in zip(task_pair, results):
-            if (
-                hits is None
-                or hits is SKIPPED
-                or isinstance(hits, TaskFailure)
-            ):
-                continue
-            active[key_in] += 1
+        for module, in_port, out_ports, _ in self._inputs(plan.system):
+            active[(module, in_port)] = 0
+            for out_port in out_ports:
+                direct[(module, in_port, out_port)] = 0
+        for (module, in_port, *_), hits in observed:
+            if hits is None:
+                continue  # the flip never became active
+            active[(module, in_port)] += 1
             for out_port in hits:
-                direct[(key_in[0], key_in[1], out_port)] += 1
+                direct[(module, in_port, out_port)] += 1
         values = {
             (m, i, k): (
                 direct[(m, i, k)] / active[(m, i)] if active[(m, i)] else 0.0
@@ -442,7 +546,7 @@ class PermeabilityCampaign:
             direct_counts=direct,
             active_runs=active,
             values=values,
-            task_failures=_collect_failures(results),
+            task_failures=failures,
         )
 
     def _one_run(
@@ -625,7 +729,7 @@ class DetectionResult:
         return {"total": hits / total_err}
 
 
-class DetectionCampaign:
+class DetectionCampaign(_SampledCampaign):
     """Measure EA detection coverage for errors at the system inputs.
 
     Every run: one transient bit flip in one system input signal at a
@@ -633,6 +737,8 @@ class DetectionCampaign:
     EA bank monitors passively, so any EA-set's coverage can be
     derived from one campaign.
     """
+
+    kind = "detection"
 
     def __init__(
         self,
@@ -648,134 +754,61 @@ class DetectionCampaign:
             raise CampaignError(
                 f"runs_per_signal must be positive, got {runs_per_signal}"
             )
-        if config is None:
-            config = CampaignConfig()
-        self.factory = _resolve_factory(factory)
-        self.test_cases = _resolve_test_cases(factory, test_cases, config)
-        self.specs = list(assertion_specs)
+        super().__init__(factory, test_cases, seed, config, assertion_specs)
         self.runs_per_signal = runs_per_signal
         self.targets = list(targets) if targets is not None else None
-        self.seed = seed if seed is not None else config.seed
-        self.rng = random.Random(self.seed)
-        self.config = config
-        self.goldens = golden_cache.store_for(
-            _target_label(factory), self.factory
-        )
         self._ff = FastForward(
-            self.factory, _target_label(factory), config=config,
+            self.factory, self._target, config=self.config,
             bank_specs=self.specs,
         )
-        self.telemetry: Optional[CampaignTelemetry] = None
-        self.integrity_violations: List[IntegrityViolation] = []
-        #: per-stratum spend reports (adaptive campaigns only).
-        self.stratum_reports: List[StratumReport] = []
 
-    def _runs_budget(self) -> int:
-        """Per-signal budget: ``max_runs`` caps adaptive campaigns."""
-        sampling = self.config.sampling
-        if sampling.enabled and sampling.max_runs is not None:
-            return sampling.max_runs
-        return self.runs_per_signal
+    def _targets(self, system) -> List[str]:
+        if self.targets is not None:
+            return list(self.targets)
+        return list(system.system_inputs())
 
-    def run(self) -> DetectionResult:
-        executor = CampaignExecutor(self.config, campaign="detection")
-        probe = self.factory(self.test_cases[0])
-        targets = (
-            self.targets
-            if self.targets is not None
-            else probe.system.system_inputs()
+    def _plan(self, system) -> CampaignPlan:
+        targets = self._targets(system)
+        budget = self._budget(self.runs_per_signal)
+        tasks, strata = self._sample(
+            [((target,), system.signal(target).width) for target in targets],
+            budget,
         )
-        ea_names = [spec.name for spec in self.specs]
-        adaptive = self.config.sampling.enabled
-        runs_budget = self._runs_budget()
 
-        # Phase 1: pre-draw (target -> run_index), legacy order.
-        tasks: List[Tuple[str, TestCase, int, int]] = []
-        for target in targets:
-            width = probe.system.signal(target).width
-            for run_index in range(runs_budget):
-                test_case = self.test_cases[run_index % len(self.test_cases)]
-                golden = self.goldens.get(test_case)
-                tick = self.rng.randrange(0, golden.completion_tick)
-                bit = self.rng.randrange(0, width)
-                tasks.append((target, test_case, tick, bit))
+        def counts_of(stratum, executed):
+            # monitored proportion: any-EA detection coverage over
+            # the *active* errors (dict outcomes) of the stratum
+            active_n = 0
+            detected = 0
+            for outcome in executed:
+                if not isinstance(outcome, dict):
+                    continue
+                active_n += 1
+                if outcome["fired"]:
+                    detected += 1
+            return {"coverage": (detected, active_n)}
 
-        # Phase 2: execute, audit-replaying a sampled fraction.
-        auditor = RunAuditor(self._ff, self.config, campaign="detection")
-
-        def runner(index: int) -> Any:
-            task = tasks[index]
-            return auditor.run(
-                index, lambda ff: self._one_run(*task, ff=ff)
-            )
-
-        # batch_width > 0: advance contiguous spans of injected runs
-        # through the vectorized core (bit-identical; repro.fi.vector)
-        runner = wrap_runner(
-            "detection", runner, tasks, self.config, self.factory,
-            auditor=auditor, specs=self.specs,
-        )
+        fingerprint = [
+            self.kind, system.name, self.seed, budget, targets,
+            [spec.name for spec in self.specs],
+            [case.label for case in self.test_cases],
+        ]
         # detection rows never retire: only the tasks the batch leaves
         # to the scalar path can restore a checkpoint
-        _preload_tracks(
-            self._ff, tasks, case_of=lambda t: t[1], tick_of=lambda t: t[2],
-            runner=runner,
+        return self._new_plan(
+            system, tasks, fingerprint, ff=self._ff,
+            batch={"specs": self.specs}, strata=strata, counts_of=counts_of,
         )
 
-        fingerprint = fingerprint_of(
-            "detection", probe.system.name, self.seed,
-            runs_budget, list(targets), ea_names,
-            [case.label for case in self.test_cases],
+    def _row(self, task: tuple) -> Tuple[TestCase, RowInjection]:
+        target, test_case, tick, bit = task
+        return test_case, RowInjection(
+            kind="input", tick=tick, bit=bit, signal=target
         )
-        sentinel = golden_sentinel(self.factory, self.test_cases[0])
-        if adaptive:
-            strata = [
-                AdaptiveStratum(
-                    label=target,
-                    indices=tuple(
-                        range(i * runs_budget, (i + 1) * runs_budget)
-                    ),
-                )
-                for i, target in enumerate(targets)
-            ]
 
-            def counts_of(stratum, executed):
-                # monitored proportion: any-EA detection coverage over
-                # the *active* errors (dict outcomes) of the stratum
-                active_n = 0
-                detected = 0
-                for outcome in executed:
-                    if not isinstance(outcome, dict):
-                        continue
-                    active_n += 1
-                    if outcome["fired"]:
-                        detected += 1
-                return {"coverage": (detected, active_n)}
-
-            sampler = AdaptiveSampler(
-                executor,
-                strata,
-                counts_of,
-                rule=stopping_rule_from(self.config),
-                min_batch=self.config.sampling.min_batch,
-            )
-            results = sampler.run(
-                runner, len(tasks), fingerprint, sentinel=sentinel
-            )
-            self.telemetry = sampler.telemetry
-            self.integrity_violations = list(sampler.violations)
-            self.stratum_reports = list(sampler.reports)
-        else:
-            results = executor.run_tasks(
-                runner, len(tasks), fingerprint, sentinel=sentinel
-            )
-            self.telemetry = executor.telemetry
-            self.integrity_violations = list(executor.violations)
-            self.stratum_reports = []
-        executor.close()
-        close_runner(runner)
-
-        # Phase 3: aggregate in task order.
+    def run(self) -> DetectionResult:
+        plan, observed, failures = _drive(self)
+        targets = self._targets(plan.system)
         n_injected: Dict[str, int] = {t: 0 for t in targets}
         n_err: Dict[str, int] = {t: 0 for t in targets}
         detections: Dict[Tuple[str, str], int] = {}
@@ -784,9 +817,7 @@ class DetectionCampaign:
         run_latencies: Dict[str, List[Dict[str, int]]] = {
             t: [] for t in targets
         }
-        for (target, _, _, _), outcome in zip(tasks, results):
-            if outcome is SKIPPED or isinstance(outcome, TaskFailure):
-                continue  # skipped or quarantined: no observation
+        for (target, *_), outcome in observed:
             n_injected[target] += 1
             if not isinstance(outcome, dict):
                 continue  # "inactive" / "late": injection not an error
@@ -802,15 +833,15 @@ class DetectionCampaign:
                 key = (target, ea)
                 detections[key] = detections.get(key, 0) + 1
         return DetectionResult(
-            targets=list(targets),
-            ea_names=ea_names,
+            targets=targets,
+            ea_names=[spec.name for spec in self.specs],
             n_injected=n_injected,
             n_err=n_err,
             detections=detections,
             any_detections=any_detections,
             run_records=run_records,
             run_latencies=run_latencies,
-            task_failures=_collect_failures(results),
+            task_failures=failures,
         )
 
     def _one_run(
@@ -919,6 +950,68 @@ class MemoryCampaignResult:
         )
 
 
+class _MemorySweep(_Campaign):
+    """A campaign that enumerates the periodic memory error model's
+    fault space: one run per (location, test case) pair, flipping a
+    random bit of the location's byte every ``period_ticks`` from a
+    random phase.
+    """
+
+    def __init__(
+        self,
+        factory: SimulatorFactory,
+        test_cases: Optional[Sequence[TestCase]],
+        assertion_specs: Sequence[AssertionSpec],
+        locations: Optional[Sequence[MemoryLocation]],
+        period_ticks: int,
+        seed: Optional[int],
+        config: Optional[CampaignConfig],
+    ):
+        super().__init__(factory, test_cases, seed, config, assertion_specs)
+        self.period_ticks = period_ticks
+        self._locations = list(locations) if locations is not None else None
+
+    def _sweep(self, system) -> Tuple[List[tuple], List[Any]]:
+        """The tasks ``(location, test case, bit, phase)`` in legacy
+        order (location -> test case), and the fingerprint parts."""
+        locations = (
+            self._locations
+            if self._locations is not None
+            else MemoryMap(system).locations()
+        )
+        rng = random.Random(self.seed)
+        tasks: List[tuple] = []
+        for location in locations:
+            for test_case in self.test_cases:
+                bit = rng.randrange(0, location.valid_bits)
+                # random phase within the period: the injection train
+                # must not be systematically aligned with the slot
+                # schedule, or flips into producer-rewritten stores
+                # would always be overwritten before anyone reads them
+                phase = rng.randrange(0, self.period_ticks)
+                tasks.append((location, test_case, bit, phase))
+        fingerprint = [
+            self.kind, system.name, self.seed, self.period_ticks,
+            [spec.name for spec in self.specs],
+            [location.label for location in locations],
+            [case.label for case in self.test_cases],
+        ]
+        return tasks, fingerprint
+
+    def _row(self, task: tuple) -> Tuple[TestCase, RowInjection]:
+        location, test_case, bit, phase = task
+        memory_kind, module, cell, cell_bit = location.vector_descriptor(bit)
+        return test_case, RowInjection(
+            kind="memory",
+            tick=phase,
+            bit=cell_bit,
+            memory_kind=memory_kind,
+            module=module,
+            cell=cell,
+            period=self.period_ticks,
+        )
+
+
 # ======================================================================
 # Recovery (ERM) effectiveness under the memory error model.
 # ======================================================================
@@ -976,7 +1069,7 @@ class RecoveryResult:
         )
 
 
-class RecoveryCampaign:
+class RecoveryCampaign(_MemorySweep):
     """Measure the effect of containment wrappers (ERMs) at the
     EA-guarded signals under the harsher error model.
 
@@ -991,6 +1084,8 @@ class RecoveryCampaign:
     ignored.
     """
 
+    kind = "recovery"
+
     def __init__(
         self,
         factory: SimulatorFactory,
@@ -1002,72 +1097,25 @@ class RecoveryCampaign:
         policies=None,
         config: Optional[CampaignConfig] = None,
     ):
-        if config is None:
-            config = CampaignConfig()
-        self.factory = _resolve_factory(factory)
-        self.test_cases = _resolve_test_cases(factory, test_cases, config)
-        self.specs = list(assertion_specs)
-        self.period_ticks = period_ticks
-        self.seed = seed if seed is not None else config.seed
+        super().__init__(
+            factory, test_cases, assertion_specs, locations, period_ticks,
+            seed, config,
+        )
         self.policies = policies
-        self.config = config
-        self._locations = list(locations) if locations is not None else None
-        self._target = _target_label(factory)
-        self.telemetry: Optional[CampaignTelemetry] = None
-        self.integrity_violations: List[IntegrityViolation] = []
+
+    def _plan(self, system) -> CampaignPlan:
+        tasks, fingerprint = self._sweep(system)
+        # no fast-forward (and so no audit replay) here, but the drift
+        # sentinel still guards every pool worker
+        return self._new_plan(
+            system, tasks, fingerprint + [self.policies], ff=None,
+            batch={"specs": self.specs, "policies": self.policies},
+        )
 
     def run(self) -> RecoveryResult:
-        executor = CampaignExecutor(self.config, campaign="recovery")
-        probe = self.factory(self.test_cases[0])
-        locations = (
-            self._locations
-            if self._locations is not None
-            else MemoryMap(probe.system).locations()
-        )
-        rng = random.Random(self.seed)
-
-        # Phase 1: pre-draw (location -> test case), legacy order.
-        tasks: List[Tuple[MemoryLocation, TestCase, int, int]] = []
-        for location in locations:
-            for test_case in self.test_cases:
-                bit = rng.randrange(0, location.valid_bits)
-                phase = rng.randrange(0, self.period_ticks)
-                tasks.append((location, test_case, bit, phase))
-
-        # Phase 2: execute.
-        def runner(index: int) -> Optional[Dict[str, Any]]:
-            return self._one_run(*tasks[index])
-
-        runner = wrap_runner(
-            "recovery", runner, tasks, self.config, self.factory,
-            specs=self.specs, policies=self.policies,
-            period_ticks=self.period_ticks,
-        )
-        results = executor.run_tasks(
-            runner,
-            len(tasks),
-            fingerprint_of(
-                "recovery", probe.system.name, self.seed,
-                self.period_ticks, [spec.name for spec in self.specs],
-                [location.label for location in locations],
-                [case.label for case in self.test_cases],
-                self.policies,
-            ),
-            # no fast-forward (and so no audit replay) here, but the
-            # drift sentinel still guards every pool worker
-            sentinel=golden_sentinel(self.factory, self.test_cases[0]),
-        )
-        self.telemetry = executor.telemetry
-        self.integrity_violations = list(executor.violations)
-        executor.close()
-        close_runner(runner)
-
-        # Phase 3: aggregate in task order.
-        outcomes: List[RecoveryOutcome] = []
-        for (location, _, _, _), outcome in zip(tasks, results):
-            if outcome is None or isinstance(outcome, TaskFailure):
-                continue
-            outcomes.append(
+        _, observed, failures = _drive(self)
+        return RecoveryResult(
+            outcomes=[
                 RecoveryOutcome(
                     region=location.region,
                     location_label=location.label,
@@ -1076,10 +1124,10 @@ class RecoveryCampaign:
                     recovered_failed=bool(outcome["recovered_failed"]),
                     recovery_actions=int(outcome["recovery_actions"]),
                 )
-            )
-        return RecoveryResult(
-            outcomes=outcomes,
-            task_failures=_collect_failures(results),
+                for (location, *_), outcome in observed
+                if outcome is not None  # the flip never landed
+            ],
+            task_failures=failures,
         )
 
     def _one_run(
@@ -1088,13 +1136,15 @@ class RecoveryCampaign:
         test_case: TestCase,
         bit: int,
         phase: int,
+        ff: Optional[FastForward] = None,
     ) -> Optional[Dict[str, Any]]:
         from repro.edm.recovery import RecoveringMonitorBank
 
-        # no fast-forward here: the recovering bank rewrites store
-        # values (the run is not a pure function of the golden prefix),
-        # and the periodic injection starts within the first period
-        # anyway, so there is no redundant prefix to skip
+        # no fast-forward here (*ff* is always None): the recovering
+        # bank rewrites store values (the run is not a pure function of
+        # the golden prefix), and the periodic injection starts within
+        # the first period anyway, so there is no redundant prefix to
+        # skip
         spec = PeriodicMemoryFlip(
             location, bit,
             period_ticks=self.period_ticks, start_tick=phase,
@@ -1124,7 +1174,8 @@ class RecoveryCampaign:
         }
 
 
-class MemoryCampaign:
+
+class MemoryCampaign(_MemorySweep):
     """Periodic bit flips into RAM and stack locations (Section 7).
 
     Enumerates (a subset of) the memory map's locations; for each
@@ -1139,6 +1190,8 @@ class MemoryCampaign:
     ignored.
     """
 
+    kind = "memory"
+
     def __init__(
         self,
         factory: SimulatorFactory,
@@ -1149,99 +1202,41 @@ class MemoryCampaign:
         seed: Optional[int] = None,
         config: Optional[CampaignConfig] = None,
     ):
-        if config is None:
-            config = CampaignConfig()
-        self.factory = _resolve_factory(factory)
-        self.test_cases = _resolve_test_cases(factory, test_cases, config)
-        self.specs = list(assertion_specs)
-        self.period_ticks = period_ticks
-        self.seed = seed if seed is not None else config.seed
-        self.rng = random.Random(self.seed)
-        self.config = config
-        self._locations = list(locations) if locations is not None else None
+        super().__init__(
+            factory, test_cases, assertion_specs, locations, period_ticks,
+            seed, config,
+        )
         # periodic flips never quiesce, so only the prefix before the
         # first period boundary can be skipped; with the default period
         # (20 ticks) every phase lands before the first checkpoint and
         # the engine stays entirely out of the way
         self._ff = FastForward(
-            self.factory, _target_label(factory), config=config,
+            self.factory, self._target, config=self.config,
             bank_specs=self.specs, resync=False,
         )
-        self.telemetry: Optional[CampaignTelemetry] = None
-        self.integrity_violations: List[IntegrityViolation] = []
+
+    def _plan(self, system) -> CampaignPlan:
+        tasks, fingerprint = self._sweep(system)
+        return self._new_plan(
+            system, tasks, fingerprint, ff=self._ff,
+            batch={"specs": self.specs},
+        )
 
     def run(self) -> MemoryCampaignResult:
-        executor = CampaignExecutor(self.config, campaign="memory")
-        probe = self.factory(self.test_cases[0])
-        locations = (
-            self._locations
-            if self._locations is not None
-            else MemoryMap(probe.system).locations()
-        )
-
-        # Phase 1: pre-draw (location -> test case), legacy order.
-        tasks: List[Tuple[MemoryLocation, TestCase, int, int]] = []
-        for location in locations:
-            for test_case in self.test_cases:
-                bit = self.rng.randrange(0, location.valid_bits)
-                # random phase within the period: the injection train
-                # must not be systematically aligned with the slot
-                # schedule, or flips into producer-rewritten stores
-                # would always be overwritten before anyone reads them
-                phase = self.rng.randrange(0, self.period_ticks)
-                tasks.append((location, test_case, bit, phase))
-        _preload_tracks(
-            self._ff, tasks, case_of=lambda t: t[1], tick_of=lambda t: t[3]
-        )
-
-        # Phase 2: execute, audit-replaying a sampled fraction (only
-        # runs that actually fast-forwarded are ever re-executed).
-        auditor = RunAuditor(self._ff, self.config, campaign="memory")
-
-        def runner(index: int) -> Optional[Dict[str, Any]]:
-            task = tasks[index]
-            return auditor.run(
-                index, lambda ff: self._one_run(*task, ff=ff)
-            )
-
-        runner = wrap_runner(
-            "memory", runner, tasks, self.config, self.factory,
-            auditor=auditor, specs=self.specs,
-            period_ticks=self.period_ticks,
-        )
-        results = executor.run_tasks(
-            runner,
-            len(tasks),
-            fingerprint_of(
-                "memory", probe.system.name, self.seed,
-                self.period_ticks, [spec.name for spec in self.specs],
-                [location.label for location in locations],
-                [case.label for case in self.test_cases],
-            ),
-            sentinel=golden_sentinel(self.factory, self.test_cases[0]),
-        )
-        self.telemetry = executor.telemetry
-        self.integrity_violations = list(executor.violations)
-        executor.close()
-        close_runner(runner)
-
-        # Phase 3: aggregate in task order.
-        records: List[MemoryRunRecord] = []
-        for (location, _, _, _), outcome in zip(tasks, results):
-            if outcome is None or isinstance(outcome, TaskFailure):
-                continue
-            records.append(
+        _, observed, failures = _drive(self)
+        return MemoryCampaignResult(
+            records=[
                 MemoryRunRecord(
                     region=location.region,
                     location_label=location.label,
                     fired=frozenset(outcome["fired"]),
                     failed=bool(outcome["failed"]),
                 )
-            )
-        return MemoryCampaignResult(
-            records=records,
+                for (location, *_), outcome in observed
+                if outcome is not None  # the flip never landed
+            ],
             ea_names=[spec.name for spec in self.specs],
-            task_failures=_collect_failures(results),
+            task_failures=failures,
         )
 
     def _one_run(

@@ -1054,37 +1054,13 @@ class _Group:
     indices: List[int] = field(default_factory=list)
 
 
-def _task_shape(kind: str, task: tuple, period_ticks: int = 0):
-    """(case, injection) of one campaign task tuple."""
-    if kind == "permeability":
-        module, in_port, case, from_tick, bit = task
-        return case, RowInjection(
-            kind="arg", tick=from_tick, bit=bit, port=in_port, module=module
-        )
-    if kind in ("memory", "recovery"):
-        location, case, bit, phase = task
-        memory_kind, module, cell, cell_bit = location.vector_descriptor(bit)
-        return case, RowInjection(
-            kind="memory",
-            tick=phase,
-            bit=cell_bit,
-            memory_kind=memory_kind,
-            module=module,
-            cell=cell,
-            period=period_ticks,
-        )
-    target, case, tick, bit = task
-    return case, RowInjection(kind="input", tick=tick, bit=bit, signal=target)
-
-
 def _plan_groups(
-    kind: str,
-    tasks: Sequence[tuple],
+    rows: Sequence[Tuple[Any, RowInjection]],
     batch_width: int,
-    period_ticks: int = 0,
     supported: Optional[Callable[[RowInjection], bool]] = None,
 ) -> Tuple[Dict[int, _Group], List[_Group]]:
-    """Contiguous runs of tasks, capped at *batch_width*.
+    """Contiguous runs of ``(case, injection)`` rows, capped at
+    *batch_width*.
 
     Singleton groups are dropped — a batch of one is strictly worse
     than the scalar path.  Injections the kernel cannot strike inside
@@ -1093,8 +1069,7 @@ def _plan_groups(
     """
     groups: List[_Group] = []
     current: Optional[_Group] = None
-    for index, task in enumerate(tasks):
-        _, injection = _task_shape(kind, task, period_ticks)
+    for index, (_, injection) in enumerate(rows):
         if supported is not None and not supported(injection):
             current = None
             continue
@@ -1145,7 +1120,8 @@ def _kernel_for(probe):
 class BatchRunner:
     """Answers campaign task indices from vectorized batches.
 
-    Wraps a campaign's scalar ``runner(index)`` callable.  Task
+    Wraps a campaign's scalar ``runner(index)`` callable; ``rows[i]``
+    is task ``i`` as a ``(test case, RowInjection)`` row.  Task
     indices that belong to a plannable batch are answered by running
     the whole batch through the target's vector kernel once (cached
     per process, each row's outcome served once); everything else —
@@ -1168,7 +1144,7 @@ class BatchRunner:
     def __init__(
         self,
         kind: str,
-        tasks: Sequence[tuple],
+        rows: Sequence[Tuple[Any, RowInjection]],
         inner: Callable[[int], Any],
         batch_width: int,
         factory: Callable[[Any], Any],
@@ -1177,10 +1153,9 @@ class BatchRunner:
         direct_only: bool = True,
         specs: Sequence[Any] = (),
         policies: Optional[Any] = None,
-        period_ticks: int = 0,
     ):
         self._kind = kind
-        self._tasks = list(tasks)
+        self._rows = list(rows)
         self._inner = inner
         self._auditor = auditor
         self._factory = factory
@@ -1188,7 +1163,6 @@ class BatchRunner:
         self._direct_only = direct_only
         self._specs = list(specs)
         self._policies = policies
-        self._period = period_ticks
         self._width = batch_width
         self._chaos = any(
             name.startswith("REPRO_CHAOS_") for name in os.environ
@@ -1205,15 +1179,14 @@ class BatchRunner:
         self._cases: Dict[int, Any] = {}
         self._pack = None
         self._golden_meta: Dict[Tuple[int, str], Tuple[int, int, int]] = {}
-        if batch_width > 0 and len(self._tasks) >= 2:
+        if batch_width > 0 and len(self._rows) >= 2:
             self._prepare(batch_width)
 
     # ------------------------------------------------------------------
     # Pre-fork preparation: plan, templates, golden shm pack.
     # ------------------------------------------------------------------
     def _prepare(self, batch_width: int) -> None:
-        for task in self._tasks:
-            case, _ = _task_shape(self._kind, task, self._period)
+        for case, _ in self._rows:
             self._cases.setdefault(case.case_id, case)
         first_case = next(iter(self._cases.values()))
         probe = self._factory(first_case)
@@ -1222,10 +1195,8 @@ class BatchRunner:
             return
         self._kernel = kernel_cls(probe)
         self._group_of, self._groups = _plan_groups(
-            self._kind,
-            self._tasks,
+            self._rows,
             batch_width,
-            period_ticks=self._period,
             supported=getattr(self._kernel, "supports_injection", None),
         )
         if not self._groups:
@@ -1247,7 +1218,7 @@ class BatchRunner:
         needed = set()
         for group in self._groups:
             for index in group.indices:
-                case, injection = _task_shape(self._kind, self._tasks[index])
+                case, injection = self._rows[index]
                 needed.add((case.case_id, injection.module))
         for case_id, module in sorted(needed):
             golden = self._goldens.get(self._cases[case_id])
@@ -1356,14 +1327,10 @@ class BatchRunner:
     def _compute_group(self, group: _Group) -> Dict[int, Any]:
         import dataclasses
 
-        rows = []
-        for index in group.indices:
-            case, injection = _task_shape(
-                self._kind, self._tasks[index], self._period
-            )
-            rows.append(
-                VectorRow(case_id=case.case_id, injection=injection)
-            )
+        rows = [
+            VectorRow(case_id=case.case_id, injection=injection)
+            for case, injection in (self._rows[i] for i in group.indices)
+        ]
         job = GroupJob(
             kind=self._kind,
             rows=rows,
@@ -1513,7 +1480,7 @@ class BatchRunner:
 def wrap_runner(
     kind: str,
     runner: Callable[[int], Any],
-    tasks: Sequence[tuple],
+    rows: Sequence[Tuple[Any, RowInjection]],
     config: Any,
     factory: Callable[[Any], Any],
     auditor: Optional[Any] = None,
@@ -1521,7 +1488,6 @@ def wrap_runner(
     direct_only: bool = True,
     specs: Sequence[Any] = (),
     policies: Optional[Any] = None,
-    period_ticks: int = 0,
 ) -> Callable[[int], Any]:
     """The campaign's runner, batched when the config asks for it.
 
@@ -1534,7 +1500,7 @@ def wrap_runner(
         return runner
     batched = BatchRunner(
         kind=kind,
-        tasks=tasks,
+        rows=rows,
         inner=runner,
         batch_width=width,
         factory=factory,
@@ -1543,7 +1509,6 @@ def wrap_runner(
         direct_only=direct_only,
         specs=specs,
         policies=policies,
-        period_ticks=period_ticks,
     )
     if batched._kernel is None:
         batched.close()

@@ -10,14 +10,26 @@ propagate).
 import pytest
 
 from repro.errors import CampaignError
+from repro.experiments.context import ExperimentContext
 from repro.fi.campaign import (
     DetectionCampaign,
     MemoryCampaign,
     PermeabilityCampaign,
+    RecoveryCampaign,
+)
+from repro.fi.executor import (
+    CampaignConfig,
+    CampaignExecutor,
+    CheckpointPolicy,
 )
 from repro.fi.memory import MemoryMap, Region
+from repro.fi.store import SqliteResultStore
+from repro.fi.vector import BatchRunner
 from repro.edm.catalogue import EA_BY_NAME
 from repro.target.simulation import ArrestmentSimulator
+from repro.watertank.catalogue import tank_assertions
+from repro.watertank.simulation import WaterTankSimulator
+from repro.watertank.testcases import standard_tank_cases
 
 
 def factory(tc):
@@ -161,3 +173,152 @@ class TestMemoryCampaign:
     def test_requires_test_cases(self):
         with pytest.raises(CampaignError):
             MemoryCampaign(factory, [], list(EA_BY_NAME.values()))
+
+
+# ======================================================================
+# Every campaign runs one plan through one driver.
+# ======================================================================
+def tank_factory(tc):
+    return WaterTankSimulator(tc, mission_ticks=300)
+
+
+#: the four campaigns over two tank cases, small enough to run twice
+TANK_CAMPAIGNS = {
+    "permeability": lambda cases, config: PermeabilityCampaign(
+        tank_factory, cases, runs_per_input=2, seed=7, config=config,
+    ),
+    "detection": lambda cases, config: DetectionCampaign(
+        tank_factory, cases, tank_assertions(), runs_per_signal=3, seed=7,
+        config=config,
+    ),
+    "memory": lambda cases, config: MemoryCampaign(
+        tank_factory, cases, tank_assertions(), seed=7, config=config,
+    ),
+    "recovery": lambda cases, config: RecoveryCampaign(
+        tank_factory, cases, tank_assertions(), seed=7, config=config,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def tank_cases():
+    return standard_tank_cases()[:2]
+
+
+class TestRepeatedRun:
+    """A campaign draws its tasks from a fresh RNG on every ``run()``,
+    so a second run repeats the first — and, with a checkpoint, resumes
+    exactly the records of the draw it repeats."""
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    @pytest.mark.parametrize(
+        "kind", ["permeability", "detection", "memory"]
+    )
+    def test_second_run_equals_fresh_campaign(
+        self, tank_cases, tmp_path, kind, checkpoint
+    ):
+        build = TANK_CAMPAIGNS[kind]
+        config = None
+        if checkpoint:
+            config = CampaignConfig(
+                checkpoint=CheckpointPolicy(path=str(tmp_path / "r.db"))
+            )
+        campaign = build(tank_cases, config)
+        first = campaign.run()
+        second = campaign.run()
+        if checkpoint:
+            telemetry = campaign.telemetry
+            assert telemetry.resumed_runs == telemetry.total_runs > 0
+        assert first == second == build(tank_cases, None).run()
+
+
+class TestAbortedRun:
+    @pytest.mark.parametrize("kind", sorted(TANK_CAMPAIGNS))
+    def test_batch_runner_closed_when_execution_raises(
+        self, tank_cases, monkeypatch, kind
+    ):
+        """The driver closes the batch runner — and with it the golden
+        streams it published — on every exit path."""
+        closed = []
+        close = BatchRunner.close
+
+        def spy_close(runner):
+            closed.append(runner)
+            close(runner)
+
+        def abort(*args, **kwargs):
+            raise RuntimeError("execution aborted")
+
+        monkeypatch.setattr(BatchRunner, "close", spy_close)
+        monkeypatch.setattr(CampaignExecutor, "run_tasks", abort)
+        campaign = TANK_CAMPAIGNS[kind](tank_cases, None)
+        with pytest.raises(RuntimeError, match="execution aborted"):
+            campaign.run()
+        assert len(closed) == 1
+        assert closed[0]._kernel is not None  # a real batch was planned
+
+
+def _restricted_permeability(ctx):
+    return PermeabilityCampaign(
+        ctx.simulator_factory, ctx.test_cases,
+        runs_per_input=ctx.scale.runs_per_input, modules=["CLOCK"],
+        config=ctx.campaign_config("permeability"),
+    ).run()
+
+
+def _recovery(ctx):
+    return RecoveryCampaign(
+        ctx.simulator_factory,
+        ctx.test_cases[:: ctx.scale.memory_case_stride],
+        ctx.assertion_specs(),
+        locations=MemoryMap(ctx.system).locations()[
+            :: ctx.scale.location_stride
+        ],
+        config=ctx.campaign_config("recovery"),
+    ).run()
+
+
+class TestCheckpointFingerprints:
+    """The fingerprint a campaign binds in the results database decides
+    whether an existing database resumes: pinned per campaign at test
+    scale, seed 2002."""
+
+    #: case -> (context options, run, (campaign, fingerprint, n_tasks))
+    PINNED = {
+        "permeability": (
+            {}, ExperimentContext.permeability_estimate,
+            ("permeability", "52f1e2033a99613d", 78),
+        ),
+        "permeability-clock": (
+            {}, _restricted_permeability,
+            ("permeability", "f0b3f61a7f9ad41e", 6),
+        ),
+        "permeability-adaptive": (
+            {"adaptive": True, "max_runs": 4},
+            ExperimentContext.permeability_estimate,
+            ("permeability", "5d6c29734c1df9da", 52),
+        ),
+        "detection": (
+            {}, ExperimentContext.detection_result,
+            ("detection", "aabb8d83d0b968ae", 40),
+        ),
+        "memory": (
+            {}, ExperimentContext.memory_result,
+            ("memory", "47dd63030ba141c9", 13),
+        ),
+        "recovery": ({}, _recovery, ("recovery", "0e8f4a990026fdd5", 13)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_fingerprint_is_pinned(self, tmp_path, case):
+        options, run, pinned = self.PINNED[case]
+        ctx = ExperimentContext(
+            scale="test", seed=2002, checkpoint_dir=str(tmp_path), **options
+        )
+        run(ctx)
+        with SqliteResultStore(str(tmp_path / "results.db")) as store:
+            bound = [
+                (c.campaign, c.fingerprint, c.n_tasks)
+                for c in store.list_campaigns()
+            ]
+        assert bound == [pinned]

@@ -61,8 +61,9 @@ def batch_vs_scalar(kind, campaign, tasks, width=16, **kwargs):
     def scalar(index):
         return campaign._one_run(*tasks[index])
 
+    rows = [campaign._row(task) for task in tasks]
     runner = BatchRunner(
-        kind, tasks, scalar, width, campaign.factory, **kwargs
+        kind, rows, scalar, width, campaign.factory, **kwargs
     )
     assert runner._kernel is not None, "kernel refused the target"
     before = counters.snapshot()
@@ -165,7 +166,6 @@ class TestWatertankKernel:
         tasks = memory_tasks(campaign, tank_cases, 12, seed=5)
         batched, reference, delta = batch_vs_scalar(
             "memory", campaign, tasks, specs=specs,
-            period_ticks=campaign.period_ticks,
         )
         assert batched == reference
         assert delta["vec_rows"] > 0  # some rows really ran batched
@@ -185,7 +185,6 @@ class TestWatertankKernel:
         ]
         batched, reference, delta = batch_vs_scalar(
             "memory", campaign, tasks, specs=specs,
-            period_ticks=campaign.period_ticks,
         )
         assert batched == reference
         assert delta["vec_groups"] == 1  # one group for both cases
@@ -202,7 +201,6 @@ class TestWatertankKernel:
         batched, reference, delta = batch_vs_scalar(
             "recovery", campaign, tasks, specs=specs,
             policies=campaign.policies,
-            period_ticks=campaign.period_ticks,
         )
         assert batched == reference
         assert delta["vec_rows"] > 0
@@ -283,7 +281,6 @@ class TestArrestmentKernel:
         tasks = memory_tasks(campaign, arrestment_cases, 10, seed=5)
         batched, reference, delta = batch_vs_scalar(
             "memory", campaign, tasks, specs=specs,
-            period_ticks=campaign.period_ticks,
         )
         assert batched == reference
         assert delta["vec_rows"] > 0
@@ -317,7 +314,6 @@ class TestArrestmentKernel:
             ))
         batched, reference, delta = batch_vs_scalar(
             "memory", campaign, tasks, specs=specs,
-            period_ticks=campaign.period_ticks,
         )
         assert batched == reference
         # no dispatch-divergence retirements: every row answered by the
@@ -375,7 +371,6 @@ class TestArrestmentKernel:
         monkeypatch.setattr(ArrestmentVectorKernel, "_invoke", spy_invoke)
         batched, reference, delta = batch_vs_scalar(
             "memory", campaign, tasks, specs=specs,
-            period_ticks=campaign.period_ticks,
         )
         assert batched == reference
         assert delta["vec_groups"] == 1 and delta["vec_rows"] == len(tasks)
@@ -401,7 +396,6 @@ class TestArrestmentKernel:
         batched, reference, delta = batch_vs_scalar(
             "recovery", campaign, tasks, specs=specs,
             policies=campaign.policies,
-            period_ticks=campaign.period_ticks,
         )
         assert batched == reference
         assert delta["vec_rows"] > 0

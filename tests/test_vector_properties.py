@@ -114,8 +114,9 @@ def check_batch(kind, campaign, tasks, width, **kwargs):
     def scalar(index):
         return campaign._one_run(*tasks[index])
 
+    rows = [campaign._row(task) for task in tasks]
     runner = BatchRunner(
-        kind, tasks, scalar, width, campaign.factory, **kwargs
+        kind, rows, scalar, width, campaign.factory, **kwargs
     )
     try:
         batched = [runner(i) for i in range(len(tasks))]
@@ -274,7 +275,6 @@ class TestWatertankProperties:
         tasks = build_mem_tasks(tank_mem, rows)
         check_batch(
             "memory", tank_mem, tasks, width, specs=tank_mem.specs,
-            period_ticks=tank_mem.period_ticks,
         )
 
 
@@ -339,5 +339,4 @@ class TestArrestmentProperties:
         tasks = build_mem_tasks(arrest_mem, rows)
         check_batch(
             "memory", arrest_mem, tasks, width, specs=arrest_mem.specs,
-            period_ticks=arrest_mem.period_ticks,
         )
