@@ -112,7 +112,7 @@ from repro.fi.models import (
     PeriodicMemoryFlip,
 )
 from repro.fi.snapshot import FastForward
-from repro.fi.vector import RowInjection, close_runner, wrap_runner
+from repro.fi.vector import RowInjection, wrap_runner
 from repro.target.testcases import TestCase
 
 __all__ = [
@@ -240,11 +240,10 @@ def _drive(
     faulty campaign completes with the surviving runs while the losses
     stay accounted for.  The executor exists before the draw, so the
     golden runs the draw needs count in the campaign's telemetry; it
-    and the batch runner are closed on every exit path.
+    is closed on every exit path.
     """
     config = campaign.config
     executor = CampaignExecutor(config, campaign=campaign.kind)
-    runner = None
     try:
         plan = campaign._plan(
             campaign.factory(campaign.test_cases[0]).system
@@ -290,7 +289,6 @@ def _drive(
         campaign.integrity_violations = list(source.violations)
     finally:
         executor.close()
-        close_runner(runner)
     observed = [
         (task, outcome)
         for task, outcome in zip(plan.tasks, results)
@@ -368,14 +366,16 @@ class _SampledCampaign(_Campaign):
         stopped stratum simply never dispatches its tail.
         """
         rng = random.Random(self.seed)
+        # the cases the draw cycles over, each golden run read once
+        cases = self.test_cases[:budget]
+        ticks = [self.goldens.get(case).completion_tick for case in cases]
         tasks: List[tuple] = []
         for key, width in strata:
             for run_index in range(budget):
-                test_case = self.test_cases[run_index % len(self.test_cases)]
-                golden = self.goldens.get(test_case)
-                tick = rng.randrange(0, golden.completion_tick)
+                i = run_index % len(cases)
+                tick = rng.randrange(0, ticks[i])
                 bit = rng.randrange(0, width)
-                tasks.append((*key, test_case, tick, bit))
+                tasks.append((*key, cases[i], tick, bit))
         return tasks, [
             AdaptiveStratum(
                 label=".".join(key),

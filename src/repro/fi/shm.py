@@ -1,9 +1,9 @@
 """Shared-memory publication of read-only campaign arrays.
 
-The vectorized batch core (:mod:`repro.fi.vector`) compares recorded
-invocation streams against the golden run's streams.  Those golden
-arrays are identical for every run of a test case, so the campaign
-packs them **once, before the process pool forks**, into
+The fast-forward checkpoint pool (:class:`repro.fi.snapshot.TrackPool`)
+flattens golden checkpoint tracks into arrays that are identical for
+every run of a test case, so the campaign packs them **once, before
+the process pool forks**, into
 ``multiprocessing.shared_memory`` segments; workers attach to the
 segments by name instead of materializing their own copy (and, on
 platforms without working shared memory, fall back transparently to

@@ -64,8 +64,8 @@ rows and a tick 67–102 µs outside the module bodies (measurements in
 docs/campaigns.md).
 
 Golden invocation streams — the reference side of the permeability
-comparison — are packed once into shared memory
-(:class:`repro.fi.shm.ShmArrayPack`) before the worker pool forks.
+comparison — are built once as numpy arrays before the worker pool
+forks, and the workers inherit them through the fork.
 Each group is computed once per campaign: a pool worker ships the
 outcomes of the group's rows its chunk did not ask for home, and the
 next pool forks with them cached (:meth:`BatchRunner.ship`,
@@ -107,7 +107,6 @@ __all__ = [
     "flip_cells",
     "BatchRunner",
     "wrap_runner",
-    "close_runner",
 ]
 
 
@@ -1177,13 +1176,13 @@ class BatchRunner:
         self._kernel = None
         self._templates: Dict[int, Any] = {}
         self._cases: Dict[int, Any] = {}
-        self._pack = None
-        self._golden_meta: Dict[Tuple[int, str], Tuple[int, int, int]] = {}
+        #: (case id, module) -> its golden (inputs, outputs) per invocation
+        self._golden_streams: Dict[Tuple[int, str], Tuple[Any, Any]] = {}
         if batch_width > 0 and len(self._rows) >= 2:
             self._prepare(batch_width)
 
     # ------------------------------------------------------------------
-    # Pre-fork preparation: plan, templates, golden shm pack.
+    # Pre-fork preparation: plan, templates, golden streams.
     # ------------------------------------------------------------------
     def _prepare(self, batch_width: int) -> None:
         for case, _ in self._rows:
@@ -1207,14 +1206,11 @@ class BatchRunner:
         for case_id, case in self._cases.items():
             self._templates[case_id] = self._factory(case).capture_state()
         if self._kind == "permeability" and self._goldens is not None:
-            self._publish_golden_streams(probe)
+            self._build_golden_streams(probe)
 
-    def _publish_golden_streams(self, probe) -> None:
-        """Pack the golden invocation streams the batches will diff
-        against into shared memory, once, pre-fork."""
-        from repro.fi.shm import ShmArrayPack
-
-        self._pack = ShmArrayPack()
+    def _build_golden_streams(self, probe) -> None:
+        """The golden invocation streams the batches will diff against,
+        as arrays, once, pre-fork."""
         needed = set()
         for group in self._groups:
             for index in group.indices:
@@ -1232,15 +1228,7 @@ class BatchRunner:
             for i, (_, in_tuple, out_tuple) in enumerate(stream):
                 ins[i] = in_tuple
                 outs[i] = out_tuple
-            key = f"g{case_id}:{module}"
-            self._pack.publish(key + ":ins", ins)
-            self._pack.publish(key + ":outs", outs)
-            self._golden_meta[(case_id, module)] = (n, n_in, n_out)
-
-    def close(self) -> None:
-        if self._pack is not None:
-            self._pack.close()
-            self._pack = None
+            self._golden_streams[(case_id, module)] = (ins, outs)
 
     # ------------------------------------------------------------------
     # Executor integration hooks (duck-typed).
@@ -1392,10 +1380,8 @@ class BatchRunner:
         if completed is not None and first is not None and first > completed:
             return None
         module = row.injection.module
-        n_golden, n_in, _ = self._golden_meta[(row.case_id, module)]
-        key = f"g{row.case_id}:{module}"
-        g_ins = self._pack.get(key + ":ins")
-        g_outs = self._pack.get(key + ":outs")
+        g_ins, g_outs = self._golden_streams[(row.case_id, module)]
+        n_golden, n_in = g_ins.shape
         in_ports, out_ports = self._kernel.module_ports(module)
         injected_idx = in_ports.index(row.injection.port)
         streams = result.streams
@@ -1511,13 +1497,5 @@ def wrap_runner(
         policies=policies,
     )
     if batched._kernel is None:
-        batched.close()
         return runner
     return batched
-
-
-def close_runner(runner: Any) -> None:
-    """Release a wrapped runner's shared-memory segments (no-op for
-    plain scalar runners)."""
-    if isinstance(runner, BatchRunner):
-        runner.close()

@@ -1,4 +1,5 @@
-"""The campaign-service daemon: socket endpoint + scheduler thread.
+"""The campaign-service daemon: one thread serves the socket and ticks
+the scheduler.
 
 ``repro serve`` runs one :class:`ServiceDaemon` over a **spool
 directory** holding everything the service owns::
@@ -13,7 +14,17 @@ directory** holding everything the service owns::
 The socket speaks a JSON-line protocol: the client sends one request
 object per line, the daemon answers with one response object per line
 (the streaming ``status`` mode answers with one line per poll until
-the client disconnects or every job is terminal).
+the client disconnects or every job is terminal; a drain sends each
+streaming client one final line after the children have stopped).
+
+:meth:`ServiceDaemon.serve` is one ``selectors`` loop in the calling
+thread: each pass accepts and answers a connection, writes each
+streaming client its next line when due, and ticks the scheduler every
+:data:`TICK_S`.  So every job child is forked by the daemon's only
+thread, and none can inherit a lock another thread held inside sqlite.
+No pass may block for longer than a client waits for its reply; the
+longest is the first launch of a (target, scale), which prewarms its
+golden runs.
 
 Failure matrix (what survives what):
 
@@ -37,10 +48,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import selectors
 import signal
 import socket
-import threading
-from typing import Any, Dict, Optional
+import time
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ServiceError
 from repro.service.jobs import JobQueue
@@ -57,6 +69,13 @@ __all__ = ["ServiceDaemon", "socket_path_for"]
 #: headroom); longer spool paths divert the socket to /tmp.
 _MAX_SOCKET_PATH = 96
 
+#: seconds between two scheduler ticks.
+TICK_S = 0.2
+
+#: seconds a client has to send its request, and a streaming client to
+#: take a line, before it is dropped (the daemon has one thread).
+IO_TIMEOUT_S = 1.0
+
 
 def socket_path_for(spool: str) -> str:
     """The socket path used for *spool* (short /tmp fallback when the
@@ -66,6 +85,16 @@ def socket_path_for(spool: str) -> str:
         return preferred
     digest = hashlib.sha256(preferred.encode("utf-8")).hexdigest()[:12]
     return os.path.join("/tmp", f"repro-{digest}.sock")
+
+
+def _send(conn: socket.socket, payload: Dict[str, Any]) -> bool:
+    """Write one reply line; ``False`` when the client went away."""
+    line = json.dumps(payload, separators=(",", ":")) + "\n"
+    try:
+        conn.sendall(line.encode("utf-8"))
+    except OSError:
+        return False
+    return True
 
 
 class ServiceDaemon:
@@ -89,9 +118,9 @@ class ServiceDaemon:
         self.drain_when_idle = drain_when_idle
         self.status_interval_s = status_interval_s
         self.echo = echo
-        self._stop = threading.Event()
-        self._server: Optional[socket.socket] = None
-        self._conn_threads: list = []
+        self._draining = False
+        #: streaming clients: connection -> (job id, next line due)
+        self._followers: Dict[socket.socket, Tuple[Optional[int], float]] = {}
 
     # -- status payloads ------------------------------------------------
     def status_payload(
@@ -110,100 +139,101 @@ class ServiceDaemon:
         return {
             "ok": True,
             "pid": os.getpid(),
-            "draining": self._stop.is_set(),
+            "draining": self._draining,
             "queue": self.queue.depth(),
             "counters": self.queue.counters(),
             "jobs": rows,
         }
 
-    def _all_terminal(self) -> bool:
-        depth = self.queue.depth()
-        return depth["queued"] == 0 and depth["running"] == 0
+    def _stream(self, final: bool = False) -> None:
+        """Write each streaming client whose line is due its next one;
+        a final line (every job terminal, or *final*) closes it."""
+        now = time.monotonic()
+        for conn, (job_id, due) in list(self._followers.items()):
+            if due > now and not final:
+                continue
+            payload = self.status_payload(job_id)
+            depth = payload["queue"]
+            payload["final"] = final or depth["queued"] + depth["running"] == 0
+            if _send(conn, payload) and not payload["final"]:
+                self._followers[conn] = (job_id, now + self.status_interval_s)
+            else:
+                del self._followers[conn]
+                conn.close()
 
     # -- request handling -----------------------------------------------
     def _handle_request(
-        self, request: Dict[str, Any], send_line
-    ) -> None:
+        self, request: Any, conn: socket.socket
+    ) -> Optional[Dict[str, Any]]:
+        """The reply to *request*; ``None`` once *conn* streams status."""
+        if not isinstance(request, dict):
+            return {"ok": False, "error": "not a JSON request"}
         op = request.get("op")
+        try:
+            job = request.get("job")
+            job_id = None if job is None else int(job)
+        except (TypeError, ValueError):
+            return {"ok": False, "error": "a job id is an integer"}
         if op == "ping":
-            send_line({"ok": True, "pid": os.getpid()})
-        elif op == "submit":
+            return {"ok": True, "pid": os.getpid()}
+        if op == "submit":
             try:
-                spec = validate_spec(request.get("spec"))
-                job_id = self.queue.submit(spec)
+                job_id = self.queue.submit(validate_spec(request.get("spec")))
             except ServiceError as exc:
-                send_line({"ok": False, "error": str(exc)})
-            else:
-                send_line({"ok": True, "job": job_id})
-        elif op == "status":
-            job_id = request.get("job")
-            if not request.get("follow"):
-                send_line(self.status_payload(job_id))
-                return
-            # streaming mode: one status line per poll until every
-            # job is terminal (or the client hangs up / we drain).
-            # The stop flag is sampled *before* the snapshot so the
-            # last line a client sees reflects the post-drain state,
-            # never a stale mid-run one.
-            while True:
-                stopping = self._stop.is_set()
-                payload = self.status_payload(job_id)
-                payload["final"] = self._all_terminal() or stopping
-                send_line(payload)
-                if payload["final"]:
-                    return
-                self._stop.wait(self.status_interval_s)
-        elif op == "cancel":
-            try:
-                job_id = int(request.get("job"))
-            except (TypeError, ValueError):
-                send_line({"ok": False, "error": "cancel needs a job id"})
-                return
+                return {"ok": False, "error": str(exc)}
+            return {"ok": True, "job": job_id}
+        if op == "status" and request.get("follow"):
+            # one line per poll until every job is terminal or a drain
+            self._followers[conn] = (job_id, 0.0)
+            return None
+        if op == "status":
+            return self.status_payload(job_id)
+        if op == "cancel" and job_id is None:
+            return {"ok": False, "error": "cancel needs a job id"}
+        if op == "cancel":
             state = self.queue.request_cancel(job_id)
-            send_line({"ok": True, "job": job_id, "state": state})
-        elif op == "drain":
-            send_line({"ok": True, "draining": True})
-            self._stop.set()
-        else:
-            send_line({"ok": False, "error": f"unknown op {op!r}"})
+            return {"ok": True, "job": job_id, "state": state}
+        if op == "drain":
+            self._draining = True
+            return {"ok": True, "draining": True}
+        return {"ok": False, "error": f"unknown op {op!r}"}
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        conn.settimeout(IO_TIMEOUT_S)
         try:
-            with conn:
-                reader = conn.makefile("r", encoding="utf-8")
-                writer = conn.makefile("w", encoding="utf-8")
-
-                def send_line(payload: Dict[str, Any]) -> None:
-                    writer.write(
-                        json.dumps(payload, separators=(",", ":")) + "\n"
-                    )
-                    writer.flush()
-
-                line = reader.readline()
-                if not line.strip():
-                    return
-                try:
-                    request = json.loads(line)
-                except ValueError:
-                    send_line({"ok": False, "error": "not a JSON request"})
-                    return
-                self._handle_request(request, send_line)
-        except (OSError, ValueError):
-            pass  # client went away mid-reply; nothing to clean up
+            line = conn.makefile("rb").readline()
+        except OSError:
+            line = b""  # sent nothing in time, or went away
+        if line.strip():
+            try:
+                request = json.loads(line)
+            except ValueError:
+                request = None
+            reply = self._handle_request(request, conn)
+            if reply is None:
+                return  # the loop writes its lines
+            _send(conn, reply)
+        conn.close()
 
     # -- lifecycle ------------------------------------------------------
     def _install_signals(self) -> None:
-        # signal handlers can only be installed from the main thread;
-        # a daemon hosted in a worker thread (tests, embedding) leaves
-        # signal handling to its host and drains via the drain op
-        if threading.current_thread() is not threading.main_thread():
-            return
-
         def initiate_drain(signum, frame):
-            self._stop.set()
+            self._draining = True
 
-        signal.signal(signal.SIGTERM, initiate_drain)
-        signal.signal(signal.SIGINT, initiate_drain)
+        # only the main thread may install signal handlers; a daemon
+        # hosted in another thread (tests, embedding) leaves signal
+        # handling to its host and drains via the drain op
+        try:
+            signal.signal(signal.SIGTERM, initiate_drain)
+            signal.signal(signal.SIGINT, initiate_drain)
+        except ValueError:
+            pass
+
+    def _idle(self) -> bool:
+        """Jobs were submitted, and every one is terminal."""
+        depth = self.queue.depth()
+        busy = depth["queued"] + depth["running"]
+        return busy == 0 and sum(depth.values()) > 0
 
     def serve(self) -> int:
         """Run until drained; returns a process exit code."""
@@ -229,53 +259,40 @@ class ServiceDaemon:
         server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         server.bind(socket_path)
         server.listen(16)
-        server.settimeout(0.2)
-        self._server = server
+        server.setblocking(False)
+        selector = selectors.DefaultSelector()
+        selector.register(server, selectors.EVENT_READ)
         self._install_signals()
-        scheduler_thread = threading.Thread(
-            target=self.scheduler.run, args=(self._stop,),
-            name="repro-scheduler", daemon=False,
-        )
-        scheduler_thread.start()
         self.echo(
             f"serving on {socket_path} "
             f"(budget {self.scheduler.config.budget}, "
             f"max {self.scheduler.config.max_jobs} jobs)"
         )
+        next_tick = time.monotonic()
         try:
-            while not self._stop.is_set():
-                if self.drain_when_idle and self._all_terminal():
-                    depth = self.queue.depth()
-                    if sum(depth.values()) > 0:
-                        self._stop.set()
+            while not self._draining:
+                if time.monotonic() >= next_tick:
+                    self.scheduler.tick()
+                    next_tick = time.monotonic() + TICK_S
+                    if self.drain_when_idle and self._idle():
                         break
-                try:
-                    conn, _ = server.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                worker = threading.Thread(
-                    target=self._serve_connection, args=(conn,),
-                    daemon=True,
-                )
-                worker.start()
-                self._conn_threads.append(worker)
-                self._conn_threads = [
-                    t for t in self._conn_threads if t.is_alive()
-                ]
+                self._stream()
+                dues = [due for _, due in self._followers.values()]
+                wait = min([next_tick, *dues]) - time.monotonic()
+                if selector.select(max(wait, 0.0)):
+                    try:
+                        conn, _ = server.accept()
+                    except BlockingIOError:
+                        continue  # a spurious wakeup: nobody waiting
+                    self._serve_connection(conn)
         finally:
-            self._stop.set()
-            scheduler_thread.join()
-            # streaming clients wake on the stop event and send one
-            # final post-drain snapshot; give them a moment to do so
-            # before the queue connection goes away beneath them
-            for worker in self._conn_threads:
-                worker.join(timeout=2.0)
-            try:
-                server.close()
-            except OSError:
-                pass
+            self._draining = True
+            selector.close()
+            server.close()
+            # stop the children first, so that a streaming client's
+            # final line shows the post-drain state
+            self.scheduler.drain()
+            self._stream(final=True)
             for path in (socket_path, pid_path):
                 try:
                     os.remove(path)

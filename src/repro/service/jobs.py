@@ -30,7 +30,6 @@ import json
 import os
 import signal
 import sqlite3
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
@@ -172,10 +171,6 @@ class JobQueue:
         self.path = str(path)
         self.max_queued = max_queued
         self._conn: Optional[sqlite3.Connection] = None
-        #: serializes every queue operation: the daemon touches the
-        #: queue from its scheduler thread, its connection-handler
-        #: threads, and its main thread over one connection
-        self._lock = threading.RLock()
 
     # -- connection -----------------------------------------------------
     @property
@@ -204,13 +199,12 @@ class JobQueue:
         return self._conn
 
     def close(self) -> None:
-        with self._lock:
-            if self._conn is not None:
-                try:
-                    self._conn.close()
-                except sqlite3.Error:
-                    pass
-                self._conn = None
+        if self._conn is not None:
+            try:
+                self._conn.close()
+            except sqlite3.Error:
+                pass
+            self._conn = None
 
     def __enter__(self) -> "JobQueue":
         return self
@@ -231,24 +225,23 @@ class JobQueue:
                 "a job spec is a JSON object with at least an "
                 "'experiment' key"
             )
-        with self._lock:
-            conn = self.connection
-            with conn:  # one transaction: the admission check is atomic
-                (backlog,) = conn.execute(
-                    "SELECT COUNT(*) FROM jobs "
-                    "WHERE state IN ('queued', 'running')"
-                ).fetchone()
-                if backlog >= self.max_queued:
-                    raise ServiceError(
-                        f"queue full: {backlog} jobs queued or running "
-                        f"(admission bound {self.max_queued}); retry later"
-                    )
-                cursor = conn.execute(
-                    "INSERT INTO jobs (spec, state, submitted_ts) "
-                    "VALUES (?, 'queued', ?)",
-                    (json.dumps(spec, separators=(",", ":")), time.time()),
+        conn = self.connection
+        with conn:  # one transaction: the admission check is atomic
+            (backlog,) = conn.execute(
+                "SELECT COUNT(*) FROM jobs "
+                "WHERE state IN ('queued', 'running')"
+            ).fetchone()
+            if backlog >= self.max_queued:
+                raise ServiceError(
+                    f"queue full: {backlog} jobs queued or running "
+                    f"(admission bound {self.max_queued}); retry later"
                 )
-            job_id = cursor.lastrowid
+            cursor = conn.execute(
+                "INSERT INTO jobs (spec, state, submitted_ts) "
+                "VALUES (?, 'queued', ?)",
+                (json.dumps(spec, separators=(",", ":")), time.time()),
+            )
+        job_id = cursor.lastrowid
         assert job_id is not None
         return job_id
 
@@ -260,40 +253,38 @@ class JobQueue:
 
         *exclude* skips job ids the caller is not ready to run yet
         (retry backoff).  The claim is a guarded UPDATE: if another
-        scheduler (or a concurrent thread) wins the row between our
-        SELECT and UPDATE, the rowcount is 0 and we simply try the
-        next row.
+        scheduler wins the row between our SELECT and UPDATE, the
+        rowcount is 0 and we simply try the next row.
         """
         excluded = set(int(job_id) for job_id in exclude)
-        with self._lock:
-            conn = self.connection
-            while True:
-                row = None
-                for candidate in conn.execute(
-                    "SELECT id FROM jobs WHERE state = 'queued' "
-                    "AND cancel_requested = 0 ORDER BY id"
-                ):
-                    if candidate[0] not in excluded:
-                        row = candidate
-                        break
-                if row is None:
-                    return None
-                now = time.time()
-                with conn:
-                    cursor = conn.execute(
-                        "UPDATE jobs SET state = 'running', "
-                        "attempts = attempts + 1, lease_owner = ?, "
-                        "lease_pid = ?, lease_ts = ?, child_pid = NULL, "
-                        "started_ts = COALESCE(started_ts, ?) "
-                        "WHERE id = ? AND state = 'queued'",
-                        (owner, pid, now, now, row[0]),
-                    )
-                if cursor.rowcount == 1:
-                    return self.get(row[0])
+        conn = self.connection
+        while True:
+            row = None
+            for candidate in conn.execute(
+                "SELECT id FROM jobs WHERE state = 'queued' "
+                "AND cancel_requested = 0 ORDER BY id"
+            ):
+                if candidate[0] not in excluded:
+                    row = candidate
+                    break
+            if row is None:
+                return None
+            now = time.time()
+            with conn:
+                cursor = conn.execute(
+                    "UPDATE jobs SET state = 'running', "
+                    "attempts = attempts + 1, lease_owner = ?, "
+                    "lease_pid = ?, lease_ts = ?, child_pid = NULL, "
+                    "started_ts = COALESCE(started_ts, ?) "
+                    "WHERE id = ? AND state = 'queued'",
+                    (owner, pid, now, now, row[0]),
+                )
+            if cursor.rowcount == 1:
+                return self.get(row[0])
 
     def heartbeat(self, job_id: int) -> None:
         """Refresh a running job's lease timestamp."""
-        with self._lock, self.connection as conn:
+        with self.connection as conn:
             conn.execute(
                 "UPDATE jobs SET lease_ts = ? "
                 "WHERE id = ? AND state = 'running'",
@@ -302,7 +293,7 @@ class JobQueue:
 
     def set_child(self, job_id: int, child_pid: Optional[int]) -> None:
         """Record the forked child actually executing the job."""
-        with self._lock, self.connection as conn:
+        with self.connection as conn:
             conn.execute(
                 "UPDATE jobs SET child_pid = ? "
                 "WHERE id = ? AND state = 'running'",
@@ -314,7 +305,7 @@ class JobQueue:
     ) -> None:
         """Record the granted worker width (and any honest
         degradation note) in the job's status row."""
-        with self._lock, self.connection as conn:
+        with self.connection as conn:
             conn.execute(
                 "UPDATE jobs SET workers = ?, "
                 "degraded = COALESCE(?, degraded) WHERE id = ?",
@@ -335,25 +326,24 @@ class JobQueue:
         """
         horizon = time.time() - lease_timeout_s
         stale: List[Job] = []
-        with self._lock:
-            rows = self.connection.execute(
-                f"SELECT {_JOB_COLUMNS} FROM jobs "
-                f"WHERE state = 'running' "
-                f"AND (lease_ts IS NULL OR lease_ts <= ?)",
-                (horizon,),
-            ).fetchall()
-            for row in rows:
-                job = _row_to_job(row)
-                if _pid_alive(job.lease_pid):
-                    continue  # scheduler is alive, just slow: keep lease
-                if _pid_alive(job.child_pid):
-                    try:
-                        os.kill(job.child_pid, signal.SIGKILL)
-                    except OSError:  # pragma: no cover - raced its exit
-                        pass
-                if self.requeue(job.id, give_back_attempt=True):
-                    self.bump("leases_reclaimed")
-                    stale.append(job)
+        rows = self.connection.execute(
+            f"SELECT {_JOB_COLUMNS} FROM jobs "
+            f"WHERE state = 'running' "
+            f"AND (lease_ts IS NULL OR lease_ts <= ?)",
+            (horizon,),
+        ).fetchall()
+        for row in rows:
+            job = _row_to_job(row)
+            if _pid_alive(job.lease_pid):
+                continue  # scheduler is alive, just slow: keep lease
+            if _pid_alive(job.child_pid):
+                try:
+                    os.kill(job.child_pid, signal.SIGKILL)
+                except OSError:  # pragma: no cover - raced its exit
+                    pass
+            if self.requeue(job.id, give_back_attempt=True):
+                self.bump("leases_reclaimed")
+                stale.append(job)
         return stale
 
     # -- state transitions ----------------------------------------------
@@ -366,7 +356,7 @@ class JobQueue:
         ladder.
         """
         refund = 1 if give_back_attempt else 0
-        with self._lock, self.connection as conn:
+        with self.connection as conn:
             cursor = conn.execute(
                 "UPDATE jobs SET state = 'queued', "
                 "attempts = MAX(attempts - ?, 0), lease_owner = NULL, "
@@ -382,7 +372,7 @@ class JobQueue:
         """running → done | failed | cancelled; returns success."""
         if state not in TERMINAL_STATES:
             raise ServiceError(f"not a terminal job state: {state!r}")
-        with self._lock, self.connection as conn:
+        with self.connection as conn:
             cursor = conn.execute(
                 "UPDATE jobs SET state = ?, error = ?, finished_ts = ?, "
                 "lease_owner = NULL, lease_pid = NULL, lease_ts = NULL, "
@@ -399,30 +389,28 @@ class JobQueue:
         (the scheduler stops its child and finishes the transition);
         a terminal one is left alone.
         """
-        with self._lock:
-            conn = self.connection
-            with conn:
-                cursor = conn.execute(
-                    "UPDATE jobs SET state = 'cancelled', finished_ts = ? "
-                    "WHERE id = ? AND state = 'queued'",
-                    (time.time(), job_id),
-                )
-                if cursor.rowcount == 1:
-                    return "cancelled"
-                conn.execute(
-                    "UPDATE jobs SET cancel_requested = 1 "
-                    "WHERE id = ? AND state = 'running'",
-                    (job_id,),
-                )
-            job = self.get(job_id)
+        conn = self.connection
+        with conn:
+            cursor = conn.execute(
+                "UPDATE jobs SET state = 'cancelled', finished_ts = ? "
+                "WHERE id = ? AND state = 'queued'",
+                (time.time(), job_id),
+            )
+            if cursor.rowcount == 1:
+                return "cancelled"
+            conn.execute(
+                "UPDATE jobs SET cancel_requested = 1 "
+                "WHERE id = ? AND state = 'running'",
+                (job_id,),
+            )
+        job = self.get(job_id)
         return job.state if job is not None else "unknown"
 
     # -- queries --------------------------------------------------------
     def get(self, job_id: int) -> Optional[Job]:
-        with self._lock:
-            row = self.connection.execute(
-                f"SELECT {_JOB_COLUMNS} FROM jobs WHERE id = ?", (job_id,)
-            ).fetchone()
+        row = self.connection.execute(
+            f"SELECT {_JOB_COLUMNS} FROM jobs WHERE id = ?", (job_id,)
+        ).fetchone()
         return _row_to_job(row) if row is not None else None
 
     def jobs(self, state: Optional[str] = None) -> List[Job]:
@@ -432,17 +420,15 @@ class JobQueue:
             query += " WHERE state = ?"
             args = (state,)
         query += " ORDER BY id"
-        with self._lock:
-            rows = self.connection.execute(query, args).fetchall()
+        rows = self.connection.execute(query, args).fetchall()
         return [_row_to_job(row) for row in rows]
 
     def depth(self) -> Dict[str, int]:
         """Job count per state (zero-count states included)."""
         counts = {state: 0 for state in JOB_STATES}
-        with self._lock:
-            rows = self.connection.execute(
-                "SELECT state, COUNT(*) FROM jobs GROUP BY state"
-            ).fetchall()
+        rows = self.connection.execute(
+            "SELECT state, COUNT(*) FROM jobs GROUP BY state"
+        ).fetchall()
         for state, count in rows:
             counts[state] = count
         return counts
@@ -450,7 +436,7 @@ class JobQueue:
     # -- counters -------------------------------------------------------
     def bump(self, name: str, delta: int = 1) -> None:
         """Increment one monotonic fault/progress counter."""
-        with self._lock, self.connection as conn:
+        with self.connection as conn:
             conn.execute(
                 "INSERT INTO counters (name, value) VALUES (?, ?) "
                 "ON CONFLICT(name) DO UPDATE SET value = value + ?",
@@ -458,8 +444,7 @@ class JobQueue:
             )
 
     def counters(self) -> Dict[str, int]:
-        with self._lock:
-            rows = self.connection.execute(
-                "SELECT name, value FROM counters ORDER BY name"
-            ).fetchall()
+        rows = self.connection.execute(
+            "SELECT name, value FROM counters ORDER BY name"
+        ).fetchall()
         return dict(rows)

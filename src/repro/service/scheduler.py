@@ -1,6 +1,9 @@
 """Supervised scheduling of queued campaigns over a shared budget.
 
-The scheduler is the daemon's engine room: each tick it
+The scheduler is the daemon's engine room.  The daemon calls
+:meth:`Scheduler.tick` every 0.2 s from its only thread, and
+:meth:`Scheduler.drain` once when it stops, so no other daemon thread
+can hold a lock when a job child forks.  Each tick the scheduler
 
 1. fires the ``REPRO_CHAOS_KILL_SERVICE`` chaos hook (tests/CI kill
    the daemon at a chosen tick, including while a child is mid-
@@ -566,14 +569,6 @@ class Scheduler:
             if self._running:
                 time.sleep(0.05)
         return requeued
-
-    def run(self, stop_event) -> None:
-        """Tick until *stop_event*, then drain."""
-        poll_s = 0.2
-        while not stop_event.is_set():
-            self.tick()
-            stop_event.wait(poll_s)
-        self.drain()
 
 
 # ======================================================================

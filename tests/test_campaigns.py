@@ -24,7 +24,6 @@ from repro.fi.executor import (
 )
 from repro.fi.memory import MemoryMap, Region
 from repro.fi.store import SqliteResultStore
-from repro.fi.vector import BatchRunner
 from repro.edm.catalogue import EA_BY_NAME
 from repro.target.simulation import ArrestmentSimulator
 from repro.watertank.catalogue import tank_assertions
@@ -234,28 +233,46 @@ class TestRepeatedRun:
 
 class TestAbortedRun:
     @pytest.mark.parametrize("kind", sorted(TANK_CAMPAIGNS))
-    def test_batch_runner_closed_when_execution_raises(
+    def test_executor_closed_when_execution_raises(
         self, tank_cases, monkeypatch, kind
     ):
-        """The driver closes the batch runner — and with it the golden
-        streams it published — on every exit path."""
+        """The driver closes the executor on every exit path."""
         closed = []
-        close = BatchRunner.close
+        close = CampaignExecutor.close
 
-        def spy_close(runner):
-            closed.append(runner)
-            close(runner)
+        def spy_close(executor):
+            closed.append(executor)
+            close(executor)
 
         def abort(*args, **kwargs):
             raise RuntimeError("execution aborted")
 
-        monkeypatch.setattr(BatchRunner, "close", spy_close)
+        monkeypatch.setattr(CampaignExecutor, "close", spy_close)
         monkeypatch.setattr(CampaignExecutor, "run_tasks", abort)
         campaign = TANK_CAMPAIGNS[kind](tank_cases, None)
         with pytest.raises(RuntimeError, match="execution aborted"):
             campaign.run()
         assert len(closed) == 1
-        assert closed[0]._kernel is not None  # a real batch was planned
+
+
+class TestDraw:
+    @pytest.mark.parametrize("kind", ["permeability", "detection"])
+    def test_one_golden_lookup_per_test_case(self, tank_cases, kind):
+        """The draw reads each test case's golden run once, not once
+        per task, so the golden-cache counters count the runs."""
+        campaign = TANK_CAMPAIGNS[kind](tank_cases, None)
+        goldens = campaign.goldens
+        looked_up = []
+
+        class Spy:
+            def get(self, case):
+                looked_up.append(case.case_id)
+                return goldens.get(case)
+
+        campaign.goldens = Spy()
+        plan = campaign._plan(campaign.factory(tank_cases[0]).system)
+        assert len(plan.tasks) > len(tank_cases)
+        assert sorted(looked_up) == sorted(c.case_id for c in tank_cases)
 
 
 def _restricted_permeability(ctx):

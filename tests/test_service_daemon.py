@@ -1,6 +1,6 @@
 """End-to-end campaign-service tests.
 
-Two layers:
+Three layers:
 
 * protocol tests against an **in-process** daemon (job children are
   stubbed, so they are fast and deterministic);
@@ -8,7 +8,9 @@ Two layers:
   campaigns: ``kill -9`` mid-run, restart, and the recovered output
   must be bit-identical to an uninterrupted run — on the serial and
   the process backend, including a child hard-killed mid-checkpoint-
-  flush (``REPRO_CHAOS_KILL_FLUSH``).
+  flush (``REPRO_CHAOS_KILL_FLUSH``);
+* a fork-safety stress test against a **subprocess** daemon whose
+  stubbed children open sqlite while clients poll status.
 """
 
 import json
@@ -43,10 +45,17 @@ def expected_table1(ctx):
 @pytest.fixture
 def daemon(tmp_path, monkeypatch):
     def stub(job_id, spec, job_dir, width, results_db, attempt):
-        signal.signal(signal.SIGTERM, lambda *_: os._exit(75))
+        env = spec.get("env", {})
+
+        def interrupted(*_):
+            # a real child flushes its checkpoint before it exits 75
+            time.sleep(float(env.get("STUB_TERM_S", 0)))
+            os._exit(75)
+
+        signal.signal(signal.SIGTERM, interrupted)
         with open(os.path.join(job_dir, "output.txt"), "w") as f:
             f.write("stub\n")
-        time.sleep(float(spec.get("env", {}).get("STUB_SLEEP", 0)))
+        time.sleep(float(env.get("STUB_SLEEP", 0)))
         os._exit(0)
 
     monkeypatch.setattr("repro.service.scheduler._job_main", stub)
@@ -67,7 +76,8 @@ def daemon(tmp_path, monkeypatch):
         time.sleep(0.02)
     assert client.alive(), "daemon did not come up"
     yield daemon, client
-    client.drain()
+    if not daemon._draining:  # the test may have drained it already
+        client.drain()
     thread.join(timeout=10)
     assert not thread.is_alive()
 
@@ -136,6 +146,25 @@ class TestProtocol:
             "queued", "running", "done", "failed", "cancelled",
         }
         assert isinstance(payload["counters"], dict)
+
+    def test_follower_final_line_is_post_drain(self, daemon):
+        """A drain stops the children before the followers get their
+        final line, so it shows the requeued job, not a running one."""
+        _, client = daemon
+        job_id = client.submit({
+            "experiment": "table1",
+            "env": {"STUB_SLEEP": "30", "STUB_TERM_S": "0.5"},
+        })["job"]
+        stream = client.status_stream(job_id)
+        for payload in stream:
+            if payload["jobs"][0]["state"] == "running":
+                break
+        assert not payload["final"]
+        client.drain()
+        final = list(stream)[-1]
+        assert final["final"] and final["draining"]
+        assert final["jobs"][0]["state"] == "queued"
+        assert final["queue"]["running"] == 0
 
 
 class TestOfflineClient:
@@ -322,3 +351,93 @@ class TestChaosKillFlush:
         with open(telemetry_path, "r", encoding="utf-8") as handle:
             telemetry = json.load(handle)
         assert telemetry["permeability"]["executed_runs"] < 78
+
+
+# ======================================================================
+# Fork safety, against a subprocess daemon under status load.
+# ======================================================================
+#: a daemon whose job children open a sqlite database right after the
+#: fork, as a real one does with its checkpoint database, and then exit
+_FORKING_DAEMON = """
+import contextlib, os, sqlite3, sys
+from repro.service import ServiceDaemon, scheduler
+from repro.service.scheduler import SchedulerConfig
+
+def stub(job_id, spec, job_dir, width, results_db, attempt):
+    path = os.path.join(job_dir, "stub.db")
+    with contextlib.closing(sqlite3.connect(path)) as db:
+        db.execute("CREATE TABLE IF NOT EXISTS t (x)")
+    with open(os.path.join(job_dir, "output.txt"), "w") as handle:
+        handle.write("stub\\n")
+    os._exit(0)
+
+scheduler._job_main = stub
+sys.exit(ServiceDaemon(
+    sys.argv[1], SchedulerConfig(budget=2, prewarm=False),
+    max_queued=1000, status_interval_s=0.001, echo=lambda *_: None,
+).serve())
+"""
+
+
+class TestForkSafety:
+    N_JOBS = 150
+
+    @pytest.mark.slow
+    def test_jobs_finish_while_status_clients_poll(self, tmp_path):
+        """Job children forked while six clients poll status at a high
+        rate all finish: no child inherits a lock another daemon
+        thread held inside sqlite at the fork."""
+        spool = str(tmp_path / "spool")
+        daemon = subprocess.Popen(
+            [sys.executable, "-c", _FORKING_DAEMON, spool],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,  # its job children share its group
+        )
+        client = ServiceClient(spool)
+        stop = threading.Event()
+
+        def follow():
+            while not stop.is_set():
+                try:
+                    for payload in client.status_stream():
+                        if stop.is_set() or payload["final"]:
+                            break
+                except (OSError, ServiceError):
+                    return  # the daemon has gone away
+
+        def poll():
+            while not stop.is_set():
+                client.status()
+
+        pollers = [
+            threading.Thread(target=target, daemon=True)
+            for target in (follow, follow, follow, poll, poll, poll)
+        ]
+        try:
+            _wait_alive(client)
+            for poller in pollers:
+                poller.start()
+            for _ in range(self.N_JOBS):
+                client.submit({"experiment": "table1"})
+            deadline = time.time() + 90
+            while time.time() < deadline:
+                depth = client.status()["queue"]
+                if depth["queued"] == depth["running"] == 0:
+                    break
+                time.sleep(0.2)
+            assert depth["done"] == self.N_JOBS, depth
+            client.drain()
+            assert daemon.wait(timeout=30) == 0
+        finally:
+            stop.set()
+            try:
+                os.killpg(daemon.pid, signal.SIGKILL)  # and stuck children
+            except ProcessLookupError:
+                pass
+            daemon.wait()
+            for poller in pollers:
+                if poller.is_alive():
+                    poller.join(timeout=10)
+        assert not any(poller.is_alive() for poller in pollers)

@@ -67,10 +67,7 @@ def batch_vs_scalar(kind, campaign, tasks, width=16, **kwargs):
     )
     assert runner._kernel is not None, "kernel refused the target"
     before = counters.snapshot()
-    try:
-        batched = [runner(i) for i in range(len(tasks))]
-    finally:
-        runner.close()
+    batched = [runner(i) for i in range(len(tasks))]
     delta = Counter(counters.delta(before, counters.snapshot()))
     reference = [scalar(i) for i in range(len(tasks))]
     return batched, reference, delta

@@ -118,10 +118,7 @@ def check_batch(kind, campaign, tasks, width, **kwargs):
     runner = BatchRunner(
         kind, rows, scalar, width, campaign.factory, **kwargs
     )
-    try:
-        batched = [runner(i) for i in range(len(tasks))]
-    finally:
-        runner.close()
+    batched = [runner(i) for i in range(len(tasks))]
     assert batched == [scalar(i) for i in range(len(tasks))]
 
 
