@@ -17,14 +17,14 @@ object per line, the daemon answers with one response object per line
 the client disconnects or every job is terminal; a drain sends each
 streaming client one final line after the children have stopped).
 
-:meth:`ServiceDaemon.serve` is one ``selectors`` loop in the calling
-thread: each pass accepts and answers a connection, writes each
-streaming client its next line when due, and ticks the scheduler every
-:data:`TICK_S`.  So every job child is forked by the daemon's only
-thread, and none can inherit a lock another thread held inside sqlite.
-No pass may block for longer than a client waits for its reply; the
-longest is the first launch of a (target, scale), which prewarms its
-golden runs.
+:meth:`ServiceDaemon.serve` is one loop in the calling thread: each
+pass accepts and answers a connection, writes each streaming client its
+next line when due, and ticks the scheduler every :data:`TICK_S`.  So
+every job child is forked by the daemon's only thread, and none can
+inherit a lock another thread held inside sqlite.
+No pass may block for longer than a client waits for its reply: the
+first launch of a (target, scale) prewarms its golden runs, and the
+scheduler calls back after each run so the loop answers clients then.
 
 Failure matrix (what survives what):
 
@@ -48,10 +48,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import selectors
 import signal
 import socket
 import time
+import traceback
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ServiceError
@@ -167,13 +167,10 @@ class ServiceDaemon:
     ) -> Optional[Dict[str, Any]]:
         """The reply to *request*; ``None`` once *conn* streams status."""
         if not isinstance(request, dict):
-            return {"ok": False, "error": "not a JSON request"}
-        op = request.get("op")
-        try:
-            job = request.get("job")
-            job_id = None if job is None else int(job)
-        except (TypeError, ValueError):
-            return {"ok": False, "error": "a job id is an integer"}
+            return {"ok": False, "error": "a request is a JSON object"}
+        op, job_id = request.get("op"), request.get("job")
+        if not (job_id is None or type(job_id) is int and 0 <= job_id < 2**63):
+            return {"ok": False, "error": "job ids are integers in [0, 2**63)"}
         if op == "ping":
             return {"ok": True, "pid": os.getpid()}
         if op == "submit":
@@ -206,14 +203,26 @@ class ServiceDaemon:
             line = b""  # sent nothing in time, or went away
         if line.strip():
             try:
-                request = json.loads(line)
-            except ValueError:
-                request = None
-            reply = self._handle_request(request, conn)
+                reply = self._handle_request(json.loads(line), conn)
+            except Exception as exc:  # a bad request must not stop the loop
+                self.echo(traceback.format_exc().rstrip())
+                reply = {"ok": False, "error": repr(exc)}
             if reply is None:
                 return  # the loop writes its lines
             _send(conn, reply)
         conn.close()
+
+    def _pass(self, server: socket.socket, until: float) -> None:
+        """Write each streaming client its due line, then answer one
+        client that connects before *until* (``time.monotonic()``)."""
+        self._stream()
+        dues = [due for _, due in self._followers.values()]
+        server.settimeout(max(min([until, *dues]) - time.monotonic(), 0.0))
+        try:
+            conn, _ = server.accept()
+        except (BlockingIOError, TimeoutError):
+            return  # nobody came in time
+        self._serve_connection(conn)
 
     # -- lifecycle ------------------------------------------------------
     def _install_signals(self) -> None:
@@ -259,9 +268,7 @@ class ServiceDaemon:
         server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         server.bind(socket_path)
         server.listen(16)
-        server.setblocking(False)
-        selector = selectors.DefaultSelector()
-        selector.register(server, selectors.EVENT_READ)
+        self.scheduler.between_runs = lambda: self._pass(server, 0.0)
         self._install_signals()
         self.echo(
             f"serving on {socket_path} "
@@ -276,18 +283,9 @@ class ServiceDaemon:
                     next_tick = time.monotonic() + TICK_S
                     if self.drain_when_idle and self._idle():
                         break
-                self._stream()
-                dues = [due for _, due in self._followers.values()]
-                wait = min([next_tick, *dues]) - time.monotonic()
-                if selector.select(max(wait, 0.0)):
-                    try:
-                        conn, _ = server.accept()
-                    except BlockingIOError:
-                        continue  # a spurious wakeup: nobody waiting
-                    self._serve_connection(conn)
+                self._pass(server, next_tick)
         finally:
             self._draining = True
-            selector.close()
             server.close()
             # stop the children first, so that a streaming client's
             # final line shows the post-drain state
@@ -298,8 +296,8 @@ class ServiceDaemon:
                     os.remove(path)
                 except OSError:
                     pass
+            depth = self.queue.depth()
             self.queue.close()
-        depth = self.queue.depth()
         self.echo(
             f"drained: {depth['done']} done, {depth['failed']} failed, "
             f"{depth['cancelled']} cancelled, {depth['queued']} requeued"

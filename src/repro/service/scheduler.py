@@ -44,7 +44,7 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import CampaignError, ServiceError
 from repro.experiments.__main__ import submittable_keys
@@ -95,7 +95,7 @@ def validate_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
     from repro.experiments.runner import EXPERIMENTS
 
     experiment = spec.get("experiment")
-    if experiment not in EXPERIMENTS:
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise ServiceError(
             f"unknown experiment {experiment!r}; "
             f"choose from {sorted(EXPERIMENTS)}"
@@ -287,6 +287,9 @@ class Scheduler:
         self._backoff_prev: Dict[int, float] = {}
         self._warmed: Set[Tuple[str, str]] = set()
         self._chaos_ticks = 0
+        #: called after each golden run of a prewarm: the daemon
+        #: answers its clients there during a long prewarm
+        self.between_runs: Callable[[], None] = lambda: None
         seed = self.config.backoff_seed
         self._rng = random.Random(seed if seed is not None else os.getpid())
 
@@ -520,6 +523,7 @@ class Scheduler:
             label = _target_label(factory)
             for case in list(target.standard_test_cases())[::stride]:
                 golden_cache.get(label, factory, case)
+                self.between_runs()
         except Exception:
             pass
 

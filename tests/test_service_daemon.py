@@ -13,9 +13,11 @@ Three layers:
   stubbed children open sqlite while clients poll status.
 """
 
+import dataclasses
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -25,6 +27,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.experiments.runner import EXPERIMENTS
+from repro.fi.executor import golden_cache
 from repro.service import ServiceClient, ServiceDaemon
 from repro.service.jobs import JobQueue
 from repro.service.scheduler import Scheduler, SchedulerConfig
@@ -146,6 +149,52 @@ class TestProtocol:
             "queued", "running", "done", "failed", "cancelled",
         }
         assert isinstance(payload["counters"], dict)
+
+    def test_bad_requests_get_errors_and_the_loop_serves_on(self, daemon):
+        """Each bad request gets an error reply; none stops the one
+        loop, so the daemon still answers and runs a job to done."""
+        _, client = daemon
+        for request in (
+            ["status"],
+            {"op": "status", "job": "one"},
+            {"op": "status", "job": float("inf")},
+            {"op": "cancel", "job": 2**63},
+            {"op": "status", "job": 2**63},
+            {"op": "status", "job": 2**63, "follow": True},
+            {"op": "submit", "spec": {"experiment": []}},
+        ):
+            reply = client.request(request)
+            assert not reply["ok"] and reply["error"], request
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.settimeout(5)
+            raw.connect(client._socket_path())
+            raw.sendall(b"not json\n")
+            reply = json.loads(raw.makefile("rb").readline())
+        assert not reply["ok"] and "JSONDecodeError" in reply["error"]
+        assert client.alive()
+        job_id = client.submit({"experiment": "table1"})["job"]
+        deadline = time.monotonic() + 30
+        while client.status(job_id)["jobs"][0]["state"] != "done":
+            assert time.monotonic() < deadline, "the job did not finish"
+            time.sleep(0.02)
+
+    def test_clients_answered_during_a_prewarm(self, daemon, monkeypatch):
+        """The scheduler calls the loop back after each golden run of a
+        prewarm, so no client waits for the whole (2.5 s) prewarm."""
+        daemon_obj, client = daemon
+        monkeypatch.setattr(golden_cache, "get", lambda *_: time.sleep(0.1))
+        scheduler = daemon_obj.scheduler
+        scheduler.config = dataclasses.replace(scheduler.config, prewarm=True)
+        spec = {"experiment": "table1", "scale": "full"}
+        job_id = client.submit(spec)["job"]
+        job_dir = os.path.join(daemon_obj.spool, "jobs", str(job_id))
+        waits, deadline = [], time.monotonic() + 30
+        while not os.path.isdir(job_dir):  # made after the prewarm
+            assert time.monotonic() < deadline, "the prewarm did not end"
+            started = time.monotonic()
+            assert client.alive()
+            waits.append(time.monotonic() - started)
+        assert len(waits) > 5 and max(waits) < 1.0
 
     def test_follower_final_line_is_post_drain(self, daemon):
         """A drain stops the children before the followers get their
