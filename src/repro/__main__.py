@@ -498,21 +498,19 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    final = None
     try:
-        for payload in client.status_stream(job_id):
-            final = payload
-            rows = payload.get("jobs", [])
+        for final in client.status_stream(job_id):
+            rows = final.get("jobs", [])
             mine_done = rows and rows[0]["state"] in (
                 "done", "failed", "cancelled"
             )
-            if mine_done or payload.get("final"):
+            if mine_done or final.get("final"):
                 break
+        else:
+            print("error: daemon went away while waiting", file=sys.stderr)
+            return 2
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if final is None:
-        print("error: daemon went away while waiting", file=sys.stderr)
         return 2
     print(_render_status(final))
     states = [job["state"] for job in final.get("jobs", [])]
@@ -531,9 +529,9 @@ def _cmd_status(args: argparse.Namespace) -> int:
         for payload in client.status_stream(args.job):
             print(_render_status(payload))
             if payload.get("final"):
-                break
+                return 0
             print()
-        return 0
+        raise ServiceError("daemon went away before its final status")
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

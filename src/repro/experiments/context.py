@@ -39,6 +39,7 @@ from repro.fi.campaign import (
     MemoryCampaignResult,
     PermeabilityCampaign,
     PermeabilityEstimate,
+    run_campaigns,
 )
 from repro.fi.executor import CampaignConfig, CampaignTelemetry
 from repro.fi.store import SqliteResultStore
@@ -223,30 +224,66 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     # Campaign caches.
     # ------------------------------------------------------------------
-    def _campaign_result(
-        self, name: str, build: Callable[[CampaignConfig], Any]
-    ) -> Any:
-        """Run the campaign ``build(config)`` once and keep its result,
-        telemetry and stratum reports under *name*."""
-        if name not in self._results:
-            campaign = build(self.campaign_config(name))
-            result = self._results[name] = campaign.run()
+    def _permeability(self, config: CampaignConfig) -> PermeabilityCampaign:
+        return PermeabilityCampaign(
+            self.simulator_factory,
+            self.test_cases,
+            runs_per_input=self.scale.runs_per_input,
+            config=config,
+        )
+
+    def _detection(self, config: CampaignConfig) -> DetectionCampaign:
+        return DetectionCampaign(
+            self.simulator_factory,
+            self.test_cases,
+            self.assertion_specs(),
+            runs_per_signal=self.scale.runs_per_signal,
+            config=config,
+        )
+
+    def _memory(self, config: CampaignConfig) -> MemoryCampaign:
+        return MemoryCampaign(
+            self.simulator_factory,
+            self.test_cases[:: self.scale.memory_case_stride],
+            self.assertion_specs(),
+            locations=MemoryMap(self.system).locations()[
+                :: self.scale.location_stride
+            ],
+            config=config,
+        )
+
+    #: campaign name -> the method building it from its config
+    CAMPAIGNS = {
+        "permeability": _permeability,
+        "detection": _detection,
+        "memory": _memory,
+    }
+
+    def run_campaigns(self, names: List[str]) -> None:
+        """Run the named campaigns that have not run yet, together
+        (:func:`~repro.fi.campaign.run_campaigns`: every plan drawn
+        first, then one shared batch), and keep each one's result,
+        telemetry and stratum reports under its name."""
+        pending = [
+            name for name in dict.fromkeys(names)
+            if name not in self._results
+        ]
+        campaigns = [
+            self.CAMPAIGNS[name](self, self.campaign_config(name))
+            for name in pending
+        ]
+        for name, campaign, result in zip(
+            pending, campaigns, run_campaigns(campaigns)
+        ):
+            self._results[name] = result
             self._save_result(name, result)
             self.telemetries[name] = campaign.telemetry
             if campaign.stratum_reports:
                 self.stratum_reports[name] = campaign.stratum_reports
-        return self._results[name]
 
     def permeability_estimate(self) -> PermeabilityEstimate:
-        return self._campaign_result(
-            "permeability",
-            lambda config: PermeabilityCampaign(
-                self.simulator_factory,
-                self.test_cases,
-                runs_per_input=self.scale.runs_per_input,
-                config=config,
-            ),
-        )
+        self.run_campaigns(["permeability"])
+        return self._results["permeability"]
 
     def measured_matrix(self) -> PermeabilityMatrix:
         if self._matrix is None:
@@ -256,27 +293,9 @@ class ExperimentContext:
         return self._matrix
 
     def detection_result(self) -> DetectionResult:
-        return self._campaign_result(
-            "detection",
-            lambda config: DetectionCampaign(
-                self.simulator_factory,
-                self.test_cases,
-                self.assertion_specs(),
-                runs_per_signal=self.scale.runs_per_signal,
-                config=config,
-            ),
-        )
+        self.run_campaigns(["detection"])
+        return self._results["detection"]
 
     def memory_result(self) -> MemoryCampaignResult:
-        return self._campaign_result(
-            "memory",
-            lambda config: MemoryCampaign(
-                self.simulator_factory,
-                self.test_cases[:: self.scale.memory_case_stride],
-                self.assertion_specs(),
-                locations=MemoryMap(self.system).locations()[
-                    :: self.scale.location_stride
-                ],
-                config=config,
-            ),
-        )
+        self.run_campaigns(["memory"])
+        return self._results["memory"]

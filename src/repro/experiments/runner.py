@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.context import ExperimentContext, default_scale
@@ -16,7 +15,7 @@ from repro.experiments.table3 import run_table3
 from repro.experiments.table4 import run_table4
 from repro.experiments.table5 import run_table5
 
-__all__ = ["EXPERIMENTS", "run_all"]
+__all__ = ["CAMPAIGNS_OF", "EXPERIMENTS", "run_all"]
 
 #: experiment id -> runner.  Order matches the paper's narrative.
 EXPERIMENTS: Dict[str, Callable[[ExperimentContext], object]] = {
@@ -31,6 +30,20 @@ EXPERIMENTS: Dict[str, Callable[[ExperimentContext], object]] = {
 }
 
 
+#: experiment id -> the campaigns it reads from the context, so
+#: ``run_all`` can run every campaign of a selection in one batch
+CAMPAIGNS_OF: Dict[str, Tuple[str, ...]] = {
+    "table1": ("permeability",),
+    "table2": ("permeability",),
+    "table3": (),
+    "table4": ("detection",),
+    "figure3": ("memory",),
+    "table5": ("permeability",),
+    "profiles": ("permeability",),
+    "extended": ("permeability",),
+}
+
+
 def run_all(
     ctx: Optional[ExperimentContext] = None,
     only: Optional[List[str]] = None,
@@ -39,14 +52,25 @@ def run_all(
 ) -> Dict[str, object]:
     """Run the selected experiments; returns id -> result object.
 
-    Each report goes to *echo* under an ``[id]`` header, and the time
-    it took to *timing*, if given (the CLI sends it to stderr, beside
-    the campaign telemetry), so reports of differently executed runs
-    compare byte for byte.
+    The campaigns the selection reads (:data:`CAMPAIGNS_OF`) run
+    first, together: every plan is drawn before any executes, and
+    their rows share one batch.  Each report goes to *echo* under an
+    ``[id]`` header, and the time it took to *timing*, if given (the
+    CLI sends it to stderr, beside the campaign telemetry), so reports
+    of differently executed runs compare byte for byte.
     """
     if ctx is None:
         ctx = ExperimentContext(scale=default_scale())
     selected = only if only is not None else list(EXPERIMENTS)
+    campaigns = [name for exp_id in selected for name in CAMPAIGNS_OF[exp_id]]
+    if campaigns:
+        started = time.time()
+        ctx.run_campaigns(campaigns)
+        if timing is not None:
+            timing(
+                f"[campaigns]  ({time.time() - started:.1f} s, "
+                f"scale={ctx.scale.name})"
+            )
     results: Dict[str, object] = {}
     for exp_id in selected:
         runner = EXPERIMENTS[exp_id]

@@ -80,12 +80,12 @@ __all__ = [
 _SUMMED = (
     "executed_runs", "resumed_runs", "wall_s", "busy_s", "retries",
     "failures", "timeouts", "pool_respawns", "drift_events",
-    "checkpoint_rejects",
+    "checkpoint_rejects", "cached_rounds", "cache_hits", "cache_misses",
 )
-#: golden-cache and store figures count over the executor's lifetime,
-#: so the latest round's values already cover the whole campaign
+#: store figures count over the executor's lifetime, so the latest
+#: round's values already cover the whole campaign
 _LATEST = (
-    "cache_hits", "cache_misses", "store_flushes", "store_flushes_skipped",
+    "store_flushes", "store_flushes_skipped",
     "store_records_written", "store_bytes_written",
 )
 

@@ -19,21 +19,26 @@ Four campaigns:
 Execution model
 ---------------
 A campaign declares what it runs as a :class:`CampaignPlan`, and one
-driver executes any plan.  ``run()`` has three phases:
+driver, :func:`run_campaigns`, executes a list of campaigns; a
+campaign's ``run()`` is that driver over a one-campaign list.  It has
+three phases:
 
-* *plan* — the campaign draws every random parameter from a fresh
-  ``random.Random(seed)``, in the exact order the original
-  single-loop drivers drew them, into a task list.  With the tasks
-  come each task's ``(test case, RowInjection)`` row for the
-  vectorized core, the parts of the checkpoint fingerprint, the
-  scalar per-run function, the fast-forward handle and, for the
-  sampled campaigns, the strata;
-* *execute* — the driver maps the per-run function over the task list
-  through a :class:`~repro.fi.executor.CampaignExecutor` (serially or
-  on a process pool), answering batchable runs from the vectorized
-  core (:mod:`repro.fi.vector`) and audit-replaying a sampled
-  fraction of fast-forwarded ones;
-* *aggregate* — the campaign folds the observed ``(task, outcome)``
+* *plan* — every campaign of the list draws every random parameter
+  from a fresh ``random.Random(seed)``, in the exact order the
+  original single-loop drivers drew them, into a task list, before
+  any campaign executes.  With the tasks come each task's ``(test
+  case, RowInjection)`` row for the vectorized core, the parts of the
+  checkpoint fingerprint, the scalar per-run function, the
+  fast-forward handle and, for the sampled campaigns, the strata;
+* *execute* — campaign by campaign, the driver maps the per-run
+  function over the task list through the campaign's own
+  :class:`~repro.fi.executor.CampaignExecutor` (serially or on a
+  process pool), answering batchable runs from the vectorized core
+  (:mod:`repro.fi.vector`) — one batch the campaigns of the list
+  share, so a reproduction's permeability, detection and memory rows
+  advance in one kernel loop — and audit-replaying a sampled fraction
+  of fast-forwarded ones;
+* *aggregate* — each campaign folds its observed ``(task, outcome)``
   pairs in task order; quarantined runs are reported, not folded.
 
 Campaigns are therefore deterministic given their seed,
@@ -112,10 +117,11 @@ from repro.fi.models import (
     PeriodicMemoryFlip,
 )
 from repro.fi.snapshot import FastForward
-from repro.fi.vector import RowInjection, wrap_runner
+from repro.fi.vector import BatchPart, RowInjection, wrap_runners
 from repro.target.testcases import TestCase
 
 __all__ = [
+    "run_campaigns",
     "PermeabilityCampaign",
     "PermeabilityEstimate",
     "DetectionCampaign",
@@ -200,7 +206,7 @@ class CampaignPlan:
     #: the fast-forward handle; ``None``: every run replays in full
     ff: Optional[FastForward]
     #: the campaign's inputs to its batch kernel (see
-    #: :func:`~repro.fi.vector.wrap_runner`)
+    #: :class:`~repro.fi.vector.BatchPart`)
     batch: Dict[str, Any] = field(default_factory=dict)
     #: batch rows can retire to the scalar path, so a task a batch
     #: answers may still need its checkpoint track
@@ -229,66 +235,57 @@ def _preload_tracks(plan: CampaignPlan, runner: Any) -> None:
     plan.ff.preload(list(needed.values()))
 
 
-def _drive(
+def _scalar_runner(plan: CampaignPlan, auditor: RunAuditor):
+    """Task ``index`` of *plan* on the scalar path, audit-replayed
+    when the auditor samples it."""
+
+    def scalar(index: int) -> Any:
+        task = plan.tasks[index]
+        return auditor.run(index, lambda ff: plan.one_run(*task, ff=ff))
+
+    return scalar
+
+
+def _execute(
     campaign: "_Campaign",
+    executor: CampaignExecutor,
+    plan: CampaignPlan,
+    runner: Callable[[int], Any],
 ) -> Tuple[CampaignPlan, List[Tuple[tuple, Any]], List[TaskFailure]]:
-    """Draw *campaign*'s plan and execute it.
+    """Execute *campaign*'s drawn plan through *runner*.
 
     Returns the plan, the observed ``(task, outcome)`` pairs in task
     order and the quarantined tasks.  Neither a quarantined run nor a
     task an adaptive run never dispatched is an observation, so a
     faulty campaign completes with the surviving runs while the losses
-    stay accounted for.  The executor exists before the draw, so the
-    golden runs the draw needs count in the campaign's telemetry; it
-    is closed on every exit path.
+    stay accounted for.
     """
     config = campaign.config
-    executor = CampaignExecutor(config, campaign=campaign.kind)
-    try:
-        plan = campaign._plan(
-            campaign.factory(campaign.test_cases[0]).system
-        )
-        # a sampled audit replay re-checks fast-forwarded runs
-        auditor = RunAuditor(plan.ff, config, campaign=plan.kind)
-
-        def scalar(index: int) -> Any:
-            task = plan.tasks[index]
-            return auditor.run(
-                index, lambda ff: plan.one_run(*task, ff=ff)
-            )
-
-        # batch_width > 0: answer contiguous task spans from the
-        # vectorized core (bit-identical; see repro.fi.vector)
-        runner = wrap_runner(
-            plan.kind, scalar, plan.rows, config, campaign.factory,
-            auditor=auditor, **plan.batch,
-        )
-        if plan.ff is not None:
+    if plan.ff is not None:
+        with executor.counted():
             _preload_tracks(plan, runner)
-        fingerprint = fingerprint_of(*plan.fingerprint)
-        sentinel = golden_sentinel(campaign.factory, campaign.test_cases[0])
-        if plan.strata is not None and config.sampling.enabled:
-            source = AdaptiveSampler(
-                executor,
-                plan.strata,
-                plan.counts_of,
-                rule=stopping_rule_from(config),
-                min_batch=config.sampling.min_batch,
-            )
-            results = source.run(
-                runner, len(plan.tasks), fingerprint, sentinel=sentinel
-            )
-            campaign.stratum_reports = list(source.reports)
-        else:
-            source = executor
-            results = executor.run_tasks(
-                runner, len(plan.tasks), fingerprint, sentinel=sentinel
-            )
-            campaign.stratum_reports = []
-        campaign.telemetry = source.telemetry
-        campaign.integrity_violations = list(source.violations)
-    finally:
-        executor.close()
+    fingerprint = fingerprint_of(*plan.fingerprint)
+    sentinel = golden_sentinel(campaign.factory, campaign.test_cases[0])
+    if plan.strata is not None and config.sampling.enabled:
+        source = AdaptiveSampler(
+            executor,
+            plan.strata,
+            plan.counts_of,
+            rule=stopping_rule_from(config),
+            min_batch=config.sampling.min_batch,
+        )
+        results = source.run(
+            runner, len(plan.tasks), fingerprint, sentinel=sentinel
+        )
+        campaign.stratum_reports = list(source.reports)
+    else:
+        source = executor
+        results = executor.run_tasks(
+            runner, len(plan.tasks), fingerprint, sentinel=sentinel
+        )
+        campaign.stratum_reports = []
+    campaign.telemetry = source.telemetry
+    campaign.integrity_violations = list(source.violations)
     observed = [
         (task, outcome)
         for task, outcome in zip(plan.tasks, results)
@@ -298,12 +295,60 @@ def _drive(
     return plan, observed, failures
 
 
+def run_campaigns(campaigns: Sequence["_Campaign"]) -> List[Any]:
+    """Run *campaigns*; returns their results in order.
+
+    Every campaign draws its plan before any executes, so the rows of
+    all of them share one batch (:func:`~repro.fi.vector.wrap_runners`:
+    the batching campaigns of one factory and job count).  Then each
+    campaign executes in order with its own executor, auditor,
+    fingerprint, golden sentinel, checkpoint and adaptive or fixed-n
+    schedule.  Its telemetry counts its own draw, track preload and
+    execution, each once; a shared group's ``vec_`` counters land in
+    the campaign whose execution computes it.  Every executor is
+    closed on every exit path.
+    """
+    executors: List[CampaignExecutor] = []
+    try:
+        plans: List[CampaignPlan] = []
+        parts: List[BatchPart] = []
+        for campaign in campaigns:
+            executor = CampaignExecutor(campaign.config, campaign=campaign.kind)
+            executors.append(executor)
+            with executor.counted():
+                plan = campaign._plan(
+                    campaign.factory(campaign.test_cases[0]).system
+                )
+            plans.append(plan)
+            # a sampled audit replay re-checks fast-forwarded runs
+            auditor = RunAuditor(plan.ff, campaign.config, campaign=plan.kind)
+            parts.append(BatchPart(
+                plan.kind, plan.rows, _scalar_runner(plan, auditor),
+                auditor=auditor, **plan.batch,
+            ))
+        runners = wrap_runners(
+            parts,
+            [campaign.config for campaign in campaigns],
+            [campaign.factory for campaign in campaigns],
+        )
+        return [
+            campaign._result(*_execute(campaign, executor, plan, runner))
+            for campaign, executor, plan, runner in zip(
+                campaigns, executors, plans, runners
+            )
+        ]
+    finally:
+        for executor in executors:
+            executor.close()
+
+
 class _Campaign:
     """What every campaign shares: the constructor plumbing, the state
     its last run left behind, and the way a drawn task list becomes a
     plan.  A campaign supplies ``_plan(system)``, ``_row(task)``,
-    ``_one_run(*task, ff=None)`` and a ``run()`` that aggregates what
-    :func:`_drive` returns."""
+    ``_one_run(*task, ff=None)``, a ``_result(plan, observed,
+    failures)`` that aggregates what the driver observed, and a
+    ``run()`` that is :func:`run_campaigns` over the campaign alone."""
 
     #: the campaign's name in checkpoints, telemetry and run events
     kind = "campaign"
@@ -523,7 +568,9 @@ class PermeabilityCampaign(_SampledCampaign):
         )
 
     def run(self) -> PermeabilityEstimate:
-        plan, observed, failures = _drive(self)
+        return run_campaigns([self])[0]
+
+    def _result(self, plan, observed, failures) -> PermeabilityEstimate:
         direct: Dict[Tuple[str, str, str], int] = {}
         active: Dict[Tuple[str, str], int] = {}
         for module, in_port, out_ports, _ in self._inputs(plan.system):
@@ -807,7 +854,9 @@ class DetectionCampaign(_SampledCampaign):
         )
 
     def run(self) -> DetectionResult:
-        plan, observed, failures = _drive(self)
+        return run_campaigns([self])[0]
+
+    def _result(self, plan, observed, failures) -> DetectionResult:
         targets = self._targets(plan.system)
         n_injected: Dict[str, int] = {t: 0 for t in targets}
         n_err: Dict[str, int] = {t: 0 for t in targets}
@@ -1113,7 +1162,9 @@ class RecoveryCampaign(_MemorySweep):
         )
 
     def run(self) -> RecoveryResult:
-        _, observed, failures = _drive(self)
+        return run_campaigns([self])[0]
+
+    def _result(self, plan, observed, failures) -> RecoveryResult:
         return RecoveryResult(
             outcomes=[
                 RecoveryOutcome(
@@ -1223,7 +1274,9 @@ class MemoryCampaign(_MemorySweep):
         )
 
     def run(self) -> MemoryCampaignResult:
-        _, observed, failures = _drive(self)
+        return run_campaigns([self])[0]
+
+    def _result(self, plan, observed, failures) -> MemoryCampaignResult:
         return MemoryCampaignResult(
             records=[
                 MemoryRunRecord(

@@ -444,9 +444,11 @@ class AdaptivePolicy:
 class VectorPolicy:
     """Vectorized batch execution (``repro.fi.vector``).
 
-    ``batch_width`` > 0 (the default: 256) lets campaigns that publish
-    a batch planner advance up to that many injected runs per numpy
-    tick inside one worker; detection, memory and recovery rows follow
+    ``batch_width`` > 0 (the default: 256; any positive value) turns
+    batching on: the rows of the campaigns run together share one
+    batch, planned into ``jobs`` groups on the process backend and one
+    serially, and each group advances all its injected runs per numpy
+    tick inside one worker.  Detection, memory and recovery rows follow
     their own — possibly corrupted — dispatch schedule via masked
     invocations, and permeability rows whose dispatch diverges retire
     to the scalar path, so results stay bit-identical to scalar
@@ -455,12 +457,13 @@ class VectorPolicy:
     without numpy.  Campaigns without a planner ignore the policy.
     """
 
-    #: injected runs advanced per vectorized tick; 0 disables batching.
+    #: > 0 turns batching on, 0 off.
     batch_width: int = _option(
         256, "batch_width", "--batch-width",
-        "vectorized batch core: advance up to N injected runs per tick "
-        "in each worker (default: 256; 0 = the scalar path, the oracle "
-        "and the only path without numpy; results are bit-identical)",
+        "vectorized batch core: N > 0 advances the campaigns' injected "
+        "runs together, in one group per worker (default: 256; 0 = the "
+        "scalar path, the oracle and the only path without numpy; "
+        "results are bit-identical)",
         metavar="N",
     )
 
@@ -802,6 +805,9 @@ class CampaignTelemetry:
     drift_events: int = 0
     #: checkpoint records dropped on load after a digest mismatch.
     checkpoint_rejects: int = 0
+    #: process-backend rounds run in process without a pool, because
+    #: the batch runner held every pending outcome already.
+    cached_rounds: int = 0
     #: store flushes that actually wrote data.
     store_flushes: int = 0
     #: store flushes skipped because no new records had arrived.
@@ -832,7 +838,8 @@ class CampaignTelemetry:
 
     @property
     def vec_occupancy(self) -> float:
-        """Fraction of dispatched batch slots that carried a row."""
+        """Answered rows over the rows planned into the groups this run
+        computed (a shared group counts in the campaign computing it)."""
         capacity = self.counts.get("vec_group_capacity", 0)
         return self.counts.get("vec_rows", 0) / capacity if capacity else 0.0
 
@@ -862,6 +869,10 @@ class CampaignTelemetry:
             f" | {self.runs_per_sec:.1f} runs/s"
             f" | backend={self.backend} jobs={self.jobs}"
             f" util={self.worker_utilization:.0%}"
+        )
+        if self.cached_rounds:
+            text += f" cached-rounds={self.cached_rounds}"
+        text += (
             f" | golden cache {self.cache_hits} hit"
             f" / {self.cache_misses} miss"
             f" ({self.cache_hit_rate:.0%})"
@@ -1313,12 +1324,28 @@ class CampaignExecutor:
         self.violations: List[IntegrityViolation] = []
         self._events = RunEventLog(None, campaign)
         self._store: Optional[SqliteResultStore] = None
-        # cache and layer counters count from executor construction,
-        # so golden runs and checkpoint tracks built while the
-        # campaign pre-draws its parameters show up
-        self._cache_hits0 = self.cache.hits
-        self._cache_misses0 = self.cache.misses
-        self._counts0 = counters.snapshot()
+        #: golden-cache hits and misses and layer-counter increments of
+        #: the :meth:`counted` blocks since the last :meth:`run_tasks`
+        self._hits = self._misses = 0
+        self._counts: Dict[str, int] = {}
+
+    @contextmanager
+    def counted(self) -> Iterator[None]:
+        """Count the golden-cache lookups and layer counters of the
+        block — the campaign's draw and track preload — in the
+        telemetry of the next :meth:`run_tasks`.  Work between the
+        blocks and the runs, such as other campaigns' draws, counts in
+        none of them."""
+        hits, misses = self.cache.hits, self.cache.misses
+        before = counters.snapshot()
+        try:
+            yield
+        finally:
+            self._hits += self.cache.hits - hits
+            self._misses += self.cache.misses - misses
+            counters.add(
+                self._counts, counters.delta(before, counters.snapshot())
+            )
 
     # ------------------------------------------------------------------
     # The result store.
@@ -1380,6 +1407,8 @@ class CampaignExecutor:
         interchangeably.
         """
         config = self.config
+        hits0, misses0 = self.cache.hits, self.cache.misses
+        counts0 = counters.snapshot()
         self.violations = []
         store = self.store
         checkpointing = store is not None
@@ -1429,11 +1458,18 @@ class CampaignExecutor:
         pending = [i for i in wanted if i not in prior]
         # report the backend actually used: the process backend falls
         # back to serial when fork is unavailable or the workload is
-        # too small to be worth a pool
+        # too small to be worth a pool, and runs in process when the
+        # batch runner holds every pending outcome already
         backend = config.resolved_backend()
+        holds = getattr(runner, "holds", None)
+        cached = (
+            backend == "process" and holds is not None
+            and all(map(holds, pending))
+        )
         if backend == "process" and (
             "fork" not in multiprocessing.get_all_start_methods()
             or len(pending) <= 1
+            or cached
         ):
             backend = "serial"
         telemetry = CampaignTelemetry(
@@ -1443,6 +1479,7 @@ class CampaignExecutor:
             total_runs=n_tasks,
             resumed_runs=resumed,
             checkpoint_rejects=checkpoint_rejects,
+            cached_rounds=int(cached and bool(pending)),
         )
         since_flush = 0
         attempts: Dict[int, int] = {index: 0 for index in pending}
@@ -1453,6 +1490,8 @@ class CampaignExecutor:
             "total": n_tasks,
             "resumed": resumed,
         }
+        if telemetry.cached_rounds:
+            start_fields["cached"] = True
         if indices is not None:
             start_fields["batch"] = len(wanted)
         events.emit("run_start", **start_fields)
@@ -1842,13 +1881,14 @@ class CampaignExecutor:
                 with _ACTIVE_LOCK:
                     _ACTIVE.pop(key, None)
             telemetry.wall_s = time.perf_counter() - started
-            telemetry.cache_hits = self.cache.hits - self._cache_hits0
-            telemetry.cache_misses = self.cache.misses - self._cache_misses0
-            counts_now = counters.snapshot()
+            telemetry.cache_hits = self._hits + self.cache.hits - hits0
+            telemetry.cache_misses = self._misses + self.cache.misses - misses0
+            counters.add(telemetry.counts, self._counts)
             counters.add(
-                telemetry.counts, counters.delta(self._counts0, counts_now)
+                telemetry.counts, counters.delta(counts0, counters.snapshot())
             )
-            self._counts0 = counts_now
+            self._hits = self._misses = 0
+            self._counts = {}
             # the no-lost-progress guarantee: flush on every exit path
             if store is not None:
                 flush_store()

@@ -5,24 +5,34 @@ one Python interpreter loop over ticks, module invocations, quantized
 stores and hook dispatches per run.  Across all four campaigns —
 permeability, detection, and the enumerative memory and recovery
 sweeps — almost all of that work is identical across runs, even runs
-of *different test cases*: same target system, same schedule, same
-per-tick arithmetic; only the tiny injected disturbance and the
-per-case seed state differ.  This module batches such runs: plant
-state, module state cells, sensor registers and the signal store
-become numpy arrays with **one row per run** (rows of a group may mix
-test cases; each row is seeded from its own case's tick-0 snapshot
-and diffed against its own golden stream via per-row indirection),
-and a target-specific kernel (``repro.watertank.vectorize`` /
-``repro.target.vectorize``) advances *all* rows of a batch through
-each tick at once.  Groups are contiguous runs of a campaign's tasks
-capped only by the batch width: permeability rows of different
-modules share a batch, each row flipping and recording its own module
-(:class:`InvocationRecorder`).  Memory/recovery rows vectorize the
-periodic single-bit flips of
-:class:`repro.fi.injector.PeriodicMemoryFlip` (:class:`MemoryFlipPlan`),
-and recovery groups run twice — a plain detection pass and a
-containment pass with a :class:`RecoveringBankArrays` poking
-substitutions into the store.
+of *different test cases* and *different campaigns*: same target
+system, same schedule, same per-tick arithmetic; only the tiny
+injected disturbance and the per-case seed state differ.  This module
+batches such runs: plant state, module state cells, sensor registers
+and the signal store become numpy arrays with **one row per run**
+(each row is seeded from its own case's tick-0 snapshot and diffed
+against its own golden stream via per-row indirection), and a
+target-specific kernel (``repro.watertank.vectorize`` /
+``repro.target.vectorize``) advances *all* rows of a group through
+each tick at once.
+
+A tick costs nearly the same at any width, so the campaigns of one
+reproduction share one :class:`BatchRunner`: each campaign hands in
+its rows as a :class:`BatchPart`, and rows of every kind share a
+group.  The kernel takes each row's injection from the row
+(:attr:`RowInjection.kind`): ``arg`` rows flip and record their own
+module's invocations (:class:`InvocationRecorder`), ``input`` rows
+flip a sensor register, and ``memory`` rows take the periodic
+single-bit flips of :class:`repro.fi.injector.PeriodicMemoryFlip`
+(:class:`MemoryFlipPlan`) and the failure classifier; rows of a
+campaign with assertions are watched by the group's monitor bank.
+The rows planned together form ``jobs`` groups (one on the serial
+backend), each holding an equal slice of every campaign's rows, so a
+pool computes them side by side.  Recovery groups run twice — a plain
+detection pass and a containment pass with a
+:class:`RecoveringBankArrays` poking substitutions into the store —
+so recovery rows, like the rows of campaigns whose monitor banks
+differ, keep groups of their own.
 
 Correctness contract
 --------------------
@@ -33,25 +43,26 @@ to the scalar path.  Four mechanisms keep that true:
   arithmetic onto int64/float64 arrays (same operation order, same
   quantization points), seeded from the same tick-0
   ``capture_state()`` snapshots;
-* detection, memory and recovery rows dispatch per row: like the
-  scalar loop, each row runs the modules of its own — possibly
-  corrupted — slot number, through masked invocations;
-* dispatch-divergent *permeability* rows are *retired*, because their
-  recorded invocation streams assume the golden schedule: the golden
-  slot is asserted after every CLOCK/TIMER invocation, and a row whose
-  control flow departs it is recomputed wholesale by the scalar path;
+* detection and memory rows dispatch per row: like the scalar loop,
+  each row runs the modules of its own — possibly corrupted — slot
+  number, through masked invocations;
+* *permeability* rows stay pinned to the golden slot, because their
+  recorded invocation streams assume the golden schedule: a row whose
+  slot number departs it is *retired* and recomputed wholesale by the
+  scalar path, and an invocation run only for other rows' off-schedule
+  slots neither flips nor records a permeability row;
 * rows selected for an integrity audit, or running under chaos-test
   instrumentation, never enter a batch at all.
 
 Layout and dispatch
 -------------------
 Both kernels derive from :class:`BatchKernel`, which owns the state,
-the dispatch and the module invocation; a kernel transcribes only its
-tick loop and module bodies.  The signal store and every module's
-state cells are rows of one dense ``(cells, rows)`` int64 array
-(:class:`BatchCells`); a cell name reads as a view of its row
-(:class:`CellBlock`), so a module's state is one block and the
-dispatch successor table is a 2-D slice that memory flips write
+the dispatch, the rows' injections and the module invocation; a
+kernel transcribes only its tick loop and module bodies.  The signal
+store and every module's state cells are rows of one dense ``(cells,
+rows)`` int64 array (:class:`BatchCells`); a cell name reads as a view
+of its row (:class:`CellBlock`), so a module's state is one block and
+the dispatch successor table is a 2-D slice that memory flips write
 straight into.  A masked invocation restores the rows outside its
 mask with one ``np.copyto`` of the module's block.  Per-row dispatch
 counts the live rows per module slot with one table lookup and one
@@ -66,14 +77,17 @@ docs/campaigns.md).
 Golden invocation streams — the reference side of the permeability
 comparison — are built once as numpy arrays before the worker pool
 forks, and the workers inherit them through the fork.
-Each group is computed once per campaign: a pool worker ships the
-outcomes of the group's rows its chunk did not ask for home, and the
-next pool forks with them cached (:meth:`BatchRunner.ship`,
-:meth:`BatchRunner.absorb`), so adaptive rounds never recompute it.
+Each group is computed once per reproduction: a pool worker ships the
+outcomes of the group's rows its chunk did not ask for home — those
+of later adaptive rounds and of the other campaigns sharing the group
+— and the parent caches them (:meth:`BatchRunner.ship`,
+:meth:`BatchRunner.absorb`), so no row is computed twice and a round
+whose every outcome is cached runs in the parent without a pool.
 
 On by default: ``CampaignConfig(vector=VectorPolicy(batch_width=N))``
-/ ``--batch-width N`` sets the width (default 256); ``0`` selects the
-scalar path, which is the oracle and the only path without numpy.
+/ ``--batch-width N`` with any ``N > 0`` turns batching on (the
+default, 256); ``0`` selects the scalar path, which is the oracle and
+the only path without numpy.
 """
 
 from __future__ import annotations
@@ -105,8 +119,10 @@ __all__ = [
     "InvocationRecorder",
     "BatchKernel",
     "flip_cells",
+    "BatchPart",
     "BatchRunner",
-    "wrap_runner",
+    "BatchView",
+    "wrap_runners",
 ]
 
 
@@ -154,13 +170,15 @@ class VectorRow:
 
 @dataclass
 class GroupJob:
-    """One batch handed to a target kernel."""
+    """One batch handed to a target kernel; each row carries its own
+    injection kind."""
 
-    kind: str  #: "permeability" | "detection" | "memory" | "recovery"
     rows: List[VectorRow]
     cases: Dict[int, Any]  #: case_id -> test case
     templates: Dict[int, Any]  #: case_id -> tick-0 SimulatorState
-    specs: Sequence[Any] = ()  #: assertion specs (detection/memory)
+    #: the group's monitor bank (``()``: none); it watches every row,
+    #: and only the rows of campaigns with assertions read it
+    specs: Sequence[Any] = ()
     policies: Any = None  #: recovery: {ea name -> RecoveryPolicy}
     recover: bool = False  #: recovery: containment pass (vs baseline)
 
@@ -173,11 +191,12 @@ class GroupResult:
     injected: List[bool]
     first_injection_tick: List[Optional[int]]
     completion_tick: List[Optional[int]]
-    #: permeability: each row's recorded stream of its own module
+    #: ``arg`` rows: each row's recorded stream of its own module
     streams: Optional["InvocationRecorder"] = None
-    #: detection: per-row {ea name -> (fire_count, first_fire_tick)}
-    bank: Optional[List[Dict[str, Tuple[int, Optional[int]]]]] = None
-    #: memory/recovery: per-row mission verdict (safety failure)
+    #: the monitor bank; ``bank.row_records(r)`` is row r's
+    #: {ea name -> (fire_count, first_fire_tick)}
+    bank: Optional["BankArrays"] = None
+    #: ``memory`` rows: per-row mission verdict (safety failure)
     failed: Optional[List[bool]] = None
     #: recovery containment pass: per-row recovery action counts
     actions: Optional[List[int]] = None
@@ -460,7 +479,7 @@ class BatchCells:
 # Vectorized periodic memory flips (see PeriodicMemoryFlip).
 # ======================================================================
 class MemoryFlipPlan:
-    """The per-row flip schedule of one memory/recovery batch.
+    """The per-row flip schedule of a batch's ``memory`` rows.
 
     A transcription of the scalar injector's three strike paths
     (:class:`repro.fi.injector.FaultInjector` with a
@@ -514,6 +533,8 @@ class MemoryFlipPlan:
         stack_rows: Dict[Tuple[str, str, str], List[int]] = {}
         for r, row in enumerate(rows):
             inj = row.injection
+            if inj.kind != "memory":
+                continue  # never joins: no flip lands on the row
             self._joins.setdefault(inj.tick, []).append(r)
             if inj.memory_kind in ("state", "signal"):
                 if inj.memory_kind == "state":
@@ -559,7 +580,7 @@ class MemoryFlipPlan:
         live."""
         active = self._live & self._joined
         tables = []
-        for period in np.unique(self._period).tolist():
+        for period in np.unique(self._period[active]).tolist():
             table: List[Any] = [None] * period
             members = np.nonzero(active & (self._period == period))[0]
             residues = self._phase[members] % period
@@ -613,6 +634,8 @@ class MemoryFlipPlan:
     def leave(self, left) -> None:
         """Rows *left* (a mask) left the run loop: no further flips."""
         self._live &= ~left
+        if not np.count_nonzero(left & self._joined):
+            return  # no table holds them, and only joined rows arm
         self._armed &= ~left
         self._armed_keys = {
             key for key, rows in self._buckets.items()
@@ -663,8 +686,8 @@ class MemoryFlipPlan:
 # Vectorized module-input flips and invocation logs (permeability).
 # ======================================================================
 class InvocationRecorder:
-    """The module-input flips and invocation logs of one permeability
-    batch: per row, a transcription of the scalar run's
+    """The module-input flips and invocation logs of a batch's ``arg``
+    (permeability) rows: per row, a transcription of the scalar run's
     :class:`repro.fi.injector.ModuleInputFlip` and
     :class:`repro.fi.comparison.InvocationLog`.  Each row flips one
     input bit of *its own* module at that module's first invocation at
@@ -692,12 +715,12 @@ class InvocationRecorder:
         self._live_rows: Dict[str, Tuple[Any, Any]] = {}
         #: module -> (flip ticks ascending, their rows)
         self._due: Dict[str, Tuple[List[int], Any]] = {}
-        for module in sorted({row.injection.module for row in rows}):
-            idx = np.array(
-                [r for r, row in enumerate(rows)
-                 if row.injection.module == module],
-                dtype=np.int64,
-            )
+        arg_rows: Dict[str, List[int]] = {}
+        for r, row in enumerate(rows):
+            if row.injection.kind == "arg":
+                arg_rows.setdefault(row.injection.module, []).append(r)
+        for module in sorted(arg_rows):
+            idx = np.array(arg_rows[module], dtype=np.int64)
             in_ports, out_ports = kernel.module_ports(module)
             self._port[idx] = [
                 in_ports.index(rows[r].injection.port) for r in idx
@@ -725,13 +748,21 @@ class InvocationRecorder:
         self._count = dict.fromkeys(self._streams, 0)
         self._next_due = dict.fromkeys(self._streams, 0)
 
+    def takes(self, module: str, mask=None) -> bool:
+        """Whether this invocation of *module* is one of its rows'
+        invocations: it runs unmasked, or its mask holds them.  Every
+        live row is pinned to the golden slot, so they take an
+        invocation together or not at all, and one run only for other
+        rows' off-schedule slots neither flips nor records them."""
+        live = self._live_rows.get(module)
+        if live is None or not live[1].size:
+            return False
+        return mask is None or bool(mask[live[1]].any())
+
     def marshal(self, module: str, args) -> None:
         """Strike the flips due at this invocation of *module*, in
         place on the freshly copied ``(ports, rows)`` args."""
-        due = self._due.get(module)
-        if due is None:
-            return
-        ticks, order = due
+        ticks, order = self._due[module]
         start = self._next_due[module]
         if start == len(ticks) or ticks[start] > self.tick:
             return
@@ -747,10 +778,7 @@ class InvocationRecorder:
     def record(self, module: str, args, outs) -> None:
         """Append this invocation of *module* (``(ports, rows)`` args
         and outputs) to its live rows' streams."""
-        stream = self._streams.get(module)
-        if stream is None:
-            return
-        _, ins, outs_buf = stream
+        _, ins, outs_buf = self._streams[module]
         pos, rows = self._live_rows[module]
         k = self._count[module]
         ins[pos, k] = args[:, rows].T
@@ -796,7 +824,8 @@ def _store_writer(view, sig_type, width: int):
 class BatchKernel:
     """The part of a target kernel that is not target-specific: the
     probe system's port and cell tables, the dense batch state
-    (:class:`BatchCells`), per-row dispatch and module invocation.
+    (:class:`BatchCells`), each row's injection, per-row dispatch and
+    module invocation.
 
     A subclass transcribes its simulator's tick loop in ``run_group``
     and its module bodies in ``_BODIES``: module name ->
@@ -859,6 +888,10 @@ class BatchKernel:
         self._slot_code[slots] = np.arange(len(slots))
         self._mem: Optional[MemoryFlipPlan] = None
         self._rec: Optional[InvocationRecorder] = None
+        #: the group's ``arg`` rows (``None``: none), pinned to the
+        #: golden slot, and which rows retired from it
+        self._pinned = None
+        self._retired = None
 
     def module_ports(self, module: str):
         ins, outs, _, _ = self.ports[module]
@@ -932,19 +965,54 @@ class BatchKernel:
             for r in self.REGISTERS
         ])
 
-    def _input_flips(self, job: GroupJob) -> Dict[int, Any]:
-        """Detection rows: tick -> ``(rows, register rows)`` of the
-        system-input flips due then."""
-        due: Dict[int, List[Tuple[int, int]]] = {}
-        for r, row in enumerate(job.rows):
-            inj = row.injection
-            due.setdefault(inj.tick, []).append(
-                (r, self.REGISTERS.index(inj.signal))
+    def _injections(self, job: GroupJob, cells: BatchCells,
+                    ticks: int) -> None:
+        """Each row's own injection (:attr:`RowInjection.kind`): the
+        invocation recorder of the ``arg`` rows, pinned to the golden
+        slot; the flip plan of the ``memory`` rows; and, for the
+        ``input`` rows, tick -> ``(rows, register rows)`` of the
+        sensor-register flips due then."""
+        rows = job.rows
+        self._first_inj = np.full(len(rows), -1, dtype=np.int64)
+        self._bitmask = np.array(
+            [1 << row.injection.bit for row in rows], dtype=np.int64
+        )
+        self._retired = np.zeros(len(rows), dtype=bool)
+        kinds = [row.injection.kind for row in rows]
+        pinned = [r for r, kind in enumerate(kinds) if kind == "arg"]
+        self._pinned = np.array(pinned, dtype=np.int64) if pinned else None
+        self._rec = self._mem = None
+        if pinned:
+            self._rec = InvocationRecorder(
+                self, rows, self._bitmask, self._first_inj, ticks
             )
-        return {
+        if "memory" in kinds:
+            self._mem = MemoryFlipPlan(self, rows, self._first_inj, cells)
+        due: Dict[int, List[Tuple[int, int]]] = {}
+        for r, row in enumerate(rows):
+            inj = row.injection
+            if inj.kind == "input":
+                due.setdefault(inj.tick, []).append(
+                    (r, self.REGISTERS.index(inj.signal))
+                )
+        self._inputs = {
             tick: np.array(pairs, dtype=np.int64).T
             for tick, pairs in due.items()
         }
+
+    def _flip_inputs(self, t: int, regs, store_regs, live=None) -> None:
+        """The ``input`` rows' register flips due at tick *t* (pre-tick,
+        on the registers and their store rows; only *live* rows)."""
+        due = self._inputs.pop(t, None)
+        if due is None:
+            return
+        if live is not None:
+            due = due[:, live[due[0]]]
+        flip_rows, flip_regs = due
+        bits = self._bitmask[flip_rows]
+        regs[flip_regs, flip_rows] ^= bits
+        store_regs[flip_regs, flip_rows] ^= bits
+        self._first_inj[flip_rows] = t
 
     def _bank(self, job: GroupJob) -> Optional[BankArrays]:
         """The group's monitor bank — a recovering one for a
@@ -992,10 +1060,13 @@ class BatchKernel:
         masked rows only and the module's state block of every other
         row is restored in one copy — those rows' (possibly corrupted)
         schedules did not dispatch *module* this tick — and armed
-        memory strikes are confined to the mask."""
+        memory strikes are confined to the mask, as are the ``arg``
+        rows' flips and records."""
         in_rows, writers, out_rows, st, body = self._calls[module]
         args = self._store[in_rows]
         rec, mem = self._rec, self._mem
+        if rec is not None and not rec.takes(module, mask):
+            rec = None
         if rec is not None:
             rec.marshal(module, args)
         if mask is None:
@@ -1016,13 +1087,23 @@ class BatchKernel:
         if rec is not None:
             rec.record(module, args, self._store[out_rows])
 
-    def _dispatch(self, slots, live_count: int, dead=None) -> None:
-        """Per-row dispatch, like the scalar loop: every live row runs
-        the modules of its own — possibly corrupted — slot number
-        *slots*.  A module slot holding every live row runs unmasked,
-        one holding some of them masked; rows in *dead* (a mask) left
-        the run loop and take no invocation."""
+    def _dispatch(self, t: int, slots, live_count: int,
+                  dead=None) -> None:
+        """Per-row dispatch at tick *t*, like the scalar loop: every
+        live row runs the modules of its own — possibly corrupted —
+        slot number *slots*.  ``arg`` rows are pinned to the golden
+        slot instead (:meth:`_leave` drops those that left): their
+        recorded streams assume the golden schedule, so one whose slot
+        number departs it retires.
+        A module slot holding every live row runs unmasked, one holding
+        some of them masked; rows in *dead* (a mask) left the run loop
+        and take no invocation."""
         code = self._slot_code[slots]
+        pinned = self._pinned
+        if pinned is not None:
+            golden = (t + 1) % self.n_slots
+            self._retired[pinned[slots[pinned] != golden]] = True
+            code[pinned] = self._slot_code[golden]
         if dead is not None:
             code[dead] = len(self._slot_groups)
         counts = np.bincount(code, minlength=len(self._slot_groups) + 1)
@@ -1032,56 +1113,138 @@ class BatchKernel:
                 for module in self._slot_groups[k]:
                     self._invoke(module, mask=mask)
 
-    def _dispatch_golden(self, slot: int, slots, retired, live=None) -> None:
-        """Permeability rows: their recorded invocation streams assume
-        the golden schedule, so (live) rows whose slot number *slots*
-        left it retire, and the golden *slot*'s modules run."""
-        off = slots != slot
-        if live is not None:
-            off &= live
-        retired |= off
-        for module in self.slot_modules.get(slot, ()):
-            self._invoke(module)
+    def _leave(self, left) -> None:
+        """Rows *left* (a mask) left the run loop: no further flips,
+        records or golden-slot pinning."""
+        if self._mem is not None:
+            self._mem.leave(left)
+        if self._rec is not None:
+            self._rec.leave(left)
+        if self._pinned is not None:
+            self._pinned = self._pinned[~left[self._pinned]]
+            if not self._pinned.size:
+                self._pinned = None
+
+    def _result(self, completion, bank, failed) -> GroupResult:
+        """The group's per-row outcomes; the injection state goes."""
+        first_inj = self._first_inj
+        result = GroupResult(
+            retired=self._retired.tolist(),
+            injected=(first_inj >= 0).tolist(),
+            first_injection_tick=[
+                int(v) if v >= 0 else None for v in first_inj
+            ],
+            completion_tick=[
+                int(v) if v >= 0 else None for v in completion
+            ],
+            streams=self._rec,
+            bank=bank,
+            failed=failed.tolist() if failed is not None else None,
+            actions=(
+                bank.actions.tolist()
+                if isinstance(bank, RecoveringBankArrays) else None
+            ),
+        )
+        self._mem = self._rec = self._pinned = None
+        return result
 
 
 # ======================================================================
 # Group planning.
 # ======================================================================
 @dataclass
+class BatchPart:
+    """One campaign's share of a :class:`BatchRunner`.
+
+    ``rows[i]`` is the campaign's task ``i`` as a ``(test case,
+    RowInjection)`` row and ``inner(i)`` its scalar run; the rest is
+    what the campaign's outcomes need: its kind, the auditor whose
+    rows stay scalar, the golden runs and accounting of permeability,
+    and the assertion specs (its rows' monitor bank) and recovery
+    policies.
+    """
+
+    kind: str  #: "permeability" | "detection" | "memory" | "recovery"
+    rows: Sequence[Tuple[Any, RowInjection]]
+    inner: Callable[[int], Any]
+    auditor: Optional[Any] = None
+    goldens: Optional[Any] = None
+    direct_only: bool = True
+    specs: Sequence[Any] = ()
+    policies: Any = None
+
+
+@dataclass
 class _Group:
     gid: int
-    indices: List[int] = field(default_factory=list)
+    indices: List[int]  #: runner-wide row indices, ascending
+    specs: Sequence[Any] = ()  #: the group's monitor bank
+    policies: Any = None  #: recovery groups: their policies
+    recovery: bool = False  #: two passes: baseline and containment
 
 
 def _plan_groups(
-    rows: Sequence[Tuple[Any, RowInjection]],
-    batch_width: int,
+    parts: Sequence[BatchPart],
+    n_groups: int,
     supported: Optional[Callable[[RowInjection], bool]] = None,
 ) -> Tuple[Dict[int, _Group], List[_Group]]:
-    """Contiguous runs of ``(case, injection)`` rows, capped at
-    *batch_width*.
+    """The groups over every part's rows (runner-wide indices: the
+    parts' rows in order).
 
-    Singleton groups are dropped — a batch of one is strictly worse
-    than the scalar path.  Injections the kernel cannot strike inside
-    a batch (*supported* says no — e.g. float-backed memory cells)
-    stay on the scalar path and break the contiguous run.
+    Parts that can share a kernel pass — the same monitor bank, or
+    none — share groups; a recovery part (two passes) and a part whose
+    bank differs get their own.  Each such set of parts forms
+    *n_groups* groups, group ``k`` holding the ``k``-th of
+    *n_groups* equal slices of every part's rows, so the first
+    campaign a pool executes computes them all side by side.
+    Injections the kernel cannot strike inside a batch (*supported*
+    says no — e.g. float-backed memory cells) stay on the scalar path,
+    and so do the rows of a group of one, which a batch would only
+    slow down.
     """
+    #: [specs, recovery, [(part, its supported runner-wide indices)]]
+    sets: List[list] = []
+    offset = 0
+    for part in parts:
+        indices = [
+            offset + i for i, (_, injection) in enumerate(part.rows)
+            if supported is None or supported(injection)
+        ]
+        offset += len(part.rows)
+        specs = tuple(part.specs)
+        recovery = part.kind == "recovery"
+        home = None if recovery else next(
+            (s for s in sets
+             if not s[1] and (not specs or not s[0] or s[0] == specs)),
+            None,
+        )
+        if home is None:
+            sets.append([specs, recovery, [(part, indices)]])
+        else:
+            home[0] = home[0] or specs
+            home[2].append((part, indices))
     groups: List[_Group] = []
-    current: Optional[_Group] = None
-    for index, (_, injection) in enumerate(rows):
-        if supported is not None and not supported(injection):
-            current = None
-            continue
-        if current is None or len(current.indices) >= batch_width:
-            current = _Group(gid=len(groups))
-            groups.append(current)
-        current.indices.append(index)
-    kept = [g for g in groups if len(g.indices) >= 2]
+    for specs, recovery, members in sets:
+        for k in range(n_groups):
+            indices = [
+                index
+                for _, rows in members
+                for index in rows[
+                    len(rows) * k // n_groups:
+                    len(rows) * (k + 1) // n_groups
+                ]
+            ]
+            if len(indices) >= 2:
+                groups.append(_Group(
+                    gid=len(groups), indices=indices, specs=specs,
+                    policies=members[0][0].policies if recovery else None,
+                    recovery=recovery,
+                ))
     index_of: Dict[int, _Group] = {}
-    for group in kept:
+    for group in groups:
         for index in group.indices:
             index_of[index] = group
-    return index_of, kept
+    return index_of, groups
 
 
 # ======================================================================
@@ -1117,16 +1280,20 @@ def _kernel_for(probe):
 
 
 class BatchRunner:
-    """Answers campaign task indices from vectorized batches.
+    """Answers the tasks of one or more campaigns from shared
+    vectorized batches.
 
-    Wraps a campaign's scalar ``runner(index)`` callable; ``rows[i]``
-    is task ``i`` as a ``(test case, RowInjection)`` row.  Task
-    indices that belong to a plannable batch are answered by running
-    the whole batch through the target's vector kernel once (cached
-    per process, each row's outcome served once); everything else —
-    audited rows, chaos runs, rows of unsupported targets, retired
-    rows — falls through to the wrapped scalar runner, which remains
-    the semantic reference.
+    Each :class:`BatchPart` is one campaign; the runner numbers the
+    parts' rows in order (runner-wide indices) and plans them into
+    ``groups`` groups (:func:`_plan_groups`).  A task whose row
+    belongs to a group is answered by running the whole group through
+    the target's vector kernel once (cached per process, each row's
+    outcome served once); everything else — audited rows, chaos runs,
+    rows of unsupported targets, retired rows — falls through to its
+    campaign's scalar runner, which remains the semantic reference.
+    A campaign's executor calls its :class:`BatchView`
+    (:meth:`views`), which maps the campaign's task indices onto the
+    runner's.
 
     Also exposes the executor integration hooks:
 
@@ -1135,34 +1302,30 @@ class BatchRunner:
       scaled accordingly;
     * :meth:`chunk_plan` — pool chunks are aligned to batch
       boundaries, so exactly one worker computes each batch;
+    * :meth:`holds` — whether the parent already holds a task's
+      outcome, so a round that needs nothing else runs without a pool;
     * :meth:`ship` and :meth:`absorb` — a worker sends the outcomes of
       the rows its chunk did not ask for home, and the parent caches
-      them for the pools of later adaptive rounds.
+      them for the pools of later rounds and campaigns.
     """
 
     def __init__(
         self,
-        kind: str,
-        rows: Sequence[Tuple[Any, RowInjection]],
-        inner: Callable[[int], Any],
-        batch_width: int,
+        parts: Sequence[BatchPart],
         factory: Callable[[Any], Any],
-        auditor: Optional[Any] = None,
-        goldens: Optional[Any] = None,
-        direct_only: bool = True,
-        specs: Sequence[Any] = (),
-        policies: Optional[Any] = None,
+        groups: int = 1,
     ):
-        self._kind = kind
-        self._rows = list(rows)
-        self._inner = inner
-        self._auditor = auditor
+        self._parts = list(parts)
+        #: the first runner-wide index of each part
+        self._offsets: List[int] = []
+        self._rows: List[Tuple[Any, RowInjection]] = []
+        #: runner-wide index -> its part's position
+        self._owner: List[int] = []
+        for p, part in enumerate(self._parts):
+            self._offsets.append(len(self._rows))
+            self._rows.extend(part.rows)
+            self._owner.extend([p] * len(part.rows))
         self._factory = factory
-        self._goldens = goldens
-        self._direct_only = direct_only
-        self._specs = list(specs)
-        self._policies = policies
-        self._width = batch_width
         self._chaos = any(
             name.startswith("REPRO_CHAOS_") for name in os.environ
         )
@@ -1178,13 +1341,20 @@ class BatchRunner:
         self._cases: Dict[int, Any] = {}
         #: (case id, module) -> its golden (inputs, outputs) per invocation
         self._golden_streams: Dict[Tuple[int, str], Tuple[Any, Any]] = {}
-        if batch_width > 0 and len(self._rows) >= 2:
-            self._prepare(batch_width)
+        if groups > 0 and len(self._rows) >= 2:
+            self._prepare(groups)
+
+    def views(self) -> List["BatchView"]:
+        """Each part's view, in part order."""
+        return [
+            BatchView(self, offset, len(part.rows))
+            for offset, part in zip(self._offsets, self._parts)
+        ]
 
     # ------------------------------------------------------------------
     # Pre-fork preparation: plan, templates, golden streams.
     # ------------------------------------------------------------------
-    def _prepare(self, batch_width: int) -> None:
+    def _prepare(self, groups: int) -> None:
         for case, _ in self._rows:
             self._cases.setdefault(case.case_id, case)
         first_case = next(iter(self._cases.values()))
@@ -1194,8 +1364,8 @@ class BatchRunner:
             return
         self._kernel = kernel_cls(probe)
         self._group_of, self._groups = _plan_groups(
-            self._rows,
-            batch_width,
+            self._parts,
+            groups,
             supported=getattr(self._kernel, "supports_injection", None),
         )
         if not self._groups:
@@ -1205,19 +1375,22 @@ class BatchRunner:
         # forks so workers share them copy-on-write
         for case_id, case in self._cases.items():
             self._templates[case_id] = self._factory(case).capture_state()
-        if self._kind == "permeability" and self._goldens is not None:
-            self._build_golden_streams(probe)
+        self._build_golden_streams(probe)
 
     def _build_golden_streams(self, probe) -> None:
-        """The golden invocation streams the batches will diff against,
-        as arrays, once, pre-fork."""
-        needed = set()
+        """The golden invocation streams the permeability rows will
+        diff against, as arrays, once, pre-fork."""
+        needed = {}
         for group in self._groups:
             for index in group.indices:
-                case, injection = self._rows[index]
-                needed.add((case.case_id, injection.module))
-        for case_id, module in sorted(needed):
-            golden = self._goldens.get(self._cases[case_id])
+                part = self._parts[self._owner[index]]
+                if part.kind == "permeability":
+                    case, injection = self._rows[index]
+                    needed[(case.case_id, injection.module)] = part.goldens
+        for (case_id, module), goldens in sorted(
+            needed.items(), key=lambda item: item[0]
+        ):
+            golden = goldens.get(self._cases[case_id])
             stream = golden.invocations.stream(module)
             mod = probe.system.module(module)
             n = len(stream)
@@ -1231,7 +1404,7 @@ class BatchRunner:
             self._golden_streams[(case_id, module)] = (ins, outs)
 
     # ------------------------------------------------------------------
-    # Executor integration hooks (duck-typed).
+    # Executor integration hooks (duck-typed, runner-wide indices).
     # ------------------------------------------------------------------
     def timeout_scale_for(self, index: int) -> int:
         """Per-task timeout multiplier: a batch leader simulates the
@@ -1252,16 +1425,31 @@ class BatchRunner:
                 chunks.setdefault(gid, []).append(index)
         return list(chunks.values())
 
+    def holds(self, index: int) -> bool:
+        """Whether this process holds task *index*'s outcome already,
+        so serving it runs no simulation."""
+        group = self._batchable(index)
+        return group is not None and index in self._cache.get(group.gid, ())
+
     # ------------------------------------------------------------------
     # Dispatch.
     # ------------------------------------------------------------------
+    def _scalar(self, index: int) -> Any:
+        """Task *index* on its campaign's scalar path."""
+        p = self._owner[index]
+        return self._parts[p].inner(index - self._offsets[p])
+
     def _batchable(self, index: int) -> Optional[_Group]:
         if self._kernel is None or self._chaos:
             return None
         group = self._group_of.get(index)
         if group is None:
             return None
-        if self._auditor is not None and self._auditor.should_audit(index):
+        p = self._owner[index]
+        auditor = self._parts[p].auditor
+        if auditor is not None and auditor.should_audit(
+            index - self._offsets[p]
+        ):
             # audited rows re-run under the integrity machinery — the
             # scalar path stays their single source of truth
             return None
@@ -1276,7 +1464,7 @@ class BatchRunner:
         group = self._batchable(index)
         if group is None:
             vector_stats.scalar_fallbacks += 1
-            return self._inner(index)
+            return self._scalar(index)
         outcomes = self._cache.get(group.gid)
         if outcomes is None:
             outcomes = self._cache[group.gid] = self._compute_group(group)
@@ -1285,7 +1473,7 @@ class BatchRunner:
         # asked again after a failed attempt) runs on the scalar path
         outcome = outcomes.pop(index, _RETIRED)
         if outcome is _RETIRED:
-            return self._inner(index)
+            return self._scalar(index)
         vector_stats.rows += 1
         return outcome
 
@@ -1294,9 +1482,10 @@ class BatchRunner:
         since the last call, by group id.
 
         A pool worker ships them home after each chunk.  A chunk holds
-        every row of its round that the group answers, so what is left
-        belongs to later adaptive rounds; nothing is left when the
-        chunk held the whole group, as in a fixed-n run.
+        every row of its round and campaign that the group answers, so
+        what is left belongs to later adaptive rounds or to the other
+        campaigns sharing the group; nothing is left when the chunk
+        held the whole group.
         """
         shipped = {gid: self._cache[gid] for gid in self._fresh
                    if self._cache[gid]}
@@ -1304,8 +1493,8 @@ class BatchRunner:
         return shipped
 
     def absorb(self, shipped: Dict[int, Dict[int, Any]]) -> None:
-        """Cache outcomes a pool worker shipped home, so the pools of
-        later rounds fork with them and no row is simulated twice."""
+        """Cache outcomes a pool worker shipped home, so later rounds
+        and campaigns serve them and no row is simulated twice."""
         for gid, outcomes in shipped.items():
             self._cache.setdefault(gid, {}).update(outcomes)
 
@@ -1320,58 +1509,50 @@ class BatchRunner:
             for case, injection in (self._rows[i] for i in group.indices)
         ]
         job = GroupJob(
-            kind=self._kind,
             rows=rows,
             cases=self._cases,
             templates=self._templates,
-            specs=(
-                self._specs
-                if self._kind in ("detection", "memory", "recovery")
-                else ()
-            ),
-            policies=self._policies if self._kind == "recovery" else None,
-            recover=False,
+            specs=group.specs,
+            policies=group.policies,
         )
         result = self._kernel.run_group(job)
         wrapped = None
-        if self._kind == "recovery":
+        if group.recovery:
             # the containment pass: same rows, same injections, but a
             # recovering bank poking substitutions into the store
             wrapped = self._kernel.run_group(
                 dataclasses.replace(job, recover=True)
             )
         vector_stats.groups += 1
-        vector_stats.group_capacity += self._width
+        vector_stats.group_capacity += len(rows)
         if len({row.case_id for row in rows}) > 1:
             vector_stats.cross_case_groups += 1
         outcomes: Dict[int, Any] = {}
-        for row, index in enumerate(group.indices):
-            retired = result.retired[row] or (
-                wrapped is not None and wrapped.retired[row]
-            )
-            if retired:
+        for r, index in enumerate(group.indices):
+            if result.retired[r]:
                 vector_stats.retired_rows += 1
                 continue
             if not self.answers(index):
                 continue  # audited: the scalar path serves it
-            if self._kind == "permeability":
+            part = self._parts[self._owner[index]]
+            if part.kind == "permeability":
                 outcomes[index] = self._permeability_outcome(
-                    rows[row], result, row
+                    part, rows[r], result, r
                 )
-            elif self._kind == "memory":
-                outcomes[index] = self._memory_outcome(result, row)
-            elif self._kind == "recovery":
+            elif part.kind == "memory":
+                outcomes[index] = self._memory_outcome(result, r)
+            elif part.kind == "recovery":
                 outcomes[index] = self._recovery_outcome(
-                    result, wrapped, row
+                    result, wrapped, r
                 )
             else:
                 outcomes[index] = self._detection_outcome(
-                    rows[row], result, row
+                    rows[r], result, r
                 )
         return outcomes
 
     def _permeability_outcome(
-        self, row: VectorRow, result: GroupResult, r: int
+        self, part: BatchPart, row: VectorRow, result: GroupResult, r: int
     ) -> Optional[List[str]]:
         if not result.injected[r]:
             return None
@@ -1404,7 +1585,7 @@ class BatchRunner:
                 for j in range(n_in)
                 if j != injected_idx
             )
-            if direct or not self._direct_only:
+            if direct or not part.direct_only:
                 hits.append((first_idx, k, port))
         hits.sort()
         return [port for _, _, port in hits]
@@ -1412,7 +1593,7 @@ class BatchRunner:
     def _memory_outcome(self, result: GroupResult, r: int) -> Any:
         if not result.injected[r]:
             return None
-        records = result.bank[r]
+        records = result.bank.row_records(r)
         return {
             "fired": sorted(
                 name
@@ -1427,7 +1608,7 @@ class BatchRunner:
     ) -> Any:
         if not baseline.injected[r]:
             return None
-        records = baseline.bank[r]
+        records = baseline.bank.row_records(r)
         return {
             "detected": bool(
                 any(count > 0 for count, _ in records.values())
@@ -1446,7 +1627,7 @@ class BatchRunner:
         completed = result.completion_tick[r]
         if completed is not None and tick > completed:
             return "late"
-        records = result.bank[r]
+        records = result.bank.row_records(r)
         fired = sorted(
             name
             for name, (count, first) in records.items()
@@ -1460,42 +1641,78 @@ class BatchRunner:
         return {"fired": fired, "latencies": latencies}
 
 
+class BatchView:
+    """One campaign's view of a shared :class:`BatchRunner`: its task
+    indices, offset into the runner's, and the executor hooks over
+    them.  Shipped outcomes are runner-wide, so a pool worker of one
+    campaign also ships home the rows of the others."""
+
+    def __init__(self, batch: BatchRunner, offset: int, n: int):
+        self.batch = batch
+        self._offset = offset
+        self._n = n
+
+    def __call__(self, index: int) -> Any:
+        return self.batch(self._offset + index)
+
+    def answers(self, index: int) -> bool:
+        return self.batch.answers(self._offset + index)
+
+    def holds(self, index: int) -> bool:
+        return self.batch.holds(self._offset + index)
+
+    def timeout_scale_for(self, index: int) -> int:
+        return self.batch.timeout_scale_for(self._offset + index)
+
+    def chunk_plan(self, indices: Sequence[int]) -> List[List[int]]:
+        return [
+            [index - self._offset for index in chunk]
+            for chunk in self.batch.chunk_plan(
+                [self._offset + index for index in indices]
+            )
+        ]
+
+    def ship(self) -> Dict[int, Dict[int, Any]]:
+        return self.batch.ship()
+
+    def absorb(self, shipped: Dict[int, Dict[int, Any]]) -> None:
+        self.batch.absorb(shipped)
+
+
 # ======================================================================
 # Campaign-facing helpers.
 # ======================================================================
-def wrap_runner(
-    kind: str,
-    runner: Callable[[int], Any],
-    rows: Sequence[Tuple[Any, RowInjection]],
-    config: Any,
-    factory: Callable[[Any], Any],
-    auditor: Optional[Any] = None,
-    goldens: Optional[Any] = None,
-    direct_only: bool = True,
-    specs: Sequence[Any] = (),
-    policies: Optional[Any] = None,
-) -> Callable[[int], Any]:
-    """The campaign's runner, batched when the config asks for it.
+def wrap_runners(
+    parts: Sequence[BatchPart],
+    configs: Sequence[Any],
+    factories: Sequence[Callable[[Any], Any]],
+) -> List[Callable[[int], Any]]:
+    """Each campaign's runner: its :class:`BatchView` of the batch it
+    shares with every other batching campaign of the same factory and
+    group count, or its scalar runner (``parts[i].inner``).
 
-    Returns *runner* unchanged when batching is off (``batch_width``
-    0), numpy is unavailable, or no batch could be planned — the
-    scalar path needs no wrapper to stay correct.
+    A campaign batches when its config asks for it (``batch_width``
+    > 0) and numpy is available; it forms ``jobs`` groups on the
+    process backend and one on the serial backend.  A batch whose
+    target no kernel supports, or that could plan no group, leaves its
+    campaigns on the scalar path, which needs no wrapper to stay
+    correct.
     """
-    width = config.vector.batch_width
-    if width <= 0 or np is None:
-        return runner
-    batched = BatchRunner(
-        kind=kind,
-        rows=rows,
-        inner=runner,
-        batch_width=width,
-        factory=factory,
-        auditor=auditor,
-        goldens=goldens,
-        direct_only=direct_only,
-        specs=specs,
-        policies=policies,
-    )
-    if batched._kernel is None:
-        return runner
-    return batched
+    runners: List[Callable[[int], Any]] = [part.inner for part in parts]
+    if np is None:
+        return runners
+    shared: Dict[Tuple[int, int], List[int]] = {}
+    for i, config in enumerate(configs):
+        if config.vector.batch_width > 0:
+            groups = (
+                config.jobs if config.resolved_backend() == "process" else 1
+            )
+            shared.setdefault((id(factories[i]), groups), []).append(i)
+    for (_, groups), members in shared.items():
+        batch = BatchRunner(
+            [parts[i] for i in members], factories[members[0]], groups
+        )
+        if batch._kernel is not None:
+            for i, view in zip(members, batch.views()):
+                runners[i] = view
+    return runners

@@ -69,22 +69,27 @@ class ServiceClient:
             ) from exc
         return conn
 
+    @staticmethod
+    def _send(conn: socket.socket, payload: Dict[str, Any]):
+        """Write *payload* as one request line; returns the reply
+        reader."""
+        writer = conn.makefile("w", encoding="utf-8")
+        writer.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        writer.flush()
+        return conn.makefile("r", encoding="utf-8")
+
     def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """One request, one reply line.
 
         The connect timeout also bounds the reply read: connecting to
         a dead daemon's listen backlog succeeds, so an unbounded read
         here could hang forever on a socket nobody will ever answer.
+        A connection the daemon resets or closes raises
+        :class:`ServiceError`, like one it never answers.
         """
         with self._connect() as conn:
-            writer = conn.makefile("w", encoding="utf-8")
-            reader = conn.makefile("r", encoding="utf-8")
-            writer.write(
-                json.dumps(payload, separators=(",", ":")) + "\n"
-            )
-            writer.flush()
             try:
-                line = reader.readline()
+                line = self._send(conn, payload).readline()
             except OSError as exc:
                 raise ServiceError(
                     f"daemon did not answer within "
@@ -97,18 +102,18 @@ class ServiceClient:
     def request_stream(
         self, payload: Dict[str, Any]
     ) -> Iterator[Dict[str, Any]]:
-        """One request, a stream of reply lines until EOF."""
+        """One request, a stream of reply lines until EOF; a reset
+        connection raises :class:`ServiceError`."""
         with self._connect() as conn:
             conn.settimeout(None)  # streams idle between status polls
-            writer = conn.makefile("w", encoding="utf-8")
-            reader = conn.makefile("r", encoding="utf-8")
-            writer.write(
-                json.dumps(payload, separators=(",", ":")) + "\n"
-            )
-            writer.flush()
-            for line in reader:
-                if line.strip():
-                    yield json.loads(line)
+            try:
+                for line in self._send(conn, payload):
+                    if line.strip():
+                        yield json.loads(line)
+            except OSError as exc:
+                raise ServiceError(
+                    f"daemon connection lost ({exc})"
+                ) from exc
 
     def alive(self) -> bool:
         """Whether a daemon currently answers on this spool."""

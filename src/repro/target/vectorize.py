@@ -10,12 +10,13 @@ mission, engagements end per row (post-stop window or overrun abort),
 so the kernel keeps a ``live`` mask: rows that left the engagement
 loop stop evaluating their monitor bank, stop recording invocations,
 and freeze their completion latches, while the batch advances the
-remaining rows.  Outcomes are bit-identical to the scalar path;
-memory/recovery/detection rows dispatch per row (masked invocations
-follow each row's own — possibly corrupted — schedule, decided over
-the rows still in the loop), and only permeability rows retire on
+remaining rows.  Outcomes are bit-identical to the scalar path.  Each
+row takes its own injection: ``input`` and ``memory`` rows dispatch
+per row (masked invocations follow each row's own — possibly
+corrupted — schedule, decided over the rows still in the loop), and
+``arg`` (permeability) rows stay on the golden schedule and retire on
 dispatch divergence, because their recorded invocation streams assume
-the golden schedule.
+it.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from repro.fi.vector import (
     BatchKernel,
     GroupJob,
     GroupResult,
-    InvocationRecorder,
-    MemoryFlipPlan,
     q_int,
     vector_stats,
 )
@@ -105,21 +104,11 @@ class ArrestmentVectorKernel(BatchKernel):
         store_regs = S.block[: len(self.REGISTERS)]
         mirror = self._column(job, lambda t: t.sensors["_pulse_mirror"])
 
-        inj = [row.injection for row in rows]
-        bitmask = np.array([1 << i.bit for i in inj], dtype=np.int64)
-        first_inj = np.full(n, -1, dtype=np.int64)
-        mem = rec = None
-        input_flips = None
-        if job.kind == "permeability":
-            rec = InvocationRecorder(self, rows, bitmask, first_inj, max_ticks)
-        elif job.kind in ("memory", "recovery"):
-            mem = MemoryFlipPlan(self, rows, first_inj, cells)
-        else:
-            input_flips = self._input_flips(job)
-
+        self._injections(job, cells, max_ticks)
+        rec, mem, inputs = self._rec, self._mem, self._inputs
         bank = self._bank(job)
 
-        # ---- failure-classifier accumulators (memory/recovery rows)
+        # ---- failure-classifier accumulators (memory rows)
         if mem is not None:
             kinds = np.zeros(n, dtype=bool)
             force_limit = np.array(
@@ -132,15 +121,10 @@ class ArrestmentVectorKernel(BatchKernel):
                 ],
                 np.float64,
             )
-        else:
-            kinds = force_limit = None
-        self._mem = mem
-        self._rec = rec
 
         store_slot = S["ms_slot_nbr"]
         store_stopped = S["stopped"]
         store_toc2 = S["TOC2"]
-        retired = np.zeros(n, dtype=bool)
         live = np.ones(n, dtype=bool)
         dead = None
         n_live = n
@@ -184,15 +168,9 @@ class ArrestmentVectorKernel(BatchKernel):
             # signal's range by construction, so quantizing is identity
             np.copyto(store_regs, regs)
 
-            # --- pre-tick system-input flips (detection, live rows)
-            if input_flips is not None:
-                due = input_flips.pop(t, None)
-                if due is not None:
-                    due = due[:, live[due[0]]]
-                    flip_rows, flip_regs = due
-                    regs[flip_regs, flip_rows] ^= bitmask[flip_rows]
-                    store_regs[flip_regs, flip_rows] ^= bitmask[flip_rows]
-                    first_inj[flip_rows] = t
+            # --- pre-tick system-input flips (input rows, live rows)
+            if inputs:
+                self._flip_inputs(t, regs, store_regs, live)
 
             # --- pre-tick periodic memory flips (live rows)
             if mem is not None:
@@ -202,13 +180,7 @@ class ArrestmentVectorKernel(BatchKernel):
             self._invoke("CLOCK")
 
             # --- the slot's module(s)
-            if rec is None:
-                self._dispatch(store_slot, n_live, dead)
-            else:
-                self._dispatch_golden(
-                    (t + 1) % self.n_slots, store_slot, retired,
-                    None if dead is None else live,
-                )
+            self._dispatch(t, store_slot, n_live, dead)
 
             # --- monitor bank (end of each dispatch cycle, live rows)
             if bank is not None and t % self.n_slots == self.n_slots - 1:
@@ -229,9 +201,9 @@ class ArrestmentVectorKernel(BatchKernel):
             )
             np.copyto(velocity, new_velocity, where=moving)
 
-            # --- FailureClassifier.observe (memory/recovery, live rows;
-            # a stopped plant reports zero force and retardation, which
-            # no limit flags)
+            # --- FailureClassifier.observe (live rows; only memory
+            # rows read the verdict; a stopped plant reports zero force
+            # and retardation, which no limit flags)
             if mem is not None:
                 bad = (retardation > ret_limit) | (force > force_limit)
                 bad &= moving
@@ -254,34 +226,13 @@ class ArrestmentVectorKernel(BatchKernel):
                 pending &= live
                 dead = ~live
                 n_live = int(live.sum())
-                if mem is not None:
-                    mem.leave(leave)
-                if rec is not None:
-                    rec.leave(leave)
+                self._leave(leave)
             t += 1
 
-        self._mem = self._rec = None
         vector_stats.batched_ticks += batched
-
-        injected = first_inj >= 0
-        failed = kinds | (completion < 0) if kinds is not None else None
-        return GroupResult(
-            retired=retired.tolist(),
-            injected=injected.tolist(),
-            first_injection_tick=[
-                int(v) if v >= 0 else None for v in first_inj
-            ],
-            completion_tick=[
-                int(v) if v >= 0 else None for v in completion
-            ],
-            streams=rec,
-            bank=[bank.row_records(r) for r in range(n)] if bank else None,
-            failed=failed.tolist() if failed is not None else None,
-            actions=(
-                bank.actions.tolist()
-                if bank is not None and hasattr(bank, "actions")
-                else None
-            ),
+        return self._result(
+            completion, bank,
+            kinds | (completion < 0) if mem is not None else None,
         )
 
     # ------------------------------------------------------------------

@@ -15,8 +15,9 @@ Dispatch is per row: like the scalar mission loop, each row runs the
 modules of its own ``tick_nbr`` slot, so rows whose flips corrupt the
 dispatch chain (TIMER successor cells, the ``tick_nbr`` signal) follow
 their corrupted schedule inside the batch via masked invocations.
-Only permeability rows — whose recorded invocation streams assume the
-golden schedule — retire to the scalar path on dispatch divergence.
+Each row takes its own injection; only ``arg`` (permeability) rows —
+whose recorded invocation streams assume the golden schedule — stay on
+it and retire to the scalar path on dispatch divergence.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from repro.fi.vector import (
     BatchKernel,
     GroupJob,
     GroupResult,
-    InvocationRecorder,
-    MemoryFlipPlan,
     q_bool,
     q_int,
     vector_stats,
@@ -91,35 +90,19 @@ class WatertankVectorKernel(BatchKernel):
             [case_of(r.case_id).step_m3s for r in rows], np.float64
         )
 
-        # ---- injection plan
-        inj = [row.injection for row in rows]
-        bitmask = np.array([1 << i.bit for i in inj], dtype=np.int64)
-        first_inj = np.full(n, -1, dtype=np.int64)
-        mem = rec = None
-        input_flips = None
-        if job.kind == "permeability":
-            rec = InvocationRecorder(self, rows, bitmask, first_inj, mission)
-        elif job.kind in ("memory", "recovery"):
-            mem = MemoryFlipPlan(self, rows, first_inj, cells)
-        else:
-            input_flips = self._input_flips(job)
-
+        self._injections(job, cells, mission)
+        rec, mem, inputs = self._rec, self._mem, self._inputs
         bank = self._bank(job)
 
-        # ---- mission verdict accumulators (memory/recovery rows)
+        # ---- mission verdict accumulators (memory rows)
         if mem is not None:
             missed = np.zeros(n, dtype=np.int64)
             failed = np.zeros(n, dtype=bool)
-        else:
-            missed = failed = None
-        self._mem = mem
-        self._rec = rec
 
         # ---- the mission loop
         store_slot = S["tick_nbr"]
         store_alarm = S["ALARM_OUT"]
         store_valve = S["VALVE_POS"]
-        retired = np.zeros(n, dtype=bool)
         dt = C.TICK_S
         adc_full = float((1 << C.LVL_ADC_BITS) - 1)
         valve_full = (1 << C.VALVE_POS_BITS) - 1
@@ -147,16 +130,11 @@ class WatertankVectorKernel(BatchKernel):
             # signal's range by construction, so quantizing is identity
             np.copyto(store_regs, regs)
 
-            # --- pre-tick system-input flips (detection rows)
-            if input_flips is not None:
-                due = input_flips.pop(t, None)
-                if due is not None:
-                    flip_rows, flip_regs = due
-                    regs[flip_regs, flip_rows] ^= bitmask[flip_rows]
-                    store_regs[flip_regs, flip_rows] ^= bitmask[flip_rows]
-                    first_inj[flip_rows] = t
+            # --- pre-tick system-input flips (input rows)
+            if inputs:
+                self._flip_inputs(t, regs, store_regs)
 
-            # --- pre-tick periodic memory flips (memory/recovery rows)
+            # --- pre-tick periodic memory flips (memory rows)
             if mem is not None:
                 mem.pre_tick(t)
 
@@ -164,12 +142,7 @@ class WatertankVectorKernel(BatchKernel):
             self._invoke("TIMER")
 
             # --- the slot's module(s)
-            if rec is None:
-                self._dispatch(store_slot, n)
-            else:
-                self._dispatch_golden(
-                    (t + 1) % self.n_slots, store_slot, retired
-                )
+            self._dispatch(t, store_slot, n)
 
             # --- monitor bank (end of each dispatch cycle)
             if bank is not None and t % self.n_slots == self.n_slots - 1:
@@ -195,7 +168,7 @@ class WatertankVectorKernel(BatchKernel):
             P["total_inflow_m3"] += inflow * dt
             P["time_s"] += dt
 
-            # --- _observe_safety (memory/recovery rows)
+            # --- _observe_safety (only memory rows read the verdict)
             if mem is not None:
                 level = P["level_m"]
                 bad = (level > C.ALARM_LEVEL_M) & (store_alarm == 0)
@@ -206,25 +179,10 @@ class WatertankVectorKernel(BatchKernel):
                     | (missed > C.ALARM_GRACE_TICKS)
                 )
 
-        self._mem = self._rec = None
         vector_stats.batched_ticks += n * mission
-
-        injected = first_inj >= 0
-        return GroupResult(
-            retired=retired.tolist(),
-            injected=injected.tolist(),
-            first_injection_tick=[
-                int(v) if v >= 0 else None for v in first_inj
-            ],
-            completion_tick=[mission - 1] * n,
-            streams=rec,
-            bank=[bank.row_records(r) for r in range(n)] if bank else None,
-            failed=failed.tolist() if failed is not None else None,
-            actions=(
-                bank.actions.tolist()
-                if bank is not None and hasattr(bank, "actions")
-                else None
-            ),
+        return self._result(
+            np.full(n, mission - 1), bank,
+            failed if mem is not None else None,
         )
 
     # ------------------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.experiments import (
     run_table5,
 )
 from repro.experiments.context import ExperimentContext, SCALES, default_scale
+from repro.experiments.runner import CAMPAIGNS_OF, EXPERIMENTS
 from repro.experiments.paper_data import PAPER_EH_SET, PAPER_PA_SET
 from repro.edm.catalogue import EH_SET
 
@@ -42,6 +43,36 @@ class TestContext:
     def test_campaigns_cached(self, ctx):
         assert ctx.permeability_estimate() is ctx.permeability_estimate()
         assert ctx.measured_matrix() is ctx.measured_matrix()
+
+
+class TestCampaignsOf:
+    #: the context accessors an experiment may read its campaigns by
+    ACCESSORS = {
+        "permeability_estimate": "permeability",
+        "measured_matrix": "permeability",
+        "detection_result": "detection",
+        "memory_result": "memory",
+    }
+
+    @pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
+    def test_declares_the_campaigns_it_reads(self, ctx, monkeypatch, exp_id):
+        """``run_all`` runs each selection's campaigns up front from
+        CAMPAIGNS_OF, so the declaration must name exactly what the
+        experiment reads from its context."""
+        read = set()
+        for name, campaign in self.ACCESSORS.items():
+            def spy(*args, _read=getattr(ctx, name), _campaign=campaign):
+                read.add(_campaign)
+                return _read(*args)
+
+            monkeypatch.setattr(ctx, name, spy)
+        EXPERIMENTS[exp_id](ctx)
+        assert read == set(CAMPAIGNS_OF[exp_id])
+
+    def test_lone_experiment_runs_only_its_campaign(self):
+        ctx = ExperimentContext(scale="test", seed=2002)
+        run_table4(ctx)
+        assert list(ctx.telemetries) == ["detection"]
 
 
 class TestTable1:

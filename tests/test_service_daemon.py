@@ -252,6 +252,79 @@ class TestOfflineClient:
             client.drain()
 
 
+class TestConnectionLost:
+    """A daemon that resets or closes a connection mid-request: the
+    client raises ServiceError, so ``status --follow`` and ``submit
+    --wait`` print ``error: ...`` and exit 2 instead of a traceback."""
+
+    @staticmethod
+    def stub_daemon(spool, mode):
+        """A socket server that answers ``submit`` and, on any other
+        request, resets the connection (closes it with the request
+        unread) or closes it after one non-final status line."""
+        from repro.service.daemon import socket_path_for
+
+        os.makedirs(spool, exist_ok=True)
+        server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        server.bind(socket_path_for(spool))
+        server.listen(4)
+
+        def serve():
+            while True:
+                try:
+                    conn, _ = server.accept()
+                except OSError:
+                    return  # the test closed the server
+                with conn:
+                    peeked = b""
+                    while not peeked.endswith(b"\n"):
+                        peeked = conn.recv(4096, socket.MSG_PEEK)
+                    request = json.loads(peeked)
+                    if request["op"] == "submit":
+                        conn.recv(len(peeked))
+                        conn.sendall(b'{"ok": true, "job": 1}\n')
+                    elif mode == "close":
+                        conn.recv(len(peeked))
+                        conn.sendall(json.dumps({
+                            "ok": True, "queue": {}, "counters": {},
+                            "jobs": [{
+                                "id": 1, "experiment": "table1",
+                                "state": "running", "attempts": 1,
+                                "workers": 1,
+                            }],
+                        }).encode() + b"\n")
+                    # "reset": closed with the request unread
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        return server, thread
+
+    @pytest.mark.parametrize("mode", ["reset", "close"])
+    def test_cli_reports_a_lost_daemon(self, tmp_path, capsys, mode):
+        from repro.__main__ import main as repro_main
+
+        spool = str(tmp_path / "spool")
+        server, thread = self.stub_daemon(spool, mode)
+        try:
+            if mode == "reset":
+                client = ServiceClient(spool)
+                with pytest.raises(ServiceError):
+                    client.request({"op": "ping"})
+                with pytest.raises(ServiceError):
+                    list(client.status_stream())
+            assert repro_main(["status", "--follow", "--spool", spool]) == 2
+            assert "error: " in capsys.readouterr().err
+            assert repro_main([
+                "submit", "table1", "--wait", "--spool", spool,
+            ]) == 2
+            captured = capsys.readouterr()
+            assert "job #1 submitted" in captured.out
+            assert "error: " in captured.err
+        finally:
+            server.close()
+            thread.join(timeout=5)
+
+
 # ======================================================================
 # Crash recovery, against a subprocess daemon running real campaigns.
 # ======================================================================

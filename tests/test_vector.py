@@ -1,10 +1,12 @@
 """The vectorized batch core: bit-identical to the scalar path.
 
-Two layers of A/B coverage: :class:`~repro.fi.vector.BatchRunner`
+Three layers of A/B coverage: :class:`~repro.fi.vector.BatchRunner`
 directly against the campaigns' scalar ``_one_run`` (fast, surgical —
-including forced tick-0 dispatch divergence), and whole campaigns with
-``batch_width`` on vs off (serial in the default suite, the process
-backend under the ``slow`` marker; adaptive batched campaigns on both).
+including forced tick-0 dispatch divergence), whole campaigns with
+``batch_width`` on vs off (two groups on a two-worker pool, serial
+and process under the ``slow`` marker; adaptive batched campaigns on
+both), and the whole test-scale reproduction, whose campaigns share
+one batch.
 """
 
 import random
@@ -22,9 +24,10 @@ from repro.fi import counters
 from repro.fi.executor import AdaptivePolicy, CampaignConfig, VectorPolicy
 from repro.fi.memory import MemoryMap
 from repro.fi.vector import (
+    BatchPart,
     BatchRunner,
     MemoryFlipPlan,
-    wrap_runner,
+    wrap_runners,
 )
 from repro.edm.catalogue import EA_BY_NAME
 from repro.target.simulation import ArrestmentSimulator
@@ -54,7 +57,7 @@ def arrestment_cases():
     return [cases[4], cases[20]]
 
 
-def batch_vs_scalar(kind, campaign, tasks, width=16, **kwargs):
+def batch_vs_scalar(kind, campaign, tasks, **kwargs):
     """Outcomes of a BatchRunner over *tasks* next to the scalar
     reference, plus the vector-stats delta of the batched pass."""
 
@@ -63,7 +66,7 @@ def batch_vs_scalar(kind, campaign, tasks, width=16, **kwargs):
 
     rows = [campaign._row(task) for task in tasks]
     runner = BatchRunner(
-        kind, rows, scalar, width, campaign.factory, **kwargs
+        [BatchPart(kind, rows, scalar, **kwargs)], campaign.factory
     )
     assert runner._kernel is not None, "kernel refused the target"
     before = counters.snapshot()
@@ -186,8 +189,8 @@ class TestWatertankKernel:
         assert batched == reference
         assert delta["vec_groups"] == 1  # one group for both cases
         assert delta["vec_cross_case_groups"] == 1  # counted as cross-case
-        # one group's slots at width 16
-        assert delta["vec_group_capacity"] == 16
+        # the group's planned rows
+        assert delta["vec_group_capacity"] == len(tasks)
 
     def test_recovery_rows_match_scalar(self, tank_cases):
         specs = tank_assertions()
@@ -404,12 +407,16 @@ class TestBatchWork:
     never which rows a batch holds, how many row-ticks it simulates or
     which rows retire — even where the outcomes would still match."""
 
-    #: campaign -> (groups, rows answered, batched row-ticks, retired)
+    #: campaign -> (groups, rows answered, batched row-ticks, retired),
+    #: each campaign run alone
     PINNED = {
         "permeability": (1, 72, 437373, 6),
         "detection": (1, 40, 218680, 0),
         "memory": (1, 13, 54006, 0),
     }
+    #: the same rows when ``run_all`` runs the three campaigns in one
+    #: batch: one group, the sums of the three above
+    PINNED_RUN_ALL = (1, 125, 710059, 6)
 
     @pytest.fixture(scope="class")
     def counts(self):
@@ -433,11 +440,51 @@ class TestBatchWork:
         ) == self.PINNED[campaign]
         assert c["vec_scalar_fallbacks"] == 0
 
+    def test_run_all_is_one_batch(self):
+        from repro.experiments.context import ExperimentContext
+        from repro.experiments.runner import run_all
+
+        ctx = ExperimentContext(scale="test", seed=2002)
+        run_all(ctx, echo=lambda line: None)
+        total = Counter()
+        for telemetry in ctx.telemetries.values():
+            total.update(telemetry.counts)
+        assert (
+            total["vec_groups"], total["vec_rows"],
+            total["vec_batched_ticks"], total["vec_retired_rows"],
+        ) == self.PINNED_RUN_ALL
+        assert total["vec_scalar_fallbacks"] == 0
+        # the campaign that computes the group counts it
+        assert ctx.telemetries["permeability"].counts["vec_groups"] == 1
+
+
+class TestReproductionAB:
+    """The whole test-scale reproduction, whose campaigns share one
+    batch, reports byte for byte what the scalar path reports."""
+
+    @staticmethod
+    def report(**options):
+        from repro.experiments.context import ExperimentContext
+        from repro.experiments.runner import run_all
+
+        lines = []
+        run_all(ExperimentContext(scale="test", **options), echo=lines.append)
+        return lines
+
+    @pytest.mark.parametrize("options", [
+        {}, {"jobs": 2}, {"adaptive": True}, {"adaptive": True, "jobs": 2},
+    ], ids=["serial", "jobs2", "adaptive", "adaptive-jobs2"])
+    def test_batched_equals_scalar(self, options):
+        assert self.report(**options) == self.report(
+            batch_width=0, **options
+        )
+
 
 #: the two sides of the campaign A/B tests: the scalar path is the
-#: oracle, and it has to be asked for now that batching is the default
+#: oracle, and it has to be asked for now that batching is the default;
+#: the batched side runs two workers, so its rows form two groups
 SCALAR = CampaignConfig(vector=VectorPolicy(batch_width=0))
-BATCHED = CampaignConfig(vector=VectorPolicy(batch_width=32))
+BATCHED = CampaignConfig(jobs=2)
 
 
 class TestCampaignAB:
@@ -567,13 +614,14 @@ class TestCampaignAB:
         def runner(index):
             return index
 
-        assert wrap_runner(
-            "detection", runner, [],
-            CampaignConfig(vector=VectorPolicy(batch_width=0)), tank_factory,
-        ) is runner
-        assert wrap_runner(
-            "detection", runner, [], CampaignConfig(), tank_factory
-        ) is runner
+        parts = [BatchPart("detection", [], runner)]
+        assert wrap_runners(
+            parts, [CampaignConfig(vector=VectorPolicy(batch_width=0))],
+            [tank_factory],
+        ) == [runner]
+        assert wrap_runners(
+            parts, [CampaignConfig()], [tank_factory]
+        ) == [runner]
 
 
 class TestAdaptiveBatched:
@@ -628,12 +676,50 @@ class TestAdaptiveBatched:
         assert rows == sum(event["vec_rows"] for event in run_ends) > 0
         assert f" | vector {rows} rows in " in telemetry.render()
         if jobs > 1:
-            # later rounds' pools fork with the outcomes the first
-            # round's worker shipped home: each group is computed once
+            # later rounds serve the outcomes the first round's workers
+            # shipped home: each of the jobs groups is computed once
             _, serial = self.run(kind, tank_cases, 1, 32)
-            for name in ("vec_groups", "vec_batched_ticks",
-                         "vec_retired_rows"):
+            assert telemetry.counts["vec_groups"] == jobs
+            for name in ("vec_batched_ticks", "vec_retired_rows"):
                 assert telemetry.counts[name] == serial.counts[name]
+
+    def test_pool_forks_only_for_uncached_rounds(
+        self, tank_cases, tmp_path, monkeypatch
+    ):
+        """A pooled adaptive round whose every outcome the batch
+        already holds runs in process: only the first round, which
+        computes the groups, forks (and runs the drift sentinel)."""
+        import json
+        import multiprocessing.pool
+
+        forked = []
+        pool_type = multiprocessing.pool.Pool
+
+        class CountingPool(pool_type):
+            def __init__(self, *args, **kwargs):
+                forked.append(1)
+                super().__init__(*args, **kwargs)
+
+        scalar, _ = self.run("detection", tank_cases, 2, 0)
+        monkeypatch.setattr(multiprocessing.pool, "Pool", CountingPool)
+        log = tmp_path / "events.jsonl"
+        batched, telemetry = self.run(
+            "detection", tank_cases, 2, 32, str(log)
+        )
+        assert batched == scalar
+        starts = [
+            event
+            for event in map(json.loads, log.read_text().splitlines())
+            if event["event"] == "run_start"
+        ]
+        assert len(starts) >= 2  # several adaptive rounds
+        assert forked == [1]
+        assert [s["backend"] for s in starts] == (
+            ["process"] + ["serial"] * (len(starts) - 1)
+        )
+        assert all(s.get("cached") for s in starts[1:])
+        assert telemetry.cached_rounds == len(starts) - 1
+        assert "cached-rounds=" in telemetry.render()
 
 
 class TestDetectionTracks:

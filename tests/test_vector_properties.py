@@ -1,13 +1,16 @@
 """Property tests: a batch of N rows equals N scalar runs.
 
 Hypothesis drives random modules/ports/signals, injection ticks, bits
-and batch widths through :class:`~repro.fi.vector.BatchRunner` on both
+and group counts through :class:`~repro.fi.vector.BatchRunner` on both
 targets and requires bit-identical outcomes against the campaigns'
 scalar ``_one_run``.  Permeability batches always mix modules.
 Explicit examples pin the two structural edge cases: tick-0 dispatch
 divergence (the diverged rows retire) and rows whose flip lands on
 the very last tick; the arrestment memory examples pin flips on the
 dispatch chain, on stack cells and on RAM cells that re-quantize.
+Mixed groups — permeability, detection and memory rows of three
+campaigns in one batch, as a reproduction runs them — answer every
+row exactly as single-kind groups of the same rows do.
 """
 
 import pytest
@@ -20,7 +23,7 @@ from repro.fi.campaign import (
     PermeabilityCampaign,
 )
 from repro.fi.memory import MemoryMap
-from repro.fi.vector import BatchRunner
+from repro.fi.vector import BatchPart, BatchRunner
 from repro.edm.catalogue import EA_BY_NAME
 from repro.target.simulation import ArrestmentSimulator
 from repro.target.testcases import standard_test_cases
@@ -110,22 +113,37 @@ def arrest_det():
     )
 
 
-def check_batch(kind, campaign, tasks, width, **kwargs):
+def part_of(kind, campaign, tasks, **kwargs):
+    """*tasks* of *campaign* as one part of a batch."""
+
     def scalar(index):
         return campaign._one_run(*tasks[index])
 
     rows = [campaign._row(task) for task in tasks]
-    runner = BatchRunner(
-        kind, rows, scalar, width, campaign.factory, **kwargs
-    )
+    return BatchPart(kind, rows, scalar, **kwargs)
+
+
+def check_batch(kind, campaign, tasks, groups, **kwargs):
+    part = part_of(kind, campaign, tasks, **kwargs)
+    runner = BatchRunner([part], campaign.factory, groups)
     batched = [runner(i) for i in range(len(tasks))]
-    assert batched == [scalar(i) for i in range(len(tasks))]
+    assert batched == [part.inner(i) for i in range(len(tasks))]
+
+
+def check_mixed(factory, parts, groups):
+    """Every part's rows answered by groups mixing all parts equal
+    their answers from a batch of that part alone."""
+    views = BatchRunner(parts, factory, groups).views()
+    for part, view in zip(parts, views):
+        alone = BatchRunner([part], factory)
+        n = len(part.rows)
+        assert [view(i) for i in range(n)] == [alone(i) for i in range(n)]
 
 
 def perm_rows(ports, max_tick):
-    """(rows of (module, port_i, case_i, tick, bit_i), width); the
-    first two rows — batched together at any width — differ in module,
-    so every example runs a mixed-module batch."""
+    """(rows of (module, port_i, case_i, tick, bit_i), groups); the
+    first two rows differ in module, so every example whose first
+    group holds both runs a mixed-module batch."""
     return st.tuples(
         st.lists(
             st.tuples(
@@ -138,7 +156,7 @@ def perm_rows(ports, max_tick):
             min_size=2,
             max_size=5,
         ).filter(lambda rows: rows[0][0] != rows[1][0]),
-        st.integers(2, 6),  # batch width
+        st.integers(1, 3),  # groups
     )
 
 
@@ -167,12 +185,12 @@ def det_rows(max_tick):
             min_size=2,
             max_size=5,
         ),
-        st.integers(2, 6),
+        st.integers(1, 3),
     )
 
 
 def mem_rows():
-    """(rows of (location_i, case_i, bit_i, phase_i), width)."""
+    """(rows of (location_i, case_i, bit_i, phase_i), groups)."""
     return st.tuples(
         st.lists(
             st.tuples(
@@ -184,8 +202,69 @@ def mem_rows():
             min_size=2,
             max_size=5,
         ),
-        st.integers(2, 6),
+        st.integers(1, 3),
     )
+
+
+def mixed_rows(ports, max_tick):
+    """(permeability rows, detection rows, memory rows, groups), one
+    to three rows of each kind, drawn as :func:`perm_rows`,
+    :func:`det_rows` and :func:`mem_rows` draw theirs."""
+    return st.tuples(
+        st.lists(
+            st.tuples(
+                st.sampled_from(sorted(ports)), st.integers(0, 7),
+                st.integers(0, 1), st.integers(0, max_tick - 1),
+                st.integers(0, 63),
+            ),
+            min_size=1, max_size=3,
+        ),
+        st.lists(
+            st.tuples(
+                st.integers(0, 7), st.integers(0, 1),
+                st.integers(0, max_tick - 1), st.integers(0, 63),
+            ),
+            min_size=1, max_size=3,
+        ),
+        st.lists(
+            st.tuples(
+                st.integers(0, 511), st.integers(0, 1),
+                st.integers(0, 7), st.integers(0, 511),
+            ),
+            min_size=1, max_size=3,
+        ),
+        st.integers(1, 2),
+    )
+
+
+def check_mixed_drawn(perm, det, mem, ports, drawn):
+    perm_rows, det_rows, mem_rows, groups = drawn
+    check_mixed(perm.factory, [
+        part_of(
+            "permeability", perm, build_perm_tasks(perm, ports, perm_rows),
+            goldens=perm.goldens,
+        ),
+        part_of(
+            "detection", det, build_det_tasks(det, det_rows),
+            specs=det.specs,
+        ),
+        part_of(
+            "memory", mem, build_mem_tasks(mem, mem_rows), specs=mem.specs,
+        ),
+    ], groups)
+
+
+#: the recorder-mask trap: a memory flip of a CLOCK/TIMER successor
+#: cell (location 4) sends its row through a module slot off the
+#: golden schedule while a permeability row of that module waits for
+#: its flip; the off-schedule invocation must neither flip nor record
+#: the permeability row
+MASK_TRAP = {
+    "tank": ([("LEVEL_S", 0, 0, 30, 6)], [(0, 1, 50, 3)], [(4, 0, 4, 3)], 1),
+    "arrestment": (
+        [("PRES_S", 0, 0, 30, 6)], [(0, 1, 50, 3)], [(4, 0, 4, 3)], 1,
+    ),
+}
 
 
 def build_mem_tasks(campaign, rows):
@@ -229,21 +308,21 @@ class TestWatertankProperties:
         drawn=(
             [("TIMER", 0, 0, 0, 0), ("TIMER", 0, 1, 0, 1),
              ("LEVEL_S", 0, 1, 0, 3)],
-            4,
+            1,
         )
     )
     @example(
         drawn=(
             [("CTRL", 0, 0, TANK_TICKS - 1, 2), ("FLOW_S", 0, 1, 0, 0),
              ("CTRL", 2, 0, 77, 5)],
-            2,
+            1,
         )
     )
     def test_permeability_batch_equals_scalar(self, tank_perm, drawn):
-        rows, width = drawn
+        rows, groups = drawn
         tasks = build_perm_tasks(tank_perm, TANK_PORTS, rows)
         check_batch(
-            "permeability", tank_perm, tasks, width,
+            "permeability", tank_perm, tasks, groups,
             goldens=tank_perm.goldens,
         )
 
@@ -252,12 +331,12 @@ class TestWatertankProperties:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(drawn=det_rows(TANK_TICKS))
-    @example(drawn=([(0, 0, 0, 9), (1, 1, TANK_TICKS - 1, 0)], 3))
+    @example(drawn=([(0, 0, 0, 9), (1, 1, TANK_TICKS - 1, 0)], 1))
     def test_detection_batch_equals_scalar(self, tank_det, drawn):
-        rows, width = drawn
+        rows, groups = drawn
         tasks = build_det_tasks(tank_det, rows)
         check_batch(
-            "detection", tank_det, tasks, width, specs=tank_det.specs
+            "detection", tank_det, tasks, groups, specs=tank_det.specs
         )
 
     @settings(
@@ -265,14 +344,26 @@ class TestWatertankProperties:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(drawn=mem_rows())
-    @example(drawn=([(0, 0, 0, 0), (0, 1, 0, 0)], 4))  # cross-case pair
-    @example(drawn=([(79, 0, 3, 19), (79, 1, 3, 19), (200, 0, 1, 0)], 2))
+    @example(drawn=([(0, 0, 0, 0), (0, 1, 0, 0)], 1))  # cross-case pair
+    @example(drawn=([(79, 0, 3, 19), (79, 1, 3, 19), (200, 0, 1, 0)], 1))
     def test_memory_batch_equals_scalar(self, tank_mem, drawn):
-        rows, width = drawn
+        rows, groups = drawn
         tasks = build_mem_tasks(tank_mem, rows)
         check_batch(
-            "memory", tank_mem, tasks, width, specs=tank_mem.specs,
+            "memory", tank_mem, tasks, groups, specs=tank_mem.specs,
         )
+
+
+    @settings(
+        max_examples=10, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(drawn=mixed_rows(TANK_PORTS, TANK_TICKS))
+    @example(drawn=MASK_TRAP["tank"])
+    def test_mixed_groups_equal_single_kind_groups(
+        self, tank_perm, tank_det, tank_mem, drawn
+    ):
+        check_mixed_drawn(tank_perm, tank_det, tank_mem, TANK_PORTS, drawn)
 
 
 @pytest.mark.slow
@@ -286,20 +377,20 @@ class TestArrestmentProperties:
         drawn=(
             [("CLOCK", 0, 0, 0, 0), ("CLOCK", 0, 1, 0, 3),
              ("V_REG", 1, 0, 0, 4)],
-            4,
+            1,
         )
     )
     @example(
         drawn=(
             [("DIST_S", 0, 0, ARREST_TICKS - 1, 1), ("CALC", 1, 1, 10, 0)],
-            2,
+            1,
         )
     )
     def test_permeability_batch_equals_scalar(self, arrest_perm, drawn):
-        rows, width = drawn
+        rows, groups = drawn
         tasks = build_perm_tasks(arrest_perm, ARREST_PORTS, rows)
         check_batch(
-            "permeability", arrest_perm, tasks, width,
+            "permeability", arrest_perm, tasks, groups,
             goldens=arrest_perm.goldens,
         )
 
@@ -308,12 +399,12 @@ class TestArrestmentProperties:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(drawn=det_rows(ARREST_TICKS))
-    @example(drawn=([(3, 0, 0, 2), (0, 1, ARREST_TICKS - 1, 0)], 3))
+    @example(drawn=([(3, 0, 0, 2), (0, 1, ARREST_TICKS - 1, 0)], 1))
     def test_detection_batch_equals_scalar(self, arrest_det, drawn):
-        rows, width = drawn
+        rows, groups = drawn
         tasks = build_det_tasks(arrest_det, rows)
         check_batch(
-            "detection", arrest_det, tasks, width, specs=arrest_det.specs
+            "detection", arrest_det, tasks, groups, specs=arrest_det.specs
         )
 
     @settings(
@@ -322,18 +413,31 @@ class TestArrestmentProperties:
     )
     @given(drawn=mem_rows())
     # CLOCK's successor table: flips re-wire the dispatch cycle
-    @example(drawn=([(4, 0, 0, 3), (13, 1, 2, 17), (21, 0, 1, 0)], 3))
+    @example(drawn=([(4, 0, 0, 3), (13, 1, 2, 17), (21, 0, 1, 0)], 1))
     # the ms_slot_nbr backing store: the slot number itself
-    @example(drawn=([(22, 0, 1, 5), (22, 1, 0, 11)], 2))
+    @example(drawn=([(22, 0, 1, 5), (22, 1, 0, 11)], 1))
     # stack cells: CLOCK's next_slot local, V_REG.err's sign byte and
     # the DIST_S.TIC1 argument
-    @example(drawn=([(79, 0, 2, 0), (107, 1, 7, 9), (81, 0, 4, 19)], 4))
+    @example(drawn=([(79, 0, 2, 0), (107, 1, 7, 9), (81, 0, 4, 19)], 1))
     # RAM cells that re-quantize after the flip: V_REG.integ's sign bit
     # (INT) and the stopped flag's backing store (BOOL)
-    @example(drawn=([(72, 0, 7, 6), (45, 1, 0, 13)], 2))
+    @example(drawn=([(72, 0, 7, 6), (45, 1, 0, 13)], 1))
     def test_memory_batch_equals_scalar(self, arrest_mem, drawn):
-        rows, width = drawn
+        rows, groups = drawn
         tasks = build_mem_tasks(arrest_mem, rows)
         check_batch(
-            "memory", arrest_mem, tasks, width, specs=arrest_mem.specs,
+            "memory", arrest_mem, tasks, groups, specs=arrest_mem.specs,
+        )
+
+    @settings(
+        max_examples=6, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(drawn=mixed_rows(ARREST_PORTS, ARREST_TICKS))
+    @example(drawn=MASK_TRAP["arrestment"])
+    def test_mixed_groups_equal_single_kind_groups(
+        self, arrest_perm, arrest_det, arrest_mem, drawn
+    ):
+        check_mixed_drawn(
+            arrest_perm, arrest_det, arrest_mem, ARREST_PORTS, drawn
         )
