@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core.permeability import PermeabilityMatrix
 from repro.analysis.estimators import matrix_from_estimate

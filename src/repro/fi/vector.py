@@ -94,7 +94,7 @@ from __future__ import annotations
 
 import bisect
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.fi.counters import Counters
@@ -1346,10 +1346,7 @@ class BatchRunner:
 
     def views(self) -> List["BatchView"]:
         """Each part's view, in part order."""
-        return [
-            BatchView(self, offset, len(part.rows))
-            for offset, part in zip(self._offsets, self._parts)
-        ]
+        return [BatchView(self, offset) for offset in self._offsets]
 
     # ------------------------------------------------------------------
     # Pre-fork preparation: plan, templates, golden streams.
@@ -1647,10 +1644,9 @@ class BatchView:
     them.  Shipped outcomes are runner-wide, so a pool worker of one
     campaign also ships home the rows of the others."""
 
-    def __init__(self, batch: BatchRunner, offset: int, n: int):
+    def __init__(self, batch: BatchRunner, offset: int):
         self.batch = batch
         self._offset = offset
-        self._n = n
 
     def __call__(self, index: int) -> Any:
         return self.batch(self._offset + index)
