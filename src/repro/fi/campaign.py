@@ -117,7 +117,12 @@ from repro.fi.models import (
     PeriodicMemoryFlip,
 )
 from repro.fi.snapshot import FastForward
-from repro.fi.vector import BatchPart, RowInjection, wrap_runners
+from repro.fi.vector import (
+    BatchPart,
+    RowInjection,
+    vector_stats,
+    wrap_runners,
+)
 from repro.target.testcases import TestCase
 
 __all__ = [
@@ -304,7 +309,8 @@ def run_campaigns(campaigns: Sequence["_Campaign"]) -> List[Any]:
     campaign executes in order with its own executor, auditor,
     fingerprint, golden sentinel, checkpoint and adaptive or fixed-n
     schedule.  Its telemetry counts its own draw, track preload and
-    execution, each once; a shared group's ``vec_`` counters land in
+    execution, each once, and its own planned rows as its group
+    capacity; the other ``vec_`` counters of a shared group land in
     the campaign whose execution computes it.  Every executor is
     closed on every exit path.
     """
@@ -331,6 +337,9 @@ def run_campaigns(campaigns: Sequence["_Campaign"]) -> List[Any]:
             [campaign.config for campaign in campaigns],
             [campaign.factory for campaign in campaigns],
         )
+        for executor, runner in zip(executors, runners):
+            with executor.counted():
+                vector_stats.group_capacity += getattr(runner, "planned", 0)
         return [
             campaign._result(*_execute(campaign, executor, plan, runner))
             for campaign, executor, plan, runner in zip(

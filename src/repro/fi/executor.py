@@ -838,8 +838,8 @@ class CampaignTelemetry:
 
     @property
     def vec_occupancy(self) -> float:
-        """Answered rows over the rows planned into the groups this run
-        computed (a shared group counts in the campaign computing it)."""
+        """Answered rows over the campaign's own rows planned into
+        groups."""
         capacity = self.counts.get("vec_group_capacity", 0)
         return self.counts.get("vec_rows", 0) / capacity if capacity else 0.0
 
@@ -909,8 +909,11 @@ class CampaignTelemetry:
                 f" in {c['vec_groups']} groups"
                 f" ({c['vec_batched_ticks']} batched ticks,"
                 f" {c['vec_retired_rows']} retired,"
-                f" {c['vec_scalar_fallbacks']} scalar)"
+                f" {c['vec_scalar_fallbacks']} scalar"
             )
+            if c["vec_tail_rows"]:
+                text += f", {c['vec_tail_rows']} tail"
+            text += ")"
             if c["vec_group_capacity"]:
                 text += (
                     f" occupancy={self.vec_occupancy:.0%}"

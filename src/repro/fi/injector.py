@@ -143,6 +143,22 @@ class FaultInjector:
     def _record(self, tick: int, target: str, before: Number, after: Number) -> None:
         self.events.append(InjectionEvent(tick, target, before, after))
 
+    def resume(
+        self, first_tick: Optional[int], armed: bool = False
+    ) -> "FaultInjector":
+        """Seed this injector for a run restored mid-engagement from a
+        state in which its spec already struck: first at *first_tick*
+        (``None``: not yet, so a one-shot flip is still ahead), and
+        with a stack strike *armed* but not yet consumed.  The flips
+        before the resume point stand as one event at *first_tick*
+        without values, which is all :attr:`injected` and
+        :attr:`first_injection_tick` read."""
+        if first_tick is not None:
+            self._record(first_tick, self.spec.label, None, None)
+            self._done = True
+        self._armed = armed
+        return self
+
     # ------------------------------------------------------------------
     # InputSignalFlip.
     # ------------------------------------------------------------------

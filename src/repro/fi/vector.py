@@ -37,7 +37,7 @@ differ, keep groups of their own.
 Correctness contract
 --------------------
 Batching is a pure execution strategy: outcomes are **bit-identical**
-to the scalar path.  Four mechanisms keep that true:
+to the scalar path.  Five mechanisms keep that true:
 
 * every kernel is a transcription of the scalar simulator's per-tick
   arithmetic onto int64/float64 arrays (same operation order, same
@@ -52,7 +52,13 @@ to the scalar path.  Four mechanisms keep that true:
   scalar path, and an invocation run only for other rows' off-schedule
   slots neither flips nor records a permeability row;
 * rows selected for an integrity audit, or running under chaos-test
-  instrumentation, never enter a batch at all.
+  instrumentation, never enter a batch at all;
+* rows that finish on the scalar simulator — the arrestment kernel's
+  sparse tail, the last few rows of a long group — resume from their
+  state exported out of the batch (:meth:`BatchCells.column`), with
+  their injector (:meth:`repro.fi.injector.FaultInjector.resume`) and
+  monitor bank (:meth:`BankArrays.row_snapshot`) where the batch left
+  them, so the scalar path itself computes their remaining ticks.
 
 Layout and dispatch
 -------------------
@@ -97,7 +103,11 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.edm.monitors import MonitorBank
 from repro.fi.counters import Counters
+from repro.fi.injector import FaultInjector
+from repro.fi.memory import CellKind, MemoryLocation, Region
+from repro.fi.models import InputSignalFlip, PeriodicMemoryFlip
 from repro.model.signal import SignalType
 
 try:
@@ -130,7 +140,7 @@ __all__ = [
 #: ``vec_`` keys of the counter table in docs/campaigns.md)
 vector_stats = Counters(
     "vec_", "batched_ticks", "retired_rows", "groups", "rows",
-    "scalar_fallbacks", "cross_case_groups", "group_capacity",
+    "scalar_fallbacks", "cross_case_groups", "group_capacity", "tail_rows",
 )
 
 
@@ -181,6 +191,9 @@ class GroupJob:
     specs: Sequence[Any] = ()
     policies: Any = None  #: recovery: {ea name -> RecoveryPolicy}
     recover: bool = False  #: recovery: containment pass (vs baseline)
+    #: test case -> a fresh simulator, for rows a kernel finishes on
+    #: the scalar path (``None``: every row stays in the batch)
+    factory: Optional[Callable[[Any], Any]] = None
 
 
 @dataclass
@@ -326,6 +339,26 @@ class BankArrays:
             first = int(self._first_fire[spec.name][row])
             out[spec.name] = (count, first if first >= 0 else None)
         return out
+
+    def row_snapshot(self, row: int) -> Dict[str, tuple]:
+        """One row's state as a scalar bank's
+        :meth:`~repro.edm.monitors.MonitorBank.snapshot`."""
+        return {
+            name: (
+                int(self._prev[name][row])
+                if self._has_prev[name][row] else None,
+                count, first,
+            )
+            for name, (count, first) in self.row_records(row).items()
+        }
+
+    def restore_row(self, row: int, snapshot: Dict[str, tuple]) -> None:
+        """Overwrite one row's state from a scalar bank's snapshot."""
+        for name, (prev, count, first) in snapshot.items():
+            self._has_prev[name][row] = prev is not None
+            self._prev[name][row] = 0 if prev is None else prev
+            self._fire_count[name][row] = count
+            self._first_fire[name][row] = -1 if first is None else first
 
 
 class RecoveringBankArrays(BankArrays):
@@ -473,6 +506,17 @@ class BatchCells:
                 cells, self.data[start:start + len(cells)]
             )
             start += len(cells)
+
+    def column(self, r: int):
+        """Batch row *r*'s cells as a ``(signals, modules)`` pair of
+        dicts in the templates' shape: the inverse of the seeding."""
+        values = iter(self.data[:, r].tolist())
+        signals = dict(zip(self.signals, values))
+        modules = {
+            module: dict(zip(block, values))
+            for module, block in self.modules.items()
+        }
+        return signals, modules
 
 
 # ======================================================================
@@ -897,26 +941,79 @@ class BatchKernel:
         ins, outs, _, _ = self.ports[module]
         return ins, outs
 
+    def _memory_cell(self, inj: RowInjection):
+        """A memory row's ``(cell type, width)``, or ``None`` for a
+        cell the system does not have."""
+        kind = inj.memory_kind
+        if kind == "state":
+            return self.state_spec.get((inj.module, inj.cell))
+        if kind == "signal":
+            return self.quant.get(inj.cell)
+        if kind == "arg":
+            ports = self.ports.get(inj.module)
+            if ports is None or inj.cell not in ports[0]:
+                return None
+            return self.quant.get(ports[2][ports[0].index(inj.cell)])
+        if kind == "local":
+            return self.local_spec.get((inj.module, inj.cell))
+        return None
+
     def supports_injection(self, inj: RowInjection) -> bool:
         """Whether a row's injection can strike inside a batch
         (memory rows: int-backed cells the kernel hooks only)."""
-        kind = inj.memory_kind
-        if kind is None:
+        if inj.memory_kind is None:
             return True
-        if kind == "state":
-            spec = self.state_spec.get((inj.module, inj.cell))
-        elif kind == "signal":
-            spec = self.quant.get(inj.cell)
-        elif kind == "arg":
-            ports = self.ports.get(inj.module)
-            if ports is None or inj.cell not in ports[0]:
-                return False
-            spec = self.quant.get(ports[2][ports[0].index(inj.cell)])
-        elif kind == "local":
-            spec = self.local_spec.get((inj.module, inj.cell))
-        else:
-            return False
+        spec = self._memory_cell(inj)
         return spec is not None and spec[0] is not SignalType.FLOAT
+
+    def _scalar_spec(self, inj: RowInjection):
+        """The scalar injector's spec of an ``input`` or ``memory``
+        row: the row's cell as a location whose byte holds its bit."""
+        if inj.kind == "input":
+            return InputSignalFlip(inj.signal, inj.tick, inj.bit)
+        kind = CellKind(inj.memory_kind)
+        location = MemoryLocation(
+            index=-1,
+            region=(
+                Region.RAM if kind in (CellKind.STATE, CellKind.SIGNAL)
+                else Region.STACK
+            ),
+            kind=kind, module=inj.module, cell=inj.cell,
+            byte_offset=inj.bit // 8,
+            cell_width=self._memory_cell(inj)[1],
+        )
+        return PeriodicMemoryFlip(
+            location, inj.bit % 8, period_ticks=inj.period,
+            start_tick=inj.tick,
+        )
+
+    def _finish(self, job: GroupJob, r: int, state, bank):
+        """Run row *r* to its end on the scalar simulator from *state*,
+        the row's exported state at the top of tick ``state.tick``:
+        a fresh simulator restores it, and the row's injector and
+        monitor bank resume where the batch left them.  The row's
+        first injection and bank state come back into the batch's
+        arrays; the caller reads the returned result for the rest."""
+        row = job.rows[r]
+        simulator = job.factory(job.cases[row.case_id])
+        simulator.record_traces = False
+        simulator.restore_state(state, restore_traces=False)
+        first = int(self._first_inj[r])
+        injector = FaultInjector(self._scalar_spec(row.injection))
+        injector.attach(simulator).resume(
+            first if first >= 0 else None,
+            armed=self._mem is not None and bool(self._mem._armed[r]),
+        )
+        monitors = None
+        if bank is not None:
+            monitors = MonitorBank(job.specs).attach(simulator)
+            monitors.restore(bank.row_snapshot(r))
+        result = simulator.run()
+        first = injector.first_injection_tick
+        self._first_inj[r] = -1 if first is None else first
+        if monitors is not None:
+            bank.restore_row(r, monitors.snapshot())
+        return result
 
     @staticmethod
     def _column(job: GroupJob, pick: Callable[[Any], Any],
@@ -1346,7 +1443,10 @@ class BatchRunner:
 
     def views(self) -> List["BatchView"]:
         """Each part's view, in part order."""
-        return [BatchView(self, offset) for offset in self._offsets]
+        return [
+            BatchView(self, offset, len(part.rows))
+            for offset, part in zip(self._offsets, self._parts)
+        ]
 
     # ------------------------------------------------------------------
     # Pre-fork preparation: plan, templates, golden streams.
@@ -1511,6 +1611,7 @@ class BatchRunner:
             templates=self._templates,
             specs=group.specs,
             policies=group.policies,
+            factory=self._factory,
         )
         result = self._kernel.run_group(job)
         wrapped = None
@@ -1521,7 +1622,6 @@ class BatchRunner:
                 dataclasses.replace(job, recover=True)
             )
         vector_stats.groups += 1
-        vector_stats.group_capacity += len(rows)
         if len({row.case_id for row in rows}) > 1:
             vector_stats.cross_case_groups += 1
         outcomes: Dict[int, Any] = {}
@@ -1644,9 +1744,14 @@ class BatchView:
     them.  Shipped outcomes are runner-wide, so a pool worker of one
     campaign also ships home the rows of the others."""
 
-    def __init__(self, batch: BatchRunner, offset: int):
+    def __init__(self, batch: BatchRunner, offset: int, size: int):
         self.batch = batch
         self._offset = offset
+        #: how many of the campaign's rows the runner planned into
+        #: groups: the campaign's group capacity
+        self.planned = sum(
+            offset + i in batch._group_of for i in range(size)
+        )
 
     def __call__(self, index: int) -> Any:
         return self.batch(self._offset + index)

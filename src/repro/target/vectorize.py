@@ -17,6 +17,17 @@ corrupted — schedule, decided over the rows still in the loop), and
 ``arg`` (permeability) rows stay on the golden schedule and retire on
 dispatch divergence, because their recorded invocation streams assume
 it.
+
+A few memory runs never arrest and hold a group's loop to the timeout
+for a handful of rows: the sparse tail.  Once at most
+:data:`TAIL_ROWS` rows are live at the top of a tick, none of them an
+``arg`` row and the pass not a recovery containment pass, the loop
+stops; each live row's state is exported into a
+:class:`~repro.target.simulation.SimulatorState`, restored into a
+fresh simulator with the row's injector and monitor bank resumed, and
+run to its end through :meth:`ArrestmentSimulator.run`.  Its
+completion tick, first injection, bank records and verdict come back
+into the batch's arrays, so outcome assembly does not change.
 """
 
 from __future__ import annotations
@@ -32,11 +43,21 @@ from repro.fi.vector import (
 )
 from repro.target import constants as C
 from repro.target.modules import Clock, DistS, PresS
+from repro.target.simulation import SimulatorState
 
-__all__ = ["ArrestmentVectorKernel"]
+__all__ = ["ArrestmentVectorKernel", "TAIL_ROWS"]
 
 _U8 = 0xFF
 _U16 = 0xFFFF
+
+#: the sparse tail: once at most this many rows are live, none of them
+#: a permeability row, the batch exports them and each finishes on the
+#: scalar simulator.  At bench scale a tick of the loop's tail cost
+#: about 125 us and a scalar row-tick about 13 us, the simulator's
+#: set-up included (2-core host), so 8 rows finish in a fraction of
+#: the loop's time; sweeps of 4-16 did not separate above run-to-run
+#: noise, and from 16 up the exit waits for the last permeability row.
+TAIL_ROWS = 8
 
 
 class ArrestmentVectorKernel(BatchKernel):
@@ -140,9 +161,14 @@ class ArrestmentVectorKernel(BatchKernel):
         abort_distance = C.MAX_STOPPING_DISTANCE_M + C.OVERRUN_ABORT_MARGIN_M
         ret_limit = C.MAX_RETARDATION_G * C.G
         batched = 0
+        #: live rows at or below which the loop hands them to the
+        #: scalar simulator (a containment pass never does)
+        tail = -1 if job.recover or job.factory is None else TAIL_ROWS
 
         t = 0
         while t < max_ticks and n_live:
+            if n_live <= tail and self._pinned is None:
+                break
             batched += n_live
             if rec is not None:
                 rec.tick = t
@@ -229,10 +255,61 @@ class ArrestmentVectorKernel(BatchKernel):
                 self._leave(leave)
             t += 1
 
+        if t < max_ticks and n_live:  # the sparse tail
+            vector_stats.tail_rows += n_live
+            plant = np.array([velocity, distance, pressure]).T.tolist()
+            sensors = np.vstack([regs, mirror]).T.tolist()
+            for r in np.flatnonzero(live).tolist():
+                result = self._finish(job, r, self._state(
+                    t, cells.column(r), plant[r], sensors[r], completion[r]
+                ), bank)
+                completion[r] = (
+                    -1 if result.completion_tick is None
+                    else result.completion_tick
+                )
+                if mem is not None:
+                    kinds[r] |= result.failed
+
         vector_stats.batched_ticks += batched
         return self._result(
             completion, bank,
             kinds | (completion < 0) if mem is not None else None,
+        )
+
+    def _state(self, t, column, plant, sensors, completion):
+        """One live row's state at the top of tick *t*, as
+        :meth:`ArrestmentSimulator.capture_state` would have frozen it,
+        from its cells' :meth:`BatchCells.column` and its plant and
+        sensor values: the inverse of the tick-0 seeding.  No outcome
+        reads the
+        sensors' ``total_pulses``, the loop's ``stop_tick``, the plant's
+        and the classifier's peaks or the classifier's violations (the
+        batch keeps those and ORs in the scalar verdict), so they are
+        placeholders; the plant's force and retardation are too, as the
+        next ``step`` overwrites them."""
+        signals, modules = column
+        velocity, distance, pressure = plant
+        pacnt, tic1, tcnt, adc, mirror = sensors
+        return SimulatorState(
+            tick=t,
+            signals=signals,
+            modules=modules,
+            plant={
+                "velocity_ms": velocity, "distance_m": distance,
+                "pressure_pa": pressure, "force_n": 0.0,
+                "retardation_ms2": 0.0, "peak_force_n": 0.0,
+                "peak_retardation_ms2": 0.0,
+            },
+            sensors={
+                "tcnt": tcnt, "pacnt": pacnt, "tic1": tic1, "adc": adc,
+                "total_pulses": 0, "_pulse_mirror": mirror,
+            },
+            classifier=((), 0.0),
+            loop={
+                "completion": int(completion) if completion >= 0 else None,
+                "stop_tick": None,
+                "ticks_run": t,
+            },
         )
 
     # ------------------------------------------------------------------

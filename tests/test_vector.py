@@ -30,6 +30,7 @@ from repro.fi.vector import (
     wrap_runners,
 )
 from repro.edm.catalogue import EA_BY_NAME
+from repro.target import vectorize
 from repro.target.simulation import ArrestmentSimulator
 from repro.target.vectorize import ArrestmentVectorKernel
 from repro.target.testcases import standard_test_cases
@@ -189,8 +190,12 @@ class TestWatertankKernel:
         assert batched == reference
         assert delta["vec_groups"] == 1  # one group for both cases
         assert delta["vec_cross_case_groups"] == 1  # counted as cross-case
-        # the group's planned rows
-        assert delta["vec_group_capacity"] == len(tasks)
+        # both rows planned into the group: the campaign's capacity
+        rows = [campaign._row(task) for task in tasks]
+        view, = BatchRunner(
+            [BatchPart("memory", rows, None, specs=specs)], campaign.factory
+        ).views()
+        assert view.planned == len(tasks)
 
     def test_recovery_rows_match_scalar(self, tank_cases):
         specs = tank_assertions()
@@ -206,7 +211,17 @@ class TestWatertankKernel:
         assert delta["vec_rows"] > 0
 
 
+@pytest.fixture
+def loop_only(monkeypatch):
+    """No sparse tail: every row runs the kernel loop to its end."""
+    monkeypatch.setattr(vectorize, "TAIL_ROWS", 0)
+
+
+@pytest.mark.usefixtures("loop_only")
 class TestArrestmentKernel:
+    """The kernel loop against the scalar path; its subject is the
+    loop, so no row leaves it for the sparse tail."""
+
     def test_variant_with_other_modules_stays_scalar(self, arrestment_cases):
         """A system with a module the kernel does not transcribe (the
         telemetry variant's REPORT) is never batched."""
@@ -401,22 +416,139 @@ class TestArrestmentKernel:
         assert delta["vec_rows"] > 0
 
 
+class TestSparseTail:
+    """Once at most ``TAIL_ROWS`` rows are live and none is a
+    permeability row, the arrestment kernel exports each live row's
+    state and finishes it on the scalar simulator; outcomes stay
+    bit-identical."""
+
+    @pytest.fixture
+    def exits(self, monkeypatch):
+        """(tick, live arg rows, containment pass, row) per exported
+        row."""
+        seen = []
+        finish = ArrestmentVectorKernel._finish
+
+        def spy(self, job, r, state, bank):
+            seen.append((state.tick, self._pinned, job.recover, r))
+            return finish(self, job, r, state, bank)
+
+        monkeypatch.setattr(ArrestmentVectorKernel, "_finish", spy)
+        return seen
+
+    def test_tail_rows_match_scalar(self, arrestment_cases, exits,
+                                    monkeypatch):
+        """The last eight of twelve memory rows finish as scalar runs
+        through :meth:`ArrestmentSimulator.run`, so traced runs see
+        them; the batch simulates fewer row-ticks than the loop alone."""
+        specs = list(EA_BY_NAME.values())
+        campaign = MemoryCampaign(
+            arrestment_factory, arrestment_cases, specs, seed=5
+        )
+        tasks = memory_tasks(campaign, arrestment_cases, 12, seed=5)
+        runs = []
+        run = ArrestmentSimulator.run
+
+        def spy_run(self):
+            runs.append(self.executor.tick)
+            return run(self)
+
+        monkeypatch.setattr(ArrestmentSimulator, "run", spy_run)
+        batched, reference, delta = batch_vs_scalar(
+            "memory", campaign, tasks, specs=specs,
+        )
+        assert batched == reference
+        assert delta["vec_tail_rows"] == len(exits) == vectorize.TAIL_ROWS
+        tick = exits[0][0]
+        assert tick > 0 and all(exit[0] == tick for exit in exits)
+        # the tail's scalar runs resume at the exit tick
+        assert runs[:len(exits)] == [tick] * len(exits)
+        monkeypatch.setattr(vectorize, "TAIL_ROWS", 0)
+        _, _, loop = batch_vs_scalar("memory", campaign, tasks, specs=specs)
+        assert loop["vec_tail_rows"] == 0
+        assert delta["vec_batched_ticks"] < loop["vec_batched_ticks"]
+
+    def test_live_permeability_row_holds_the_tail(self, arrestment_cases,
+                                                  exits):
+        """A group of four rows is at most eight from tick 0, but its
+        permeability row's recorded stream stays in the batch: the
+        other rows leave only once it has left."""
+        specs = list(EA_BY_NAME.values())
+        perm = PermeabilityCampaign(
+            arrestment_factory, arrestment_cases, runs_per_input=1, seed=3
+        )
+        mem = MemoryCampaign(
+            arrestment_factory, arrestment_cases, specs, seed=5
+        )
+        perm_tasks = [("V_REG", "SetValue", arrestment_cases[1], 300, 13)]
+        mem_tasks = memory_tasks(mem, arrestment_cases, 3, seed=5)
+
+        def part(kind, campaign, tasks, **kwargs):
+            return BatchPart(
+                kind, [campaign._row(task) for task in tasks],
+                lambda i: campaign._one_run(*tasks[i]), **kwargs,
+            )
+
+        parts = [
+            part("permeability", perm, perm_tasks, goldens=perm.goldens),
+            part("memory", mem, mem_tasks, specs=specs),
+        ]
+        views = BatchRunner(parts, arrestment_factory).views()
+        for p, view in zip(parts, views):
+            assert [view(i) for i in range(len(p.rows))] == [
+                p.inner(i) for i in range(len(p.rows))
+            ]
+        assert exits and all(
+            tick > 0 and pinned is None for tick, pinned, _, _ in exits
+        )
+        assert {r for *_, r in exits} <= {1, 2, 3}
+
+    def test_containment_pass_keeps_its_rows(self, arrestment_cases,
+                                             exits):
+        """A recovery group's baseline pass may leave for the tail;
+        its containment pass, whose bank pokes the store, never does."""
+        specs = list(EA_BY_NAME.values())
+        campaign = RecoveryCampaign(
+            arrestment_factory, arrestment_cases, specs, seed=5
+        )
+        tasks = memory_tasks(campaign, arrestment_cases, 8, seed=9)
+        batched, reference, delta = batch_vs_scalar(
+            "recovery", campaign, tasks, specs=specs,
+            policies=campaign.policies,
+        )
+        assert batched == reference
+        assert exits and not any(recover for _, _, recover, _ in exits)
+        assert delta["vec_tail_rows"] == len(exits)
+
+
 class TestBatchWork:
     """The batches of the test-scale reproduction (seed 2002) do a
     pinned amount of work: a faster tick may change the time per tick,
-    never which rows a batch holds, how many row-ticks it simulates or
-    which rows retire — even where the outcomes would still match."""
+    never which rows a batch holds, how many row-ticks it simulates,
+    which rows retire or how many finish on the scalar simulator —
+    even where the outcomes would still match."""
 
-    #: campaign -> (groups, rows answered, batched row-ticks, retired),
-    #: each campaign run alone
+    #: campaign -> (groups, rows answered, batched row-ticks, retired,
+    #: tail rows), each campaign run alone
     PINNED = {
-        "permeability": (1, 72, 437373, 6),
-        "detection": (1, 40, 218680, 0),
-        "memory": (1, 13, 54006, 0),
+        "permeability": (1, 72, 437373, 6, 0),
+        "detection": (1, 40, 218200, 0, 3),
+        "memory": (1, 13, 49893, 0, 3),
     }
     #: the same rows when ``run_all`` runs the three campaigns in one
-    #: batch: one group, the sums of the three above
-    PINNED_RUN_ALL = (1, 125, 710059, 6)
+    #: batch: one group, and no tail, since four permeability rows are
+    #: still live when eight rows remain
+    PINNED_RUN_ALL = (1, 125, 710059, 6, 0)
+    #: each campaign's planned rows, its group capacity in ``run_all``
+    CAPACITY = {"permeability": 78, "detection": 40, "memory": 13}
+
+    @staticmethod
+    def work(counts):
+        return (
+            counts["vec_groups"], counts["vec_rows"],
+            counts["vec_batched_ticks"], counts["vec_retired_rows"],
+            counts["vec_tail_rows"],
+        )
 
     @pytest.fixture(scope="class")
     def counts(self):
@@ -431,31 +563,43 @@ class TestBatchWork:
             for campaign, telemetry in ctx.telemetries.items()
         }
 
-    @pytest.mark.parametrize("campaign", sorted(PINNED))
-    def test_work_is_pinned(self, counts, campaign):
-        c = counts[campaign]
-        assert (
-            c["vec_groups"], c["vec_rows"], c["vec_batched_ticks"],
-            c["vec_retired_rows"],
-        ) == self.PINNED[campaign]
-        assert c["vec_scalar_fallbacks"] == 0
-
-    def test_run_all_is_one_batch(self):
+    @pytest.fixture(scope="class")
+    def run_all_telemetries(self):
         from repro.experiments.context import ExperimentContext
         from repro.experiments.runner import run_all
 
         ctx = ExperimentContext(scale="test", seed=2002)
         run_all(ctx, echo=lambda line: None)
+        return ctx.telemetries
+
+    @pytest.mark.parametrize("campaign", sorted(PINNED))
+    def test_work_is_pinned(self, counts, campaign):
+        c = counts[campaign]
+        assert self.work(c) == self.PINNED[campaign]
+        assert c["vec_scalar_fallbacks"] == 0
+
+    def test_run_all_is_one_batch(self, run_all_telemetries):
         total = Counter()
-        for telemetry in ctx.telemetries.values():
+        for telemetry in run_all_telemetries.values():
             total.update(telemetry.counts)
-        assert (
-            total["vec_groups"], total["vec_rows"],
-            total["vec_batched_ticks"], total["vec_retired_rows"],
-        ) == self.PINNED_RUN_ALL
+        assert self.work(total) == self.PINNED_RUN_ALL
         assert total["vec_scalar_fallbacks"] == 0
         # the campaign that computes the group counts it
-        assert ctx.telemetries["permeability"].counts["vec_groups"] == 1
+        assert run_all_telemetries["permeability"].counts["vec_groups"] == 1
+
+    def test_capacity_is_each_campaigns_planned_rows(
+        self, run_all_telemetries
+    ):
+        """A campaign's occupancy reads its own answered rows over its
+        own planned rows, whichever campaign computed the shared
+        group."""
+        for campaign, planned in self.CAPACITY.items():
+            telemetry = run_all_telemetries[campaign]
+            c = telemetry.counts
+            assert c["vec_group_capacity"] == planned
+            occupancy = f"occupancy={c['vec_rows'] / planned:.0%}"
+            assert occupancy in telemetry.render()
+        assert run_all_telemetries["permeability"].vec_occupancy == 72 / 78
 
 
 class TestReproductionAB:

@@ -8,10 +8,17 @@ Explicit examples pin the two structural edge cases: tick-0 dispatch
 divergence (the diverged rows retire) and rows whose flip lands on
 the very last tick; the arrestment memory examples pin flips on the
 dispatch chain, on stack cells and on RAM cells that re-quantize.
-Mixed groups — permeability, detection and memory rows of three
-campaigns in one batch, as a reproduction runs them — answer every
-row exactly as single-kind groups of the same rows do.
+The arrestment tests draw the kernel's sparse tail too (0 keeps every
+row in the loop), and its examples pin rows that leave for the scalar
+simulator with a stack strike armed, a completion latched, or a flip
+tick or phase still ahead; for those rows the kernel's per-row results
+must equal the loop's, not only their outcomes.  Mixed groups —
+permeability, detection and memory rows of three campaigns in one
+batch, as a reproduction runs them — answer every row exactly as
+single-kind groups of the same rows do.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -23,8 +30,9 @@ from repro.fi.campaign import (
     PermeabilityCampaign,
 )
 from repro.fi.memory import MemoryMap
-from repro.fi.vector import BatchPart, BatchRunner
+from repro.fi.vector import BatchPart, BatchRunner, GroupJob, VectorRow
 from repro.edm.catalogue import EA_BY_NAME
+from repro.target import vectorize
 from repro.target.simulation import ArrestmentSimulator
 from repro.target.testcases import standard_test_cases
 from repro.watertank.catalogue import tank_assertions
@@ -128,6 +136,13 @@ def check_batch(kind, campaign, tasks, groups, **kwargs):
     runner = BatchRunner([part], campaign.factory, groups)
     batched = [runner(i) for i in range(len(tasks))]
     assert batched == [part.inner(i) for i in range(len(tasks))]
+
+
+def tail_rows(tail, rows):
+    """The arrestment kernel's sparse tail at *tail* modulo one more
+    than *rows*, a value in [0, rows]: 0 keeps every row in the loop,
+    and *rows* exports every row at tick 0."""
+    return mock.patch.object(vectorize, "TAIL_ROWS", tail % (rows + 1))
 
 
 def check_mixed(factory, parts, groups):
@@ -254,6 +269,27 @@ def check_mixed_drawn(perm, det, mem, ports, drawn):
     ], groups)
 
 
+def kernel_results(part, factory):
+    """Per row of *part*, planned into one group: the kernel pass's
+    completion tick, first injection tick, failure flag and
+    monitor-bank records, finer than the row's outcome."""
+    runner = BatchRunner([part], factory)
+    (group,) = runner._groups
+    job = GroupJob(
+        rows=[VectorRow(case.case_id, inj) for case, inj in part.rows],
+        cases=runner._cases, templates=runner._templates,
+        specs=group.specs, factory=factory,
+    )
+    result = runner._kernel.run_group(job)
+    return [
+        (
+            result.completion_tick[r], result.first_injection_tick[r],
+            result.failed and result.failed[r], result.bank.row_records(r),
+        )
+        for r in range(len(job.rows))
+    ]
+
+
 #: the recorder-mask trap: a memory flip of a CLOCK/TIMER successor
 #: cell (location 4) sends its row through a module slot off the
 #: golden schedule while a permeability row of that module waits for
@@ -366,6 +402,43 @@ class TestWatertankProperties:
         check_mixed_drawn(tank_perm, tank_det, tank_mem, TANK_PORTS, drawn)
 
 
+class TestArrestmentTail:
+    """Rows that leave the arrestment kernel for the scalar simulator
+    end with the kernel results the loop gives them: the scalar finish
+    resumes each part of the exported state."""
+
+    @pytest.mark.parametrize("kind, rows, tail", [
+        # at tick 4762 the CALC.i argument row is armed, its strike due
+        # at CALC's next invocation
+        ("memory", [(255, 1, 1, 189), (90, 0, 3, 10)], 1),
+        # at tick 4762 the first row has latched completion (tick 4756)
+        # and its bank holds reference values
+        ("memory", [(17, 1, 0, 287), (255, 1, 1, 189)], 1),
+        # at tick 0, before either row's phase
+        ("memory", [(81, 0, 4, 19), (72, 0, 7, 6)], 2),
+        # at tick 4802, before the second row's flip tick
+        ("detection", [(3, 1, 4844, 24), (7, 0, 5455, 49)], 1),
+    ], ids=["armed", "latched", "phase-ahead", "flip-ahead"])
+    def test_tail_results_equal_loop_results(
+        self, arrest_mem, arrest_det, kind, rows, tail
+    ):
+        if kind == "memory":
+            part = part_of(
+                kind, arrest_mem, build_mem_tasks(arrest_mem, rows),
+                specs=arrest_mem.specs,
+            )
+        else:
+            part = part_of(
+                kind, arrest_det, build_det_tasks(arrest_det, rows),
+                specs=arrest_det.specs,
+            )
+        with tail_rows(tail, len(rows)):
+            tailed = kernel_results(part, arrest_prop_factory)
+        with tail_rows(0, len(rows)):
+            looped = kernel_results(part, arrest_prop_factory)
+        assert tailed == looped
+
+
 @pytest.mark.slow
 class TestArrestmentProperties:
     @settings(
@@ -398,46 +471,67 @@ class TestArrestmentProperties:
         max_examples=6, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(drawn=det_rows(ARREST_TICKS))
-    @example(drawn=([(3, 0, 0, 2), (0, 1, ARREST_TICKS - 1, 0)], 1))
-    def test_detection_batch_equals_scalar(self, arrest_det, drawn):
+    @given(drawn=det_rows(ARREST_TICKS), tail=st.integers(0, 5))
+    @example(drawn=([(3, 0, 0, 2), (0, 1, ARREST_TICKS - 1, 0)], 1), tail=0)
+    # the tail starts at tick 4802, before the second row's flip tick
+    @example(drawn=([(3, 1, 4844, 24), (7, 0, 5455, 49)], 1), tail=1)
+    def test_detection_batch_equals_scalar(self, arrest_det, drawn, tail):
         rows, groups = drawn
         tasks = build_det_tasks(arrest_det, rows)
-        check_batch(
-            "detection", arrest_det, tasks, groups, specs=arrest_det.specs
-        )
+        with tail_rows(tail, len(rows)):
+            check_batch(
+                "detection", arrest_det, tasks, groups,
+                specs=arrest_det.specs,
+            )
 
     @settings(
         max_examples=6, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(drawn=mem_rows())
+    @given(drawn=mem_rows(), tail=st.integers(0, 5))
     # CLOCK's successor table: flips re-wire the dispatch cycle
-    @example(drawn=([(4, 0, 0, 3), (13, 1, 2, 17), (21, 0, 1, 0)], 1))
+    @example(drawn=([(4, 0, 0, 3), (13, 1, 2, 17), (21, 0, 1, 0)], 1), tail=0)
     # the ms_slot_nbr backing store: the slot number itself
-    @example(drawn=([(22, 0, 1, 5), (22, 1, 0, 11)], 1))
+    @example(drawn=([(22, 0, 1, 5), (22, 1, 0, 11)], 1), tail=0)
     # stack cells: CLOCK's next_slot local, V_REG.err's sign byte and
     # the DIST_S.TIC1 argument
-    @example(drawn=([(79, 0, 2, 0), (107, 1, 7, 9), (81, 0, 4, 19)], 1))
+    @example(
+        drawn=([(79, 0, 2, 0), (107, 1, 7, 9), (81, 0, 4, 19)], 1), tail=0
+    )
     # RAM cells that re-quantize after the flip: V_REG.integ's sign bit
     # (INT) and the stopped flag's backing store (BOOL)
-    @example(drawn=([(72, 0, 7, 6), (45, 1, 0, 13)], 1))
-    def test_memory_batch_equals_scalar(self, arrest_mem, drawn):
+    @example(drawn=([(72, 0, 7, 6), (45, 1, 0, 13)], 1), tail=0)
+    # the sparse tail: at tick 4762 the CALC.i argument row is armed,
+    # its strike not yet due
+    @example(drawn=([(255, 1, 1, 189), (90, 0, 3, 10)], 1), tail=1)
+    # ... at tick 4762 a row has latched completion (tick 4756) but is
+    # still inside its post-stop window
+    @example(drawn=([(17, 1, 0, 287), (255, 1, 1, 189)], 1), tail=1)
+    # ... at tick 0, before either row's phase (19 and 6)
+    @example(drawn=([(81, 0, 4, 19), (72, 0, 7, 6)], 1), tail=2)
+    def test_memory_batch_equals_scalar(self, arrest_mem, drawn, tail):
         rows, groups = drawn
         tasks = build_mem_tasks(arrest_mem, rows)
-        check_batch(
-            "memory", arrest_mem, tasks, groups, specs=arrest_mem.specs,
-        )
+        with tail_rows(tail, len(rows)):
+            check_batch(
+                "memory", arrest_mem, tasks, groups,
+                specs=arrest_mem.specs,
+            )
 
     @settings(
         max_examples=6, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(drawn=mixed_rows(ARREST_PORTS, ARREST_TICKS))
-    @example(drawn=MASK_TRAP["arrestment"])
+    @given(
+        drawn=mixed_rows(ARREST_PORTS, ARREST_TICKS),
+        tail=st.integers(0, 9),
+    )
+    @example(drawn=MASK_TRAP["arrestment"], tail=0)
     def test_mixed_groups_equal_single_kind_groups(
-        self, arrest_perm, arrest_det, arrest_mem, drawn
+        self, arrest_perm, arrest_det, arrest_mem, drawn, tail
     ):
-        check_mixed_drawn(
-            arrest_perm, arrest_det, arrest_mem, ARREST_PORTS, drawn
-        )
+        rows = sum(len(kind) for kind in drawn[:3])
+        with tail_rows(tail, rows):
+            check_mixed_drawn(
+                arrest_perm, arrest_det, arrest_mem, ARREST_PORTS, drawn
+            )
