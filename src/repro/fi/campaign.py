@@ -213,9 +213,6 @@ class CampaignPlan:
     #: the campaign's inputs to its batch kernel (see
     #: :class:`~repro.fi.vector.BatchPart`)
     batch: Dict[str, Any] = field(default_factory=dict)
-    #: batch rows can retire to the scalar path, so a task a batch
-    #: answers may still need its checkpoint track
-    retires: bool = False
     #: sampled campaigns: the strata an adaptive run stops one by one,
     #: and ``counts_of(stratum, executed)`` -> ``{name: (successes, n)}``
     strata: Optional[List[AdaptiveStratum]] = None
@@ -226,11 +223,11 @@ def _preload_tracks(plan: CampaignPlan, runner: Any) -> None:
     """Record the checkpoint tracks the plan's runs will need, up front.
 
     Runs before the process pool forks, so workers inherit the tracks
-    through copy-on-write instead of each recording their own.  Unless
-    the plan's batch rows can retire, the tasks a batch answers are
-    skipped; a run that needs a track anyway records it on launch.
+    through copy-on-write instead of each recording their own.  The
+    tasks a batch answers are skipped; a run that needs a track anyway
+    records it on launch.
     """
-    answers = None if plan.retires else getattr(runner, "answers", None)
+    answers = getattr(runner, "answers", None)
     needed: Dict[int, TestCase] = {}
     for index, (test_case, injection) in enumerate(plan.rows):
         if answers is not None and answers(index):
@@ -567,7 +564,7 @@ class PermeabilityCampaign(_SampledCampaign):
         return self._new_plan(
             system, tasks, fingerprint, ff=self._ff,
             batch={"goldens": self.goldens, "direct_only": self.direct_only},
-            retires=True, strata=strata, counts_of=counts_of,
+            strata=strata, counts_of=counts_of,
         )
 
     def _row(self, task: tuple) -> Tuple[TestCase, RowInjection]:
@@ -849,8 +846,6 @@ class DetectionCampaign(_SampledCampaign):
             [spec.name for spec in self.specs],
             [case.label for case in self.test_cases],
         ]
-        # detection rows never retire: only the tasks the batch leaves
-        # to the scalar path can restore a checkpoint
         return self._new_plan(
             system, tasks, fingerprint, ff=self._ff,
             batch={"specs": self.specs}, strata=strata, counts_of=counts_of,

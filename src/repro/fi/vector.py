@@ -43,14 +43,14 @@ to the scalar path.  Five mechanisms keep that true:
   arithmetic onto int64/float64 arrays (same operation order, same
   quantization points), seeded from the same tick-0
   ``capture_state()`` snapshots;
-* detection and memory rows dispatch per row: like the scalar loop,
-  each row runs the modules of its own — possibly corrupted — slot
-  number, through masked invocations;
-* *permeability* rows stay pinned to the golden slot, because their
-  recorded invocation streams assume the golden schedule: a row whose
-  slot number departs it is *retired* and recomputed wholesale by the
-  scalar path, and an invocation run only for other rows' off-schedule
-  slots neither flips nor records a permeability row;
+* every row dispatches per row: like the scalar loop, each row runs
+  the modules of its own — possibly corrupted — slot number, through
+  masked invocations;
+* *permeability* rows flip and record only the invocations their own
+  schedule takes, each at its own stream position, as the scalar
+  ``InvocationLog`` does, so a row whose flip corrupts the slot number
+  stays in the batch and records its own schedule; an invocation run
+  only for other rows neither flips nor records a row;
 * rows selected for an integrity audit, or running under chaos-test
   instrumentation, never enter a batch at all;
 * rows that finish on the scalar simulator — the arrestment kernel's
@@ -137,7 +137,8 @@ __all__ = [
 
 
 #: the process-wide counters used by all batching machinery (the
-#: ``vec_`` keys of the counter table in docs/campaigns.md)
+#: ``vec_`` keys of the counter table in docs/campaigns.md);
+#: ``retired_rows`` stays 0, since a batch answers every row it holds
 vector_stats = Counters(
     "vec_", "batched_ticks", "retired_rows", "groups", "rows",
     "scalar_fallbacks", "cross_case_groups", "group_capacity", "tail_rows",
@@ -194,13 +195,16 @@ class GroupJob:
     #: test case -> a fresh simulator, for rows a kernel finishes on
     #: the scalar path (``None``: every row stays in the batch)
     factory: Optional[Callable[[Any], Any]] = None
+    #: ``arg`` rows: the length of each row's golden stream, past which
+    #: no outcome reads its recorded one (``None``: rows run to their
+    #: end; other kinds' entries are ignored)
+    golden: Optional[Sequence[int]] = None
 
 
 @dataclass
 class GroupResult:
     """Per-row outcomes of one kernel batch (parallel lists)."""
 
-    retired: List[bool]
     injected: List[bool]
     first_injection_tick: List[Optional[int]]
     completion_tick: List[Optional[int]]
@@ -733,21 +737,33 @@ class InvocationRecorder:
     """The module-input flips and invocation logs of a batch's ``arg``
     (permeability) rows: per row, a transcription of the scalar run's
     :class:`repro.fi.injector.ModuleInputFlip` and
-    :class:`repro.fi.comparison.InvocationLog`.  Each row flips one
+    :class:`repro.fi.golden.InvocationLog`.  Each row flips one
     input bit of *its own* module at that module's first invocation at
     or after the row's tick and records that module's (post-marshal
     inputs, store read-back outputs) stream, so rows of every module
-    share one batch.  The kernel sets :attr:`tick` each tick and calls
-    :meth:`leave` for rows that leave the run loop.
+    share one batch.  Only the invocations the row's own — possibly
+    corrupted — schedule takes flip or record it, each at the row's
+    own stream position (:attr:`rec_len`), so rows of every schedule
+    share it too.  The kernel sets :attr:`tick` each tick and calls
+    :meth:`leave` for rows that leave the run loop; :meth:`settled`
+    names the rows whose outcome is fixed.
     """
 
     def __init__(self, kernel, rows: Sequence[VectorRow], bitmask,
-                 first_inj, ticks: int):
+                 first_inj, ticks: int,
+                 golden: Optional[Sequence[int]] = None):
         n = len(rows)
         self._bitmask = bitmask
         self._first_inj = first_inj
         self._port = np.zeros(n, dtype=np.int64)
-        self._live = np.ones(n, dtype=bool)
+        #: the arg rows still in the run loop, and how many
+        self._live = np.array([row.injection.kind == "arg" for row in rows])
+        self.n_live = int(np.count_nonzero(self._live))
+        #: per row: its golden stream's length (``None``: not known,
+        #: and :meth:`settled` not asked)
+        self._golden = (
+            None if golden is None else np.array(golden, dtype=np.int64)
+        )
         self.tick = 0
         #: per row: recorded invocations and (n_inv, n_in/n_out) views
         self.rec_len = np.zeros(n, dtype=np.int64)
@@ -759,6 +775,9 @@ class InvocationRecorder:
         self._live_rows: Dict[str, Tuple[Any, Any]] = {}
         #: module -> (flip ticks ascending, their rows)
         self._due: Dict[str, Tuple[List[int], Any]] = {}
+        #: module -> rows whose flip is due but whose schedule has not
+        #: taken an invocation of the module since
+        self._waiting: Dict[str, Any] = {}
         arg_rows: Dict[str, List[int]] = {}
         for r, row in enumerate(rows):
             if row.injection.kind == "arg":
@@ -772,7 +791,11 @@ class InvocationRecorder:
             slots = [
                 s for s, mods in kernel.slot_modules.items() if module in mods
             ]
-            cap = ticks  # a module without a slot runs every tick
+            # a row leaves the golden schedule only through a flip of
+            # the slot number, the input of the module that runs every
+            # tick: a slotted module's rows take at most its golden
+            # invocations
+            cap = ticks
             if slots:
                 first = (slots[0] - 1) % kernel.n_slots
                 cap = max(0, (ticks - first + kernel.n_slots - 1)
@@ -782,60 +805,84 @@ class InvocationRecorder:
             for p, r in enumerate(idx):
                 self.rec_ins[r], self.rec_outs[r] = ins[p], outs[p]
             self._streams[module] = (idx, ins, outs)
-            self._live_rows[module] = (slice(None), idx)
+            self._live_rows[module] = (np.arange(len(idx)), idx)
             order = sorted(idx.tolist(), key=lambda r: rows[r].injection.tick)
             self._due[module] = (
                 [rows[r].injection.tick for r in order],
                 np.array(order, dtype=np.int64),
             )
-        #: module -> invocations recorded; its first flip not yet due
-        self._count = dict.fromkeys(self._streams, 0)
+            self._waiting[module] = idx[:0]
+        #: module -> its first flip not yet due
         self._next_due = dict.fromkeys(self._streams, 0)
 
     def takes(self, module: str, mask=None) -> bool:
         """Whether this invocation of *module* is one of its rows'
-        invocations: it runs unmasked, or its mask holds them.  Every
-        live row is pinned to the golden slot, so they take an
-        invocation together or not at all, and one run only for other
-        rows' off-schedule slots neither flips nor records them."""
+        invocations: it runs unmasked, or its mask holds one of them."""
         live = self._live_rows.get(module)
         if live is None or not live[1].size:
             return False
         return mask is None or bool(mask[live[1]].any())
 
-    def marshal(self, module: str, args) -> None:
-        """Strike the flips due at this invocation of *module*, in
-        place on the freshly copied ``(ports, rows)`` args."""
+    def marshal(self, module: str, args, mask=None) -> None:
+        """Strike the flips due at this invocation of *module* — on the
+        live rows it takes, all or those in *mask* — in place on the
+        freshly copied ``(ports, rows)`` args.  A due row it does not
+        take waits for the next invocation its own schedule takes."""
         ticks, order = self._due[module]
+        waiting = self._waiting[module]
         start = self._next_due[module]
-        if start == len(ticks) or ticks[start] > self.tick:
+        if start < len(ticks) and ticks[start] <= self.tick:
+            end = bisect.bisect_right(ticks, self.tick, start)
+            self._next_due[module] = end
+            waiting = np.concatenate((waiting, order[start:end]))
+        if not waiting.size:
             return
-        end = bisect.bisect_right(ticks, self.tick, start)
-        self._next_due[module] = end
-        hit = order[start:end]
-        hit = hit[self._live[hit]]
+        waiting = waiting[self._live[waiting]]
+        if mask is None:
+            hit, waiting = waiting, waiting[:0]
+        else:
+            taken = mask[waiting]
+            hit, waiting = waiting[taken], waiting[~taken]
+        self._waiting[module] = waiting
         # xor of a bit < width on an in-range quantized value stays in
         # range for every signal type
         args[self._port[hit], hit] ^= self._bitmask[hit]
         self._first_inj[hit] = self.tick
 
-    def record(self, module: str, args, outs) -> None:
+    def record(self, module: str, args, outs, mask=None) -> None:
         """Append this invocation of *module* (``(ports, rows)`` args
-        and outputs) to its live rows' streams."""
+        and outputs) to the streams of the live rows it takes, all or
+        those in *mask*, each at its own stream position."""
         _, ins, outs_buf = self._streams[module]
         pos, rows = self._live_rows[module]
-        k = self._count[module]
+        if mask is not None:
+            taken = mask[rows]
+            pos, rows = pos[taken], rows[taken]
+        # buffer and stream positions pair up element by element
+        k = self.rec_len[rows]
         ins[pos, k] = args[:, rows].T
         outs_buf[pos, k] = outs[:, rows].T
         self.rec_len[rows] = k + 1
-        self._count[module] = k + 1
+
+    def settled(self):
+        """The live rows (a mask) whose outcome is fixed, given the
+        golden lengths: the flip has struck and the recorded stream is
+        as long as the golden one.  The permeability comparison reads
+        no invocation past the golden stream, and a completion after
+        the flip voids nothing, so later ticks cannot change the
+        outcome."""
+        return (
+            self._live & (self._first_inj >= 0)
+            & (self.rec_len >= self._golden)
+        )
 
     def leave(self, left) -> None:
         """Rows *left* (a mask) left the run loop: no further flips or
         records."""
         self._live &= ~left
+        self.n_live = int(np.count_nonzero(self._live))
         for module, (idx, _, _) in self._streams.items():
-            pos = np.nonzero(self._live[idx])[0]
+            pos = np.flatnonzero(self._live[idx])
             self._live_rows[module] = (pos, idx[pos])
 
 
@@ -932,10 +979,6 @@ class BatchKernel:
         self._slot_code[slots] = np.arange(len(slots))
         self._mem: Optional[MemoryFlipPlan] = None
         self._rec: Optional[InvocationRecorder] = None
-        #: the group's ``arg`` rows (``None``: none), pinned to the
-        #: golden slot, and which rows retired from it
-        self._pinned = None
-        self._retired = None
 
     def module_ports(self, module: str):
         ins, outs, _, _ = self.ports[module]
@@ -1065,23 +1108,20 @@ class BatchKernel:
     def _injections(self, job: GroupJob, cells: BatchCells,
                     ticks: int) -> None:
         """Each row's own injection (:attr:`RowInjection.kind`): the
-        invocation recorder of the ``arg`` rows, pinned to the golden
-        slot; the flip plan of the ``memory`` rows; and, for the
-        ``input`` rows, tick -> ``(rows, register rows)`` of the
-        sensor-register flips due then."""
+        invocation recorder of the ``arg`` rows; the flip plan of the
+        ``memory`` rows; and, for the ``input`` rows, tick -> ``(rows,
+        register rows)`` of the sensor-register flips due then."""
         rows = job.rows
         self._first_inj = np.full(len(rows), -1, dtype=np.int64)
         self._bitmask = np.array(
             [1 << row.injection.bit for row in rows], dtype=np.int64
         )
-        self._retired = np.zeros(len(rows), dtype=bool)
         kinds = [row.injection.kind for row in rows]
-        pinned = [r for r, kind in enumerate(kinds) if kind == "arg"]
-        self._pinned = np.array(pinned, dtype=np.int64) if pinned else None
         self._rec = self._mem = None
-        if pinned:
+        if "arg" in kinds:
             self._rec = InvocationRecorder(
-                self, rows, self._bitmask, self._first_inj, ticks
+                self, rows, self._bitmask, self._first_inj, ticks,
+                job.golden,
             )
         if "memory" in kinds:
             self._mem = MemoryFlipPlan(self, rows, self._first_inj, cells)
@@ -1165,7 +1205,7 @@ class BatchKernel:
         if rec is not None and not rec.takes(module, mask):
             rec = None
         if rec is not None:
-            rec.marshal(module, args)
+            rec.marshal(module, args, mask)
         if mask is None:
             if mem is not None:
                 mem.marshal(module, args)
@@ -1182,25 +1222,15 @@ class BatchKernel:
             if mem is not None:
                 mem.mask = None
         if rec is not None:
-            rec.record(module, args, self._store[out_rows])
+            rec.record(module, args, self._store[out_rows], mask)
 
-    def _dispatch(self, t: int, slots, live_count: int,
-                  dead=None) -> None:
-        """Per-row dispatch at tick *t*, like the scalar loop: every
-        live row runs the modules of its own — possibly corrupted —
-        slot number *slots*.  ``arg`` rows are pinned to the golden
-        slot instead (:meth:`_leave` drops those that left): their
-        recorded streams assume the golden schedule, so one whose slot
-        number departs it retires.
-        A module slot holding every live row runs unmasked, one holding
-        some of them masked; rows in *dead* (a mask) left the run loop
-        and take no invocation."""
+    def _dispatch(self, slots, live_count: int, dead=None) -> None:
+        """Per-row dispatch, like the scalar loop: every live row runs
+        the modules of its own — possibly corrupted — slot number
+        *slots*.  A module slot holding every live row runs unmasked,
+        one holding some of them masked; rows in *dead* (a mask) left
+        the run loop and take no invocation."""
         code = self._slot_code[slots]
-        pinned = self._pinned
-        if pinned is not None:
-            golden = (t + 1) % self.n_slots
-            self._retired[pinned[slots[pinned] != golden]] = True
-            code[pinned] = self._slot_code[golden]
         if dead is not None:
             code[dead] = len(self._slot_groups)
         counts = np.bincount(code, minlength=len(self._slot_groups) + 1)
@@ -1211,22 +1241,17 @@ class BatchKernel:
                     self._invoke(module, mask=mask)
 
     def _leave(self, left) -> None:
-        """Rows *left* (a mask) left the run loop: no further flips,
-        records or golden-slot pinning."""
+        """Rows *left* (a mask) left the run loop: no further flips or
+        records."""
         if self._mem is not None:
             self._mem.leave(left)
         if self._rec is not None:
             self._rec.leave(left)
-        if self._pinned is not None:
-            self._pinned = self._pinned[~left[self._pinned]]
-            if not self._pinned.size:
-                self._pinned = None
 
     def _result(self, completion, bank, failed) -> GroupResult:
         """The group's per-row outcomes; the injection state goes."""
         first_inj = self._first_inj
         result = GroupResult(
-            retired=self._retired.tolist(),
             injected=(first_inj >= 0).tolist(),
             first_injection_tick=[
                 int(v) if v >= 0 else None for v in first_inj
@@ -1242,7 +1267,7 @@ class BatchKernel:
                 if isinstance(bank, RecoveringBankArrays) else None
             ),
         )
-        self._mem = self._rec = self._pinned = None
+        self._mem = self._rec = None
         return result
 
 
@@ -1347,7 +1372,7 @@ def _plan_groups(
 # ======================================================================
 # The batch runner.
 # ======================================================================
-_RETIRED = object()
+_UNSERVED = object()
 
 
 def _kernel_for(probe):
@@ -1386,8 +1411,8 @@ class BatchRunner:
     belongs to a group is answered by running the whole group through
     the target's vector kernel once (cached per process, each row's
     outcome served once); everything else — audited rows, chaos runs,
-    rows of unsupported targets, retired rows — falls through to its
-    campaign's scalar runner, which remains the semantic reference.
+    rows of unsupported targets — falls through to its campaign's
+    scalar runner, which remains the semantic reference.
     A campaign's executor calls its :class:`BatchView`
     (:meth:`views`), which maps the campaign's task indices onto the
     runner's.
@@ -1426,7 +1451,7 @@ class BatchRunner:
         self._chaos = any(
             name.startswith("REPRO_CHAOS_") for name in os.environ
         )
-        #: group id -> outcomes of its rows not served yet (retired
+        #: group id -> outcomes of its rows not served yet (audited
         #: rows have none); kept until the runner is dropped
         self._cache: Dict[int, Dict[int, Any]] = {}
         #: groups computed in this process since the last :meth:`ship`
@@ -1553,8 +1578,8 @@ class BatchRunner:
         return group
 
     def answers(self, index: int) -> bool:
-        """True when a batch answers task *index*; the scalar path then
-        runs it only if its row retires."""
+        """True when a batch answers task *index*, so its campaign's
+        scalar path does not run it."""
         return self._batchable(index) is not None
 
     def __call__(self, index: int) -> Any:
@@ -1566,10 +1591,10 @@ class BatchRunner:
         if outcomes is None:
             outcomes = self._cache[group.gid] = self._compute_group(group)
             self._fresh.append(group.gid)
-        # each outcome is served once; a row without one (retired, or
-        # asked again after a failed attempt) runs on the scalar path
-        outcome = outcomes.pop(index, _RETIRED)
-        if outcome is _RETIRED:
+        # each outcome is served once; a row asked again after a
+        # failed attempt runs on the scalar path
+        outcome = outcomes.pop(index, _UNSERVED)
+        if outcome is _UNSERVED:
             return self._scalar(index)
         vector_stats.rows += 1
         return outcome
@@ -1605,6 +1630,7 @@ class BatchRunner:
             VectorRow(case_id=case.case_id, injection=injection)
             for case, injection in (self._rows[i] for i in group.indices)
         ]
+        streams = self._golden_streams
         job = GroupJob(
             rows=rows,
             cases=self._cases,
@@ -1612,6 +1638,11 @@ class BatchRunner:
             specs=group.specs,
             policies=group.policies,
             factory=self._factory,
+            golden=[
+                len(streams[(row.case_id, row.injection.module)][0])
+                if row.injection.kind == "arg" else 0
+                for row in rows
+            ],
         )
         result = self._kernel.run_group(job)
         wrapped = None
@@ -1626,9 +1657,6 @@ class BatchRunner:
             vector_stats.cross_case_groups += 1
         outcomes: Dict[int, Any] = {}
         for r, index in enumerate(group.indices):
-            if result.retired[r]:
-                vector_stats.retired_rows += 1
-                continue
             if not self.answers(index):
                 continue  # audited: the scalar path serves it
             part = self._parts[self._owner[index]]

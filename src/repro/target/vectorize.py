@@ -11,12 +11,13 @@ so the kernel keeps a ``live`` mask: rows that left the engagement
 loop stop evaluating their monitor bank, stop recording invocations,
 and freeze their completion latches, while the batch advances the
 remaining rows.  Outcomes are bit-identical to the scalar path.  Each
-row takes its own injection: ``input`` and ``memory`` rows dispatch
-per row (masked invocations follow each row's own — possibly
-corrupted — schedule, decided over the rows still in the loop), and
-``arg`` (permeability) rows stay on the golden schedule and retire on
-dispatch divergence, because their recorded invocation streams assume
-it.
+row takes its own injection and dispatches per row: masked
+invocations follow each row's own — possibly corrupted — schedule,
+decided over the rows still in the loop, and an ``arg``
+(permeability) row records the invocations its own schedule takes.
+An ``arg`` row leaves the loop early once its outcome is fixed: its
+flip has struck and its recorded stream is as long as its golden one
+(:meth:`~repro.fi.vector.InvocationRecorder.settled`).
 
 A few memory runs never arrest and hold a group's loop to the timeout
 for a handful of rows: the sparse tail.  Once at most
@@ -51,12 +52,13 @@ _U8 = 0xFF
 _U16 = 0xFFFF
 
 #: the sparse tail: once at most this many rows are live, none of them
-#: a permeability row, the batch exports them and each finishes on the
-#: scalar simulator.  At bench scale a tick of the loop's tail cost
-#: about 125 us and a scalar row-tick about 13 us, the simulator's
-#: set-up included (2-core host), so 8 rows finish in a fraction of
-#: the loop's time; sweeps of 4-16 did not separate above run-to-run
-#: noise, and from 16 up the exit waits for the last permeability row.
+#: a permeability row (its recorded stream stays in the batch), the
+#: batch exports them and each finishes on the scalar simulator.  At
+#: bench scale a tick of the loop's tail cost about 125 us and a
+#: scalar row-tick about 13 us, the simulator's set-up included (2-core
+#: host), so 8 rows finish in a fraction of the loop's time; sweeps of
+#: 4-16 did not separate above run-to-run noise.  Permeability rows
+#: leave once their outcome is fixed, so they rarely hold the exit.
 TAIL_ROWS = 8
 
 
@@ -164,10 +166,12 @@ class ArrestmentVectorKernel(BatchKernel):
         #: live rows at or below which the loop hands them to the
         #: scalar simulator (a containment pass never does)
         tail = -1 if job.recover or job.factory is None else TAIL_ROWS
+        #: permeability rows leave once their outcome is fixed
+        settle = rec is not None and job.golden is not None
 
         t = 0
         while t < max_ticks and n_live:
-            if n_live <= tail and self._pinned is None:
+            if n_live <= tail and (rec is None or not rec.n_live):
                 break
             batched += n_live
             if rec is not None:
@@ -206,7 +210,7 @@ class ArrestmentVectorKernel(BatchKernel):
             self._invoke("CLOCK")
 
             # --- the slot's module(s)
-            self._dispatch(t, store_slot, n_live, dead)
+            self._dispatch(store_slot, n_live, dead)
 
             # --- monitor bank (end of each dispatch cycle, live rows)
             if bank is not None and t % self.n_slots == self.n_slots - 1:
@@ -246,6 +250,8 @@ class ArrestmentVectorKernel(BatchKernel):
                 deadline[newly] = t + C.POST_STOP_TICKS
                 pending &= ~newly
             leave = (deadline <= t) | (distance > abort_distance)
+            if settle and rec.n_live:
+                leave |= rec.settled()
             leave &= live
             if np.count_nonzero(leave):
                 live &= ~leave

@@ -15,9 +15,10 @@ Dispatch is per row: like the scalar mission loop, each row runs the
 modules of its own ``tick_nbr`` slot, so rows whose flips corrupt the
 dispatch chain (TIMER successor cells, the ``tick_nbr`` signal) follow
 their corrupted schedule inside the batch via masked invocations.
-Each row takes its own injection; only ``arg`` (permeability) rows —
-whose recorded invocation streams assume the golden schedule — stay on
-it and retire to the scalar path on dispatch divergence.
+Each row takes its own injection; an ``arg`` (permeability) row
+records the invocations its own schedule takes.  Every row runs the
+whole fixed-length mission: the kernel has no per-row exit, so it
+ignores the job's golden stream lengths.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class WatertankVectorKernel(BatchKernel):
             self._invoke("TIMER")
 
             # --- the slot's module(s)
-            self._dispatch(t, store_slot, n)
+            self._dispatch(store_slot, n)
 
             # --- monitor bank (end of each dispatch cycle)
             if bank is not None and t % self.n_slots == self.n_slots - 1:

@@ -12,6 +12,7 @@ one batch.
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.fi.campaign import (
@@ -26,7 +27,10 @@ from repro.fi.memory import MemoryMap
 from repro.fi.vector import (
     BatchPart,
     BatchRunner,
+    InvocationRecorder,
     MemoryFlipPlan,
+    RowInjection,
+    VectorRow,
     wrap_runners,
 )
 from repro.edm.catalogue import EA_BY_NAME
@@ -77,6 +81,17 @@ def batch_vs_scalar(kind, campaign, tasks, **kwargs):
     return batched, reference, delta
 
 
+@pytest.fixture
+def scalar_runs(monkeypatch):
+    """The task indices a :class:`BatchRunner` sends to its scalar
+    path (which then answers ``None``)."""
+    seen = []
+    monkeypatch.setattr(
+        BatchRunner, "_scalar", lambda self, index: seen.append(index)
+    )
+    return seen
+
+
 def memory_tasks(campaign, cases, count, seed):
     """Randomized ``(location, case, bit, phase)`` tuples mixing both
     test cases, the way the memory/recovery campaigns pre-draw them."""
@@ -99,7 +114,7 @@ class TestWatertankKernel:
     def test_permeability_rows_match_scalar(self, tank_cases):
         """Rows of every module share one batch, each flipping and
         recording its own module; the TIMER row's flipped slot number
-        diverges from the golden schedule and retires alone."""
+        leaves the golden schedule, and the row records its own."""
         campaign = PermeabilityCampaign(
             tank_factory, tank_cases, runs_per_input=1, seed=3
         )
@@ -119,13 +134,14 @@ class TestWatertankKernel:
         )
         assert batched == reference
         assert delta["vec_groups"] == 1  # one batch across modules
-        assert delta["vec_retired_rows"] == 1  # the TIMER row retired
-        assert delta["vec_rows"] == len(tasks) - 1  # the rest answered by it
+        assert delta["vec_retired_rows"] == 0
+        assert delta["vec_rows"] == len(tasks)  # all answered by it
 
-    def test_timer_divergence_retires_to_scalar(self, tank_cases):
+    def test_timer_divergence_stays_in_the_batch(self, tank_cases,
+                                                 scalar_runs):
         """A tick-0 flip of the dispatch slot leaves the golden
-        schedule immediately: the rows retire and are recomputed by
-        the scalar path, so outcomes still match exactly."""
+        schedule immediately: each row dispatches and records its own
+        schedule inside the batch, and the scalar path never runs."""
         campaign = PermeabilityCampaign(
             tank_factory, tank_cases, runs_per_input=1, seed=3
         )
@@ -138,9 +154,9 @@ class TestWatertankKernel:
             "permeability", campaign, tasks, goldens=campaign.goldens
         )
         assert batched == reference
-        # all rows dispatch-diverged
-        assert delta["vec_retired_rows"] == len(tasks)
-        assert delta["vec_rows"] == 0
+        assert delta["vec_retired_rows"] == 0
+        assert delta["vec_rows"] == len(tasks)
+        assert scalar_runs == []
 
     def test_detection_rows_match_scalar(self, tank_cases):
         specs = tank_assertions()
@@ -233,7 +249,8 @@ class TestArrestmentKernel:
 
     def test_permeability_rows_match_scalar(self, arrestment_cases):
         """One batch across modules; the CLOCK row's flipped slot
-        number diverges from the golden schedule and retires alone."""
+        number leaves the golden schedule, and the row records its
+        own."""
         campaign = PermeabilityCampaign(
             arrestment_factory, arrestment_cases, runs_per_input=1, seed=3
         )
@@ -253,10 +270,14 @@ class TestArrestmentKernel:
         )
         assert batched == reference
         assert delta["vec_groups"] == 1  # one batch across modules
-        assert delta["vec_retired_rows"] == 1  # the CLOCK row retired
-        assert delta["vec_rows"] == len(tasks) - 1  # the rest answered by it
+        assert delta["vec_retired_rows"] == 0
+        assert delta["vec_rows"] == len(tasks)  # all answered by it
 
-    def test_clock_divergence_retires_to_scalar(self, arrestment_cases):
+    def test_clock_divergence_stays_in_the_batch(self, arrestment_cases,
+                                                 scalar_runs):
+        """Tick-0 flips of CLOCK's slot number: each row dispatches
+        and records its own schedule inside the batch, and the scalar
+        path never runs."""
         campaign = PermeabilityCampaign(
             arrestment_factory, arrestment_cases, runs_per_input=1, seed=3
         )
@@ -268,7 +289,9 @@ class TestArrestmentKernel:
             "permeability", campaign, tasks, goldens=campaign.goldens
         )
         assert batched == reference
-        assert delta["vec_retired_rows"] == len(tasks)
+        assert delta["vec_retired_rows"] == 0
+        assert delta["vec_rows"] == len(tasks)
+        assert scalar_runs == []
 
     def test_detection_rows_match_scalar(self, arrestment_cases):
         specs = list(EA_BY_NAME.values())
@@ -331,10 +354,8 @@ class TestArrestmentKernel:
             "memory", campaign, tasks, specs=specs,
         )
         assert batched == reference
-        # no dispatch-divergence retirements: every row answered by the
-        # batch
         assert delta["vec_retired_rows"] == 0
-        assert delta["vec_rows"] == len(tasks)
+        assert delta["vec_rows"] == len(tasks)  # all answered by it
 
     def test_left_rows_do_not_hold_masked_dispatch(
         self, arrestment_cases, monkeypatch
@@ -416,6 +437,66 @@ class TestArrestmentKernel:
         assert delta["vec_rows"] > 0
 
 
+class TestInvocationRecorder:
+    """The ``arg`` rows' flips and streams follow each row's own
+    schedule: an invocation flips and records exactly the rows it
+    takes, each at its own stream position."""
+
+    @staticmethod
+    def recorder(cases, ticks):
+        """Three V_REG ``SetValue`` rows due at tick 0, flipping bits
+        0, 1 and 2, and their first-injection array."""
+        kernel = ArrestmentVectorKernel(arrestment_factory(cases[0]))
+        rows = [
+            VectorRow(cases[r % 2].case_id, RowInjection(
+                kind="arg", tick=0, bit=r, port="SetValue", module="V_REG",
+            ))
+            for r in range(3)
+        ]
+        first_inj = np.full(3, -1, dtype=np.int64)
+        bitmask = np.array([1, 2, 4], dtype=np.int64)
+        return (
+            InvocationRecorder(kernel, rows, bitmask, first_inj, ticks),
+            first_inj,
+        )
+
+    def test_a_due_flip_waits_for_its_rows_invocation(
+        self, arrestment_cases
+    ):
+        rec, first_inj = self.recorder(arrestment_cases, ticks=100)
+        rec.tick = 7
+        args = np.zeros((2, 3), dtype=np.int64)
+        rec.marshal("V_REG", args, np.array([True, False, False]))
+        assert args[0].tolist() == [1, 0, 0]
+        assert first_inj.tolist() == [7, -1, -1]
+        rec.tick = 9
+        args = np.zeros((2, 3), dtype=np.int64)
+        rec.marshal("V_REG", args)
+        assert args[0].tolist() == [0, 2, 4]
+        assert first_inj.tolist() == [7, 9, 9]
+
+    def test_rows_record_at_their_own_positions(self, arrestment_cases):
+        rec, _ = self.recorder(arrestment_cases, ticks=100)
+        masks = [None, [True, False, True], [False, True, False],
+                 [True, False, False]]
+        for k, mask in enumerate(masks):
+            args = np.array([[10 * k + r for r in range(3)],
+                             [100 * k + r for r in range(3)]])
+            outs = np.array([[1000 * k + r for r in range(3)]])
+            rec.record(
+                "V_REG", args, outs, None if mask is None else np.array(mask)
+            )
+        assert rec.rec_len.tolist() == [3, 2, 2]
+        taken = {0: [0, 1, 3], 1: [0, 2], 2: [0, 1]}
+        for r, invocations in taken.items():
+            assert rec.rec_ins[r][:len(invocations)].tolist() == [
+                [10 * k + r, 100 * k + r] for k in invocations
+            ]
+            assert rec.rec_outs[r][:len(invocations)].tolist() == [
+                [1000 * k + r] for k in invocations
+            ]
+
+
 class TestSparseTail:
     """Once at most ``TAIL_ROWS`` rows are live and none is a
     permeability row, the arrestment kernel exports each live row's
@@ -430,7 +511,8 @@ class TestSparseTail:
         finish = ArrestmentVectorKernel._finish
 
         def spy(self, job, r, state, bank):
-            seen.append((state.tick, self._pinned, job.recover, r))
+            held = self._rec.n_live if self._rec is not None else 0
+            seen.append((state.tick, held, job.recover, r))
             return finish(self, job, r, state, bank)
 
         monkeypatch.setattr(ArrestmentVectorKernel, "_finish", spy)
@@ -499,7 +581,7 @@ class TestSparseTail:
                 p.inner(i) for i in range(len(p.rows))
             ]
         assert exits and all(
-            tick > 0 and pinned is None for tick, pinned, _, _ in exits
+            tick > 0 and not held for tick, held, _, _ in exits
         )
         assert {r for *_, r in exits} <= {1, 2, 3}
 
@@ -524,21 +606,21 @@ class TestSparseTail:
 class TestBatchWork:
     """The batches of the test-scale reproduction (seed 2002) do a
     pinned amount of work: a faster tick may change the time per tick,
-    never which rows a batch holds, how many row-ticks it simulates,
-    which rows retire or how many finish on the scalar simulator —
-    even where the outcomes would still match."""
+    never which rows a batch holds, how many row-ticks it simulates or
+    how many finish on the scalar simulator — even where the outcomes
+    would still match; no row retires."""
 
     #: campaign -> (groups, rows answered, batched row-ticks, retired,
     #: tail rows), each campaign run alone
     PINNED = {
-        "permeability": (1, 72, 437373, 6, 0),
+        "permeability": (1, 78, 433376, 0, 0),
         "detection": (1, 40, 218200, 0, 3),
         "memory": (1, 13, 49893, 0, 3),
     }
     #: the same rows when ``run_all`` runs the three campaigns in one
-    #: batch: one group, and no tail, since four permeability rows are
-    #: still live when eight rows remain
-    PINNED_RUN_ALL = (1, 125, 710059, 6, 0)
+    #: batch: one group, whose last four rows finish on the scalar
+    #: simulator once the permeability rows have settled and left
+    PINNED_RUN_ALL = (1, 131, 704762, 0, 4)
     #: each campaign's planned rows, its group capacity in ``run_all``
     CAPACITY = {"permeability": 78, "detection": 40, "memory": 13}
 
@@ -584,6 +666,8 @@ class TestBatchWork:
             total.update(telemetry.counts)
         assert self.work(total) == self.PINNED_RUN_ALL
         assert total["vec_scalar_fallbacks"] == 0
+        # no live permeability row holds the sparse tail
+        assert total["vec_tail_rows"] > 0
         # the campaign that computes the group counts it
         assert run_all_telemetries["permeability"].counts["vec_groups"] == 1
 
@@ -599,7 +683,7 @@ class TestBatchWork:
             assert c["vec_group_capacity"] == planned
             occupancy = f"occupancy={c['vec_rows'] / planned:.0%}"
             assert occupancy in telemetry.render()
-        assert run_all_telemetries["permeability"].vec_occupancy == 72 / 78
+        assert run_all_telemetries["permeability"].vec_occupancy == 1.0
 
 
 class TestReproductionAB:
@@ -866,34 +950,39 @@ class TestAdaptiveBatched:
         assert "cached-rounds=" in telemetry.render()
 
 
-class TestDetectionTracks:
-    """Detection rows never retire, so a batched detection campaign
+class TestBatchedTracks:
+    """A batch answers every row it holds, so a batched campaign
     records checkpoint tracks only for the tasks its batch leaves to
     the scalar path."""
 
     @staticmethod
-    def run(**options):
+    def run(kind, **options):
         from repro.experiments.context import ExperimentContext
         from repro.fi.snapshot import checkpoint_cache
 
         checkpoint_cache.clear()
         ctx = ExperimentContext(scale="test", **options)
-        result = ctx.detection_result()
-        outcome = (
-            result.n_injected, result.n_err, result.detections,
-            result.run_records, result.run_latencies,
-        )
-        return outcome, ctx.telemetries["detection"].counts
+        if kind == "permeability":
+            result = ctx.permeability_estimate()
+            outcome = (result.direct_counts, result.active_runs)
+        else:
+            result = ctx.detection_result()
+            outcome = (
+                result.n_injected, result.n_err, result.detections,
+                result.run_records, result.run_latencies,
+            )
+        return outcome, ctx.telemetries[kind].counts
 
-    def test_batch_answered_tasks_record_no_tracks(self):
-        scalar, scalar_counts = self.run(batch_width=0)
-        batched, counts = self.run()
+    @pytest.mark.parametrize("kind", ["detection", "permeability"])
+    def test_batch_answered_tasks_record_no_tracks(self, kind):
+        scalar, scalar_counts = self.run(kind, batch_width=0)
+        batched, counts = self.run(kind)
         assert batched == scalar
         assert counts["vec_rows"] > 0
         assert counts["ff_tracks_recorded"] == 0
         assert scalar_counts["ff_tracks_recorded"] > 0
         # audited rows run scalar, so their tracks are recorded again
-        audited, audited_counts = self.run(audit_fraction=1.0)
+        audited, audited_counts = self.run(kind, audit_fraction=1.0)
         assert audited == scalar
         assert audited_counts["ff_tracks_recorded"] == (
             scalar_counts["ff_tracks_recorded"]

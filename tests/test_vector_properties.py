@@ -5,17 +5,19 @@ and group counts through :class:`~repro.fi.vector.BatchRunner` on both
 targets and requires bit-identical outcomes against the campaigns'
 scalar ``_one_run``.  Permeability batches always mix modules.
 Explicit examples pin the two structural edge cases: tick-0 dispatch
-divergence (the diverged rows retire) and rows whose flip lands on
-the very last tick; the arrestment memory examples pin flips on the
-dispatch chain, on stack cells and on RAM cells that re-quantize.
-The arrestment tests draw the kernel's sparse tail too (0 keeps every
-row in the loop), and its examples pin rows that leave for the scalar
-simulator with a stack strike armed, a completion latched, or a flip
-tick or phase still ahead; for those rows the kernel's per-row results
-must equal the loop's, not only their outcomes.  Mixed groups —
-permeability, detection and memory rows of three campaigns in one
-batch, as a reproduction runs them — answer every row exactly as
-single-kind groups of the same rows do.
+divergence (the diverged rows record their own schedule) and rows
+whose flip lands on the very last tick; the arrestment memory examples
+pin flips on the dispatch chain, on stack cells and on RAM cells that
+re-quantize.  The arrestment tests draw the kernel's sparse tail too
+(0 keeps every row in the loop), and its examples pin rows that leave
+for the scalar simulator with a stack strike armed, a completion
+latched, or a flip tick or phase still ahead; for those rows the
+kernel's per-row results must equal the loop's, not only their
+outcomes.  Permeability rows that leave the arrestment loop once their
+outcome is fixed end with what the outcome reads equal to a pass
+without that exit.  Mixed groups — permeability, detection and memory
+rows of three campaigns in one batch, as a reproduction runs them —
+answer every row exactly as single-kind groups of the same rows do.
 """
 
 from unittest import mock
@@ -30,7 +32,13 @@ from repro.fi.campaign import (
     PermeabilityCampaign,
 )
 from repro.fi.memory import MemoryMap
-from repro.fi.vector import BatchPart, BatchRunner, GroupJob, VectorRow
+from repro.fi.vector import (
+    BatchPart,
+    BatchRunner,
+    GroupJob,
+    InvocationRecorder,
+    VectorRow,
+)
 from repro.edm.catalogue import EA_BY_NAME
 from repro.target import vectorize
 from repro.target.simulation import ArrestmentSimulator
@@ -42,6 +50,8 @@ from repro.watertank.testcases import standard_tank_cases
 TANK_TICKS = 200
 ARREST_TIMEOUT_S = 6.0
 ARREST_TICKS = 6000
+#: long enough that no golden run of the exit tests' cases times out
+EXIT_TIMEOUT_S = 8.0
 
 
 def tank_prop_factory(tc):
@@ -50,6 +60,10 @@ def tank_prop_factory(tc):
 
 def arrest_prop_factory(tc):
     return ArrestmentSimulator(tc, timeout_s=ARREST_TIMEOUT_S)
+
+
+def exit_prop_factory(tc):
+    return ArrestmentSimulator(tc, timeout_s=EXIT_TIMEOUT_S)
 
 
 TANK_PORTS = {
@@ -109,6 +123,17 @@ def arrest_perm():
     return PermeabilityCampaign(
         arrest_prop_factory, [cases[4], cases[20]],
         runs_per_input=1, seed=5,
+    )
+
+
+@pytest.fixture(scope="module")
+def exit_perm():
+    """Permeability rows on two engagements (tc24 and tc20) whose
+    golden runs end well inside the timeout, so a row can outlive its
+    golden run."""
+    cases = standard_test_cases()
+    return PermeabilityCampaign(
+        exit_prop_factory, [cases[24], cases[20]], runs_per_input=1, seed=5,
     )
 
 
@@ -437,6 +462,81 @@ class TestArrestmentTail:
         with tail_rows(0, len(rows)):
             looped = kernel_results(part, arrest_prop_factory)
         assert tailed == looped
+
+
+def permeability_fields(part, factory, settle):
+    """Per row of *part*, planned into one group: what its
+    permeability outcome reads of the kernel pass — injected, first
+    injection tick, whether the flip came after completion, and the
+    recorded streams up to the golden length — and the tick at which
+    the row left the loop.  *settle* hands the kernel the golden
+    lengths, so rows leave once their outcome is fixed."""
+    runner = BatchRunner([part], factory)
+    rows = [VectorRow(case.case_id, inj) for case, inj in part.rows]
+    golden = [
+        len(runner._golden_streams[(row.case_id, row.injection.module)][0])
+        for row in rows
+    ]
+    left = {}
+    leave = InvocationRecorder.leave
+
+    def spy(self, mask):
+        for r in (mask & self._live).nonzero()[0].tolist():
+            left[r] = self.tick
+        return leave(self, mask)
+
+    with mock.patch.object(InvocationRecorder, "leave", spy):
+        result = runner._kernel.run_group(GroupJob(
+            rows=rows, cases=runner._cases, templates=runner._templates,
+            factory=factory, golden=golden if settle else None,
+        ))
+    streams = result.streams
+    fields = []
+    for r, length in enumerate(golden):
+        first = result.first_injection_tick[r]
+        completed = result.completion_tick[r]
+        n = min(length, int(streams.rec_len[r]))
+        fields.append((
+            result.injected[r], first,
+            None not in (first, completed) and first > completed,
+            streams.rec_ins[r][:n].tolist(), streams.rec_outs[r][:n].tolist(),
+        ))
+    return fields, [left.get(r) for r in range(len(rows))]
+
+
+class TestPermeabilityExit:
+    """A permeability row leaves the arrestment loop once its flip has
+    struck and its recorded stream is as long as its golden stream;
+    what its outcome reads equals a pass in which it runs to its end."""
+
+    @pytest.mark.parametrize("rows", [
+        # CLOCK's slot number flipped at tick 0: each row records its
+        # own schedule, and both outlive the golden run (7,082 ticks)
+        [("CLOCK", 0, 0, 0, 5), ("CLOCK", 0, 0, 0, 3)],
+        # flips that delay the arrest: the rows outlive their golden
+        # runs (354 and 240 invocations), so their completion ticks
+        # are never reached
+        [("V_REG", 0, 0, 4328, 14), ("CALC", 2, 1, 2033, 12)],
+        # flips due at ticks 7,061 and 4,790 strike at the last
+        # invocation of their golden streams (ticks 7,070 and 4,790),
+        # after completion: the streams reach golden length only then
+        [("V_REG", 0, 0, 7061, 3), ("V_REG", 1, 1, 4790, 11)],
+    ], ids=["clock-tick-0", "outlives-golden", "flip-at-golden-length"])
+    def test_settled_rows_read_as_if_run_to_the_end(self, exit_perm, rows):
+        part = part_of(
+            "permeability", exit_perm,
+            build_perm_tasks(exit_perm, ARREST_PORTS, rows),
+            goldens=exit_perm.goldens,
+        )
+        settled, settled_left = permeability_fields(
+            part, exit_prop_factory, True
+        )
+        ran, ran_left = permeability_fields(part, exit_prop_factory, False)
+        assert settled == ran
+        # every row took the exit, before it would have left
+        assert all(
+            early < late for early, late in zip(settled_left, ran_left)
+        )
 
 
 @pytest.mark.slow
