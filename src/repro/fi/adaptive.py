@@ -80,7 +80,7 @@ __all__ = [
 _SUMMED = (
     "executed_runs", "resumed_runs", "wall_s", "busy_s", "retries",
     "failures", "timeouts", "pool_respawns", "drift_events",
-    "checkpoint_rejects", "cached_rounds", "cache_hits", "cache_misses",
+    "checkpoint_rejects", "cache_hits", "cache_misses",
 )
 #: store figures count over the executor's lifetime, so the latest
 #: round's values already cover the whole campaign

@@ -448,11 +448,10 @@ class VectorPolicy:
     batching on: the rows of the campaigns run together share one
     batch, planned into ``jobs`` groups on the process backend and one
     serially, and each group advances all its injected runs per numpy
-    tick inside one worker.  Detection, memory and recovery rows follow
-    their own — possibly corrupted — dispatch schedule via masked
-    invocations, and permeability rows whose dispatch diverges retire
-    to the scalar path, so results stay bit-identical to scalar
-    execution.  ``0`` keeps the scalar path for everything: it is the
+    tick inside one worker.  Every row follows its own — possibly
+    corrupted — dispatch schedule via masked invocations, so results
+    stay bit-identical to scalar execution.  ``0`` keeps the scalar
+    path for everything: it is the
     oracle the A/B suites compare against, and the only path on a host
     without numpy.  Campaigns without a planner ignore the policy.
     """
@@ -573,18 +572,12 @@ class CampaignConfig:
             return self.backend
         return "process" if self.jobs > 1 else "serial"
 
-    def resolved_watchdog(self, scale: int = 1) -> float:
-        """Seconds of result silence after which the pool is broken.
-
-        A configured watchdog covers one task; a wave whose longest
-        work item is a batch leader computing *scale* tasks' worth
-        under one alarm gets it scaled alike.  The catch-all default
-        bounds a wedged pool, not a task, and is left as is.
-        """
+    def resolved_watchdog(self) -> float:
+        """Seconds of result silence after which the pool is broken."""
         if self.fault_tolerance.pool_watchdog_s is not None:
-            return self.fault_tolerance.pool_watchdog_s * scale
+            return self.fault_tolerance.pool_watchdog_s
         if self.fault_tolerance.task_timeout is not None:
-            return self.fault_tolerance.task_timeout * scale * 2 + 5.0
+            return self.fault_tolerance.task_timeout * 2 + 5.0
         return DEFAULT_POOL_WATCHDOG_S
 
 
@@ -805,9 +798,6 @@ class CampaignTelemetry:
     drift_events: int = 0
     #: checkpoint records dropped on load after a digest mismatch.
     checkpoint_rejects: int = 0
-    #: process-backend rounds run in process without a pool, because
-    #: the batch runner held every pending outcome already.
-    cached_rounds: int = 0
     #: store flushes that actually wrote data.
     store_flushes: int = 0
     #: store flushes skipped because no new records had arrived.
@@ -869,10 +859,6 @@ class CampaignTelemetry:
             f" | {self.runs_per_sec:.1f} runs/s"
             f" | backend={self.backend} jobs={self.jobs}"
             f" util={self.worker_utilization:.0%}"
-        )
-        if self.cached_rounds:
-            text += f" cached-rounds={self.cached_rounds}"
-        text += (
             f" | golden cache {self.cache_hits} hit"
             f" / {self.cache_misses} miss"
             f" ({self.cache_hit_rate:.0%})"
@@ -1203,22 +1189,15 @@ def _execute_attempt(
     started = time.perf_counter()
     fail_index, _ = active.chaos
     counts_before = counters.snapshot()
-    # a batched runner answers a whole group of runs from the first
-    # task that touches it, so that attempt gets the group's worth of
-    # timeout budget
-    timeout = active.timeout
-    scale_of = getattr(active.runner, "timeout_scale_for", None)
-    if timeout is not None and scale_of is not None:
-        timeout = timeout * max(1, scale_of(index))
     try:
         if fail_index is not None and index == fail_index and attempt == 1:
             raise RuntimeError(f"chaos: injected failure at task {index}")
-        with _task_alarm(timeout):
+        with _task_alarm(active.timeout):
             result = active.runner(index)
         payload: Dict[str, Any] = {"ok": result}
     except _TaskTimeout:
         payload = {
-            "err": f"timed out after {timeout:g} s",
+            "err": f"timed out after {active.timeout:g} s",
             "kind": "timeout",
         }
     except IntegrityError as exc:
@@ -1260,15 +1239,7 @@ def _pool_chunk(
     (prefixed by its campaign's registry key).
     """
     key, items = work
-    results = [_pool_task(key, item) for item in items]
-    # a batched runner answered every row of its groups this chunk
-    # asked for; the rest of those groups' outcomes travel home beside
-    # the last result, so later adaptive rounds never recompute them
-    ship = getattr(_ACTIVE[key].runner, "ship", None)
-    shipped = ship() if ship is not None else None
-    if shipped and results:
-        results[-1][1]["outcomes"] = shipped
-    return results
+    return [_pool_task(key, item) for item in items]
 
 
 def decorrelated_backoff(
@@ -1408,6 +1379,12 @@ class CampaignExecutor:
         The checkpoint keeps indexing the full ``n_tasks`` space, so
         batched and whole-campaign runs share checkpoints and resume
         interchangeably.
+
+        A runner with an ``outcomes(pending)`` method — a campaign's
+        :class:`~repro.fi.vector.BatchView` — is asked once, before a
+        backend is picked, for the outcomes of the pending tasks it
+        already answers; they are recorded in process, and only the
+        other tasks run.
         """
         config = self.config
         hits0, misses0 = self.cache.hits, self.cache.misses
@@ -1459,45 +1436,18 @@ class CampaignExecutor:
                     )
         resumed = sum(1 for i in wanted if i in prior)
         pending = [i for i in wanted if i not in prior]
-        # report the backend actually used: the process backend falls
-        # back to serial when fork is unavailable or the workload is
-        # too small to be worth a pool, and runs in process when the
-        # batch runner holds every pending outcome already
-        backend = config.resolved_backend()
-        holds = getattr(runner, "holds", None)
-        cached = (
-            backend == "process" and holds is not None
-            and all(map(holds, pending))
-        )
-        if backend == "process" and (
-            "fork" not in multiprocessing.get_all_start_methods()
-            or len(pending) <= 1
-            or cached
-        ):
-            backend = "serial"
+        # the backend is settled once the batch answered its rows
         telemetry = CampaignTelemetry(
             campaign=self.campaign,
-            backend=backend,
-            jobs=config.jobs if backend == "process" else 1,
+            backend="serial",
+            jobs=1,
             total_runs=n_tasks,
             resumed_runs=resumed,
             checkpoint_rejects=checkpoint_rejects,
-            cached_rounds=int(cached and bool(pending)),
         )
         since_flush = 0
-        attempts: Dict[int, int] = {index: 0 for index in pending}
+        attempts: Dict[int, int] = {}
         started = time.perf_counter()
-        start_fields: Dict[str, Any] = {
-            "backend": backend,
-            "jobs": telemetry.jobs,
-            "total": n_tasks,
-            "resumed": resumed,
-        }
-        if telemetry.cached_rounds:
-            start_fields["cached"] = True
-        if indices is not None:
-            start_fields["batch"] = len(wanted)
-        events.emit("run_start", **start_fields)
 
         def flush_store() -> None:
             if store is not None and store.flush():
@@ -1734,19 +1684,7 @@ class CampaignExecutor:
                             )
                     if wave_attempt > 1:
                         backoff_sleep(wave_attempt)
-                    # a batched runner answers whole groups of tasks
-                    # at once: keep each group inside one work item so
-                    # the batch computes in a single worker instead of
-                    # once per member
-                    plan = getattr(runner, "chunk_plan", None)
-                    chunks = [
-                        [(i, attempts[i]) for i in group]
-                        for group in (plan(remaining) if plan else [])
-                    ]
-                    grouped = {i for chunk in chunks for i, _ in chunk}
-                    items = [
-                        (i, attempts[i]) for i in remaining if i not in grouped
-                    ]
+                    items = [(i, attempts[i]) for i in remaining]
                     # chunking amortizes pipe traffic, but a lost worker
                     # loses its whole chunk — dispatch singly once
                     # per-task timeouts are in play
@@ -1755,17 +1693,10 @@ class CampaignExecutor:
                         if config.fault_tolerance.task_timeout is not None
                         else max(1, len(items) // (config.jobs * 8))
                     )
-                    chunks += [
+                    chunks = [
                         items[k:k + chunk_n]
                         for k in range(0, len(items), chunk_n)
                     ]
-                    # a batch leader computes its group under a scaled
-                    # alarm (see ``_execute_attempt``), so the wave's
-                    # watchdog stretches alike
-                    scale_of = getattr(runner, "timeout_scale_for", None)
-                    wave_watchdog = config.resolved_watchdog(
-                        max(map(scale_of, remaining)) if scale_of else 1
-                    )
                     iterator = pool.imap_unordered(
                         _pool_chunk, [(key, chunk) for chunk in chunks],
                         chunksize=1,
@@ -1774,13 +1705,13 @@ class CampaignExecutor:
                     received = 0
                     while received < len(chunks):
                         try:
-                            results = iterator.next(wave_watchdog)
+                            results = iterator.next(watchdog)
                         except StopIteration:
                             break
                         except multiprocessing.TimeoutError:
                             broken = (
                                 f"no result within the "
-                                f"{wave_watchdog:.0f} s watchdog "
+                                f"{watchdog:.0f} s watchdog "
                                 f"(worker death or wedged pool)"
                             )
                             break
@@ -1792,13 +1723,9 @@ class CampaignExecutor:
                             break
                         received += 1
                         for index, payload, busy in results:
-                            # in-process work is counted by the
-                            # run-wide delta in ``finally`` instead
-                            counters.add(
-                                telemetry.counts, payload.get("counts", {})
-                            )
-                            if "outcomes" in payload:
-                                runner.absorb(payload["outcomes"])
+                            # the worker's counts join the parent's, so
+                            # the run-wide delta in ``finally`` has them
+                            counters.credit(payload.get("counts", {}))
                             if "ok" in payload:
                                 succeed(index, payload, busy)
                             else:
@@ -1853,26 +1780,53 @@ class CampaignExecutor:
             timeout=config.fault_tolerance.task_timeout,
             chaos=_chaos_from_env(),
         )
-        if (
-            backend == "process"
-            and sentinel is not None
-            and config.integrity.policy != "off"
-        ):
-            # the parent's own digest, computed before the fork, is
-            # the reference every worker probe is compared against
-            active.sentinel = (sentinel, sentinel())
         # the registry key travels inside every pool work item, so
         # workers forked for any concurrently running campaign (late
         # respawns included) resolve their own campaign's context —
         # concurrent campaigns in one process no longer clobber each
         # other's module state
         key = f"{self.campaign}#{next(_ACTIVE_SEQ)}"
-        if backend == "process":
-            with _ACTIVE_LOCK:
-                _ACTIVE[key] = active
         status = "ok"
         try:
+            # a batch answers its rows without running their tasks:
+            # those outcomes are recorded here, and only the other
+            # rows are dispatched
+            outcomes = getattr(runner, "outcomes", None)
+            answered = outcomes(pending) if outcomes is not None else {}
+            # their busy time: the batch's, shared evenly
+            share = (time.perf_counter() - started) / max(1, len(answered))
+            pending = [i for i in pending if i not in answered]
+            attempts.update(dict.fromkeys(pending, 0))
+            # report the backend actually used: the process backend
+            # falls back to serial when fork is unavailable or the
+            # rows left are too few to be worth a pool
+            backend = config.resolved_backend()
+            if backend == "process" and (
+                "fork" not in multiprocessing.get_all_start_methods()
+                or len(pending) <= 1
+            ):
+                backend = "serial"
+            telemetry.backend = backend
+            telemetry.jobs = config.jobs if backend == "process" else 1
+            start_fields: Dict[str, Any] = {
+                "backend": backend,
+                "jobs": telemetry.jobs,
+                "total": n_tasks,
+                "resumed": resumed,
+            }
+            if indices is not None:
+                start_fields["batch"] = len(wanted)
+            events.emit("run_start", **start_fields)
+            for index, value in answered.items():
+                succeed(index, {"ok": value}, share)
             if backend == "process":
+                if sentinel is not None and config.integrity.policy != "off":
+                    # the parent's own digest, computed before the
+                    # fork, is the reference every worker probe is
+                    # compared against
+                    active.sentinel = (sentinel, sentinel())
+                with _ACTIVE_LOCK:
+                    _ACTIVE[key] = active
                 run_pool(pending)
             else:
                 run_serial(pending)
@@ -1880,9 +1834,8 @@ class CampaignExecutor:
             status = type(exc).__name__
             raise
         finally:
-            if backend == "process":
-                with _ACTIVE_LOCK:
-                    _ACTIVE.pop(key, None)
+            with _ACTIVE_LOCK:
+                _ACTIVE.pop(key, None)
             telemetry.wall_s = time.perf_counter() - started
             telemetry.cache_hits = self._hits + self.cache.hits - hits0
             telemetry.cache_misses = self._misses + self.cache.misses - misses0

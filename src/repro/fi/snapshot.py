@@ -569,10 +569,10 @@ class TrackPool:
 # The per-campaign coordinator.
 # ======================================================================
 #: full-capture comparison failures tolerated before a run's resync
-#: probe uninstalls itself.  A reconverging transient matches within
-#: the first boundary or two after it dies out; state that is still
-#: diverged after this many full comparisons is effectively persistent
-#: (a disturbed counter register), and further probing is pure cost.
+#: probe gives up.  A reconverging transient matches within the first
+#: boundary or two after it dies out; state that is still diverged
+#: after this many full comparisons is effectively persistent (a
+#: disturbed counter register), and further probing is pure cost.
 _RESYNC_GIVE_UP = 8
 
 
@@ -590,6 +590,10 @@ class _ResyncWatcher:
         self.attempts = 0
 
     def probe(self, tick: int) -> bool:
+        # a watcher that gave up stays installed, since the run loop
+        # reads its probe once, so it answers at once from then on
+        if self.attempts >= _RESYNC_GIVE_UP:
+            return False
         track = self.track
         if tick % track.stride or tick == 0:
             return False
@@ -604,12 +608,10 @@ class _ResyncWatcher:
         if self.simulator.sensors.snapshot() != golden.sensors:
             return False
         if not self.simulator.capture_state().matches(golden):
+            # diverged-but-sensor-identical state this persistent will
+            # not reconverge: after _RESYNC_GIVE_UP misses the run
+            # simply simulates to its end, still bit-identical
             self.attempts += 1
-            if self.attempts >= _RESYNC_GIVE_UP:
-                # diverged-but-sensor-identical state this persistent
-                # will not reconverge; stop probing (the run simply
-                # simulates to its end, still bit-identical)
-                self.simulator.set_tick_probe(None)
             return False
         bank = self.bank
         if bank is not None:

@@ -83,12 +83,13 @@ docs/campaigns.md).
 Golden invocation streams — the reference side of the permeability
 comparison — are built once as numpy arrays before the worker pool
 forks, and the workers inherit them through the fork.
-Each group is computed once per reproduction: a pool worker ships the
-outcomes of the group's rows its chunk did not ask for home — those
-of later adaptive rounds and of the other campaigns sharing the group
-— and the parent caches them (:meth:`BatchRunner.ship`,
-:meth:`BatchRunner.absorb`), so no row is computed twice and a round
-whose every outcome is cached runs in the parent without a pool.
+Each group is computed once per reproduction, in the batch pass: the
+first campaign round that asks for a row a batch answers runs every
+group as one task of an executor run of its own
+(:meth:`BatchRunner.outcomes`), and the runner keeps the outcomes for
+the later rounds and the other campaigns sharing the groups, so no row
+is computed twice.  The executor records a round's batch outcomes in
+process and runs only the other rows as tasks.
 
 On by default: ``CampaignConfig(vector=VectorPolicy(batch_width=N))``
 / ``--batch-width N`` with any ``N > 0`` turns batching on (the
@@ -99,13 +100,21 @@ the only path without numpy.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.edm.monitors import MonitorBank
 from repro.fi.counters import Counters
+from repro.fi.executor import (
+    CampaignConfig,
+    CampaignExecutor,
+    CheckpointPolicy,
+    TaskFailure,
+)
 from repro.fi.injector import FaultInjector
+from repro.fi.integrity import golden_sentinel
 from repro.fi.memory import CellKind, MemoryLocation, Region
 from repro.fi.models import InputSignalFlip, PeriodicMemoryFlip
 from repro.model.signal import SignalType
@@ -1317,8 +1326,8 @@ def _plan_groups(
     none — share groups; a recovery part (two passes) and a part whose
     bank differs get their own.  Each such set of parts forms
     *n_groups* groups, group ``k`` holding the ``k``-th of
-    *n_groups* equal slices of every part's rows, so the first
-    campaign a pool executes computes them all side by side.
+    *n_groups* equal slices of every part's rows, so the batch pass
+    computes them side by side on a pool of *n_groups* workers.
     Injections the kernel cannot strike inside a batch (*supported*
     says no — e.g. float-backed memory cells) stay on the scalar path,
     and so do the rows of a group of one, which a batch would only
@@ -1372,9 +1381,6 @@ def _plan_groups(
 # ======================================================================
 # The batch runner.
 # ======================================================================
-_UNSERVED = object()
-
-
 def _kernel_for(probe):
     """The vector kernel class supporting *probe*, or ``None``."""
     if np is None:
@@ -1407,28 +1413,16 @@ class BatchRunner:
 
     Each :class:`BatchPart` is one campaign; the runner numbers the
     parts' rows in order (runner-wide indices) and plans them into
-    ``groups`` groups (:func:`_plan_groups`).  A task whose row
-    belongs to a group is answered by running the whole group through
-    the target's vector kernel once (cached per process, each row's
-    outcome served once); everything else — audited rows, chaos runs,
-    rows of unsupported targets — falls through to its campaign's
-    scalar runner, which remains the semantic reference.
+    ``groups`` groups (:func:`_plan_groups`).  The first call of
+    :meth:`outcomes` that asks for a row a group answers runs the
+    batch pass, which computes every group through the target's vector
+    kernel; the runner keeps the outcomes and serves each once.
+    Everything else — audited rows, chaos runs, rows of unsupported
+    targets or of a group whose computation failed — runs on its
+    campaign's scalar runner, which remains the semantic reference.
     A campaign's executor calls its :class:`BatchView`
     (:meth:`views`), which maps the campaign's task indices onto the
     runner's.
-
-    Also exposes the executor integration hooks:
-
-    * :meth:`timeout_scale_for` — a batch leader computes up to
-      ``len(group)`` runs under one per-task alarm, so its budget is
-      scaled accordingly;
-    * :meth:`chunk_plan` — pool chunks are aligned to batch
-      boundaries, so exactly one worker computes each batch;
-    * :meth:`holds` — whether the parent already holds a task's
-      outcome, so a round that needs nothing else runs without a pool;
-    * :meth:`ship` and :meth:`absorb` — a worker sends the outcomes of
-      the rows its chunk did not ask for home, and the parent caches
-      them for the pools of later rounds and campaigns.
     """
 
     def __init__(
@@ -1451,11 +1445,9 @@ class BatchRunner:
         self._chaos = any(
             name.startswith("REPRO_CHAOS_") for name in os.environ
         )
-        #: group id -> outcomes of its rows not served yet (audited
-        #: rows have none); kept until the runner is dropped
-        self._cache: Dict[int, Dict[int, Any]] = {}
-        #: groups computed in this process since the last :meth:`ship`
-        self._fresh: List[int] = []
+        #: outcomes of the batch pass not served yet, by runner-wide
+        #: index; ``None`` until the pass ran
+        self._outcomes: Optional[Dict[int, Any]] = None
         self._group_of: Dict[int, _Group] = {}
         self._groups: List[_Group] = []
         self._kernel = None
@@ -1466,11 +1458,17 @@ class BatchRunner:
         if groups > 0 and len(self._rows) >= 2:
             self._prepare(groups)
 
-    def views(self) -> List["BatchView"]:
-        """Each part's view, in part order."""
+    def views(
+        self, configs: Optional[Sequence[CampaignConfig]] = None
+    ) -> List["BatchView"]:
+        """Each part's view, in part order, under its campaign's config
+        in *configs* (default: a serial one)."""
+        configs = configs or [CampaignConfig()] * len(self._parts)
         return [
-            BatchView(self, offset, len(part.rows))
-            for offset, part in zip(self._offsets, self._parts)
+            BatchView(self, offset, len(part.rows), config)
+            for offset, part, config in zip(
+                self._offsets, self._parts, configs
+            )
         ]
 
     # ------------------------------------------------------------------
@@ -1526,34 +1524,6 @@ class BatchRunner:
             self._golden_streams[(case_id, module)] = (ins, outs)
 
     # ------------------------------------------------------------------
-    # Executor integration hooks (duck-typed, runner-wide indices).
-    # ------------------------------------------------------------------
-    def timeout_scale_for(self, index: int) -> int:
-        """Per-task timeout multiplier: a batch leader simulates the
-        whole group under its own alarm."""
-        group = self._batchable(index)
-        if group is None or group.gid in self._cache:
-            return 1
-        return len(group.indices)
-
-    def chunk_plan(self, indices: Sequence[int]) -> List[List[int]]:
-        """One pool chunk per group: the rows of *indices* a batch
-        answers.  The executor chunks the rest (ungrouped, audited or
-        chaos rows) like any scalar work."""
-        chunks: Dict[int, List[int]] = {}
-        for index in indices:
-            if self.answers(index):
-                gid = self._group_of[index].gid
-                chunks.setdefault(gid, []).append(index)
-        return list(chunks.values())
-
-    def holds(self, index: int) -> bool:
-        """Whether this process holds task *index*'s outcome already,
-        so serving it runs no simulation."""
-        group = self._batchable(index)
-        return group is not None and index in self._cache.get(group.gid, ())
-
-    # ------------------------------------------------------------------
     # Dispatch.
     # ------------------------------------------------------------------
     def _scalar(self, index: int) -> Any:
@@ -1583,49 +1553,76 @@ class BatchRunner:
         return self._batchable(index) is not None
 
     def __call__(self, index: int) -> Any:
-        group = self._batchable(index)
-        if group is None:
-            vector_stats.scalar_fallbacks += 1
-            return self._scalar(index)
-        outcomes = self._cache.get(group.gid)
-        if outcomes is None:
-            outcomes = self._cache[group.gid] = self._compute_group(group)
-            self._fresh.append(group.gid)
-        # each outcome is served once; a row asked again after a
-        # failed attempt runs on the scalar path
-        outcome = outcomes.pop(index, _UNSERVED)
-        if outcome is _UNSERVED:
-            return self._scalar(index)
-        vector_stats.rows += 1
-        return outcome
+        """Task *index*: its batch outcome, else its scalar run."""
+        served = self.outcomes([index])
+        if index in served:
+            return served[index]
+        vector_stats.scalar_fallbacks += 1
+        return self._scalar(index)
 
-    def ship(self) -> Dict[int, Dict[int, Any]]:
-        """The unserved outcomes of the groups this process computed
-        since the last call, by group id.
-
-        A pool worker ships them home after each chunk.  A chunk holds
-        every row of its round and campaign that the group answers, so
-        what is left belongs to later adaptive rounds or to the other
-        campaigns sharing the group; nothing is left when the chunk
-        held the whole group.
-        """
-        shipped = {gid: self._cache[gid] for gid in self._fresh
-                   if self._cache[gid]}
-        self._fresh = []
-        return shipped
-
-    def absorb(self, shipped: Dict[int, Dict[int, Any]]) -> None:
-        """Cache outcomes a pool worker shipped home, so later rounds
-        and campaigns serve them and no row is simulated twice."""
-        for gid, outcomes in shipped.items():
-            self._cache.setdefault(gid, {}).update(outcomes)
+    def outcomes(
+        self,
+        indices: Sequence[int],
+        config: Optional[CampaignConfig] = None,
+    ) -> Dict[int, Any]:
+        """The outcomes of the rows of *indices* a batch answers, by
+        runner-wide index in the order of *indices*; each outcome is
+        served once.  The first call that asks for such a row runs the
+        batch pass under *config* (default: a serial one)."""
+        answered = [index for index in indices if self.answers(index)]
+        if answered and self._outcomes is None:
+            self._outcomes = self._pass(config or CampaignConfig())
+        served = {
+            index: self._outcomes.pop(index)
+            for index in answered if index in self._outcomes
+        }
+        vector_stats.rows += len(served)
+        return served
 
     # ------------------------------------------------------------------
     # Batch computation and outcome assembly.
     # ------------------------------------------------------------------
-    def _compute_group(self, group: _Group) -> Dict[int, Any]:
-        import dataclasses
+    def _pass(self, config: CampaignConfig) -> Dict[int, Any]:
+        """Every group's outcomes, from one executor run of their own
+        (campaign ``batch``), one task per group.
 
+        The run takes *config*'s backend, jobs, retries, drift sentinel
+        and event log, keeps no checkpoint, and scales the task timeout
+        and the pool watchdog by the size of the largest group.  A
+        group whose task fails every attempt answers no row.
+        """
+        largest = max(len(group.indices) for group in self._groups)
+
+        def scaled(seconds: Optional[float]) -> Optional[float]:
+            return None if seconds is None else seconds * largest
+
+        ft = config.fault_tolerance
+        executor = CampaignExecutor(
+            dataclasses.replace(
+                config,
+                checkpoint=CheckpointPolicy(),
+                fault_tolerance=dataclasses.replace(
+                    ft,
+                    task_timeout=scaled(ft.task_timeout),
+                    pool_watchdog_s=scaled(ft.pool_watchdog_s),
+                ),
+            ),
+            campaign="batch",
+        )
+        results = executor.run_tasks(
+            lambda k: self._compute_group(self._groups[k]),
+            len(self._groups),
+            sentinel=golden_sentinel(
+                self._factory, next(iter(self._cases.values()))
+            ),
+        )
+        outcomes: Dict[int, Any] = {}
+        for result in results:
+            if not isinstance(result, TaskFailure):
+                outcomes.update(result)
+        return outcomes
+
+    def _compute_group(self, group: _Group) -> Dict[int, Any]:
         rows = [
             VectorRow(case_id=case.case_id, injection=injection)
             for case, injection in (self._rows[i] for i in group.indices)
@@ -1768,12 +1765,13 @@ class BatchRunner:
 
 class BatchView:
     """One campaign's view of a shared :class:`BatchRunner`: its task
-    indices, offset into the runner's, and the executor hooks over
-    them.  Shipped outcomes are runner-wide, so a pool worker of one
-    campaign also ships home the rows of the others."""
+    indices, offset into the runner's, and its config, under which the
+    first of its rounds that the batch answers runs the batch pass."""
 
-    def __init__(self, batch: BatchRunner, offset: int, size: int):
+    def __init__(self, batch: BatchRunner, offset: int, size: int,
+                 config: CampaignConfig):
         self.batch = batch
+        self.config = config
         self._offset = offset
         #: how many of the campaign's rows the runner planned into
         #: groups: the campaign's group capacity
@@ -1787,25 +1785,14 @@ class BatchView:
     def answers(self, index: int) -> bool:
         return self.batch.answers(self._offset + index)
 
-    def holds(self, index: int) -> bool:
-        return self.batch.holds(self._offset + index)
-
-    def timeout_scale_for(self, index: int) -> int:
-        return self.batch.timeout_scale_for(self._offset + index)
-
-    def chunk_plan(self, indices: Sequence[int]) -> List[List[int]]:
-        return [
-            [index - self._offset for index in chunk]
-            for chunk in self.batch.chunk_plan(
-                [self._offset + index for index in indices]
-            )
-        ]
-
-    def ship(self) -> Dict[int, Dict[int, Any]]:
-        return self.batch.ship()
-
-    def absorb(self, shipped: Dict[int, Dict[int, Any]]) -> None:
-        self.batch.absorb(shipped)
+    def outcomes(self, indices: Sequence[int]) -> Dict[int, Any]:
+        served = self.batch.outcomes(
+            [self._offset + index for index in indices], self.config
+        )
+        return {
+            index - self._offset: outcome
+            for index, outcome in served.items()
+        }
 
 
 # ======================================================================
@@ -1842,6 +1829,7 @@ def wrap_runners(
             [parts[i] for i in members], factories[members[0]], groups
         )
         if batch._kernel is not None:
-            for i, view in zip(members, batch.views()):
+            views = batch.views([configs[i] for i in members])
+            for i, view in zip(members, views):
                 runners[i] = view
     return runners

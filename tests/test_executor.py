@@ -6,6 +6,7 @@ is killed and resumed converges to the same final result as an
 uninterrupted run.
 """
 
+import dataclasses
 import json
 import time
 
@@ -27,7 +28,11 @@ from repro.fi import (
     SqliteResultStore,
     TaskFailure,
 )
+from repro.fi.executor import DEFAULT_POOL_WATCHDOG_S, VectorPolicy
+from repro.fi.vector import BatchRunner
 from repro.target.simulation import ArrestmentSimulator
+from repro.watertank.simulation import WaterTankSimulator
+from repro.watertank.testcases import standard_tank_cases
 
 
 def factory(tc):
@@ -55,11 +60,8 @@ class TestCampaignConfig:
             fault_tolerance=FaultTolerancePolicy(task_timeout=2.0)
         )
         assert timed.resolved_watchdog() == 2.0 * 2 + 5
-        assert timed.resolved_watchdog(8) == 2.0 * 8 * 2 + 5
         # the catch-all default bounds a wedged pool, not a task
-        assert CampaignConfig().resolved_watchdog(8) == (
-            CampaignConfig().resolved_watchdog()
-        )
+        assert CampaignConfig().resolved_watchdog() == DEFAULT_POOL_WATCHDOG_S
 
     def test_validation(self):
         with pytest.raises(CampaignError):
@@ -476,46 +478,47 @@ class TestBackendReporting:
         assert telemetry.pool_respawns == 0
 
 
-class _SlowGroup:
-    """A stand-in for a batched runner: every task belongs to one
-    group, whose leader computes for *seconds* under an alarm scaled
-    by the group's size (the ``BatchRunner`` hooks)."""
-
-    def __init__(self, size, seconds):
-        self.size = size
-        self.seconds = seconds
-        self.computed = False
-
-    def chunk_plan(self, indices):
-        return [list(indices)]
-
-    def timeout_scale_for(self, index):
-        return 1 if self.computed else self.size
-
-    def __call__(self, index):
-        if not self.computed:
-            time.sleep(self.seconds)
-            self.computed = True
-        return index * 2
-
-
 class TestSlowBatch:
-    def test_slow_group_is_not_a_broken_pool(self, tmp_path):
-        """The leader outlasts one task's alarm and watchdog, but not
-        the group's: no respawn, no lost task."""
+    def test_slow_group_is_not_a_broken_pool(self, tmp_path, monkeypatch):
+        """A group outlasts one task's alarm and watchdog, but not the
+        group's, which the batch pass scales by its size: no broken
+        pool, no respawn, and the batch answers every row."""
+        compute = BatchRunner._compute_group
+
+        def slow(self, group):
+            time.sleep(1.5)
+            return compute(self, group)
+
+        monkeypatch.setattr(BatchRunner, "_compute_group", slow)
         log = str(tmp_path / "events.jsonl")
-        config = _fast_config(
-            jobs=2, retries=0, task_timeout=1.0, pool_watchdog_s=0.5,
-            event_log_path=log,
+        config = dataclasses.replace(
+            _fast_config(
+                jobs=2, retries=0, task_timeout=1.0, pool_watchdog_s=0.5,
+                event_log_path=log,
+            ),
+            vector=VectorPolicy(batch_width=32),
         )
-        executor = CampaignExecutor(config, campaign="unit")
-        results = executor.run_tasks(_SlowGroup(8, 1.5), 8, "fp")
-        assert results == [i * 2 for i in range(8)]
+        campaign = PermeabilityCampaign(
+            lambda tc: WaterTankSimulator(tc, mission_ticks=300),
+            standard_tank_cases()[:2], runs_per_input=2, seed=3,
+            config=config,
+        )
+        campaign.run()
         with open(log) as handle:
-            names = [json.loads(line)["event"] for line in handle]
+            events = [json.loads(line) for line in handle]
+        names = [event["event"] for event in events]
         assert "pool_broken" not in names
-        assert executor.telemetry.pool_respawns == 0
-        assert not executor.telemetry.degraded
+        assert "pool_respawn" not in names
+        starts = [
+            (event["campaign"], event["backend"])
+            for event in events if event["event"] == "run_start"
+        ]
+        assert starts == [("batch", "process"), ("permeability", "serial")]
+        telemetry = campaign.telemetry
+        assert telemetry.counts["vec_groups"] == 2
+        assert telemetry.counts["vec_rows"] == telemetry.total_runs == 16
+        assert telemetry.counts["vec_scalar_fallbacks"] == 0
+        assert telemetry.failures == 0
 
 
 class TestWorkerCrash:

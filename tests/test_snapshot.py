@@ -250,6 +250,44 @@ class TestFFQuiescent:
 
 
 # ======================================================================
+# The resync watcher.
+# ======================================================================
+class TestResyncWatcher:
+    def test_given_up_watcher_takes_no_capture(self):
+        """After _RESYNC_GIVE_UP failed full comparisons the watcher
+        stops capturing state at stride boundaries, although the run
+        loop keeps calling its probe."""
+        from types import SimpleNamespace
+
+        from repro.fi.snapshot import _RESYNC_GIVE_UP, _ResyncWatcher
+
+        captures = []
+        registers = {"ADC": 3}
+
+        def capture_state():
+            captures.append(1)
+            return SimpleNamespace(matches=lambda golden: False)
+
+        simulator = SimpleNamespace(
+            sensors=SimpleNamespace(snapshot=lambda: registers),
+            capture_state=capture_state,
+            set_tick_probe=lambda probe: None,
+        )
+        stride = 4
+        boundaries = range(stride, stride * (_RESYNC_GIVE_UP + 5), stride)
+        track = SimpleNamespace(
+            stride=stride,
+            states={t: SimpleNamespace(sensors=registers) for t in boundaries},
+        )
+        watcher = _ResyncWatcher(
+            simulator, None, SimpleNamespace(ff_quiescent=True), track
+        )
+        for tick in range(stride * (_RESYNC_GIVE_UP + 5)):
+            assert watcher.probe(tick) is False
+        assert len(captures) == _RESYNC_GIVE_UP
+
+
+# ======================================================================
 # Golden-log priming.
 # ======================================================================
 class TestInvocationLogPrime:

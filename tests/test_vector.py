@@ -22,7 +22,14 @@ from repro.fi.campaign import (
     RecoveryCampaign,
 )
 from repro.fi import counters
-from repro.fi.executor import AdaptivePolicy, CampaignConfig, VectorPolicy
+from repro.fi.counters import Counters
+from repro.fi.executor import (
+    AdaptivePolicy,
+    CampaignConfig,
+    CheckpointPolicy,
+    FaultTolerancePolicy,
+    VectorPolicy,
+)
 from repro.fi.memory import MemoryMap
 from repro.fi.vector import (
     BatchPart,
@@ -852,6 +859,83 @@ class TestCampaignAB:
         ) == [runner]
 
 
+class TestBatchPass:
+    """The batch pass computes every group in an executor run of its
+    own, on the first round that asks for a row the batch answers."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_group_falls_back_to_scalar(
+        self, tank_cases, monkeypatch, jobs
+    ):
+        """A group whose computation raises is retried inside the pass,
+        then leaves its rows to the scalar path: no campaign task is
+        quarantined and the results are the scalar ones."""
+        # a counter group: pool workers' attempts reach the parent too
+        computed = Counters("failing_", "groups")
+
+        def fail(self, group):
+            computed.groups += 1
+            raise RuntimeError("kernel fault")
+
+        def run(batch_width):
+            config = CampaignConfig(
+                jobs=jobs,
+                fault_tolerance=FaultTolerancePolicy(retry_backoff_s=0.0),
+                vector=VectorPolicy(batch_width=batch_width),
+            )
+            campaign = PermeabilityCampaign(
+                tank_factory, tank_cases, runs_per_input=1, seed=3,
+                config=config,
+            )
+            estimate = campaign.run()
+            outcome = (estimate.direct_counts, estimate.active_runs)
+            return outcome, campaign.telemetry
+
+        scalar, _ = run(0)
+        monkeypatch.setattr(BatchRunner, "_compute_group", fail)
+        batched, telemetry = run(32)
+        assert batched == scalar
+        assert telemetry.total_runs == 8
+        # each of the jobs groups: retries + 1 attempts in all
+        retries = FaultTolerancePolicy().retries
+        assert computed.groups == jobs * (retries + 1)
+        assert telemetry.failures == 0
+        assert telemetry.counts["vec_scalar_fallbacks"] == 8
+        assert telemetry.counts["vec_rows"] == 0
+
+    def test_resumed_campaign_runs_no_pass(self, tank_cases, tmp_path):
+        """A campaign whose every row the checkpoint holds asks the
+        batch for nothing, so no batch pass runs."""
+        import json
+
+        def run(log):
+            config = CampaignConfig(
+                checkpoint=CheckpointPolicy(path=str(tmp_path / "r.db")),
+                event_log_path=str(log),
+                vector=VectorPolicy(batch_width=32),
+            )
+            campaign = DetectionCampaign(
+                tank_factory, tank_cases, tank_assertions(),
+                runs_per_signal=4, seed=11, config=config,
+            )
+            result = campaign.run()
+            starts = [
+                event["campaign"]
+                for event in map(json.loads, log.read_text().splitlines())
+                if event["event"] == "run_start"
+            ]
+            return result.run_records, campaign.telemetry, starts
+
+        first, telemetry, starts = run(tmp_path / "first.jsonl")
+        assert telemetry.counts["vec_groups"] == 1
+        assert starts == ["batch", "detection"]
+        resumed, telemetry, starts = run(tmp_path / "resumed.jsonl")
+        assert resumed == first
+        assert telemetry.resumed_runs == telemetry.total_runs
+        assert telemetry.counts["vec_groups"] == 0
+        assert starts == ["detection"]
+
+
 class TestAdaptiveBatched:
     """Adaptive sampling stacks on the batched core: results match the
     adaptive scalar run, and every round's vector counters reach the
@@ -904,19 +988,19 @@ class TestAdaptiveBatched:
         assert rows == sum(event["vec_rows"] for event in run_ends) > 0
         assert f" | vector {rows} rows in " in telemetry.render()
         if jobs > 1:
-            # later rounds serve the outcomes the first round's workers
-            # shipped home: each of the jobs groups is computed once
+            # the first round's batch pass computes each of the jobs
+            # groups once, and later rounds serve what it kept
             _, serial = self.run(kind, tank_cases, 1, 32)
             assert telemetry.counts["vec_groups"] == jobs
             for name in ("vec_batched_ticks", "vec_retired_rows"):
                 assert telemetry.counts[name] == serial.counts[name]
 
-    def test_pool_forks_only_for_uncached_rounds(
+    def test_only_the_batch_pass_forks(
         self, tank_cases, tmp_path, monkeypatch
     ):
-        """A pooled adaptive round whose every outcome the batch
-        already holds runs in process: only the first round, which
-        computes the groups, forks (and runs the drift sentinel)."""
+        """The batch pass computes the groups on the one pool (and runs
+        the drift sentinel there); every campaign round is answered
+        from the pass and runs serially."""
         import json
         import multiprocessing.pool
 
@@ -940,14 +1024,13 @@ class TestAdaptiveBatched:
             for event in map(json.loads, log.read_text().splitlines())
             if event["event"] == "run_start"
         ]
-        assert len(starts) >= 2  # several adaptive rounds
+        rounds = [s for s in starts if s["campaign"] == "detection"]
+        assert len(rounds) >= 2  # several adaptive rounds
         assert forked == [1]
-        assert [s["backend"] for s in starts] == (
-            ["process"] + ["serial"] * (len(starts) - 1)
+        assert [(s["campaign"], s["backend"]) for s in starts] == (
+            [("batch", "process")] + [("detection", "serial")] * len(rounds)
         )
-        assert all(s.get("cached") for s in starts[1:])
-        assert telemetry.cached_rounds == len(starts) - 1
-        assert "cached-rounds=" in telemetry.render()
+        assert telemetry.counts["vec_groups"] == 2
 
 
 class TestBatchedTracks:
