@@ -231,8 +231,9 @@ def test_bench_vector_memory(benchmark, ctx):
     """Memory campaign full sweep, scalar vs vectorized: the
     enumerative (location x case) fault space batches into one
     cross-case group; per-row dispatch keeps flips that corrupt the
-    schedule chain inside the batch, so results stay bit-identical at
-    a >=5x full-replay speedup."""
+    schedule chain inside the batch, and the slots only those few rows
+    take run on their scalar modules (``vec_row_invocations``), so
+    results stay bit-identical at a >=5x full-replay speedup."""
     probe = _factory(standard_tank_cases()[0])
     locations = MemoryMap(probe.system).locations()
     if not strict(ctx):
@@ -278,7 +279,8 @@ def test_bench_vector_memory(benchmark, ctx):
           f"({counts['vec_rows']} rows in {counts['vec_groups']} groups, "
           f"{100 * occupancy:.1f}% occupancy, "
           f"{counts['vec_cross_case_groups']} cross-case, "
-          f"{counts['vec_retired_rows']} retired)")
+          f"{counts['vec_retired_rows']} retired, "
+          f"{counts['vec_row_invocations']} row-invocations)")
     print(f"  speedup           : {speedup:.2f}x")
 
     _record_bench(
@@ -300,6 +302,7 @@ def test_bench_vector_memory(benchmark, ctx):
             "vec_retired_rows": counts["vec_retired_rows"],
             "vec_occupancy": round(occupancy, 3),
             "vec_cross_case_groups": counts["vec_cross_case_groups"],
+            "vec_row_invocations": counts["vec_row_invocations"],
         },
     )
 

@@ -564,10 +564,16 @@ def _cmd_drain(args: argparse.Namespace) -> int:
 
 
 def _cmd_one_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments.__main__ import context_from_args, report_telemetry
+    from repro.experiments.__main__ import (
+        context_from_args,
+        refuse_unsupported,
+        report_telemetry,
+    )
     from repro.experiments.runner import EXPERIMENTS
 
     ctx = context_from_args(args)
+    if refuse_unsupported(ctx, [args.command]):
+        return 2
     result = EXPERIMENTS[args.command](ctx)
     print(result.render())
     report_telemetry(ctx)

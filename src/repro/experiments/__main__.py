@@ -1,8 +1,8 @@
 """CLI entry point: ``python -m repro.experiments [ids...]``.
 
-Runs the given experiments (default: all of them) under one
-:class:`~repro.experiments.context.ExperimentContext`.  ``--help``
-lists every flag.  The same flags serve ``python -m repro
+Runs the given experiments (default: every one the target can run)
+under one :class:`~repro.experiments.context.ExperimentContext`.
+``--help`` lists every flag.  The same flags serve ``python -m repro
 <experiment>`` and, without the four the service scheduler sets per
 job, ``python -m repro submit``: :func:`add_execution_options` builds
 them from the context flags below and the execution options declared
@@ -18,7 +18,7 @@ import sys
 from typing import Any, Dict, List
 
 from repro.experiments.context import ExperimentContext, SCALES, default_scale
-from repro.experiments.runner import EXPERIMENTS, run_all
+from repro.experiments.runner import EXPERIMENTS, run_all, unsupported
 from repro.fi.executor import BACKENDS, EXECUTION_OPTIONS, ExecutionOption
 from repro.targets import available_targets
 
@@ -154,6 +154,19 @@ def report_telemetry(ctx: ExperimentContext) -> None:
         print(telemetry.render(), file=sys.stderr)
 
 
+def refuse_unsupported(ctx: ExperimentContext, exp_ids: List[str]) -> bool:
+    """Name on stderr the experiments of *exp_ids* that *ctx*'s target
+    cannot run; True if there are any (the CLI then exits 2)."""
+    refused = unsupported(ctx.target.name, exp_ids)
+    if refused:
+        print(
+            f"error: target {ctx.target.name} cannot run "
+            f"{', '.join(refused)} (arrestment only)",
+            file=sys.stderr,
+        )
+    return bool(refused)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -163,11 +176,20 @@ def main(argv=None) -> int:
         "ids",
         nargs="*",
         choices=list(EXPERIMENTS) + [[]],
-        help="experiments to run (default: all)",
+        help="experiments to run (default: all the target can run)",
     )
     add_execution_options(parser)
     args = parser.parse_args(argv)
     ctx = context_from_args(args)
+    if refuse_unsupported(ctx, args.ids):
+        return 2
+    skipped = unsupported(ctx.target.name, list(EXPERIMENTS))
+    if not args.ids and skipped:
+        print(
+            f"[skipped] {', '.join(skipped)} (arrestment only; "
+            f"target {ctx.target.name})",
+            file=sys.stderr,
+        )
     run_all(
         ctx, only=args.ids or None,
         timing=lambda line: print(line, file=sys.stderr),

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.context import ExperimentContext, default_scale
 from repro.experiments.extended import run_extended
@@ -15,7 +15,9 @@ from repro.experiments.table3 import run_table3
 from repro.experiments.table4 import run_table4
 from repro.experiments.table5 import run_table5
 
-__all__ = ["CAMPAIGNS_OF", "EXPERIMENTS", "run_all"]
+__all__ = [
+    "ARRESTMENT_ONLY", "CAMPAIGNS_OF", "EXPERIMENTS", "run_all", "unsupported",
+]
 
 #: experiment id -> runner.  Order matches the paper's narrative.
 EXPERIMENTS: Dict[str, Callable[[ExperimentContext], object]] = {
@@ -44,6 +46,19 @@ CAMPAIGNS_OF: Dict[str, Tuple[str, ...]] = {
 }
 
 
+#: the experiments that read the arrestment's own signals — its output
+#: ``TOC2``, and Fig. 4's ``pulscnt`` — so no other target runs them
+ARRESTMENT_ONLY = ("table5", "profiles", "extended")
+
+
+def unsupported(target: str, exp_ids: Sequence[str]) -> List[str]:
+    """The experiments of *exp_ids* that the target named *target*
+    cannot run, in the order of *exp_ids*."""
+    if target == "arrestment":
+        return []
+    return [exp_id for exp_id in exp_ids if exp_id in ARRESTMENT_ONLY]
+
+
 def run_all(
     ctx: Optional[ExperimentContext] = None,
     only: Optional[List[str]] = None,
@@ -52,16 +67,22 @@ def run_all(
 ) -> Dict[str, object]:
     """Run the selected experiments; returns id -> result object.
 
-    The campaigns the selection reads (:data:`CAMPAIGNS_OF`) run
-    first, together: every plan is drawn before any executes, and
-    their rows share one batch.  Each report goes to *echo* under an
-    ``[id]`` header, and the time it took to *timing*, if given (the
-    CLI sends it to stderr, beside the campaign telemetry), so reports
-    of differently executed runs compare byte for byte.
+    The default selection is every experiment the context's target can
+    run (:func:`unsupported`).  The campaigns the selection reads
+    (:data:`CAMPAIGNS_OF`) run first, together: every plan is drawn
+    before any executes, and their rows share one batch.  Each report
+    goes to *echo* under an ``[id]`` header, and the time it took to
+    *timing*, if given (the CLI sends it to stderr, beside the campaign
+    telemetry), so reports of differently executed runs compare byte
+    for byte.
     """
     if ctx is None:
         ctx = ExperimentContext(scale=default_scale())
-    selected = only if only is not None else list(EXPERIMENTS)
+    if only is not None:
+        selected = list(only)
+    else:
+        skipped = unsupported(ctx.target.name, list(EXPERIMENTS))
+        selected = [exp_id for exp_id in EXPERIMENTS if exp_id not in skipped]
     campaigns = [name for exp_id in selected for name in CAMPAIGNS_OF[exp_id]]
     if campaigns:
         started = time.time()

@@ -897,6 +897,8 @@ class CampaignTelemetry:
                 f" {c['vec_retired_rows']} retired,"
                 f" {c['vec_scalar_fallbacks']} scalar"
             )
+            if c["vec_row_invocations"]:
+                text += f", {c['vec_row_invocations']} row-invocations"
             if c["vec_tail_rows"]:
                 text += f", {c['vec_tail_rows']} tail"
             text += ")"

@@ -45,7 +45,9 @@ to the scalar path.  Five mechanisms keep that true:
   ``capture_state()`` snapshots;
 * every row dispatches per row: like the scalar loop, each row runs
   the modules of its own — possibly corrupted — slot number, through
-  masked invocations;
+  masked invocations or, in a module slot only a few rows take, on
+  each row's own scalar module (:meth:`BatchKernel._invoke_rows`),
+  which is the scalar path's own code;
 * *permeability* rows flip and record only the invocations their own
   schedule takes, each at its own stream position, as the scalar
   ``InvocationLog`` does, so a row whose flip corrupts the slot number
@@ -54,11 +56,12 @@ to the scalar path.  Five mechanisms keep that true:
 * rows selected for an integrity audit, or running under chaos-test
   instrumentation, never enter a batch at all;
 * rows that finish on the scalar simulator — the arrestment kernel's
-  sparse tail, the last few rows of a long group — resume from their
-  state exported out of the batch (:meth:`BatchCells.column`), with
-  their injector (:meth:`repro.fi.injector.FaultInjector.resume`) and
-  monitor bank (:meth:`BankArrays.row_snapshot`) where the batch left
-  them, so the scalar path itself computes their remaining ticks.
+  sparse tail, its last :data:`SCALAR_ROWS` live rows — resume from
+  their state exported out of the batch (:meth:`BatchCells.column`),
+  with their injector (:meth:`repro.fi.injector.FaultInjector.resume`)
+  and monitor bank (:meth:`BankArrays.row_snapshot`) where the batch
+  left them, so the scalar path itself computes their remaining
+  ticks.
 
 Layout and dispatch
 -------------------
@@ -74,10 +77,19 @@ mask with one ``np.copyto`` of the module's block.  Per-row dispatch
 counts the live rows per module slot with one table lookup and one
 ``np.bincount``: a slot holding every live row runs unmasked, one
 holding some runs masked, and a tick with no live row on a module
-slot invokes nothing.  :class:`MemoryFlipPlan` is indexed by tick
-residue modulo the flip period, so a tick touches only the rows due
-then.  At bench scale a masked invocation costs about 40 µs at 114
-rows and a tick 67–102 µs outside the module bodies (measurements in
+slot invokes nothing.  A slot that at most :data:`SCALAR_ROWS` rows
+take — the rows a flip of the slot number or the successor table has
+sent off the schedule — runs each of them on its own test case's
+scalar module instead: one gather of the rows' args and state cells,
+the scalar ``invoke``, one scatter of their quantized outputs and
+state cells.  A module whose invocation flips or records one of
+those rows (its ``arg`` rows, the ``memory`` rows of its args and
+locals) keeps the numpy masked invocation.  :class:`MemoryFlipPlan`
+is indexed by tick residue modulo the flip period, so a tick touches
+only the rows due then.  In the bench-scale reproduction (one group of
+466 rows, seed 2002) a masked invocation costs about 43 µs and a
+few-row slot about 20 µs, 11 µs a row; 21,461 of the 23,338 masked
+invocations run on the scalar modules (measurements in
 docs/campaigns.md).
 
 Golden invocation streams — the reference side of the permeability
@@ -117,7 +129,8 @@ from repro.fi.injector import FaultInjector
 from repro.fi.integrity import golden_sentinel
 from repro.fi.memory import CellKind, MemoryLocation, Region
 from repro.fi.models import InputSignalFlip, PeriodicMemoryFlip
-from repro.model.signal import SignalType
+from repro.model.module import ExecutionContext
+from repro.model.signal import SignalType, make_quantizer
 
 try:
     import numpy as np
@@ -126,6 +139,7 @@ except Exception:  # pragma: no cover - numpy ships with the toolchain
 
 __all__ = [
     "vector_stats",
+    "SCALAR_ROWS",
     "RowInjection",
     "VectorRow",
     "GroupJob",
@@ -151,7 +165,21 @@ __all__ = [
 vector_stats = Counters(
     "vec_", "batched_ticks", "retired_rows", "groups", "rows",
     "scalar_fallbacks", "cross_case_groups", "group_capacity", "tail_rows",
+    "row_invocations",
 )
+
+#: at most this many rows run cheaper on the scalar code than in a
+#: numpy pass over the whole batch.  A module slot that only this many
+#: live rows take runs each of them on its own scalar module
+#: (:meth:`BatchKernel._dispatch`), and the arrestment kernel's loop
+#: hands its last this-many live rows to the scalar simulator (its
+#: sparse tail, :mod:`repro.target.vectorize`); 0 turns both off.
+#: Measured in the bench-scale reproduction on a 2-core host: a masked
+#: invocation over its 466 rows costs about 43 us, a slot's rows on
+#: their scalar modules about 11 us a row; a tick of the loop's tail
+#: about 125 us, a scalar row-tick about 13 us.  Sweeps of 4-32 did
+#: not separate above the host's run-to-run noise.
+SCALAR_ROWS = 8
 
 
 # ======================================================================
@@ -988,6 +1016,7 @@ class BatchKernel:
         self._slot_code[slots] = np.arange(len(slots))
         self._mem: Optional[MemoryFlipPlan] = None
         self._rec: Optional[InvocationRecorder] = None
+        self._scalar: Dict[str, tuple] = {}
 
     def module_ports(self, module: str):
         ins, outs, _, _ = self.ports[module]
@@ -1091,6 +1120,7 @@ class BatchKernel:
                 [cells.index[(None, name)] for name in names], dtype=np.int64
             )
 
+        self._data = cells.data
         self._store = store.block
         self._row_ix = np.arange(len(job.rows))
         self._calls = {
@@ -1103,7 +1133,58 @@ class BatchKernel:
             )
             for module, (_, _, in_sigs, out_sigs) in self.ports.items()
         }
+        self._scalar = self._scalar_modules(job, cells)
         return cells
+
+    def _scalar_modules(self, job: GroupJob, cells: BatchCells):
+        """Per module, what :meth:`_invoke_rows` needs: the rows of
+        the dense cells it reads (its args, then its state cells) and
+        writes (its outputs, then its state cells), its input ports,
+        its outputs' store quantizers, each batch row's own scalar
+        module, and last the rows its invocation flips or records — an
+        ``arg`` row of the module, a ``memory`` row of one of its args
+        or locals — which stay on the numpy path.
+
+        The modules come from one system per test case, built by the
+        job's factory: a module's invocation reads only its state
+        cells, its args and its construction-time configuration (CALC's
+        pressure scale is its case's), so a row's own case's module
+        computes the row's invocation.  Empty without a factory or with
+        :data:`SCALAR_ROWS` at 0: every invocation stays numpy."""
+        if job.factory is None or SCALAR_ROWS <= 0:
+            return {}
+        systems: Dict[int, Any] = {}
+        for row in job.rows:
+            if row.case_id not in systems:
+                systems[row.case_id] = job.factory(
+                    job.cases[row.case_id]
+                ).system
+        table = {}
+        for module, (ins, outs, _, out_sigs) in self.ports.items():
+            in_rows, _, out_rows, _, _ = self._calls[module]
+            state_rows = np.array([
+                cells.index[(module, cell)]
+                for cell in self.state_cells[module]
+            ], dtype=np.int64)
+            hooked = frozenset(
+                r for r, row in enumerate(job.rows)
+                if row.injection.module == module and (
+                    row.injection.kind == "arg"
+                    or row.injection.memory_kind in ("arg", "local")
+                )
+            )
+            table[module] = (
+                np.concatenate((in_rows, state_rows)),
+                np.concatenate((out_rows, state_rows)),
+                ins,
+                [
+                    (port, make_quantizer(*self.quant[signal]))
+                    for port, signal in zip(outs, out_sigs)
+                ],
+                [systems[row.case_id].module(module) for row in job.rows],
+                hooked,
+            )
+        return table
 
     def _registers(self, job: GroupJob):
         """The sensor registers as one ``(registers, rows)`` block in
@@ -1233,20 +1314,59 @@ class BatchKernel:
         if rec is not None:
             rec.record(module, args, self._store[out_rows], mask)
 
+    def _invoke_rows(self, module: str, idx, rows: List[int]) -> None:
+        """The invocation of *module* for the few batch rows *rows*
+        (*idx* as an array), each on its own scalar module, as
+        :meth:`repro.model.system.SystemExecutor.invoke` runs it
+        without hooks: the row's args and state cells come from its
+        column of the dense cells, and its quantized outputs and state
+        cells go back, one gather and one scatter for all of *rows*.
+        The cells are already quantized, so loading them re-quantizes
+        nothing."""
+        reads, writes, ins, quantizers, instances, _ = self._scalar[module]
+        columns = idx[:, None]
+        n_in = len(ins)
+        written = []
+        for r, values in zip(rows, self._data[reads, columns].tolist()):
+            instance = instances[r]
+            state = instance.state
+            state.load(values[n_in:])
+            outputs = instance.invoke(
+                ExecutionContext(instance, dict(zip(ins, values)))
+            )
+            out = [quantize(outputs[port]) for port, quantize in quantizers]
+            out.extend(state.snapshot().values())
+            written.append(out)
+        self._data[writes, columns] = np.array(written)
+        vector_stats.row_invocations += len(rows)
+
     def _dispatch(self, slots, live_count: int, dead=None) -> None:
         """Per-row dispatch, like the scalar loop: every live row runs
         the modules of its own — possibly corrupted — slot number
         *slots*.  A module slot holding every live row runs unmasked,
-        one holding some of them masked; rows in *dead* (a mask) left
-        the run loop and take no invocation."""
+        one holding some of them masked.  A slot that at most
+        :data:`SCALAR_ROWS` live rows take runs each module on the
+        rows' own scalar modules (:meth:`_invoke_rows`) instead, unless
+        the module's invocation flips or records one of them.  Rows in
+        *dead* (a mask) left the run loop and take no invocation."""
         code = self._slot_code[slots]
         if dead is not None:
             code[dead] = len(self._slot_groups)
         counts = np.bincount(code, minlength=len(self._slot_groups) + 1)
         for k, count in enumerate(counts.tolist()[:-1]):
-            if count:
-                mask = None if count == live_count else code == k
-                for module in self._slot_groups[k]:
+            if not count:
+                continue
+            mask = None if count == live_count else code == k
+            rows = None
+            if mask is not None and self._scalar and count <= SCALAR_ROWS:
+                idx = np.flatnonzero(mask)
+                rows = idx.tolist()
+            for module in self._slot_groups[k]:
+                if rows is not None and self._scalar[module][-1].isdisjoint(
+                    rows
+                ):
+                    self._invoke_rows(module, idx, rows)
+                else:
                     self._invoke(module, mask=mask)
 
     def _leave(self, left) -> None:
@@ -1258,7 +1378,8 @@ class BatchKernel:
             self._rec.leave(left)
 
     def _result(self, completion, bank, failed) -> GroupResult:
-        """The group's per-row outcomes; the injection state goes."""
+        """The group's per-row outcomes; the injection state and the
+        rows' scalar modules go."""
         first_inj = self._first_inj
         result = GroupResult(
             injected=(first_inj >= 0).tolist(),
@@ -1277,6 +1398,7 @@ class BatchKernel:
             ),
         )
         self._mem = self._rec = None
+        self._scalar = {}
         return result
 
 

@@ -136,6 +136,12 @@ class ModuleState:
         for name, value in snapshot.items():
             self[name] = value
 
+    def load(self, values: Iterable[Number]) -> None:
+        """Overwrite every cell, in declaration order, from *values*
+        that are already quantized to their cells: unlike
+        :meth:`restore`, nothing is re-quantized."""
+        self._values.update(zip(self._specs, values))
+
 
 class ExecutionContext:
     """Per-invocation view of a module's arguments and stack locals.

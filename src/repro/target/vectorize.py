@@ -15,18 +15,22 @@ row takes its own injection and dispatches per row: masked
 invocations follow each row's own — possibly corrupted — schedule,
 decided over the rows still in the loop, and an ``arg``
 (permeability) row records the invocations its own schedule takes.
+The few rows a flip of ``ms_slot_nbr`` or of the successor table has
+sent off the schedule run their slots' modules on their own cases'
+scalar modules (:meth:`~repro.fi.vector.BatchKernel._dispatch`), so
+CALC runs with its case's pressure scale.
 An ``arg`` row leaves the loop early once its outcome is fixed: its
 flip has struck and its recorded stream is as long as its golden one
 (:meth:`~repro.fi.vector.InvocationRecorder.settled`).
 
 A few memory runs never arrest and hold a group's loop to the timeout
 for a handful of rows: the sparse tail.  Once at most
-:data:`TAIL_ROWS` rows are live at the top of a tick, none of them an
-``arg`` row and the pass not a recovery containment pass, the loop
-stops; each live row's state is exported into a
-:class:`~repro.target.simulation.SimulatorState`, restored into a
-fresh simulator with the row's injector and monitor bank resumed, and
-run to its end through :meth:`ArrestmentSimulator.run`.  Its
+:data:`~repro.fi.vector.SCALAR_ROWS` rows are live at the top of a
+tick, none of them an ``arg`` row and the pass not a recovery
+containment pass, the loop stops; each live row's state is exported
+into a :class:`~repro.target.simulation.SimulatorState`, restored into
+a fresh simulator with the row's injector and monitor bank resumed,
+and run to its end through :meth:`ArrestmentSimulator.run`.  Its
 completion tick, first injection, bank records and verdict come back
 into the batch's arrays, so outcome assembly does not change.
 """
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.fi import vector
 from repro.fi.vector import (
     BatchKernel,
     GroupJob,
@@ -46,20 +51,10 @@ from repro.target import constants as C
 from repro.target.modules import Clock, DistS, PresS
 from repro.target.simulation import SimulatorState
 
-__all__ = ["ArrestmentVectorKernel", "TAIL_ROWS"]
+__all__ = ["ArrestmentVectorKernel"]
 
 _U8 = 0xFF
 _U16 = 0xFFFF
-
-#: the sparse tail: once at most this many rows are live, none of them
-#: a permeability row (its recorded stream stays in the batch), the
-#: batch exports them and each finishes on the scalar simulator.  At
-#: bench scale a tick of the loop's tail cost about 125 us and a
-#: scalar row-tick about 13 us, the simulator's set-up included (2-core
-#: host), so 8 rows finish in a fraction of the loop's time; sweeps of
-#: 4-16 did not separate above run-to-run noise.  Permeability rows
-#: leave once their outcome is fixed, so they rarely hold the exit.
-TAIL_ROWS = 8
 
 
 class ArrestmentVectorKernel(BatchKernel):
@@ -165,7 +160,10 @@ class ArrestmentVectorKernel(BatchKernel):
         batched = 0
         #: live rows at or below which the loop hands them to the
         #: scalar simulator (a containment pass never does)
-        tail = -1 if job.recover or job.factory is None else TAIL_ROWS
+        tail = (
+            -1 if job.recover or job.factory is None
+            else vector.SCALAR_ROWS
+        )
         #: permeability rows leave once their outcome is fixed
         settle = rec is not None and job.golden is not None
 

@@ -14,7 +14,9 @@ construction; see :mod:`repro.fi.vector` for the contract.
 Dispatch is per row: like the scalar mission loop, each row runs the
 modules of its own ``tick_nbr`` slot, so rows whose flips corrupt the
 dispatch chain (TIMER successor cells, the ``tick_nbr`` signal) follow
-their corrupted schedule inside the batch via masked invocations.
+their corrupted schedule inside the batch via masked invocations; a
+slot that only a few such rows take runs them on their own scalar
+modules (:meth:`~repro.fi.vector.BatchKernel._dispatch`).
 Each row takes its own injection; an ``arg`` (permeability) row
 records the invocations its own schedule takes.  Every row runs the
 whole fixed-length mission: the kernel has no per-row exit, so it

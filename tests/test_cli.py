@@ -261,6 +261,43 @@ class TestExperimentsCLI:
         assert exit_.value.code == 2
         assert "unrecognized arguments: --store" in capsys.readouterr().err
 
+    def test_other_target_skips_arrestment_experiments(self, capsys):
+        """The tank's default selection runs every experiment but the
+        three that read the arrestment's TOC2 and pulscnt, and names
+        those in one stderr line."""
+        assert experiments_main(
+            ["--scale", "test", "--target", "watertank"]
+        ) == 0
+        captured = capsys.readouterr()
+        for exp_id in ("table1", "table2", "table3", "table4", "figure3"):
+            assert f"[{exp_id}]" in captured.out
+        for exp_id in ("table5", "profiles", "extended"):
+            assert f"[{exp_id}]" not in captured.out
+        skipped = [
+            line for line in captured.err.splitlines()
+            if line.startswith("[skipped]")
+        ]
+        assert skipped == [
+            "[skipped] table5, profiles, extended "
+            "(arrestment only; target watertank)"
+        ]
+
+    @pytest.mark.parametrize("main, argv", [
+        (experiments_main, ["table5"]),
+        (experiments_main, ["table1", "extended"]),
+        (repro_main, ["table5"]),
+        (repro_main, ["profiles"]),
+    ], ids=["experiments-table5", "experiments-extended", "table5",
+            "profiles"])
+    def test_arrestment_experiment_on_other_target_exits_2(
+        self, main, argv, capsys
+    ):
+        assert main([*argv, "--scale", "test", "--target", "watertank"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: target watertank cannot run" in captured.err
+        assert "(arrestment only)" in captured.err
+
     def test_checkpoint_dir_always_holds_one_database(self, tmp_path):
         from repro.experiments.context import ExperimentContext
 

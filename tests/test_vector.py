@@ -21,7 +21,7 @@ from repro.fi.campaign import (
     PermeabilityCampaign,
     RecoveryCampaign,
 )
-from repro.fi import counters
+from repro.fi import counters, vector
 from repro.fi.counters import Counters
 from repro.fi.executor import (
     AdaptivePolicy,
@@ -34,6 +34,7 @@ from repro.fi.memory import MemoryMap
 from repro.fi.vector import (
     BatchPart,
     BatchRunner,
+    GroupJob,
     InvocationRecorder,
     MemoryFlipPlan,
     RowInjection,
@@ -41,7 +42,6 @@ from repro.fi.vector import (
     wrap_runners,
 )
 from repro.edm.catalogue import EA_BY_NAME
-from repro.target import vectorize
 from repro.target.simulation import ArrestmentSimulator
 from repro.target.vectorize import ArrestmentVectorKernel
 from repro.target.testcases import standard_test_cases
@@ -236,8 +236,9 @@ class TestWatertankKernel:
 
 @pytest.fixture
 def loop_only(monkeypatch):
-    """No sparse tail: every row runs the kernel loop to its end."""
-    monkeypatch.setattr(vectorize, "TAIL_ROWS", 0)
+    """No sparse tail and no few-row scalar invocations: every row
+    runs the kernel loop to its end, every invocation a numpy pass."""
+    monkeypatch.setattr(vector, "SCALAR_ROWS", 0)
 
 
 @pytest.mark.usefixtures("loop_only")
@@ -444,6 +445,189 @@ class TestArrestmentKernel:
         assert delta["vec_rows"] > 0
 
 
+def campaign_part(kind, campaign, tasks, **kwargs):
+    """*tasks* of *campaign* as one part of a batch, its scalar runs
+    as the part's inner runner."""
+    return BatchPart(
+        kind, [campaign._row(task) for task in tasks],
+        lambda i: campaign._one_run(*tasks[i]), **kwargs,
+    )
+
+
+def group_results(runner):
+    """Per row of *runner*'s one group, what the kernel pass leaves:
+    completion and first injection ticks, failure flag, monitor-bank
+    records and the recorded stream, finer than the row's outcome."""
+    (group,) = runner._groups
+    rows = [
+        VectorRow(case.case_id, injection)
+        for case, injection in (runner._rows[i] for i in group.indices)
+    ]
+    result = runner._kernel.run_group(GroupJob(
+        rows=rows, cases=runner._cases, templates=runner._templates,
+        specs=group.specs, factory=runner._factory,
+    ))
+    streams = result.streams
+    out = []
+    for r in range(len(rows)):
+        n = int(streams.rec_len[r])
+        recorded = None if streams.rec_ins[r] is None else (
+            streams.rec_ins[r][:n].tolist(), streams.rec_outs[r][:n].tolist()
+        )
+        out.append((
+            result.completion_tick[r], result.first_injection_tick[r],
+            result.failed[r], result.bank.row_records(r), recorded,
+        ))
+    return out
+
+
+class TestScalarRowDispatch:
+    """A module slot that at most ``SCALAR_ROWS`` live rows take runs
+    each of them on the row's own scalar module, unless the module's
+    invocation flips or records one of them; every row still matches
+    the scalar path bit for bit."""
+
+    @staticmethod
+    def chain(campaign, case):
+        """The memory locations on the arrestment's dispatch chain:
+        CLOCK's successor table and the slot number's backing store."""
+        return [
+            loc for loc in MemoryMap(campaign.factory(case).system).locations()
+            if loc.module == "CLOCK"
+            and (loc.cell.startswith("slot_succ") or loc.cell == "ms_slot_nbr")
+        ]
+
+    def test_off_schedule_rows_run_on_scalar_modules(
+        self, arrestment_cases, monkeypatch
+    ):
+        """Dispatch-chain memory rows and flipped-slot CLOCK rows leave
+        the golden schedule among steady rows: their slots run on the
+        scalar modules, the outcomes match the scalar path, and the
+        kernel's per-row results equal a pass with every invocation
+        in numpy."""
+        specs = list(EA_BY_NAME.values())
+        mem = MemoryCampaign(
+            arrestment_factory, arrestment_cases, specs, seed=5
+        )
+        perm = PermeabilityCampaign(
+            arrestment_factory, arrestment_cases, runs_per_input=1, seed=3
+        )
+        chain = self.chain(mem, arrestment_cases[0])
+        locations = MemoryMap(
+            mem.factory(arrestment_cases[0]).system
+        ).locations()
+        steady = [loc for loc in locations if loc.module == "V_REG"]
+        mem_tasks = [
+            (chain[2], arrestment_cases[0], 1, 40),
+            (chain[9], arrestment_cases[1], 3, 7),
+            (chain[20], arrestment_cases[0], 0, 11),
+            (chain[21], arrestment_cases[1], 2, 3),
+        ] + [
+            (loc, arrestment_cases[k % 2], 0, 7)
+            for k, loc in enumerate(steady[:4])
+        ]
+        perm_tasks = [
+            ("CLOCK", "ms_slot_nbr", arrestment_cases[0], 300, 1),
+            ("CLOCK", "ms_slot_nbr", arrestment_cases[1], 1500, 4),
+            ("V_REG", "SetValue", arrestment_cases[0], 900, 9),
+        ]
+        parts = [
+            campaign_part("memory", mem, mem_tasks, specs=specs),
+            campaign_part(
+                "permeability", perm, perm_tasks, goldens=perm.goldens
+            ),
+        ]
+        before = counters.snapshot()
+        views = BatchRunner(parts, arrestment_factory).views()
+        for part, view in zip(parts, views):
+            n = len(part.rows)
+            assert [view(i) for i in range(n)] == [
+                part.inner(i) for i in range(n)
+            ]
+        delta = Counter(counters.delta(before, counters.snapshot()))
+        assert delta["vec_groups"] == 1
+        assert delta["vec_rows"] == len(mem_tasks) + len(perm_tasks)
+        assert delta["vec_row_invocations"] > 0
+
+        runner = BatchRunner(parts, arrestment_factory)
+        before = counters.snapshot()
+        scalar_rows = group_results(runner)
+        assert counters.delta(before, counters.snapshot()).get(
+            "vec_row_invocations", 0
+        ) > 0
+        monkeypatch.setattr(vector, "SCALAR_ROWS", 0)
+        before = counters.snapshot()
+        assert group_results(runner) == scalar_rows
+        assert "vec_row_invocations" not in counters.delta(
+            before, counters.snapshot()
+        )
+
+    def test_hooked_row_keeps_the_numpy_invocation(
+        self, arrestment_cases, monkeypatch
+    ):
+        """A row the module's invocation flips or records — a DIST_S
+        ``arg`` row, a PRES_S stack-local memory row — shares a masked
+        slot of that module with no more than a few rows, once a
+        dispatch-chain row has left the schedule: that module runs the
+        slot as a numpy masked invocation, and the other modules run
+        their few rows on the scalar modules."""
+        specs = list(EA_BY_NAME.values())
+        mem = MemoryCampaign(
+            arrestment_factory, arrestment_cases, specs, seed=5
+        )
+        perm = PermeabilityCampaign(
+            arrestment_factory, arrestment_cases, runs_per_input=1, seed=3
+        )
+        case = arrestment_cases[0]
+        chain = self.chain(mem, case)
+        local = next(
+            loc for loc in MemoryMap(mem.factory(case).system).locations()
+            if loc.module == "PRES_S" and loc.cell == "scaled"
+        )
+        # rows 0-1 (memory): a successor-table row that leaves the
+        # schedule at tick 0 and the PRES_S local row; row 2: DIST_S
+        parts = [
+            campaign_part("memory", mem, [
+                (chain[5], case, 2, 0), (local, case, 3, 5),
+            ], specs=specs),
+            campaign_part("permeability", perm, [
+                ("DIST_S", "PACNT", case, 600, 2),
+            ], goldens=perm.goldens),
+        ]
+        hooked = {"PRES_S": 1, "DIST_S": 2}
+        numpy_calls, scalar_calls = [], []
+        invoke = ArrestmentVectorKernel._invoke
+        invoke_rows = ArrestmentVectorKernel._invoke_rows
+
+        def spy_invoke(self, module, mask=None):
+            if mask is not None:
+                numpy_calls.append((module, set(np.flatnonzero(mask))))
+            return invoke(self, module, mask=mask)
+
+        def spy_invoke_rows(self, module, idx, rows):
+            scalar_calls.append((module, set(rows)))
+            return invoke_rows(self, module, idx, rows)
+
+        monkeypatch.setattr(ArrestmentVectorKernel, "_invoke", spy_invoke)
+        monkeypatch.setattr(
+            ArrestmentVectorKernel, "_invoke_rows", spy_invoke_rows
+        )
+        views = BatchRunner(parts, arrestment_factory).views()
+        for part, view in zip(parts, views):
+            n = len(part.rows)
+            assert [view(i) for i in range(n)] == [
+                part.inner(i) for i in range(n)
+            ]
+        for module, r in hooked.items():
+            assert any(
+                name == module and r in rows for name, rows in numpy_calls
+            )
+            assert not any(
+                name == module and r in rows for name, rows in scalar_calls
+            )
+        assert scalar_calls
+
+
 class TestInvocationRecorder:
     """The ``arg`` rows' flips and streams follow each row's own
     schedule: an invocation flips and records exactly the rows it
@@ -547,12 +731,12 @@ class TestSparseTail:
             "memory", campaign, tasks, specs=specs,
         )
         assert batched == reference
-        assert delta["vec_tail_rows"] == len(exits) == vectorize.TAIL_ROWS
+        assert delta["vec_tail_rows"] == len(exits) == vector.SCALAR_ROWS
         tick = exits[0][0]
         assert tick > 0 and all(exit[0] == tick for exit in exits)
         # the tail's scalar runs resume at the exit tick
         assert runs[:len(exits)] == [tick] * len(exits)
-        monkeypatch.setattr(vectorize, "TAIL_ROWS", 0)
+        monkeypatch.setattr(vector, "SCALAR_ROWS", 0)
         _, _, loop = batch_vs_scalar("memory", campaign, tasks, specs=specs)
         assert loop["vec_tail_rows"] == 0
         assert delta["vec_batched_ticks"] < loop["vec_batched_ticks"]

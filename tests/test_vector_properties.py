@@ -8,12 +8,13 @@ Explicit examples pin the two structural edge cases: tick-0 dispatch
 divergence (the diverged rows record their own schedule) and rows
 whose flip lands on the very last tick; the arrestment memory examples
 pin flips on the dispatch chain, on stack cells and on RAM cells that
-re-quantize.  The arrestment tests draw the kernel's sparse tail too
-(0 keeps every row in the loop), and its examples pin rows that leave
-for the scalar simulator with a stack strike armed, a completion
-latched, or a flip tick or phase still ahead; for those rows the
-kernel's per-row results must equal the loop's, not only their
-outcomes.  Permeability rows that leave the arrestment loop once their
+re-quantize.  The arrestment tests draw ``SCALAR_ROWS`` too, which
+sets both the kernel's sparse tail and the few-row slots run on the
+rows' scalar modules (0 keeps every row in the loop and every
+invocation in numpy), and its examples pin rows that leave for the
+scalar simulator with a stack strike armed, a completion latched, or
+a flip tick or phase still ahead; for those rows the kernel's per-row
+results must equal the loop's, not only their outcomes.  Permeability rows that leave the arrestment loop once their
 outcome is fixed end with what the outcome reads equal to a pass
 without that exit.  Mixed groups — permeability, detection and memory
 rows of three campaigns in one batch, as a reproduction runs them —
@@ -31,6 +32,7 @@ from repro.fi.campaign import (
     MemoryCampaign,
     PermeabilityCampaign,
 )
+from repro.fi import vector
 from repro.fi.memory import MemoryMap
 from repro.fi.vector import (
     BatchPart,
@@ -40,7 +42,6 @@ from repro.fi.vector import (
     VectorRow,
 )
 from repro.edm.catalogue import EA_BY_NAME
-from repro.target import vectorize
 from repro.target.simulation import ArrestmentSimulator
 from repro.target.testcases import standard_test_cases
 from repro.watertank.catalogue import tank_assertions
@@ -164,10 +165,13 @@ def check_batch(kind, campaign, tasks, groups, **kwargs):
 
 
 def tail_rows(tail, rows):
-    """The arrestment kernel's sparse tail at *tail* modulo one more
-    than *rows*, a value in [0, rows]: 0 keeps every row in the loop,
-    and *rows* exports every row at tick 0."""
-    return mock.patch.object(vectorize, "TAIL_ROWS", tail % (rows + 1))
+    """The shared :data:`~repro.fi.vector.SCALAR_ROWS` at *tail* modulo
+    one more than *rows*, a value in [0, rows], which draws both of
+    its mechanisms: the arrestment kernel's sparse tail (0 keeps every
+    row in the loop, and *rows* exports every row at tick 0) and the
+    few-row invocations on the rows' scalar modules (0 runs every
+    invocation as a numpy pass)."""
+    return mock.patch.object(vector, "SCALAR_ROWS", tail % (rows + 1))
 
 
 def check_mixed(factory, parts, groups):
