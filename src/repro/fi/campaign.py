@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -375,7 +376,7 @@ class _Campaign:
         self.seed = seed if seed is not None else config.seed
         self.config = config
         self._target = _target_label(factory)
-        self.goldens = golden_cache.store_for(self._target, self.factory)
+        self.goldens = partial(golden_cache.get, self._target, self.factory)
         self.telemetry: Optional[CampaignTelemetry] = None
         self.integrity_violations: List[IntegrityViolation] = []
         #: per-stratum spend reports (adaptive campaigns only).
@@ -419,7 +420,7 @@ class _SampledCampaign(_Campaign):
         rng = random.Random(self.seed)
         # the cases the draw cycles over, each golden run read once
         cases = self.test_cases[:budget]
-        ticks = [self.goldens.get(case).completion_tick for case in cases]
+        ticks = [self.goldens(case).completion_tick for case in cases]
         tasks: List[tuple] = []
         for key, width in strata:
             for run_index in range(budget):
@@ -618,7 +619,7 @@ class PermeabilityCampaign(_SampledCampaign):
         campaign's fast-forward handle (the audit replay passes a
         disabled twin to force a full run from tick 0).
         """
-        golden = self.goldens.get(test_case)
+        golden = self.goldens(test_case)
         engine = ff if ff is not None else self._ff
         simulator, _, arm = engine.launch(test_case, from_tick)
         mod = simulator.system.module(module)

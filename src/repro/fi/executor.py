@@ -20,11 +20,11 @@ campaign drivers:
 * :class:`RunEventLog` — an append-only JSONL log of run events (task
   finish/retry/failure, checkpoint flushes, pool respawns) for
   post-hoc campaign forensics.
-* :class:`GoldenRunCache` — process-wide golden-run cache keyed by
-  (target, test case, factory), with single-flight semantics and
-  bounded LRU eviction, so a golden run is computed exactly once no
-  matter how many campaigns (or concurrent callers) ask for it and
-  long sessions over many targets do not grow without bound.
+* :class:`GoldenRunCache` — the process-wide golden-run cache,
+  keyed by (target, factory, test case): an
+  :class:`~repro.fi.golden.ArtefactCache`, so a golden run is computed
+  once no matter how many campaigns (or concurrent callers) ask for
+  it, and at most 512 runs are held.
 
 Determinism contract
 --------------------
@@ -98,7 +98,7 @@ import signal
 import threading
 import time
 import typing
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from dataclasses import field as dataclasses_field
@@ -116,7 +116,7 @@ from typing import (
 
 from repro.errors import CampaignError, IntegrityError
 from repro.fi import counters
-from repro.fi.golden import GoldenRun, GoldenRunStore
+from repro.fi.golden import ArtefactCache, GoldenRun, golden_run
 from repro.fi.integrity import (
     DEFAULT_POLICY,
     POLICIES,
@@ -451,9 +451,8 @@ class VectorPolicy:
     tick inside one worker.  Every row follows its own — possibly
     corrupted — dispatch schedule via masked invocations, so results
     stay bit-identical to scalar execution.  ``0`` keeps the scalar
-    path for everything: it is the
-    oracle the A/B suites compare against, and the only path on a host
-    without numpy.  Campaigns without a planner ignore the policy.
+    path for everything: it is the oracle the A/B suites compare
+    against.  Campaigns without a planner ignore the policy.
     """
 
     #: > 0 turns batching on, 0 off.
@@ -461,8 +460,7 @@ class VectorPolicy:
         256, "batch_width", "--batch-width",
         "vectorized batch core: N > 0 advances the campaigns' injected "
         "runs together, in one group per worker (default: 256; 0 = the "
-        "scalar path, the oracle and the only path without numpy; "
-        "results are bit-identical)",
+        "scalar path, the oracle; results are bit-identical)",
         metavar="N",
     )
 
@@ -934,116 +932,21 @@ class CampaignTelemetry:
 # ======================================================================
 # Golden-run cache.
 # ======================================================================
-class GoldenRunCache:
-    """Process-wide golden-run cache with single-flight computation.
-
-    Keyed by ``(target name, factory, case id)``.  The factory object
-    itself is part of the key — two factories building differently
-    configured simulators of the same system never alias — and the
-    cache holds a strong reference to it while any of its runs are
-    cached, so a live key is never reused for a different
-    configuration.
-
-    The cache is bounded: at most ``max_runs`` golden runs are kept,
-    evicted least-recently-used.  When a factory's last cached run is
-    evicted, its store and the factory reference are dropped too, and
-    single-flight locks are pruned as soon as their computation
-    completes — long sessions over many targets stay bounded.
+class GoldenRunCache(ArtefactCache):
+    """Process-wide golden-run cache keyed by ``(target name, factory,
+    case id)``: single-flight, bounded to ``max_runs`` runs evicted
+    least-recently-used (see :class:`~repro.fi.golden.ArtefactCache`).
     """
 
     def __init__(self, max_runs: int = 512) -> None:
-        if max_runs < 1:
-            raise CampaignError(f"max_runs must be >= 1, got {max_runs}")
-        self.max_runs = max_runs
-        self._runs: "OrderedDict[Tuple[str, int, int], GoldenRun]" = (
-            OrderedDict()
-        )
-        self._flight: Dict[Tuple[str, int, int], threading.Lock] = {}
-        self._stores: Dict[Tuple[str, int], GoldenRunStore] = {}
-        self._factories: Dict[int, Any] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._runs)
-
-    def store_for(self, target: str, factory) -> "CachedGoldenStore":
-        """A :class:`GoldenRunStore`-compatible view for one target."""
-        return CachedGoldenStore(self, target, factory)
+        super().__init__(max_runs, "max_runs")
 
     def get(self, target: str, factory, test_case) -> GoldenRun:
-        key = (target, id(factory), test_case.case_id)
-        with self._lock:
-            run = self._runs.get(key)
-            if run is not None:
-                self._runs.move_to_end(key)
-                self.hits += 1
-                return run
-            flight = self._flight.setdefault(key, threading.Lock())
-        with flight:
-            with self._lock:
-                run = self._runs.get(key)
-                if run is not None:
-                    # someone else computed it while we waited
-                    self._runs.move_to_end(key)
-                    self._flight.pop(key, None)
-                    self.hits += 1
-                    return run
-                self._factories[id(factory)] = factory
-                store = self._stores.setdefault(
-                    (target, id(factory)), GoldenRunStore(factory)
-                )
-            run = store.get(test_case)
-            with self._lock:
-                self._runs[key] = run
-                self.misses += 1
-                self._flight.pop(key, None)
-                self._evict_locked()
-            return run
-
-    def _evict_locked(self) -> None:
-        """Drop LRU runs beyond the bound; GC orphaned stores/factories."""
-        while len(self._runs) > self.max_runs:
-            (target, factory_id, _), _ = self._runs.popitem(last=False)
-            if not any(
-                k[0] == target and k[1] == factory_id for k in self._runs
-            ):
-                self._stores.pop((target, factory_id), None)
-            if not any(k[1] == factory_id for k in self._runs):
-                self._factories.pop(factory_id, None)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._runs.clear()
-            self._flight.clear()
-            self._stores.clear()
-            self._factories.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def resize(self, max_runs: int) -> None:
-        """Re-bound the cache (long-running daemons tune memory);
-        shrinking evicts least-recently-used runs immediately."""
-        if max_runs < 1:
-            raise CampaignError(f"max_runs must be >= 1, got {max_runs}")
-        with self._lock:
-            self.max_runs = max_runs
-            self._evict_locked()
-
-
-class CachedGoldenStore:
-    """Adapter giving one (target, factory) pair the
-    :class:`GoldenRunStore` interface over the shared cache."""
-
-    def __init__(self, cache: GoldenRunCache, target: str, factory):
-        self._cache = cache
-        self.target = target
-        self.factory = factory
-
-    def get(self, test_case) -> GoldenRun:
-        return self._cache.get(self.target, self.factory, test_case)
+        return self._fetch(
+            (target, id(factory), test_case.case_id),
+            factory,
+            lambda: golden_run(factory, test_case),
+        )
 
 
 #: the default process-wide cache used by all campaign drivers.
@@ -1288,11 +1191,9 @@ class CampaignExecutor:
         self,
         config: Optional[CampaignConfig] = None,
         campaign: str = "campaign",
-        cache: Optional[GoldenRunCache] = None,
     ):
         self.config = config or CampaignConfig()
         self.campaign = campaign
-        self.cache = cache if cache is not None else golden_cache
         #: telemetry of the most recent :meth:`run_tasks` call.
         self.telemetry: Optional[CampaignTelemetry] = None
         #: integrity violations observed by the most recent run
@@ -1312,13 +1213,13 @@ class CampaignExecutor:
         telemetry of the next :meth:`run_tasks`.  Work between the
         blocks and the runs, such as other campaigns' draws, counts in
         none of them."""
-        hits, misses = self.cache.hits, self.cache.misses
+        hits, misses = golden_cache.hits, golden_cache.misses
         before = counters.snapshot()
         try:
             yield
         finally:
-            self._hits += self.cache.hits - hits
-            self._misses += self.cache.misses - misses
+            self._hits += golden_cache.hits - hits
+            self._misses += golden_cache.misses - misses
             counters.add(
                 self._counts, counters.delta(before, counters.snapshot())
             )
@@ -1389,7 +1290,7 @@ class CampaignExecutor:
         other tasks run.
         """
         config = self.config
-        hits0, misses0 = self.cache.hits, self.cache.misses
+        hits0, misses0 = golden_cache.hits, golden_cache.misses
         counts0 = counters.snapshot()
         self.violations = []
         store = self.store
@@ -1641,37 +1542,45 @@ class CampaignExecutor:
                 processes=config.jobs, initializer=_worker_init
             )
             unhealthy = verify_pool(pool, watchdog)
+
+            def replace_broken(reason: str) -> bool:
+                """Tear the broken pool down, then respawn and
+                re-verify it (``True``) or, with the respawn budget
+                spent, run the remaining tasks serially (``False``)."""
+                nonlocal pool, respawns_left, unhealthy
+                pool.terminate()
+                pool.join()
+                events.emit("pool_broken", reason=reason)
+                if not remaining:
+                    return False
+                if respawns_left <= 0:
+                    telemetry.degraded = True
+                    events.emit(
+                        "backend_degraded",
+                        reason="pool respawn budget exhausted",
+                        remaining=len(remaining),
+                    )
+                    run_serial(remaining)
+                    return False
+                respawns_left -= 1
+                telemetry.pool_respawns += 1
+                pool = context.Pool(
+                    processes=config.jobs, initializer=_worker_init
+                )
+                events.emit(
+                    "pool_respawn", jobs=config.jobs, remaining=len(remaining)
+                )
+                unhealthy = verify_pool(pool, watchdog)
+                return True
+
             try:
                 while remaining:
                     if unhealthy is not None:
                         # a drifted pool never ran a task, so no
                         # attempt budget was consumed; tear it down
                         # like any other broken pool
-                        pool.terminate()
-                        pool.join()
-                        events.emit("pool_broken", reason=unhealthy)
-                        if respawns_left <= 0:
-                            telemetry.degraded = True
-                            events.emit(
-                                "backend_degraded",
-                                reason=(
-                                    "pool respawn budget exhausted"
-                                ),
-                                remaining=len(remaining),
-                            )
-                            run_serial(remaining)
+                        if not replace_broken(unhealthy):
                             return
-                        respawns_left -= 1
-                        telemetry.pool_respawns += 1
-                        pool = context.Pool(
-                            processes=config.jobs, initializer=_worker_init
-                        )
-                        events.emit(
-                            "pool_respawn",
-                            jobs=config.jobs,
-                            remaining=len(remaining),
-                        )
-                        unhealthy = verify_pool(pool, watchdog)
                         continue
                     wave_attempt = 1
                     for index in remaining:
@@ -1747,32 +1656,8 @@ class CampaignExecutor:
                             )
                         else:
                             remaining.append(index)
-                    if broken is not None:
-                        pool.terminate()
-                        pool.join()
-                        events.emit("pool_broken", reason=broken)
-                        if not remaining:
-                            break
-                        if respawns_left <= 0:
-                            telemetry.degraded = True
-                            events.emit(
-                                "backend_degraded",
-                                reason="pool respawn budget exhausted",
-                                remaining=len(remaining),
-                            )
-                            run_serial(remaining)
-                            return
-                        respawns_left -= 1
-                        telemetry.pool_respawns += 1
-                        pool = context.Pool(
-                            processes=config.jobs, initializer=_worker_init
-                        )
-                        events.emit(
-                            "pool_respawn",
-                            jobs=config.jobs,
-                            remaining=len(remaining),
-                        )
-                        unhealthy = verify_pool(pool, watchdog)
+                    if broken is not None and not replace_broken(broken):
+                        return
             finally:
                 pool.terminate()
                 pool.join()
@@ -1839,8 +1724,8 @@ class CampaignExecutor:
             with _ACTIVE_LOCK:
                 _ACTIVE.pop(key, None)
             telemetry.wall_s = time.perf_counter() - started
-            telemetry.cache_hits = self._hits + self.cache.hits - hits0
-            telemetry.cache_misses = self._misses + self.cache.misses - misses0
+            telemetry.cache_hits = self._hits + golden_cache.hits - hits0
+            telemetry.cache_misses = self._misses + golden_cache.misses - misses0
             counters.add(telemetry.counts, self._counts)
             counters.add(
                 telemetry.counts, counters.delta(counts0, counters.snapshot())

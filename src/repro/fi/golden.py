@@ -15,7 +15,11 @@ This module provides:
   on the outputs");
 * :class:`GoldenRun` — one test case's fault-free artefacts: signal
   traces, invocation log, completion tick;
-* :class:`GoldenRunStore` — lazily computed, cached golden runs;
+* :func:`golden_run` — simulates one test case's golden run;
+* :class:`ArtefactCache` — the one single-flight, LRU-bounded cache of
+  fault-free artefacts, behind both the golden-run cache
+  (:class:`~repro.fi.executor.GoldenRunCache`) and the checkpoint-track
+  cache (:class:`~repro.fi.snapshot.CheckpointStore`);
 * :func:`first_output_differences` — lock-step comparison of a
   module's golden and injected invocation streams, classifying the
   first difference of each output port as *direct* (no other input
@@ -25,9 +29,11 @@ This module provides:
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CampaignError
 from repro.fi.integrity import run_digest
@@ -38,7 +44,8 @@ from repro.target.testcases import TestCase
 __all__ = [
     "InvocationLog",
     "GoldenRun",
-    "GoldenRunStore",
+    "ArtefactCache",
+    "golden_run",
     "OutputDifference",
     "first_output_differences",
     "SimulatorFactory",
@@ -140,35 +147,94 @@ class GoldenRun:
         return run_digest(self.result)
 
 
-class GoldenRunStore:
-    """Lazily computed cache of golden runs, one per test case."""
+def golden_run(factory: SimulatorFactory, test_case: TestCase) -> GoldenRun:
+    """Simulate *test_case*'s fault-free golden run with its full
+    invocation log; a run that violates the system specification
+    raises :class:`~repro.errors.CampaignError`."""
+    simulator = factory(test_case)
+    log = InvocationLog().attach(simulator)
+    result = simulator.run()
+    if result.verdict.failed:
+        raise CampaignError(
+            f"golden run for {test_case.label} violates the system "
+            f"specification: {result.verdict.describe()}"
+        )
+    return GoldenRun(test_case, result, log)
 
-    def __init__(self, factory: SimulatorFactory):
-        self._factory = factory
-        self._cache: Dict[int, GoldenRun] = {}
 
-    def get(self, test_case: TestCase) -> GoldenRun:
-        cached = self._cache.get(test_case.case_id)
-        if cached is not None:
-            return cached
-        simulator = self._factory(test_case)
-        log = InvocationLog().attach(simulator)
-        result = simulator.run()
-        if result.verdict.failed:
-            raise CampaignError(
-                f"golden run for {test_case.label} violates the system "
-                f"specification: {result.verdict.describe()}"
-            )
-        golden = GoldenRun(test_case, result, log)
-        self._cache[test_case.case_id] = golden
-        return golden
+class ArtefactCache:
+    """Process-wide cache of fault-free artefacts, with single-flight
+    computation and a least-recently-used bound.
 
-    def preload(self, test_cases: Sequence[TestCase]) -> None:
-        for test_case in test_cases:
-            self.get(test_case)
+    Golden runs and checkpoint tracks are both functions of one
+    fault-free simulation; each subclass builds its key, which starts
+    ``(target name, id(factory), case id)``, and passes its compute
+    call to :meth:`_fetch`.  The factory object itself is part of the
+    key — two factories building differently configured simulators
+    never alias — and the cache holds a strong reference to it while
+    any of its entries are cached, so a live key is never reused for a
+    different configuration.
+
+    At most ``bound`` entries are kept.  An evicted entry is recomputed
+    on its next lookup, so every miss is one computation; a factory
+    whose last entry is evicted is released, and single-flight locks
+    are pruned as soon as their computation completes.
+    """
+
+    def __init__(self, bound: int, name: str) -> None:
+        if bound < 1:
+            raise CampaignError(f"{name} must be >= 1, got {bound}")
+        self.bound = bound
+        self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
+        self._flight: Dict[Tuple, threading.Lock] = {}
+        self._factories: Dict[int, Any] = {}
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._cache)
+        with self._lock:
+            return len(self._entries)
+
+    def _fetch(self, key: Tuple, factory, compute: Callable[[], Any]) -> Any:
+        with self._lock:
+            if key in self._entries:
+                return self._hit_locked(key)
+            flight = self._flight.setdefault(key, threading.Lock())
+        with flight:
+            with self._lock:
+                if key in self._entries:
+                    # someone else computed it while we waited
+                    self._flight.pop(key, None)
+                    return self._hit_locked(key)
+            entry = compute()
+            with self._lock:
+                self._entries[key] = entry
+                self._factories[id(factory)] = factory
+                self.misses += 1
+                self._flight.pop(key, None)
+                self._evict_locked()
+            return entry
+
+    def _hit_locked(self, key: Tuple) -> Any:
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return self._entries[key]
+
+    def _evict_locked(self) -> None:
+        """Drop LRU entries beyond the bound and orphaned factories."""
+        while len(self._entries) > self.bound:
+            (_, factory_id, *_), _ = self._entries.popitem(last=False)
+            if not any(key[1] == factory_id for key in self._entries):
+                self._factories.pop(factory_id, None)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._flight.clear()
+            self._factories.clear()
+            self.hits = 0
+            self.misses = 0
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,7 @@ import os
 import weakref
 from typing import Dict, Optional, Tuple
 
-try:  # numpy is required for packing; the caller gates on this too
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is part of the toolchain
-    _np = None
+import numpy as _np
 
 try:
     from multiprocessing import shared_memory as _shm
@@ -79,7 +76,7 @@ def _release_segments(handles: Dict[str, object], owner_pid: int) -> None:
 
 def shm_available() -> bool:
     """Whether shared-memory publication can be attempted at all."""
-    return _np is not None and _shm is not None
+    return _shm is not None
 
 
 class ShmArrayPack:
@@ -116,8 +113,6 @@ class ShmArrayPack:
 
     def publish(self, key: str, array) -> None:
         """Publish one array under *key* (parent process only)."""
-        if _np is None:
-            raise RuntimeError("numpy is required to publish arrays")
         if key in self._local or key in self._segments:
             raise KeyError(f"array {key!r} already published")
         array = _np.ascontiguousarray(array)

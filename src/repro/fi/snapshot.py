@@ -9,9 +9,10 @@ the last divergence is redundant too.  This module eliminates both:
   simulation, :class:`CheckpointStore` records a
   :class:`~repro.target.simulation.SimulatorState` every
   ``checkpoint_stride`` ticks (plus the final state and the golden
-  traces).  Tracks live in a process-wide, LRU-bounded, single-flight
-  cache beside the golden-run cache, and forked pool workers inherit
-  them pre-warmed.
+  traces).  Tracks live in a process-wide
+  :class:`~repro.fi.golden.ArtefactCache`, the same single-flight,
+  LRU-bounded cache that holds the golden runs, and forked pool
+  workers inherit them pre-warmed.
 * **Prefix fast-forward.**  :meth:`FastForward.launch` builds the
   injected run's simulator already restored to the nearest checkpoint
   at-or-before the injection tick; only the remaining ticks are
@@ -56,14 +57,15 @@ from __future__ import annotations
 
 import copy
 import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from repro.edm.monitors import MonitorBank
 from repro.errors import CampaignError
 from repro.fi.counters import Counters
+from repro.fi.golden import ArtefactCache
 from repro.fi.shm import ShmArrayPack, shm_available
 from repro.target.simulation import SignalTraces, SimulatorState
 
@@ -179,40 +181,17 @@ def record_track(
 # ======================================================================
 # The process-wide track cache.
 # ======================================================================
-class CheckpointStore:
-    """Process-wide checkpoint-track cache with single-flight
-    computation, mirroring :class:`~repro.fi.executor.GoldenRunCache`.
-
-    Keyed by (target, factory, case id, stride, bank signature): two
-    factories — or two assertion banks — never alias.  The store holds
-    a strong reference to each factory while any of its tracks are
-    cached.  Bounded LRU: tracks are an order of magnitude heavier than
-    golden runs (dozens of full-state snapshots each), so the default
-    bound is smaller.
+class CheckpointStore(ArtefactCache):
+    """Process-wide checkpoint-track cache keyed by (target, factory,
+    case id, stride, bank signature): two factories — or two assertion
+    banks — never alias.  Single-flight and LRU-bounded like the
+    golden-run cache (see :class:`~repro.fi.golden.ArtefactCache`);
+    tracks are an order of magnitude heavier than golden runs (dozens
+    of full-state snapshots each), so the default bound is smaller.
     """
 
     def __init__(self, max_tracks: int = 128) -> None:
-        if max_tracks < 1:
-            raise CampaignError(f"max_tracks must be >= 1, got {max_tracks}")
-        self.max_tracks = max_tracks
-        self._tracks: "OrderedDict[Tuple, CheckpointTrack]" = OrderedDict()
-        self._flight: Dict[Tuple, threading.Lock] = {}
-        self._factories: Dict[int, Any] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._tracks)
-
-    @staticmethod
-    def _bank_key(bank_specs: Optional[Sequence]) -> Optional[Tuple]:
-        # dataclass reprs capture every spec parameter — banks with
-        # equal names but different thresholds never alias
-        if bank_specs is None:
-            return None
-        return tuple(repr(spec) for spec in bank_specs)
+        super().__init__(max_tracks, "max_tracks")
 
     def get(
         self,
@@ -222,61 +201,17 @@ class CheckpointStore:
         stride: int,
         bank_specs: Optional[Sequence] = None,
     ) -> CheckpointTrack:
-        key = (
-            target,
-            id(factory),
-            test_case.case_id,
-            stride,
-            self._bank_key(bank_specs),
+        # dataclass reprs capture every spec parameter — banks with
+        # equal names but different thresholds never alias
+        bank_key = (
+            tuple(repr(spec) for spec in bank_specs)
+            if bank_specs is not None else None
         )
-        with self._lock:
-            track = self._tracks.get(key)
-            if track is not None:
-                self._tracks.move_to_end(key)
-                self.hits += 1
-                return track
-            flight = self._flight.setdefault(key, threading.Lock())
-        with flight:
-            with self._lock:
-                track = self._tracks.get(key)
-                if track is not None:
-                    self._tracks.move_to_end(key)
-                    self._flight.pop(key, None)
-                    self.hits += 1
-                    return track
-                self._factories[id(factory)] = factory
-            track = record_track(factory, test_case, stride, bank_specs)
-            with self._lock:
-                self._tracks[key] = track
-                self.misses += 1
-                self._flight.pop(key, None)
-                self._evict_locked()
-            return track
-
-    def _evict_locked(self) -> None:
-        while len(self._tracks) > self.max_tracks:
-            (_, factory_id, _, _, _), _ = self._tracks.popitem(last=False)
-            if not any(k[1] == factory_id for k in self._tracks):
-                self._factories.pop(factory_id, None)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._tracks.clear()
-            self._flight.clear()
-            self._factories.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def resize(self, max_tracks: int) -> None:
-        """Re-bound the cache (long-running daemons tune memory);
-        shrinking evicts least-recently-used tracks immediately."""
-        if max_tracks < 1:
-            raise CampaignError(
-                f"max_tracks must be >= 1, got {max_tracks}"
-            )
-        with self._lock:
-            self.max_tracks = max_tracks
-            self._evict_locked()
+        return self._fetch(
+            (target, id(factory), test_case.case_id, stride, bank_key),
+            factory,
+            lambda: record_track(factory, test_case, stride, bank_specs),
+        )
 
 
 #: the default process-wide track cache used by all campaign drivers.
@@ -286,11 +221,6 @@ checkpoint_cache = CheckpointStore()
 # ======================================================================
 # The shared-memory track pool.
 # ======================================================================
-try:  # numpy backs the flattened columns; pooling is gated on it
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is part of the toolchain
-    _np = None
-
 #: restorable SimulatorState sections, walked in this fixed order so
 #: every state of a track flattens to the same leaf sequence.
 _STATE_SECTIONS = (
@@ -496,8 +426,6 @@ class TrackPool:
         flat layout cannot represent exactly."""
         if case_id in self._tracks:
             return True
-        if _np is None:
-            return False
         ticks = tuple(sorted(track.states))
         states = [track.states[t] for t in ticks] + [track.final_state]
         rows = [_state_leaves(state) for state in states]

@@ -12,9 +12,9 @@ it:
   name with metadata), consumed by the analytics layer
   (:mod:`repro.analysis.compare`) and the ``repro analyze`` CLI.
 
-Campaigns, per-task records, quarantined task failures, integrity
-violations, run events, saved results and the placement cache's
-per-module estimates (:mod:`repro.place.cache`) live in normalized
+Campaigns, per-task records, quarantined task failures, run events
+(integrity violations among them), saved results and the placement
+cache's per-module estimates (:mod:`repro.place.cache`) live in normalized
 tables of one sqlite file, written in WAL mode.  Records stream in
 per-flush transactions (each record's bytes are written once), and
 resume only needs the completed index set — the full result set is
@@ -315,17 +315,6 @@ CREATE TABLE IF NOT EXISTS task_failures (
     attempts    INTEGER NOT NULL,
     PRIMARY KEY (campaign_id, idx)
 ) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS integrity_violations (
-    id          INTEGER PRIMARY KEY,
-    campaign_id INTEGER
-        REFERENCES campaigns(id) ON DELETE CASCADE,
-    ts          REAL NOT NULL,
-    kind        TEXT NOT NULL,
-    idx         INTEGER,
-    detail      TEXT NOT NULL,
-    expected    TEXT,
-    observed    TEXT
-);
 CREATE TABLE IF NOT EXISTS events (
     id          INTEGER PRIMARY KEY,
     campaign_id INTEGER
@@ -744,26 +733,7 @@ class SqliteResultStore:
             for _, name, fingerprint, n_tasks, completed, failures in rows
         ]
 
-    # -- violations and events ------------------------------------------
-    def record_violation(self, violation: IntegrityViolation) -> None:
-        """Persist one structured integrity violation."""
-        conn = self.connection
-        conn.execute(
-            "INSERT INTO integrity_violations "
-            "(campaign_id, ts, kind, idx, detail, expected, observed) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                self._campaign_id,
-                time.time(),
-                violation.kind,
-                violation.index,
-                violation.detail,
-                violation.expected,
-                violation.observed,
-            ),
-        )
-        conn.commit()
-
+    # -- events ---------------------------------------------------------
     def log_event(self, record: Dict[str, Any]) -> None:
         """Stage one run event; persisted by the next :meth:`flush`."""
         fields = {

@@ -105,8 +105,7 @@ process and runs only the other rows as tasks.
 
 On by default: ``CampaignConfig(vector=VectorPolicy(batch_width=N))``
 / ``--batch-width N`` with any ``N > 0`` turns batching on (the
-default, 256); ``0`` selects the scalar path, which is the oracle and
-the only path without numpy.
+default, 256); ``0`` selects the scalar path, which is the oracle.
 """
 
 from __future__ import annotations
@@ -116,6 +115,8 @@ import dataclasses
 import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.edm.monitors import MonitorBank
 from repro.fi.counters import Counters
@@ -131,11 +132,6 @@ from repro.fi.memory import CellKind, MemoryLocation, Region
 from repro.fi.models import InputSignalFlip, PeriodicMemoryFlip
 from repro.model.module import ExecutionContext
 from repro.model.signal import SignalType, make_quantizer
-
-try:
-    import numpy as np
-except Exception:  # pragma: no cover - numpy ships with the toolchain
-    np = None
 
 __all__ = [
     "vector_stats",
@@ -1412,16 +1408,16 @@ class BatchPart:
     ``rows[i]`` is the campaign's task ``i`` as a ``(test case,
     RowInjection)`` row and ``inner(i)`` its scalar run; the rest is
     what the campaign's outcomes need: its kind, the auditor whose
-    rows stay scalar, the golden runs and accounting of permeability,
-    and the assertion specs (its rows' monitor bank) and recovery
-    policies.
+    rows stay scalar, the golden runs (``goldens(test case)``) and
+    accounting of permeability, and the assertion specs (its rows'
+    monitor bank) and recovery policies.
     """
 
     kind: str  #: "permeability" | "detection" | "memory" | "recovery"
     rows: Sequence[Tuple[Any, RowInjection]]
     inner: Callable[[int], Any]
     auditor: Optional[Any] = None
-    goldens: Optional[Any] = None
+    goldens: Optional[Callable[[Any], Any]] = None
     direct_only: bool = True
     specs: Sequence[Any] = ()
     policies: Any = None
@@ -1505,22 +1501,10 @@ def _plan_groups(
 # ======================================================================
 def _kernel_for(probe):
     """The vector kernel class supporting *probe*, or ``None``."""
-    if np is None:
-        return None
-    kernels = []
-    try:
-        from repro.watertank.vectorize import WatertankVectorKernel
+    from repro.target.vectorize import ArrestmentVectorKernel
+    from repro.watertank.vectorize import WatertankVectorKernel
 
-        kernels.append(WatertankVectorKernel)
-    except Exception:  # pragma: no cover - partial install
-        pass
-    try:
-        from repro.target.vectorize import ArrestmentVectorKernel
-
-        kernels.append(ArrestmentVectorKernel)
-    except Exception:  # pragma: no cover - partial install
-        pass
-    for kernel in kernels:
+    for kernel in (WatertankVectorKernel, ArrestmentVectorKernel):
         try:
             if kernel.supports(probe):
                 return kernel
@@ -1632,7 +1616,7 @@ class BatchRunner:
         for (case_id, module), goldens in sorted(
             needed.items(), key=lambda item: item[0]
         ):
-            golden = goldens.get(self._cases[case_id])
+            golden = goldens(self._cases[case_id])
             stream = golden.invocations.stream(module)
             mod = probe.system.module(module)
             n = len(stream)
@@ -1930,15 +1914,12 @@ def wrap_runners(
     group count, or its scalar runner (``parts[i].inner``).
 
     A campaign batches when its config asks for it (``batch_width``
-    > 0) and numpy is available; it forms ``jobs`` groups on the
-    process backend and one on the serial backend.  A batch whose
-    target no kernel supports, or that could plan no group, leaves its
-    campaigns on the scalar path, which needs no wrapper to stay
-    correct.
+    > 0); it forms ``jobs`` groups on the process backend and one on
+    the serial backend.  A batch whose target no kernel supports, or
+    that could plan no group, leaves its campaigns on the scalar path,
+    which needs no wrapper to stay correct.
     """
     runners: List[Callable[[int], Any]] = [part.inner for part in parts]
-    if np is None:
-        return runners
     shared: Dict[Tuple[int, int], List[int]] = {}
     for i, config in enumerate(configs):
         if config.vector.batch_width > 0:

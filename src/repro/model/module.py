@@ -27,7 +27,7 @@ declare:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.errors import ModelError
 from repro.model.signal import Number, SignalType, make_quantizer, quantize
@@ -212,9 +212,6 @@ class ExecutionContext:
                 f"{self._module.name!r}"
             )
         return self._locals[name]
-
-    def locals_snapshot(self) -> Dict[str, Number]:
-        return dict(self._locals)
 
 
 class Module:

@@ -33,7 +33,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -298,9 +297,6 @@ class SystemModel:
         self._require_signal(signal)
         return [p for p in self.io_pairs() if p.in_signal == signal]
 
-    def module_of_state_cell(self, module: str) -> Module:
-        return self._require_module(module)
-
 
 class SignalStore:
     """Current value of every signal, quantized to its spec.
@@ -397,9 +393,6 @@ class SlotSchedule:
     def modules_for_tick(self, tick: int) -> List[str]:
         slot = tick % self.n_slots
         return self._every_tick + self._slots[slot]
-
-    def slot_of_tick(self, tick: int) -> int:
-        return tick % self.n_slots
 
     def all_modules(self) -> List[str]:
         seen: List[str] = []

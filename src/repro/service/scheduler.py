@@ -81,8 +81,9 @@ def validate_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
 
     Validation that needs the experiment machinery (unknown target,
     bad scale) happens in the child and surfaces as a failed job;
-    this catches structural mistakes and bad execution options at the
-    submission boundary, before any job child forks.
+    this catches structural mistakes, bad execution options and an
+    experiment its target cannot run at the submission boundary,
+    before any job child forks.
     """
     if not isinstance(spec, dict):
         raise ServiceError("a job spec must be a JSON object")
@@ -92,13 +93,18 @@ def validate_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
             f"unknown job spec keys: {sorted(unknown)} "
             f"(accepted: {sorted(SPEC_KEYS)})"
         )
-    from repro.experiments.runner import EXPERIMENTS
+    from repro.experiments.runner import EXPERIMENTS, unsupported
 
     experiment = spec.get("experiment")
     if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise ServiceError(
             f"unknown experiment {experiment!r}; "
             f"choose from {sorted(EXPERIMENTS)}"
+        )
+    target = spec.get("target", "arrestment")
+    if unsupported(target, [experiment]):
+        raise ServiceError(
+            f"target {target} cannot run {experiment} (arrestment only)"
         )
     env = spec.get("env")
     if env is not None and not isinstance(env, dict):

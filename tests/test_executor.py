@@ -671,26 +671,20 @@ class TestConfigValidation:
 
 
 class TestGoldenCacheEviction:
-    class _StubStore:
-        """Stands in for GoldenRunStore: records what it computed."""
-
-        def __init__(self, factory):
-            self.factory = factory
-
-        def get(self, test_case):
-            return ("run", id(self.factory), test_case.case_id)
+    @staticmethod
+    def _stub_run(factory, test_case):
+        """Stands in for golden_run: a run tagged with its key."""
+        return ("run", id(factory), test_case.case_id)
 
     class _Case:
         def __init__(self, case_id):
             self.case_id = case_id
 
     @pytest.fixture(autouse=True)
-    def stub_store(self, monkeypatch):
+    def stub_run(self, monkeypatch):
         import repro.fi.executor as executor_module
 
-        monkeypatch.setattr(
-            executor_module, "GoldenRunStore", self._StubStore
-        )
+        monkeypatch.setattr(executor_module, "golden_run", self._stub_run)
 
     def test_lru_eviction_bounds_runs(self):
         cache = GoldenRunCache(max_runs=2)
@@ -709,7 +703,6 @@ class TestGoldenCacheEviction:
         fa, fb = object(), object()
         cache.get("t", fa, self._Case(1))
         cache.get("t", fb, self._Case(2))  # evicts fa's only run
-        assert len(cache._stores) == 1
         assert list(cache._factories.values()) == [fb]
 
     def test_flight_locks_pruned(self):
@@ -729,3 +722,42 @@ class TestGoldenCacheEviction:
         misses0 = cache.misses
         cache.get("t", factory, self._Case(1))
         assert cache.misses == misses0  # still cached
+
+    def test_racing_lookups_compute_each_run_once(self, monkeypatch):
+        """Single flight: threads racing for the same runs compute each
+        once, and every lookup counts as exactly one hit or miss."""
+        import sys
+        import threading
+
+        import repro.fi.executor as executor_module
+
+        computed = []
+
+        def slow_run(factory, test_case):
+            computed.append(test_case.case_id)
+            time.sleep(0.01)
+            return ("run", test_case.case_id)
+
+        monkeypatch.setattr(executor_module, "golden_run", slow_run)
+        cache = GoldenRunCache(max_runs=8)
+        factory = object()
+        cases = [self._Case(case_id) for case_id in range(4)]
+
+        def fetch_all():
+            for case in cases:
+                cache.get("t", factory, case)
+
+        threads = [threading.Thread(target=fetch_all) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(computed) == [0, 1, 2, 3]
+        assert (cache.hits, cache.misses) == (8 * 4 - 4, 4)
+        assert cache._flight == {}

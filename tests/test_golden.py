@@ -3,10 +3,11 @@
 import pytest
 
 from repro.errors import CampaignError
+from repro.fi.executor import GoldenRunCache
 from repro.fi.golden import (
-    GoldenRunStore,
     InvocationLog,
     first_output_differences,
+    golden_run,
 )
 from repro.target.simulation import ArrestmentSimulator
 
@@ -48,33 +49,44 @@ class TestInvocationLog:
         assert len(log.stream("DIST_S")) == result.ticks_run // 20
 
 
-class TestGoldenRunStore:
+class TestGoldenRun:
     def test_caches_per_test_case(self, test_cases):
-        store = GoldenRunStore(lambda tc: ArrestmentSimulator(tc))
-        first = store.get(test_cases[0])
-        second = store.get(test_cases[0])
+        cache = GoldenRunCache()
+        first = cache.get("t", ArrestmentSimulator, test_cases[0])
+        second = cache.get("t", ArrestmentSimulator, test_cases[0])
         assert first is second
-        assert len(store) == 1
+        assert len(cache) == 1
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_golden_run_completes(self, test_cases):
-        store = GoldenRunStore(lambda tc: ArrestmentSimulator(tc))
-        golden = store.get(test_cases[0])
+        golden = golden_run(ArrestmentSimulator, test_cases[0])
         assert golden.completion_tick > 0
         assert not golden.result.verdict.failed
-
-    def test_preload(self, test_cases):
-        store = GoldenRunStore(lambda tc: ArrestmentSimulator(tc))
-        store.preload(test_cases[:2])
-        assert len(store) == 2
 
     def test_failing_golden_run_rejected(self, test_cases):
         def broken_factory(tc):
             sim = ArrestmentSimulator(tc, timeout_s=0.05)
             return sim
 
-        store = GoldenRunStore(broken_factory)
         with pytest.raises(CampaignError):
-            store.get(test_cases[0])
+            golden_run(broken_factory, test_cases[0])
+
+    def test_evicted_run_is_recomputed(self, test_cases):
+        """The bound frees what it evicts: a run evicted from a full
+        cache is simulated again, and every miss is one simulation."""
+        built = []
+
+        def counting_factory(tc):
+            built.append(tc.case_id)
+            return ArrestmentSimulator(tc)
+
+        cache = GoldenRunCache(max_runs=1)
+        a, b = test_cases[0], test_cases[1]
+        for case in (a, b, a):
+            cache.get("t", counting_factory, case)
+        assert built == [a.case_id, b.case_id, a.case_id]
+        assert cache.misses == 3
+        assert len(cache) == 1
 
 
 class TestFirstOutputDifferences:

@@ -139,9 +139,9 @@ class TestRunDigest:
             run_digest(ArrestmentSimulator(test_cases[20]).run())
 
     def test_golden_run_digest(self, two_cases):
-        from repro.fi.golden import GoldenRunStore
+        from repro.fi.golden import golden_run
 
-        golden = GoldenRunStore(factory).get(two_cases[0])
+        golden = golden_run(factory, two_cases[0])
         assert golden.digest() == run_digest(golden.result)
 
 

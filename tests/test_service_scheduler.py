@@ -20,6 +20,7 @@ from repro.service.scheduler import (
     EXIT_INTERRUPTED,
     Scheduler,
     SchedulerConfig,
+    validate_spec,
 )
 from repro.errors import ServiceError
 
@@ -239,6 +240,34 @@ class TestConfigValidation:
             SchedulerConfig(max_jobs=0)
         with pytest.raises(ServiceError):
             SchedulerConfig(job_retries=-1)
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("experiment", ["table5", "profiles", "extended"])
+    def test_arrestment_only_experiment_refused_on_other_target(
+        self, experiment
+    ):
+        """An experiment that reads the arrestment's signals is refused
+        at submission, not after its child ran the campaigns."""
+        with pytest.raises(ServiceError, match=experiment):
+            validate_spec({"experiment": experiment, "target": "watertank"})
+
+    def test_arrestment_only_experiment_accepted_on_arrestment(self):
+        for spec in (
+            {"experiment": "table5"},
+            {"experiment": "table5", "target": "arrestment"},
+            {"experiment": "table1", "target": "watertank"},
+        ):
+            assert validate_spec(spec) is spec
+
+    def test_offline_submit_queues_no_refused_job(self, spool):
+        from repro.service import ServiceClient
+
+        with pytest.raises(ServiceError, match="table5"):
+            ServiceClient(spool).submit(
+                {"experiment": "table5", "target": "watertank"}
+            )
+        assert not os.path.exists(os.path.join(spool, "queue.db"))
 
 
 class TestDecorrelatedBackoff:
